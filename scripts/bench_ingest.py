@@ -16,6 +16,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from hybridoa.fixture import write_bulk_articles
+
 CONSUMER = """
 import json, resource, sys, time
 from hybridoa.ingest import load_article_stream
@@ -31,27 +33,9 @@ print(json.dumps({
 }))
 """
 
-LINE = (
-    '{"source":"open","native_id":"W%09d","issn":"%s","pub_date":"%d-0%d-1%d",'
-    '"document_class":"journal-article","doi":"10.5555/bulk.%d","title":"Bulk record %d",'
-    '"pagination":"%d-%d","licenses":[{"url":"https://creativecommons.org/licenses/by/4.0/",'
-    '"applies_to_vor":true,"start_date":"%d-0%d-1%d"}],'
-    '"authors":[{"position":1,"org_ids":["ror:0r%03d"],"countries":["DE"]}]}\n'
-)
-
-ISSNS = ("0378-5955", "0024-9319", "0002-9327", "0003-200X")
-
-
 def write_bulk(path: Path, n: int):
     start = time.perf_counter()
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(n):
-            year, month, day = 2019 + i % 5, 1 + i % 9, i % 9
-            page = 1 + i % 400
-            fh.write(
-                LINE % (i, ISSNS[i % 4], year, month, day, i, i, page, page + 9,
-                        year, month, day, i % 200)
-            )
+    write_bulk_articles(str(path), n)
     print(f"  wrote {n:,} lines in {time.perf_counter() - start:.1f}s")
 
 

@@ -15,18 +15,21 @@ from __future__ import annotations
 
 import math
 from collections import defaultdict
-from typing import Iterable, Mapping
+from dataclasses import dataclass
+from typing import Container, Iterable, Mapping
 
 from .attribute import role_author
 from .errors import InsufficientPairs
 from .model import (
+    Authorship,
     ClassifiedArticle,
     CorrelationResult,
-    GROUP_COUNTRY,
     GROUP_GLOBAL,
+    GROUP_KINDS,
     GROUP_PUBLISHER,
     IndicatorRow,
     IntersectionSet,
+    ROLE_FIRST,
 )
 
 
@@ -99,58 +102,140 @@ def upset_sets(
     return out
 
 
-def aggregate(
-    stream: Iterable[tuple[ClassifiedArticle, bool]],
-    group_kind: str,
-    role: str,
-    years: tuple[int, int],
-) -> list[IndicatorRow]:
-    """Aggregate (article, ta_enabled-for-role) pairs into indicator rows.
+# Coverage measures in output order: journal activity tiers, then
+# article volumes, DOI coverage, OA volume and role-author affiliation
+# availability, all restricted to hybrid journals inside the window.
+_JOURNAL_MEASURES = (
+    "journals_active",
+    "journals_active_original",
+    "journals_active_original_oa",
+)
+_ARTICLE_MEASURES = (
+    "articles_total",
+    "articles_original",
+    "articles_with_doi",
+    "articles_original_with_doi",
+    "articles_original_oa",
+    "articles_original_first_affiliation",
+    "articles_original_corresponding_affiliation",
+)
 
-    Articles in non-hybrid or unknown journals are out of scope entirely.
-    COUNTRY rows increment once per distinct country of the role author,
-    so one multi-country article adds a full count to several countries.
+
+def _tally_coverage(
+    article: ClassifiedArticle, journals: dict[str, set[str]], totals: dict[str, int]
+) -> None:
+    record = article.record
+    issn_l = record.journal_issn_l
+    journals["journals_active"].add(issn_l)
+    totals["articles_total"] += 1
+    if record.doi:
+        totals["articles_with_doi"] += 1
+    if not article.countable:
+        return
+    journals["journals_active_original"].add(issn_l)
+    totals["articles_original"] += 1
+    if record.doi:
+        totals["articles_original_with_doi"] += 1
+    if article.is_hybrid_oa:
+        journals["journals_active_original_oa"].add(issn_l)
+        totals["articles_original_oa"] += 1
+    first = record.first_author()
+    if first is not None and first.org_ids:
+        totals["articles_original_first_affiliation"] += 1
+    if any(a.org_ids for a in record.corresponding_authors()):
+        totals["articles_original_corresponding_affiliation"] += 1
+
+
+@dataclass
+class SourceFold:
+    """Everything aggregate derives from one pass over one source.
+
+    `rows` holds the indicator rows of every role the source carries
+    author data for; `skipped_roles` lists the others. `coverage` is the
+    source's (measure, value) pairs in output order.
     """
-    counts: dict[tuple[int, str, str], list[int]] = defaultdict(lambda: [0, 0, 0, 0])
 
-    for article, ta_enabled in stream:
+    source: str
+    rows: list[IndicatorRow]
+    skipped_roles: tuple[str, ...]
+    coverage: list[tuple[str, int]]
+
+
+def _group_keys(kind: str, article: ClassifiedArticle, author: Authorship | None) -> Iterable[str]:
+    if kind == GROUP_GLOBAL:
+        return ("",)
+    if kind == GROUP_PUBLISHER:
+        return (article.publisher,)
+    return author.countries if author is not None else ()
+
+
+def aggregate(
+    source: str,
+    articles: Iterable[ClassifiedArticle],
+    ta_keys: Mapping[str, Container[tuple[str, str]]],
+    years: tuple[int, int],
+) -> SourceFold:
+    """Fold one source's classified articles into indicators and coverage.
+
+    `ta_keys` maps each role to the (source, native_id) keys attributed
+    to an agreement for it. Each article is read once and feeds every
+    (role, group kind) cell and the coverage tallies. Articles in
+    non-hybrid or unknown journals, or outside the window, are out of
+    scope. COUNTRY cells count once per distinct country of the role
+    author, so one multi-country article adds a full count to several
+    countries. A role other than FIRST is skipped, with no rows, when no
+    record of the source carries corresponding-author data: no silent
+    substitution of the first author.
+    """
+    counts: dict[tuple[str, str, int, str], list[int]] = defaultdict(lambda: [0, 0, 0, 0])
+    journals = {measure: set() for measure in _JOURNAL_MEASURES}
+    totals = dict.fromkeys(_ARTICLE_MEASURES, 0)
+    has_corresponding_data = False
+
+    for article in articles:
+        record = article.record
+        if not has_corresponding_data:
+            has_corresponding_data = record.has_corresponding_data()
         if not article.journal_is_hybrid or not in_window(article.year, years):
             continue
-        if group_kind == GROUP_GLOBAL:
-            keys = ("",)
-        elif group_kind == GROUP_PUBLISHER:
-            keys = (article.publisher,)
-        elif group_kind == GROUP_COUNTRY:
+        _tally_coverage(article, journals, totals)
+        key = (record.source, record.native_id)
+        for role, enabled in ta_keys.items():
+            ta_enabled = key in enabled
             author = role_author(article, role)
-            keys = tuple(sorted(author.countries)) if author is not None else ()
-        else:
-            raise ValueError(f"unknown group kind {group_kind!r}")
-        for key in keys:
-            cell = counts[(article.year, article.record.source, key)]
-            cell[0] += 1
-            if article.countable:
-                cell[1] += 1
-                if article.is_hybrid_oa:
-                    cell[2] += 1
-                    if ta_enabled:
-                        cell[3] += 1
+            for kind in GROUP_KINDS:
+                for group_key in _group_keys(kind, article, author):
+                    cell = counts[(role, kind, article.year, group_key)]
+                    cell[0] += 1
+                    if article.countable:
+                        cell[1] += 1
+                        if article.is_hybrid_oa:
+                            cell[2] += 1
+                            if ta_enabled:
+                                cell[3] += 1
 
+    skipped = tuple(
+        role for role in ta_keys if role != ROLE_FIRST and not has_corresponding_data
+    )
     rows = [
         IndicatorRow(
             year=year,
             source=source,
             role=role,
-            group_kind=group_kind,
-            group_key=key,
+            group_kind=kind,
+            group_key=group_key,
             n_total=cell[0],
             n_original=cell[1],
             n_oa=cell[2],
             n_ta_oa=cell[3],
         )
-        for (year, source, key), cell in counts.items()
+        for (role, kind, year, group_key), cell in counts.items()
+        if role not in skipped
     ]
-    rows.sort(key=lambda r: (r.source, r.year, r.group_key))
-    return rows
+    rows.sort(key=lambda r: (r.role, r.group_kind, r.year, r.group_key))
+    coverage = [(m, len(journals[m])) for m in _JOURNAL_MEASURES]
+    coverage += list(totals.items())
+    return SourceFold(source=source, rows=rows, skipped_roles=skipped, coverage=coverage)
 
 
 def _average_ranks(values: list[float]) -> list[float]:
@@ -204,57 +289,10 @@ def spearman(
     )
 
 
-def coverage_summary(
-    corpora: Mapping[str, Iterable[ClassifiedArticle]],
-    years: tuple[int, int],
-) -> list[tuple[str, str, int]]:
-    """Per-source coverage accounting over the year window.
-
-    Returns (source, measure, value) triples: journal activity tiers,
-    publication volumes, DOI coverage, OA volumes, and role-author
-    affiliation availability, restricted to hybrid journals.
-    """
-    out: list[tuple[str, str, int]] = []
-    for source in sorted(corpora):
-        journals_active: set[str] = set()
-        journals_original: set[str] = set()
-        journals_oa: set[str] = set()
-        totals = defaultdict(int)
-        for article in corpora[source]:
-            if not article.journal_is_hybrid or not in_window(article.year, years):
-                continue
-            issn_l = article.record.journal_issn_l
-            journals_active.add(issn_l)
-            totals["articles_total"] += 1
-            if article.record.doi:
-                totals["articles_with_doi"] += 1
-            if article.countable:
-                journals_original.add(issn_l)
-                totals["articles_original"] += 1
-                if article.record.doi:
-                    totals["articles_original_with_doi"] += 1
-                if article.is_hybrid_oa:
-                    journals_oa.add(issn_l)
-                    totals["articles_original_oa"] += 1
-                first = article.record.first_author()
-                if first is not None and first.org_ids:
-                    totals["articles_original_first_affiliation"] += 1
-                if any(a.org_ids for a in article.record.corresponding_authors()):
-                    totals["articles_original_corresponding_affiliation"] += 1
-        measures = [
-            ("journals_active", len(journals_active)),
-            ("journals_active_original", len(journals_original)),
-            ("journals_active_original_oa", len(journals_oa)),
-            ("articles_total", totals["articles_total"]),
-            ("articles_original", totals["articles_original"]),
-            ("articles_with_doi", totals["articles_with_doi"]),
-            ("articles_original_with_doi", totals["articles_original_with_doi"]),
-            ("articles_original_oa", totals["articles_original_oa"]),
-            ("articles_original_first_affiliation", totals["articles_original_first_affiliation"]),
-            (
-                "articles_original_corresponding_affiliation",
-                totals["articles_original_corresponding_affiliation"],
-            ),
-        ]
-        out.extend((source, measure, value) for measure, value in measures)
-    return out
+def coverage_summary(folds: Iterable[SourceFold]) -> list[tuple[str, str, int]]:
+    """Per-source coverage accounting as (source, measure, value) triples."""
+    return [
+        (fold.source, measure, value)
+        for fold in sorted(folds, key=lambda f: f.source)
+        for measure, value in fold.coverage
+    ]

@@ -36,9 +36,6 @@ class Layout:
     def __init__(self, out_dir: str):
         self.out_dir = out_dir
 
-    def stage_dir(self, stage: str) -> str:
-        return os.path.join(self.out_dir, stage)
-
     def manifest(self, stage: str) -> str:
         return os.path.join(self.out_dir, "manifests", f"{stage}.json")
 

@@ -16,7 +16,7 @@ from datetime import timedelta
 from importlib import resources
 
 from .errors import NoDate
-from .model import ArticleRecord, ClassifiedArticle, Journal
+from .model import ArticleRecord, ClassifiedArticle, Journal, LicenseStatement
 
 log = logging.getLogger(__name__)
 
@@ -176,36 +176,43 @@ def is_original(
     return False
 
 
-def oa_status(record: ArticleRecord, cfg: ClassifierConfig) -> bool:
-    """Open access under a Creative Commons license on the version of record.
+def license_failure(
+    lic: LicenseStatement, record: ArticleRecord, cfg: ClassifierConfig
+) -> str | None:
+    """Why one license statement does not make the record OA; None when it does.
 
-    A license statement qualifies when it applies to the VOR, its URL
-    matches the CC pattern, and its start date (when present) is at most
-    `license_grace_days` after publication. Bronze (publisher-specific
-    license) and delayed (late start) content counts as closed.
+    A statement qualifies when it applies to the VOR, its URL matches the
+    CC pattern, and its start date (when present) is at most
+    `license_grace_days` after publication; a start date on a record with
+    no publication date cannot be bounded and fails. Bronze
+    (publisher-specific license) and delayed (late start) content counts
+    as closed.
 
     Sources listed in `lenient_oa_sources` emulate the divergent
     labelling some databases apply: user-license URLs also qualify and
     the start-date bound is waived.
     """
-    lenient = record.source in cfg.lenient_oa_sources
-    deadline = None
-    if record.pub_date is not None:
-        deadline = record.pub_date + timedelta(days=cfg.license_grace_days)
-    for lic in record.licenses:
-        if not lic.applies_to_vor:
-            continue
-        is_cc = bool(cfg.cc_license_re.search(lic.url))
-        if lenient:
-            if is_cc or cfg.user_license_re.search(lic.url):
-                return True
-            continue
-        if not is_cc:
-            continue
-        if lic.start_date is not None and (deadline is None or lic.start_date > deadline):
-            continue
-        return True
-    return False
+    if not lic.applies_to_vor:
+        return "not version of record"
+    is_cc = bool(cfg.cc_license_re.search(lic.url))
+    if record.source in cfg.lenient_oa_sources:
+        if is_cc or cfg.user_license_re.search(lic.url):
+            return None
+        return "no CC or user license"
+    if not is_cc:
+        return "no CC license"
+    if lic.start_date is None:
+        return None
+    if record.pub_date is None:
+        return "start date but no publication date"
+    if lic.start_date > record.pub_date + timedelta(days=cfg.license_grace_days):
+        return "starts after grace window: delayed OA"
+    return None
+
+
+def oa_status(record: ArticleRecord, cfg: ClassifierConfig) -> bool:
+    """Open access when any license statement passes `license_failure`."""
+    return any(license_failure(lic, record, cfg) is None for lic in record.licenses)
 
 
 def classify_article(

@@ -732,3 +732,33 @@ def _write_config(params: FixtureParams, out_dir: str) -> None:
     with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8", newline="") as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
+
+
+# --- bulk interchange files ---------------------------------------------------
+
+_BULK_LINE = (
+    '{"source":"open","native_id":"W%09d","issn":"%s","pub_date":"%d-0%d-1%d",'
+    '"document_class":"journal-article","doi":"10.5555/bulk.%d","title":"Bulk record %d",'
+    '"pagination":"%d-%d","licenses":[{"url":"https://creativecommons.org/licenses/by/4.0/",'
+    '"applies_to_vor":true,"start_date":"%d-0%d-1%d"}],'
+    '"authors":[{"position":1,"org_ids":["ror:0r%03d"],"countries":["DE"]}]}\n'
+)
+
+_BULK_ISSNS = ("0378-5955", "0024-9319", "0002-9327", "0003-200X")
+
+
+def write_bulk_articles(path: str, n_lines: int) -> None:
+    """Write `n_lines` well-formed open-source interchange lines.
+
+    The lines cycle four journals and carry no planted truth; they size
+    ingest throughput and memory checks, where every line must parse.
+    """
+    with open(path, "w", encoding="utf-8") as fh:
+        for i in range(n_lines):
+            year, month, day = 2019 + i % 5, 1 + i % 9, i % 9
+            page = 1 + i % 400
+            fh.write(
+                _BULK_LINE
+                % (i, _BULK_ISSNS[i % 4], year, month, day, i, i, page, page + 9,
+                   year, month, day, i % 200)
+            )

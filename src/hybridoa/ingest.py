@@ -68,15 +68,6 @@ class CorpusManifest:
     def total_lines(self) -> int:
         return self.record_count + self.reject_count
 
-    def as_dict(self) -> dict:
-        return {
-            "source": self.source,
-            "paths": list(self.paths),
-            "record_count": self.record_count,
-            "reject_count": self.reject_count,
-            "reject_log_path": self.reject_log_path,
-        }
-
 
 class RejectLog:
     """Sidecar writer for rejected rows: line number, reason, raw text."""

@@ -279,14 +279,3 @@ class CorrelationResult:
     n: int
     filter_threshold: float = 0.0
 
-
-@dataclass(frozen=True, slots=True)
-class RolePolicy:
-    """How a role run treats sources lacking that role's data: no fallback.
-
-    A CORRESPONDING run over a source without corresponding-author
-    metadata produces no attributions instead of substituting FIRST.
-    """
-
-    role: str
-    fallback: str = "none"

@@ -346,36 +346,41 @@ def run_reconcile(config: PipelineConfig) -> None:
 
 # --- attribute ----------------------------------------------------------------
 
-def _attribute_chunk(item: tuple[str, str, list[str]]) -> list[tuple]:
-    source, role, lines = item
-    journal_agreements, crosswalk_inverse, inst_index = _WORKER_CTX
-    rows = []
+def _attribute_chunk(item: tuple[str, list[str]]) -> dict[str, list[tuple]]:
+    """Role -> attribution rows of one chunk; each line is decoded once."""
+    source, lines = item
+    roles, journal_agreements, crosswalk_inverse, inst_index = _WORKER_CTX
+    rows: dict[str, list[tuple]] = {role: [] for role in roles}
     for line in lines:
         article = artifacts.classified_from_line(line, source)
         if not article.countable or not article.is_hybrid_oa:
             continue
-        if attribute.role_author(article, role) is None:
-            continue
-        record = attribute.match_agreements(
-            article, role, journal_agreements, crosswalk_inverse, inst_index
-        )
-        rows.append(
-            (
-                source,
-                article.record.native_id,
-                article.record.doi or "",
-                article.year,
-                role,
-                "true" if record is not None else "false",
-                "|".join(record.agreement_ids) if record is not None else "",
-                record.matched_institution if record is not None else "",
+        for role in roles:
+            if attribute.role_author(article, role) is None:
+                continue
+            record = attribute.match_agreements(
+                article, role, journal_agreements, crosswalk_inverse, inst_index
             )
-        )
+            rows[role].append(
+                (
+                    source,
+                    article.record.native_id,
+                    article.record.doi or "",
+                    article.year,
+                    role,
+                    "true" if record is not None else "false",
+                    "|".join(record.agreement_ids) if record is not None else "",
+                    record.matched_institution if record is not None else "",
+                )
+            )
     return rows
 
 
 def run_attribute(config: PipelineConfig) -> None:
-    """Evaluate every eligible OA article against the agreement registry."""
+    """Evaluate every eligible OA article against the agreement registry.
+
+    One pass per source evaluates every role on each decoded record.
+    """
     layout = Layout(config.out_dir)
     needed = [layout.agreements, layout.institutions, layout.crosswalk]
     needed += [layout.classified(s.label) for s in config.sources]
@@ -385,21 +390,21 @@ def run_attribute(config: PipelineConfig) -> None:
     journal_agreements = attribute.agreements_by_journal(agreements)
     crosswalk_inverse = reconcile.invert_crosswalk(artifacts.read_crosswalk(layout.crosswalk))
     inst_index = ingest.institution_index(artifacts.read_institutions(layout.institutions))
-    ctx = (journal_agreements, crosswalk_inverse, inst_index)
+    ctx = (tuple(config.roles), journal_agreements, crosswalk_inverse, inst_index)
     workers = _effective_workers(config)
     counters: dict = {}
     outputs = []
 
-    for role in config.roles:
-        rows: list[tuple] = []
-        for source in config.sources:
-            chunks = (
-                (source.label, role, chunk)
-                for chunk in _chunked_lines(layout.classified(source.label))
-            )
-            for result in _map_chunks(_attribute_chunk, chunks, ctx, workers):
-                rows.extend(result)
-        rows.sort(key=lambda r: (r[0], r[1]))
+    rows: dict[str, list[tuple]] = {role: [] for role in config.roles}
+    for source in config.sources:
+        path = layout.classified(source.label)
+        chunks = ((source.label, chunk) for chunk in _chunked_lines(path))
+        for result in _map_chunks(_attribute_chunk, chunks, ctx, workers):
+            for role, role_rows in result.items():
+                rows[role].extend(role_rows)
+
+    for role, role_rows in rows.items():
+        role_rows.sort(key=lambda r: (r[0], r[1]))
         path = layout.attributions(role)
         artifacts.write_csv(
             path,
@@ -413,11 +418,11 @@ def run_attribute(config: PipelineConfig) -> None:
                 "agreement_ids",
                 "matched_institution",
             ),
-            rows,
+            role_rows,
         )
         outputs.append(path)
-        counters[f"evaluated_{role}"] = len(rows)
-        counters[f"ta_enabled_{role}"] = sum(1 for r in rows if r[5] == "true")
+        counters[f"evaluated_{role}"] = len(role_rows)
+        counters[f"ta_enabled_{role}"] = sum(1 for r in role_rows if r[5] == "true")
 
     artifacts.write_manifest(
         layout,
@@ -440,38 +445,28 @@ def _load_ta_keys(layout: Layout, role: str) -> set[tuple[str, str]]:
     return keys
 
 
-def _source_has_role(layout: Layout, source: str, role: str) -> bool:
-    if role == ROLE_FIRST:
-        return True
-    for article in artifacts.iter_classified(layout.classified(source), source):
-        if article.record.has_corresponding_data():
-            return True
-    return False
-
-
 def run_aggregate(config: PipelineConfig) -> None:
-    """Turn classified and attributed articles into indicator tables."""
+    """Turn classified and attributed articles into indicator tables.
+
+    One pass per source: each classified record is decoded once and feeds
+    every (role, group kind) indicator cell and the coverage tallies.
+    """
     layout = Layout(config.out_dir)
     needed = [layout.classified(s.label) for s in config.sources]
     needed += [layout.attributions(role) for role in config.roles]
     _require(needed, "aggregate")
     counters: dict = {}
 
+    ta_keys = {role: _load_ta_keys(layout, role) for role in config.roles}
+    folds = []
     rows: list[IndicatorRow] = []
-    for role in config.roles:
-        ta_keys = _load_ta_keys(layout, role)
-        for source in config.sources:
-            if not _source_has_role(layout, source.label, role):
-                counters[f"skipped_{source.label}_{role}"] = 1
-                continue
-            for kind in (GROUP_GLOBAL, GROUP_PUBLISHER, GROUP_COUNTRY):
-                stream = (
-                    (article, (source.label, article.record.native_id) in ta_keys)
-                    for article in artifacts.iter_classified(
-                        layout.classified(source.label), source.label
-                    )
-                )
-                rows.extend(analytics.aggregate(stream, kind, role, config.years))
+    for source in config.sources:
+        articles = artifacts.iter_classified(layout.classified(source.label), source.label)
+        fold = analytics.aggregate(source.label, articles, ta_keys, config.years)
+        folds.append(fold)
+        rows.extend(fold.rows)
+        for role in fold.skipped_roles:
+            counters[f"skipped_{source.label}_{role}"] = 1
 
     rows.sort(key=lambda r: (r.role, r.group_kind, r.source, r.year, r.group_key))
     artifacts.write_csv(
@@ -508,11 +503,7 @@ def run_aggregate(config: PipelineConfig) -> None:
     )
     counters["indicator_rows"] = len(rows)
 
-    corpora = {
-        s.label: artifacts.iter_classified(layout.classified(s.label), s.label)
-        for s in config.sources
-    }
-    coverage = analytics.coverage_summary(corpora, config.years)
+    coverage = analytics.coverage_summary(folds)
     artifacts.write_csv(layout.coverage, ("source", "measure", "value"), coverage)
 
     artifacts.write_manifest(
@@ -815,7 +806,14 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
         if record.licenses:
             lines.append("  licenses:")
             for lic in record.licenses:
-                lines.append(f"    - {lic.url} {_license_verdict(lic, record, cls_cfg)}")
+                start = f" start={lic.start_date.isoformat()}" if lic.start_date is not None else ""
+                is_cc = bool(cls_cfg.cc_license_re.search(lic.url))
+                failure = classify.license_failure(lic, record, cls_cfg)
+                verdict = f"FAIL ({failure})" if failure else "PASS"
+                lines.append(
+                    f"    - {lic.url} vor={_yn(lic.applies_to_vor)}{start}"
+                    f" cc={_yn(is_cc)} -> {verdict}"
+                )
         else:
             lines.append("  licenses: none (closed)")
         if not article.countable or not article.is_hybrid_oa:
@@ -858,23 +856,3 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
 def _yn(flag: bool) -> str:
     return "yes" if flag else "no"
 
-
-def _license_verdict(lic, record, cfg) -> str:
-    from datetime import timedelta
-
-    bits = [f"vor={_yn(lic.applies_to_vor)}"]
-    if lic.start_date is not None:
-        bits.append(f"start={lic.start_date.isoformat()}")
-    is_cc = bool(cfg.cc_license_re.search(lic.url))
-    bits.append("cc=" + _yn(is_cc))
-    if not lic.applies_to_vor:
-        bits.append("-> FAIL (not version of record)")
-    elif not is_cc:
-        bits.append("-> FAIL (no CC license)")
-    elif lic.start_date is not None and record.pub_date is not None and lic.start_date > (
-        record.pub_date + timedelta(days=cfg.license_grace_days)
-    ):
-        bits.append("-> FAIL (starts after grace window: delayed OA)")
-    else:
-        bits.append("-> PASS")
-    return " ".join(bits)

@@ -6,14 +6,20 @@ independent of the implementation paths they check.
 """
 
 import random
+from collections import defaultdict
 from datetime import date, timedelta
 
+from hybridoa.attribute import role_author
 from hybridoa.model import (
     Agreement,
     ArticleRecord,
     AttributionRecord,
     Authorship,
     ClassifiedArticle,
+    GROUP_COUNTRY,
+    GROUP_GLOBAL,
+    GROUP_PUBLISHER,
+    IndicatorRow,
     ROLE_FIRST,
 )
 
@@ -153,3 +159,125 @@ def oracle_upset(universe, doi_sets, open_source):
             surplus if open_source in membership else 0,
         )
     return expected
+
+
+def _in_window(year, years):
+    return years[0] <= year <= years[1]
+
+
+def oracle_aggregate(stream, group_kind, role, years):
+    """Indicator rows of one (role, group kind) from (article, ta_enabled) pairs."""
+    counts = defaultdict(lambda: [0, 0, 0, 0])
+    for article, ta_enabled in stream:
+        if not article.journal_is_hybrid or not _in_window(article.year, years):
+            continue
+        if group_kind == GROUP_GLOBAL:
+            keys = ("",)
+        elif group_kind == GROUP_PUBLISHER:
+            keys = (article.publisher,)
+        elif group_kind == GROUP_COUNTRY:
+            author = role_author(article, role)
+            keys = tuple(sorted(author.countries)) if author is not None else ()
+        else:
+            raise ValueError(f"unknown group kind {group_kind!r}")
+        for key in keys:
+            cell = counts[(article.year, article.record.source, key)]
+            cell[0] += 1
+            if article.countable:
+                cell[1] += 1
+                if article.is_hybrid_oa:
+                    cell[2] += 1
+                    if ta_enabled:
+                        cell[3] += 1
+    rows = [
+        IndicatorRow(
+            year=year,
+            source=source,
+            role=role,
+            group_kind=group_kind,
+            group_key=key,
+            n_total=cell[0],
+            n_original=cell[1],
+            n_oa=cell[2],
+            n_ta_oa=cell[3],
+        )
+        for (year, source, key), cell in counts.items()
+    ]
+    rows.sort(key=lambda r: (r.source, r.year, r.group_key))
+    return rows
+
+
+def oracle_indicators(corpora, ta_keys, years):
+    """One rescan per role x source x group kind, as a per-kind loop would.
+
+    `corpora` maps source -> classified articles and `ta_keys` maps role
+    -> TA-enabled (source, native_id) keys. Returns the indicator rows in
+    output order and the skipped (source, role) pairs: a role other than
+    FIRST is skipped for a source none of whose records carries
+    corresponding-author data.
+    """
+    rows = []
+    skipped = set()
+    for role, keys in ta_keys.items():
+        for source, articles in corpora.items():
+            has_role = role == ROLE_FIRST or any(
+                a.is_corresponding is not None for art in articles for a in art.record.authors
+            )
+            if not has_role:
+                skipped.add((source, role))
+                continue
+            for kind in (GROUP_GLOBAL, GROUP_PUBLISHER, GROUP_COUNTRY):
+                stream = [
+                    (art, (source, art.record.native_id) in keys) for art in articles
+                ]
+                rows.extend(oracle_aggregate(stream, kind, role, years))
+    rows.sort(key=lambda r: (r.role, r.group_kind, r.source, r.year, r.group_key))
+    return rows, skipped
+
+
+def oracle_coverage_summary(corpora, years):
+    """Per-source coverage (source, measure, value) triples, one rescan per source."""
+    out = []
+    for source in sorted(corpora):
+        journals_active = set()
+        journals_original = set()
+        journals_oa = set()
+        totals = defaultdict(int)
+        for article in corpora[source]:
+            if not article.journal_is_hybrid or not _in_window(article.year, years):
+                continue
+            issn_l = article.record.journal_issn_l
+            journals_active.add(issn_l)
+            totals["articles_total"] += 1
+            if article.record.doi:
+                totals["articles_with_doi"] += 1
+            if article.countable:
+                journals_original.add(issn_l)
+                totals["articles_original"] += 1
+                if article.record.doi:
+                    totals["articles_original_with_doi"] += 1
+                if article.is_hybrid_oa:
+                    journals_oa.add(issn_l)
+                    totals["articles_original_oa"] += 1
+                first = article.record.first_author()
+                if first is not None and first.org_ids:
+                    totals["articles_original_first_affiliation"] += 1
+                if any(a.org_ids for a in article.record.corresponding_authors()):
+                    totals["articles_original_corresponding_affiliation"] += 1
+        measures = [
+            ("journals_active", len(journals_active)),
+            ("journals_active_original", len(journals_original)),
+            ("journals_active_original_oa", len(journals_oa)),
+            ("articles_total", totals["articles_total"]),
+            ("articles_original", totals["articles_original"]),
+            ("articles_with_doi", totals["articles_with_doi"]),
+            ("articles_original_with_doi", totals["articles_original_with_doi"]),
+            ("articles_original_oa", totals["articles_original_oa"]),
+            ("articles_original_first_affiliation", totals["articles_original_first_affiliation"]),
+            (
+                "articles_original_corresponding_affiliation",
+                totals["articles_original_corresponding_affiliation"],
+            ),
+        ]
+        out.extend((source, measure, value) for measure, value in measures)
+    return out

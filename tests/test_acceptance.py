@@ -23,6 +23,7 @@ from hybridoa.analytics import spearman
 from hybridoa.artifacts import Layout
 from hybridoa.attribute import agreements_by_journal, match_agreements
 from hybridoa.config import load_config
+from hybridoa.fixture import write_bulk_articles
 from hybridoa.model import ROLE_CORRESPONDING, ROLE_FIRST
 
 from conftest import load_truth_attributions, load_truth_crosswalk
@@ -339,31 +340,6 @@ def test_criterion_6a_worker_count_invariance(tmp_path):
     )
 
 
-_LINE_TEMPLATE = (
-    '{"source":"open","native_id":"W%09d","issn":"%s","pub_date":"%d-0%d-1%d",'
-    '"document_class":"journal-article","doi":"10.5555/bulk.%d","title":"Bulk record %d",'
-    '"pagination":"%d-%d","licenses":[{"url":"https://creativecommons.org/licenses/by/4.0/",'
-    '"applies_to_vor":true,"start_date":"%d-0%d-1%d"}],'
-    '"authors":[{"position":1,"org_ids":["ror:0r%03d"],"countries":["DE"]}]}\n'
-)
-
-_BULK_ISSNS = ("0378-5955", "0024-9319", "0002-9327", "0003-200X")
-
-
-def write_bulk_file(path: str, n_lines: int):
-    with open(path, "w", encoding="utf-8") as fh:
-        for i in range(n_lines):
-            year = 2019 + i % 5
-            month = 1 + i % 9
-            day = i % 9
-            page = 1 + i % 400
-            fh.write(
-                _LINE_TEMPLATE
-                % (i, _BULK_ISSNS[i % 4], year, month, day, i, i, page, page + 9,
-                   year, month, day, i % 200)
-            )
-
-
 _CONSUMER = """
 import json, resource, sys, time
 from hybridoa.ingest import load_article_stream
@@ -394,8 +370,8 @@ def test_criterion_6b_streaming_scale(tmp_path):
     growing <= 2x when the file grows 10x."""
     small = str(tmp_path / "bulk_100k.ndjson")
     large = str(tmp_path / "bulk_1m.ndjson")
-    write_bulk_file(small, 100_000)
-    write_bulk_file(large, 1_000_000)
+    write_bulk_articles(small, 100_000)
+    write_bulk_articles(large, 1_000_000)
 
     small_run = ingest_in_subprocess(small)
     large_run = ingest_in_subprocess(large)

@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -21,8 +22,11 @@ from hybridoa.model import (
     GROUP_COUNTRY,
     GROUP_GLOBAL,
     GROUP_PUBLISHER,
+    ROLE_CORRESPONDING,
     ROLE_FIRST,
 )
+
+from oracles import oracle_coverage_summary, oracle_indicators, oracle_upset
 
 YEARS = (2019, 2023)
 
@@ -87,9 +91,6 @@ def test_universe_empty_when_no_oa():
 
 # --- upset sets --------------------------------------------------------------------
 
-from oracles import oracle_upset  # noqa: E402
-
-
 def test_upset_partition_of_membership_combinations():
     universe = {
         "j1": frozenset({"open", "srcA", "srcB"}),
@@ -150,12 +151,20 @@ def test_upset_equals_oracle_on_random_universes(seed):
 
 # --- aggregation ---------------------------------------------------------------------
 
+def indicator_rows(stream, kind, role=ROLE_FIRST, source="open"):
+    """Rows of one group kind from (article, ta_enabled) pairs via the one-pass fold."""
+    stream = list(stream)
+    enabled = {(a.record.source, a.record.native_id) for a, ta in stream if ta}
+    fold = aggregate(source, [a for a, _ in stream], {role: enabled}, YEARS)
+    return [r for r in fold.rows if r.group_kind == kind]
+
+
 def test_aggregate_counts_and_shares():
     stream = []
     for i in range(200):
         oa = i < 50
         stream.append((cls(native_id=f"W{i}", oa=oa), oa and i < 30))
-    rows = aggregate(stream, GROUP_GLOBAL, ROLE_FIRST, YEARS)
+    rows = indicator_rows(stream, GROUP_GLOBAL)
     (row,) = rows
     assert (row.n_total, row.n_original, row.n_oa, row.n_ta_oa) == (200, 200, 50, 30)
     assert row.oa_share == pytest.approx(0.25)
@@ -164,19 +173,19 @@ def test_aggregate_counts_and_shares():
 
 def test_aggregate_full_counting_by_country():
     stream = [(cls(countries=("DE", "CH"), oa=True), True)]
-    rows = aggregate(stream, GROUP_COUNTRY, ROLE_FIRST, YEARS)
+    rows = indicator_rows(stream, GROUP_COUNTRY)
     assert {r.group_key for r in rows} == {"DE", "CH"}
     for row in rows:
         assert (row.n_total, row.n_oa, row.n_ta_oa) == (1, 1, 1)
 
 
 def test_aggregate_zero_oa_share_undefined():
-    rows = aggregate([(cls(oa=False), False)], GROUP_GLOBAL, ROLE_FIRST, YEARS)
+    rows = indicator_rows([(cls(oa=False), False)], GROUP_GLOBAL)
     assert rows[0].ta_share_of_oa is None
 
 
 def test_aggregate_skips_non_hybrid_journals():
-    rows = aggregate([(cls(hybrid=False), False)], GROUP_GLOBAL, ROLE_FIRST, YEARS)
+    rows = indicator_rows([(cls(hybrid=False), False)], GROUP_GLOBAL)
     assert rows == []
 
 
@@ -187,8 +196,8 @@ def test_aggregate_publisher_rows_sum_to_global():
         publisher = rng.choice(["P1", "P2", "P3"])
         oa = rng.random() < 0.3
         stream.append((cls(native_id=f"W{i}", publisher=publisher, oa=oa), oa and rng.random() < 0.5))
-    by_publisher = aggregate(iter(stream), GROUP_PUBLISHER, ROLE_FIRST, YEARS)
-    global_rows = aggregate(iter(stream), GROUP_GLOBAL, ROLE_FIRST, YEARS)
+    by_publisher = indicator_rows(iter(stream), GROUP_PUBLISHER)
+    global_rows = indicator_rows(iter(stream), GROUP_GLOBAL)
     for field in ("n_total", "n_original", "n_oa", "n_ta_oa"):
         assert sum(getattr(r, field) for r in by_publisher) == sum(
             getattr(r, field) for r in global_rows
@@ -206,7 +215,7 @@ def test_aggregate_counter_ordering_invariant():
              oa and rng.random() < 0.5)
         )
     for kind in (GROUP_GLOBAL, GROUP_PUBLISHER, GROUP_COUNTRY):
-        for row in aggregate(iter(stream), kind, ROLE_FIRST, YEARS):
+        for row in indicator_rows(iter(stream), kind):
             assert row.n_ta_oa <= row.n_oa <= row.n_original <= row.n_total
 
 
@@ -214,11 +223,99 @@ def test_coverage_summary_totals():
     corpora = {
         "open": [cls(native_id="W1", oa=True), cls(native_id="W2", countable=False)],
     }
-    rows = dict(((s, m), v) for s, m, v in coverage_summary(corpora, YEARS))
+    folds = [aggregate(s, articles, {ROLE_FIRST: set()}, YEARS) for s, articles in corpora.items()]
+    rows = dict(((s, m), v) for s, m, v in coverage_summary(folds))
     assert rows[("open", "articles_total")] == 2
     assert rows[("open", "articles_original")] == 1
     assert rows[("open", "articles_original_oa")] == 1
     assert rows[("open", "journals_active")] == 1
+
+
+def random_article(rng, source, i, **overrides):
+    """A classified article with random flags, authors and window position."""
+    fields = dict(
+        year=rng.randint(2017, 2025),
+        hybrid=rng.random() < 0.8,
+        countable=rng.random() < 0.8,
+        has_corresponding=source != "open",
+    )
+    fields.update(overrides)
+    authors = []
+    for position in range(1, rng.randint(1, 3) + 1):
+        corresponding = rng.random() < 0.4 if fields["has_corresponding"] else None
+        authors.append(
+            Authorship(
+                position=position,
+                is_corresponding=corresponding,
+                org_ids=frozenset(rng.sample(["ror:r1", "ror:r2", "srcA:p1"], rng.randint(0, 2))),
+                countries=frozenset(rng.sample(["DE", "CH", "NL", "US"], rng.randint(0, 3))),
+            )
+        )
+    record = ArticleRecord(
+        source=source,
+        native_id=f"{source}{i}",
+        journal_issn_l=rng.choice(["j1", "j2", "j3", "j4"]),
+        pub_date=date(fields["year"], 3, 1),
+        document_class="Article",
+        doi=f"10.1/{source}{i}" if rng.random() < 0.8 else None,
+        authors=tuple(authors),
+    )
+    countable = fields["countable"] and fields["hybrid"]
+    return ClassifiedArticle(
+        record=record,
+        year=fields["year"],
+        is_original=countable,
+        is_paratext=False,
+        in_regular_issue=countable,
+        is_hybrid_oa=countable and rng.random() < 0.5,
+        countable=countable,
+        journal_is_hybrid=fields["hybrid"],
+        publisher=rng.choice(["P1", "P2"]),
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 10_000))
+def test_fold_equals_per_kind_oracle(seed):
+    """The one-pass fold gives the same rows, skips and coverage as one
+    rescan per role x source x group kind. Every corpus holds a source
+    without corresponding-author data ("open"), a multi-country author,
+    an out-of-window record and a non-hybrid record."""
+    rng = random.Random(seed)
+    corpora = {}
+    for source in ("open", "srcA", "srcB"):
+        corpora[source] = [random_article(rng, source, i) for i in range(rng.randint(0, 30))]
+    srcA = corpora["srcA"]
+    srcA.append(random_article(rng, "srcA", 900, year=2021, hybrid=True, countable=True))
+    srcA[-1] = replace(
+        srcA[-1],
+        record=replace(
+            srcA[-1].record,
+            authors=(
+                Authorship(position=1, is_corresponding=True, countries=frozenset({"DE", "CH"})),
+                Authorship(position=2, is_corresponding=True, countries=frozenset({"NL"})),
+            ),
+        ),
+    )
+    srcA.append(random_article(rng, "srcA", 901, year=2018))
+    srcA.append(random_article(rng, "srcA", 902, hybrid=False))
+    keys = [(a.record.source, a.record.native_id) for arts in corpora.values() for a in arts]
+    ta_keys = {
+        role: {k for k in keys if rng.random() < 0.5} for role in (ROLE_FIRST, ROLE_CORRESPONDING)
+    }
+
+    folds = [aggregate(source, articles, ta_keys, YEARS) for source, articles in corpora.items()]
+    rows = sorted(
+        (r for fold in folds for r in fold.rows),
+        key=lambda r: (r.role, r.group_kind, r.source, r.year, r.group_key),
+    )
+    skipped = {(fold.source, role) for fold in folds for role in fold.skipped_roles}
+
+    expected_rows, expected_skipped = oracle_indicators(corpora, ta_keys, YEARS)
+    assert rows == expected_rows
+    assert skipped == expected_skipped
+    assert ("open", ROLE_CORRESPONDING) in skipped
+    assert coverage_summary(reversed(folds)) == oracle_coverage_summary(corpora, YEARS)
 
 
 # --- spearman -------------------------------------------------------------------------

@@ -15,6 +15,7 @@ from hybridoa.classify import (
     in_regular_issue,
     is_hybrid_journal,
     is_original,
+    license_failure,
     load_paratext_patterns,
     oa_status,
 )
@@ -231,6 +232,28 @@ def test_lenient_source_counts_delayed_and_user_licenses():
     assert oa_status(user, cfg)
     unrelated = record(licenses=(vor_license(url="https://publisher.example/terms"),))
     assert not oa_status(unrelated, cfg)
+
+
+def test_license_start_date_without_pub_date_fails():
+    rec = record(pub_date=None, licenses=(vor_license(start=date(2021, 3, 4)),))
+    assert license_failure(rec.licenses[0], rec, config()) is not None
+    assert not oa_status(rec, config())
+    undated = record(pub_date=None, licenses=(vor_license(),))
+    assert license_failure(undated.licenses[0], undated, config()) is None
+
+
+def test_license_failure_reasons():
+    cfg = config()
+    cases = {
+        LicenseStatement(url=CC_BY, applies_to_vor=False): "not version of record",
+        vor_license(url="https://publisher.example/user-license"): "no CC license",
+        vor_license(start=date(2023, 3, 4)): "starts after grace window: delayed OA",
+        vor_license(): None,
+    }
+    for lic, reason in cases.items():
+        rec = record(licenses=(lic,))
+        assert license_failure(lic, rec, cfg) == reason
+        assert oa_status(rec, cfg) == (reason is None)
 
 
 # --- classified flags ---------------------------------------------------------------------

@@ -214,6 +214,29 @@ def test_country_full_counting_at_least_global(pipeline_run):
         assert country_totals.get(key, 0) >= total
 
 
+def test_attribute_and_aggregate_decode_each_record_once(tmp_path, monkeypatch):
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config, ["ingest", "classify", "reconcile"])
+    layout = Layout(config.out_dir)
+    records = 0
+    for source in config.sources:
+        with open(layout.classified(source.label), encoding="utf-8") as fh:
+            records += sum(1 for line in fh if line.strip())
+
+    decode = pipeline.artifacts.classified_from_line
+    calls = []
+
+    def counting(line, source):
+        calls.append(source)
+        return decode(line, source)
+
+    monkeypatch.setattr(pipeline.artifacts, "classified_from_line", counting)
+    for stage in ("attribute", "aggregate"):
+        calls.clear()
+        pipeline.run(config, [stage])
+        assert len(calls) == records, stage
+
+
 # --- explain ---------------------------------------------------------------------
 
 def attributed_doi(layout):
@@ -246,6 +269,50 @@ def test_explain_closed_article_shows_license_failure(pipeline_run, corpus_dir):
     trace = pipeline.explain_doi(config, bronze_doi)
     assert "FAIL (no CC license)" in trace
     assert "not eligible for attribution" in trace
+
+
+def explain_blocks(trace):
+    """Split an explain trace into one text block per source record."""
+    blocks = []
+    for line in trace.splitlines()[1:]:
+        if line.startswith("["):
+            blocks.append([])
+        blocks[-1].append(line)
+    return blocks
+
+
+def test_explain_agrees_with_classified_artifact(tmp_path):
+    """On every DOI, a countable record shows a passing license iff the
+    classified artifact marks it hybrid OA, also for a source that labels
+    user-license and delayed content as OA."""
+    corpus, config = small_corpus(tmp_path, delayed_oa_publisher="Elbe")
+    sources = tuple(replace(s, lenient_oa=True) if s.label == "srcB" else s for s in config.sources)
+    config = replace(config, sources=sources)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+
+    flags = {}
+    for source in config.sources:
+        with open(layout.classified(source.label), encoding="utf-8") as fh:
+            for line in fh:
+                obj = json.loads(line)
+                if obj["record"]["doi"]:
+                    key = (source.label, obj["record"]["native_id"])
+                    flags[key] = (obj["record"]["doi"], obj["countable"], obj["is_hybrid_oa"])
+
+    lenient_user_license_passes = 0
+    for doi in sorted({doi for doi, _, _ in flags.values()}):
+        for block in explain_blocks(pipeline.explain_doi(config, doi)):
+            label, native_id = block[0][1:].split("] native_id=")
+            _, countable, hybrid_oa = flags[(label, native_id)]
+            assert ("hybrid_oa=yes" in block[2]) == hybrid_oa
+            passing = [line for line in block if line.endswith("-> PASS")]
+            if countable:
+                assert bool(passing) == hybrid_oa, block
+            lenient_user_license_passes += sum(
+                label == "srcB" and "user-license" in line for line in passing
+            )
+    assert lenient_user_license_passes > 0
 
 
 def test_explain_unknown_doi(pipeline_run):
