@@ -3,7 +3,7 @@ hybrid open access across bibliometric data sources."""
 
 __version__ = "0.1.0"
 
-from .analytics import aggregate, journal_universe, spearman, upset_sets
+from .analytics import aggregate, journal_index, spearman, upset_sets
 from .attribute import match_agreements, resolve_org
 from .classify import (
     assign_year,
@@ -36,7 +36,7 @@ __all__ = [
     "in_regular_issue",
     "is_hybrid_journal",
     "is_original",
-    "journal_universe",
+    "journal_index",
     "load_agreement_dump",
     "load_article_stream",
     "load_durations",

@@ -24,6 +24,7 @@ from .model import (
     Authorship,
     ClassifiedArticle,
     CorrelationResult,
+    GROUP_COUNTRY,
     GROUP_GLOBAL,
     GROUP_KINDS,
     GROUP_PUBLISHER,
@@ -37,69 +38,119 @@ def in_window(year: int, years: tuple[int, int]) -> bool:
     return years[0] <= year <= years[1]
 
 
-def journal_universe(
+@dataclass
+class JournalIndex:
+    """What compare needs of the classified corpora.
+
+    `universe` maps each journal ISSN-L to the sources with at least one
+    hybrid OA article in the window; `doi_sets` maps (source, ISSN-L) to
+    the DOIs of countable articles in the window; `publishers` maps every
+    journal to the publisher of its first article seen, sources in
+    mapping order.
+    """
+
+    universe: dict[str, frozenset[str]]
+    doi_sets: dict[tuple[str, str], set[str]]
+    publishers: dict[str, str]
+
+
+def journal_index(
     corpora: Mapping[str, Iterable[ClassifiedArticle]],
     years: tuple[int, int],
-) -> dict[str, frozenset[str]]:
-    """Journal ISSN-L -> set of sources with >=1 countable OA article in window."""
+) -> JournalIndex:
+    """Build the journal index in one pass over each source's articles."""
     membership: dict[str, set[str]] = defaultdict(set)
+    doi_sets: dict[tuple[str, str], set[str]] = defaultdict(set)
+    publishers: dict[str, str] = {}
     for source, articles in corpora.items():
         for article in articles:
-            if article.is_hybrid_oa and in_window(article.year, years):
-                membership[article.record.journal_issn_l].add(source)
-    return {issn_l: frozenset(sources) for issn_l, sources in membership.items()}
+            issn_l = article.record.journal_issn_l
+            publishers.setdefault(issn_l, article.publisher)
+            if not in_window(article.year, years):
+                continue
+            if article.is_hybrid_oa:
+                membership[issn_l].add(source)
+            if article.countable and article.record.doi:
+                doi_sets[(source, issn_l)].add(article.record.doi)
+    return JournalIndex(
+        universe={issn_l: frozenset(sources) for issn_l, sources in membership.items()},
+        doi_sets=dict(doi_sets),
+        publishers=publishers,
+    )
 
 
-def journal_doi_sets(
-    corpora: Mapping[str, Iterable[ClassifiedArticle]],
-    years: tuple[int, int],
-) -> dict[tuple[str, str], set[str]]:
-    """(source, issn_l) -> DOIs of countable articles in the window."""
-    out: dict[tuple[str, str], set[str]] = defaultdict(set)
-    for source, articles in corpora.items():
-        for article in articles:
-            if article.countable and article.record.doi and in_window(article.year, years):
-                out[(source, article.record.journal_issn_l)].add(article.record.doi)
-    return dict(out)
+def journal_overlaps(
+    universe: Mapping[str, frozenset[str]],
+    doi_sets: Mapping[tuple[str, str], set[str]],
+    open_source: str,
+) -> dict[str, tuple[int, int]]:
+    """Journal ISSN-L -> (shared DOIs, open-source surplus DOIs).
+
+    Shared DOIs are present in every member source of the journal; the
+    surplus are the open source's DOIs present in no other member, and
+    is 0 when the open source is not a member.
+    """
+    out: dict[str, tuple[int, int]] = {}
+    for issn_l, membership in universe.items():
+        per_source = {s: doi_sets.get((s, issn_l), set()) for s in membership}
+        shared = len(set.intersection(*per_source.values()))
+        surplus = 0
+        if open_source in membership:
+            others = [dois for s, dois in per_source.items() if s != open_source]
+            surplus = len(per_source[open_source].difference(*others))
+        out[issn_l] = (shared, surplus)
+    return out
+
+
+def membership_key(membership: frozenset[str]) -> str:
+    return "|".join(sorted(membership))
 
 
 def upset_sets(
     universe: Mapping[str, frozenset[str]],
-    doi_sets: Mapping[tuple[str, str], set[str]],
-    open_source: str,
+    overlaps: Mapping[str, tuple[int, int]],
 ) -> list[IntersectionSet]:
     """Exclusive intersection decomposition of the journal universe.
 
-    Per occupied membership combination: the number of journals, the
-    shared-DOI corpus (DOIs present in every member source), and the
-    open-source surplus (DOIs present in no other member source). All
-    occupied combinations are emitted; display thresholds are a rendering
-    concern, not a data one.
+    Per occupied membership combination: the number of journals and the
+    sums of their `journal_overlaps`. All occupied combinations are
+    emitted; display thresholds are a rendering concern, not a data one.
     """
-    journals_by_membership: dict[frozenset[str], list[str]] = defaultdict(list)
+    cells: dict[frozenset[str], list[int]] = defaultdict(lambda: [0, 0, 0])
     for issn_l, membership in universe.items():
-        journals_by_membership[membership].append(issn_l)
-    out: list[IntersectionSet] = []
-    for membership, journals in journals_by_membership.items():
-        shared = 0
-        surplus = 0
-        for issn_l in journals:
-            per_source = {s: doi_sets.get((s, issn_l), set()) for s in membership}
-            shared += len(set.intersection(*per_source.values())) if per_source else 0
-            if open_source in membership:
-                others = [dois for s, dois in per_source.items() if s != open_source]
-                open_dois = per_source[open_source]
-                surplus += len(open_dois.difference(*others) if others else open_dois)
-        out.append(
-            IntersectionSet(
-                membership=membership,
-                n_journals=len(journals),
-                n_articles_shared=shared,
-                n_articles_surplus_open=surplus if open_source in membership else 0,
-            )
-        )
+        shared, surplus = overlaps[issn_l]
+        cell = cells[membership]
+        cell[0] += 1
+        cell[1] += shared
+        cell[2] += surplus
+    out = [IntersectionSet(membership, *cell) for membership, cell in cells.items()]
     out.sort(key=lambda s: (-len(s.membership), sorted(s.membership)))
     return out
+
+
+def journal_volumes(
+    index: JournalIndex, overlaps: Mapping[str, tuple[int, int]]
+) -> tuple[list[tuple[str, str, str, int]], list[tuple[str, str, int, int]]]:
+    """Shared-DOI volumes per journal and per (membership, publisher).
+
+    Returns (membership, issn_l, publisher, n_articles_shared) rows in
+    ISSN-L order and (membership, publisher, n_journals,
+    n_articles_shared) rows in key order.
+    """
+    per_journal = []
+    by_publisher: dict[tuple[str, str], list[int]] = defaultdict(lambda: [0, 0])
+    for issn_l in sorted(index.universe):
+        membership = membership_key(index.universe[issn_l])
+        publisher = index.publishers[issn_l]
+        shared = overlaps[issn_l][0]
+        per_journal.append((membership, issn_l, publisher, shared))
+        cell = by_publisher[(membership, publisher)]
+        cell[0] += 1
+        cell[1] += shared
+    return per_journal, [
+        (membership, publisher, n_journals, shared)
+        for (membership, publisher), (n_journals, shared) in sorted(by_publisher.items())
+    ]
 
 
 # Coverage measures in output order: journal activity tiers, then
@@ -254,25 +305,15 @@ def _average_ranks(values: list[float]) -> list[float]:
     return ranks
 
 
-def spearman(
-    x: Mapping[str, float],
-    y: Mapping[str, float],
-    min_count: float | None = None,
-) -> CorrelationResult:
+def spearman(x: Mapping[str, float], y: Mapping[str, float]) -> CorrelationResult:
     """Spearman rank correlation of two per-key metrics.
 
-    Keys missing on either side are dropped; when `min_count` is given,
-    keys whose value falls below it on either side are filtered out. Ties
-    get average ranks; the coefficient is the Pearson correlation of the
-    rank vectors.
+    Keys missing on either side are dropped. Ties get average ranks; the
+    coefficient is the Pearson correlation of the rank vectors.
     """
-    keys = sorted(
-        k
-        for k in x.keys() & y.keys()
-        if min_count is None or (x[k] >= min_count and y[k] >= min_count)
-    )
+    keys = sorted(x.keys() & y.keys())
     if len(keys) < 2:
-        raise InsufficientPairs(f"{len(keys)} paired observations after filtering")
+        raise InsufficientPairs(f"{len(keys)} paired observations")
     rx = _average_ranks([x[k] for k in keys])
     ry = _average_ranks([y[k] for k in keys])
     n = len(keys)
@@ -283,10 +324,101 @@ def spearman(
     vy = sum((b - my) ** 2 for b in ry)
     if vx == 0 or vy == 0:
         raise InsufficientPairs("constant ranking on one side")
-    rho = cov / math.sqrt(vx * vy)
-    return CorrelationResult(
-        rho=rho, n=n, filter_threshold=min_count if min_count is not None else 0.0
+    return CorrelationResult(rho=cov / math.sqrt(vx * vy), n=n)
+
+
+# Correlated country metrics in output order, each with the count metric
+# whose threshold gates it.
+METRIC_GATES = {
+    "article_volume": "article_volume",
+    "oa_share": "article_volume",
+    "ta_oa_volume": "ta_oa_volume",
+    "ta_oa_share": "ta_oa_volume",
+}
+
+
+def _country_metrics(
+    rows: Iterable[IndicatorRow],
+) -> dict[tuple[str, str], dict[str, dict[str, float]]]:
+    """(source, role) -> metric name -> country -> value over the window.
+
+    Shares are left out for a country whose denominator is zero.
+    """
+    sums: dict = defaultdict(lambda: defaultdict(lambda: [0, 0, 0]))
+    for r in rows:
+        if r.group_kind != GROUP_COUNTRY:
+            continue
+        cell = sums[(r.source, r.role)][r.group_key]
+        cell[0] += r.n_original
+        cell[1] += r.n_oa
+        cell[2] += r.n_ta_oa
+    out: dict = {}
+    for combo, by_country in sums.items():
+        metrics: dict[str, dict[str, float]] = {metric: {} for metric in METRIC_GATES}
+        for country, (orig, oa, ta) in by_country.items():
+            metrics["article_volume"][country] = float(orig)
+            metrics["ta_oa_volume"][country] = float(ta)
+            if orig > 0:
+                metrics["oa_share"][country] = oa / orig
+            if oa > 0:
+                metrics["ta_oa_share"][country] = ta / oa
+        out[combo] = metrics
+    return out
+
+
+def gated_keys(
+    x: Mapping[str, float],
+    y: Mapping[str, float],
+    x_gate: Mapping[str, float],
+    y_gate: Mapping[str, float],
+    threshold: float,
+) -> list[str]:
+    """Sorted keys of both metrics whose gate value reaches `threshold` on both sides."""
+    return sorted(
+        k
+        for k in x.keys() & y.keys()
+        if x_gate.get(k, 0) >= threshold and y_gate.get(k, 0) >= threshold
     )
+
+
+def country_correlations(
+    rows: Iterable[IndicatorRow],
+    base: tuple[str, str],
+    thresholds: Mapping[str, float],
+) -> tuple[list[tuple], list[tuple]]:
+    """Correlation and scatter rows of every (source, role) against `base`.
+
+    `thresholds` maps each gate metric of METRIC_GATES to its minimum.
+    Each metric pair keeps the `gated_keys` countries; it yields one
+    scatter row per kept country and one correlation row (metric, x
+    source, x role, y source, y role, threshold, n, rho) unless fewer
+    than two pairs or a constant ranking remain.
+    """
+    metrics = _country_metrics(rows)
+    x_metrics = metrics.get(base)
+    correlations: list[tuple] = []
+    scatter: list[tuple] = []
+    if not x_metrics:
+        return correlations, scatter
+    for combo in sorted(metrics):
+        if combo == base:
+            continue
+        y_metrics = metrics[combo]
+        for metric, gate in METRIC_GATES.items():
+            x, y = x_metrics[metric], y_metrics[metric]
+            threshold = thresholds[gate]
+            keys = gated_keys(x, y, x_metrics[gate], y_metrics[gate], threshold)
+            scatter.extend(
+                (metric, k, *base, f"{x[k]:.6f}", *combo, f"{y[k]:.6f}") for k in keys
+            )
+            try:
+                result = spearman({k: x[k] for k in keys}, {k: y[k] for k in keys})
+            except InsufficientPairs:
+                continue
+            correlations.append(
+                (metric, *base, *combo, threshold, result.n, f"{result.rho:.6f}")
+            )
+    return correlations, scatter
 
 
 def coverage_summary(folds: Iterable[SourceFold]) -> list[tuple[str, str, int]]:

@@ -23,6 +23,7 @@ from .model import (
     Authorship,
     ClassifiedArticle,
     CrosswalkEntry,
+    IndicatorRow,
     Institution,
     LicenseStatement,
 )
@@ -391,3 +392,21 @@ def read_crosswalk(path: str) -> list[CrosswalkEntry]:
                 )
             )
     return out
+
+
+def read_indicators(path: str) -> list[IndicatorRow]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [
+            IndicatorRow(
+                year=int(row["year"]),
+                source=row["source"],
+                role=row["role"],
+                group_kind=row["group_kind"],
+                group_key=row["group_key"],
+                n_total=int(row["n_total"]),
+                n_original=int(row["n_original"]),
+                n_oa=int(row["n_oa"]),
+                n_ta_oa=int(row["n_ta_oa"]),
+            )
+            for row in csv.DictReader(fh)
+        ]

@@ -9,21 +9,20 @@ ends). Matching several agreements still yields one attribution record.
 
 from __future__ import annotations
 
-import logging
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .errors import PipelineError
 from .identifiers import ROR_SCHEME, org_scheme
 from .model import (
     Agreement,
+    ArticleRecord,
     AttributionRecord,
     Authorship,
     ClassifiedArticle,
     ROLE_CORRESPONDING,
     ROLE_FIRST,
 )
-
-log = logging.getLogger(__name__)
 
 
 def agreements_by_journal(agreements: Iterable[Agreement]) -> dict[str, tuple[Agreement, ...]]:
@@ -96,6 +95,44 @@ def resolve_org(
     return frozenset(institution_index.get(org_id, org_id) for org_id in resolved)
 
 
+@dataclass(frozen=True, slots=True)
+class AgreementVerdict:
+    """The checks of one agreement that covers an article's journal.
+
+    `institutions` holds the role author's resolved organizations among
+    the agreement's participants; `in_window` tells whether the
+    publication date lies inside the agreement's validity window.
+    """
+
+    agreement: Agreement
+    institutions: frozenset[str]
+    in_window: bool
+
+    @property
+    def matched(self) -> bool:
+        return self.in_window and bool(self.institutions)
+
+
+def agreement_verdicts(
+    record: ArticleRecord,
+    orgs: frozenset[str],
+    journal_agreements: Mapping[str, tuple[Agreement, ...]],
+) -> list[AgreementVerdict]:
+    """Check every agreement of the record's journal, in agreement_id order.
+
+    The journal check passes by construction: the candidates are the
+    agreements indexed under the record's journal.
+    """
+    return [
+        AgreementVerdict(
+            agreement=agreement,
+            institutions=orgs & agreement.institution_ids,
+            in_window=agreement.covers(record.pub_date),
+        )
+        for agreement in journal_agreements.get(record.journal_issn_l, ())
+    ]
+
+
 def match_agreements(
     article: ClassifiedArticle,
     role: str,
@@ -118,24 +155,11 @@ def match_agreements(
     if author is None:
         return None
     record = article.record
-    candidates = journal_agreements.get(record.journal_issn_l, ())
-    if not candidates:
+    if not journal_agreements.get(record.journal_issn_l):
         return None
     orgs = resolve_org(author, crosswalk_inverse, institution_index, diagnostics)
-    if not orgs:
-        return None
-    matched_ids: list[str] = []
-    matched_institution = ""
-    for agreement in candidates:
-        if not agreement.covers(record.pub_date):
-            continue
-        hit = orgs & agreement.institution_ids
-        if not hit:
-            continue
-        if not matched_ids:
-            matched_institution = min(hit)
-        matched_ids.append(agreement.agreement_id)
-    if not matched_ids:
+    matched = [v for v in agreement_verdicts(record, orgs, journal_agreements) if v.matched]
+    if not matched:
         return None
     return AttributionRecord(
         source=record.source,
@@ -143,6 +167,6 @@ def match_agreements(
         doi=record.doi,
         year=article.year,
         role=role,
-        agreement_ids=tuple(matched_ids),
-        matched_institution=matched_institution,
+        agreement_ids=tuple(v.agreement.agreement_id for v in matched),
+        matched_institution=min(matched[0].institutions),
     )

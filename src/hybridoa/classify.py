@@ -245,26 +245,3 @@ def classify_article(
         publisher=journal.publisher if journal is not None else "",
     )
 
-
-def build_journals(
-    publisher_votes: dict[str, dict],
-    variants: dict[str, set[str]],
-    fully_oa_set: set[str],
-) -> dict[str, Journal]:
-    """Assemble the journal table from agreement-dump facts.
-
-    Publisher per journal is the most frequent label across dump rows
-    (lexicographic tie-break); hybrid status is the absence of the
-    journal's ISSN-L from every fully-OA list.
-    """
-    journals: dict[str, Journal] = {}
-    for issn_l, votes in publisher_votes.items():
-        top = max(votes.values())
-        publisher = min(k for k, v in votes.items() if v == top)
-        journals[issn_l] = Journal(
-            issn_l=issn_l,
-            issn_variants=frozenset(variants.get(issn_l, ())),
-            publisher=publisher,
-            is_hybrid=issn_l not in fully_oa_set,
-        )
-    return journals

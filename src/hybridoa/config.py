@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 from .classify import (
     DEFAULT_ALLOWLIST,
@@ -69,47 +69,11 @@ class PipelineConfig:
                 return source.label
         raise ConfigError("no source is marked open_baseline")
 
-    def source(self, label: str) -> SourceConfig:
-        for source in self.sources:
-            if source.label == label:
-                return source
-        raise ConfigError(f"unknown source {label!r}")
-
     def canonical_json(self) -> str:
-        payload = {
-            "sources": [
-                {
-                    "label": s.label,
-                    "articles": s.articles,
-                    "scheme": s.scheme,
-                    "open_baseline": s.open_baseline,
-                    "doc_class_mode": s.doc_class_mode,
-                    "doc_class_allowlist": list(s.doc_class_allowlist),
-                    "journal_article_classes": list(s.journal_article_classes),
-                    "lenient_oa": s.lenient_oa,
-                }
-                for s in self.sources
-            ],
-            "agreement_dump": self.agreement_dump,
-            "durations": self.durations,
-            "issn_links": self.issn_links,
-            "institutions": self.institutions,
-            "fully_oa_lists": list(self.fully_oa_lists),
-            "publisher_aliases": self.publisher_aliases,
-            "paratext_patterns": self.paratext_patterns,
-            "cc_license_pattern": self.cc_license_pattern,
-            "user_license_pattern": self.user_license_pattern,
-            "license_grace_days": self.license_grace_days,
-            "years": list(self.years),
-            "roles": list(self.roles),
-            "min_support": self.min_support,
-            "correlation_min_articles": self.correlation_min_articles,
-            "correlation_min_ta_oa": self.correlation_min_ta_oa,
-            "audit_sample_size": self.audit_sample_size,
-            "seed": self.seed,
-        }
+        payload = asdict(self)
         # workers and out_dir are execution details: they must not change
         # artifact bytes, so they stay out of the digest.
+        del payload["workers"], payload["out_dir"]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:

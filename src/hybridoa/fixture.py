@@ -336,8 +336,9 @@ def _largest_remainder(sizes: dict, total: int) -> dict:
     """Split `total` across strata proportionally to their sizes.
 
     Integer apportionment with largest remainders, deterministic
-    tie-break by key, so realized rates track target rates within one
-    unit per stratum.
+    tie-break by the sorted members of each key (a frozenset's repr
+    follows string hashing), so realized rates track target rates within
+    one unit per stratum.
     """
     n = sum(sizes.values())
     if n == 0 or total <= 0:
@@ -346,7 +347,7 @@ def _largest_remainder(sizes: dict, total: int) -> dict:
     exact = {key: total * size / n for key, size in sizes.items()}
     alloc = {key: min(int(exact[key]), sizes[key]) for key in sizes}
     left = total - sum(alloc.values())
-    order = sorted(sizes, key=lambda k: (-(exact[k] - int(exact[k])), repr(k)))
+    order = sorted(sizes, key=lambda k: (-(exact[k] - int(exact[k])), sorted(k)))
     for key in order:
         if left <= 0:
             break
@@ -361,7 +362,7 @@ def _mark_quota(rng: random.Random, pools: dict, rate: float, attr: str) -> None
     sizes = {key: len(pool) for key, pool in pools.items()}
     total = round(rate * sum(sizes.values()))
     alloc = _largest_remainder(sizes, total)
-    for key in sorted(pools, key=repr):
+    for key in sorted(pools, key=sorted):
         for work in rng.sample(pools[key], alloc[key]):
             setattr(work, attr, True)
 

@@ -32,6 +32,7 @@ from .model import (
     ArticleRecord,
     Authorship,
     Institution,
+    Journal,
     LicenseStatement,
     normalize_publisher,
     parse_date_pinned,
@@ -58,11 +59,8 @@ class CorpusManifest:
     input lines (header and blank lines excluded).
     """
 
-    source: str
-    paths: tuple[str, ...]
     record_count: int = 0
     reject_count: int = 0
-    reject_log_path: str = ""
 
     @property
     def total_lines(self) -> int:
@@ -291,6 +289,28 @@ def _majority_label(votes: Counter) -> str:
     return min(k for k, v in votes.items() if v == top)
 
 
+def build_journals(
+    publisher_votes: dict[str, Counter],
+    variants: dict[str, set[str]],
+    fully_oa_set: set[str],
+) -> dict[str, Journal]:
+    """Assemble the journal table from agreement-dump facts.
+
+    Publisher per journal is the `_majority_label` of its dump rows;
+    hybrid status is the absence of the journal's ISSN-L from every
+    fully-OA list.
+    """
+    return {
+        issn_l: Journal(
+            issn_l=issn_l,
+            issn_variants=frozenset(variants.get(issn_l, ())),
+            publisher=_majority_label(votes),
+            is_hybrid=issn_l not in fully_oa_set,
+        )
+        for issn_l, votes in publisher_votes.items()
+    }
+
+
 def load_durations(
     path: str,
     agreements: Iterable[Agreement],
@@ -515,9 +535,7 @@ def load_article_stream(
     returned manifest is complete once the iterator is exhausted.
     """
     rejects = rejects or RejectLog(None)
-    manifest = CorpusManifest(
-        source=source, paths=(path,), reject_log_path=rejects.path or ""
-    )
+    manifest = CorpusManifest()
 
     def generate() -> Iterator[ArticleRecord]:
         with open(path, encoding="utf-8") as fh, DedupeIndex(dedupe_dir) as seen:

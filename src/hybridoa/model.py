@@ -70,10 +70,6 @@ class Journal:
     is_hybrid: bool = True
     title: str = ""
 
-    @property
-    def all_issns(self) -> frozenset[str]:
-        return self.issn_variants | {self.issn_l}
-
 
 @dataclass(frozen=True, slots=True)
 class LicenseStatement:
@@ -277,5 +273,4 @@ class CorrelationResult:
 
     rho: float
     n: int
-    filter_threshold: float = 0.0
 

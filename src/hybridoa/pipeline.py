@@ -15,18 +15,17 @@ import logging
 import os
 import pickle
 import re
-from collections import defaultdict
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from typing import Callable, Iterable, Iterator
 
 from . import analytics, artifacts, attribute, classify, ingest, reconcile
 from .artifacts import Layout
 from .config import PipelineConfig
-from .errors import DependencyError, InsufficientPairs, UnknownDoi
+from .errors import DependencyError, UnknownDoi
 from .identifiers import normalize_doi, org_value
 from .model import (
     ClassifiedArticle,
-    GROUP_COUNTRY,
     GROUP_GLOBAL,
     GROUP_PUBLISHER,
     IndicatorRow,
@@ -164,7 +163,7 @@ def run_ingest(config: PipelineConfig) -> None:
     counters["agreements_undated"] = len(dump.agreements)
     counters["agreements"] = len(agreements)
 
-    journals = classify.build_journals(dump.publisher_votes, dump.variants, fully_oa)
+    journals = ingest.build_journals(dump.publisher_votes, dump.variants, fully_oa)
     counters["journals"] = len(journals)
 
     with ingest.RejectLog(layout.reject_log("institutions")) as rej:
@@ -242,7 +241,7 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     )
 
 
-def _classify_chunk(item: tuple[str, list[str]]) -> list[str]:
+def _classify_chunk(item: tuple[str, list[str]]) -> tuple[str, list[str]]:
     source, lines = item
     cfg, journals = _WORKER_CTX
     out = []
@@ -250,36 +249,45 @@ def _classify_chunk(item: tuple[str, list[str]]) -> list[str]:
         record = artifacts.record_from_dict(json.loads(line), source)
         journal = journals.get(record.journal_issn_l)
         out.append(artifacts.classified_to_line(classify.classify_article(record, journal, cfg)))
-    return out
+    return source, out
+
+
+def _source_chunks(config: PipelineConfig, path_of: Callable[[str], str]) -> Iterator:
+    """(source label, lines) chunks of every source's file, in config order."""
+    for source in config.sources:
+        for chunk in _chunked_lines(path_of(source.label)):
+            yield source.label, chunk
 
 
 def run_classify(config: PipelineConfig) -> None:
-    """Apply all classification rules to every ingested record."""
+    """Apply all classification rules to every ingested record.
+
+    One chunk map covers every source; each result goes to its source's file.
+    """
     layout = Layout(config.out_dir)
     needed = [layout.journals] + [layout.articles(s.label) for s in config.sources]
     _require(needed, "classify")
     journals = _load_journal_table(layout)
     cfg = _classifier_config(config)
     workers = _effective_workers(config)
-    counters: dict = {}
     inputs = [artifacts.describe_input(p) for p in needed]
-    outputs: list[str] = []
+    outputs = [layout.classified(s.label) for s in config.sources]
+    rows = {s.label: 0 for s in config.sources}
 
-    for source in config.sources:
-        in_path = layout.articles(source.label)
-        out_path = layout.classified(source.label)
-        os.makedirs(os.path.dirname(out_path), exist_ok=True)
-        rows = 0
-        chunks = ((source.label, chunk) for chunk in _chunked_lines(in_path))
-        with open(out_path, "w", encoding="utf-8", newline="") as fh:
-            for result in _map_chunks(_classify_chunk, chunks, (cfg, journals), workers):
-                for line in result:
-                    fh.write(line)
-                    fh.write("\n")
-                    rows += 1
-        counters[f"classified_{source.label}"] = rows
-        outputs.append(out_path)
+    with ExitStack() as stack:
+        files = {}
+        for source, path in zip(config.sources, outputs):
+            os.makedirs(os.path.dirname(path), exist_ok=True)
+            files[source.label] = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+        chunks = _source_chunks(config, layout.articles)
+        for label, lines in _map_chunks(_classify_chunk, chunks, (cfg, journals), workers):
+            fh = files[label]
+            for line in lines:
+                fh.write(line)
+                fh.write("\n")
+            rows[label] += len(lines)
 
+    counters = {f"classified_{label}": n for label, n in rows.items()}
     artifacts.write_manifest(layout, "classify", config.digest(), inputs, outputs, counters)
 
 
@@ -379,7 +387,8 @@ def _attribute_chunk(item: tuple[str, list[str]]) -> dict[str, list[tuple]]:
 def run_attribute(config: PipelineConfig) -> None:
     """Evaluate every eligible OA article against the agreement registry.
 
-    One pass per source evaluates every role on each decoded record.
+    One chunk map over every source evaluates every role on each decoded
+    record.
     """
     layout = Layout(config.out_dir)
     needed = [layout.agreements, layout.institutions, layout.crosswalk]
@@ -396,12 +405,10 @@ def run_attribute(config: PipelineConfig) -> None:
     outputs = []
 
     rows: dict[str, list[tuple]] = {role: [] for role in config.roles}
-    for source in config.sources:
-        path = layout.classified(source.label)
-        chunks = ((source.label, chunk) for chunk in _chunked_lines(path))
-        for result in _map_chunks(_attribute_chunk, chunks, ctx, workers):
-            for role, role_rows in result.items():
-                rows[role].extend(role_rows)
+    chunks = _source_chunks(config, layout.classified)
+    for result in _map_chunks(_attribute_chunk, chunks, ctx, workers):
+        for role, role_rows in result.items():
+            rows[role].extend(role_rows)
 
     for role, role_rows in rows.items():
         role_rows.sort(key=lambda r: (r[0], r[1]))
@@ -518,66 +525,24 @@ def run_aggregate(config: PipelineConfig) -> None:
 
 # --- compare ------------------------------------------------------------------
 
-def _read_indicators(layout: Layout) -> list[IndicatorRow]:
-    rows = []
-    with open(layout.indicators, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(
-                IndicatorRow(
-                    year=int(row["year"]),
-                    source=row["source"],
-                    role=row["role"],
-                    group_kind=row["group_kind"],
-                    group_key=row["group_key"],
-                    n_total=int(row["n_total"]),
-                    n_original=int(row["n_original"]),
-                    n_oa=int(row["n_oa"]),
-                    n_ta_oa=int(row["n_ta_oa"]),
-                )
-            )
-    return rows
-
-
-def _country_metrics(rows: list[IndicatorRow]) -> dict[tuple[str, str], dict[str, dict[str, float]]]:
-    """(source, role) -> metric name -> country -> value over the window."""
-    sums: dict = defaultdict(lambda: defaultdict(lambda: [0, 0, 0]))
-    for r in rows:
-        if r.group_kind != GROUP_COUNTRY:
-            continue
-        cell = sums[(r.source, r.role)][r.group_key]
-        cell[0] += r.n_original
-        cell[1] += r.n_oa
-        cell[2] += r.n_ta_oa
-    out: dict = {}
-    for combo, by_country in sums.items():
-        metrics: dict[str, dict[str, float]] = {
-            "article_volume": {},
-            "oa_share": {},
-            "ta_oa_volume": {},
-            "ta_oa_share": {},
-        }
-        for country, (orig, oa, ta) in by_country.items():
-            metrics["article_volume"][country] = float(orig)
-            metrics["ta_oa_volume"][country] = float(ta)
-            if orig > 0:
-                metrics["oa_share"][country] = oa / orig
-            if oa > 0:
-                metrics["ta_oa_share"][country] = ta / oa
-        out[combo] = metrics
-    return out
-
-
-# Which count metric gates each correlated metric.
-_METRIC_FILTERS = {
-    "article_volume": ("article_volume", "correlation_min_articles"),
-    "oa_share": ("article_volume", "correlation_min_articles"),
-    "ta_oa_volume": ("ta_oa_volume", "correlation_min_ta_oa"),
-    "ta_oa_share": ("ta_oa_volume", "correlation_min_ta_oa"),
-}
+def _uptake_row(r: IndicatorRow, extra: tuple = ()) -> tuple:
+    return extra + (
+        r.year,
+        r.source,
+        r.role,
+        r.n_original,
+        r.n_oa,
+        artifacts.format_share(r.oa_share),
+        r.n_ta_oa,
+        artifacts.format_share(r.ta_share_of_oa),
+    )
 
 
 def run_compare(config: PipelineConfig) -> None:
-    """Coverage intersections, per-figure plot series, and rank correlations."""
+    """Coverage intersections, per-figure plot series, and rank correlations.
+
+    Each classified file is read once, as a stream, into the journal index.
+    """
     layout = Layout(config.out_dir)
     needed = [layout.classified(s.label) for s in config.sources] + [layout.indicators]
     _require(needed, "compare")
@@ -585,41 +550,27 @@ def run_compare(config: PipelineConfig) -> None:
     counters: dict = {}
 
     corpora = {
-        s.label: list(artifacts.iter_classified(layout.classified(s.label), s.label))
+        s.label: artifacts.iter_classified(layout.classified(s.label), s.label)
         for s in config.sources
     }
-    universe = analytics.journal_universe(corpora, config.years)
-    doi_sets = analytics.journal_doi_sets(corpora, config.years)
-    sets = analytics.upset_sets(universe, doi_sets, open_label)
-    counters["universe_journals"] = len(universe)
-
-    def membership_key(membership: frozenset[str]) -> str:
-        return "|".join(sorted(membership))
-
+    index = analytics.journal_index(corpora, config.years)
+    overlaps = analytics.journal_overlaps(index.universe, index.doi_sets, open_label)
+    sets = analytics.upset_sets(index.universe, overlaps)
+    counters["universe_journals"] = len(index.universe)
     artifacts.write_csv(
         layout.intersections,
         ("membership", "n_journals", "n_articles_shared", "n_articles_surplus_open"),
         [
-            (membership_key(s.membership), s.n_journals, s.n_articles_shared, s.n_articles_surplus_open)
+            (
+                analytics.membership_key(s.membership),
+                s.n_journals,
+                s.n_articles_shared,
+                s.n_articles_surplus_open,
+            )
             for s in sets
         ],
     )
-
-    publishers = {}
-    for source_label, articles in corpora.items():
-        for article in articles:
-            publishers.setdefault(article.record.journal_issn_l, article.publisher)
-    per_journal = []
-    by_pub: dict = defaultdict(lambda: [0, 0])
-    for issn_l in sorted(universe):
-        membership = universe[issn_l]
-        per_source = {s: doi_sets.get((s, issn_l), set()) for s in membership}
-        shared = len(set.intersection(*per_source.values())) if per_source else 0
-        publisher = publishers.get(issn_l, "")
-        per_journal.append((membership_key(membership), issn_l, publisher, shared))
-        cell = by_pub[(membership_key(membership), publisher)]
-        cell[0] += 1
-        cell[1] += shared
+    per_journal, per_publisher = analytics.journal_volumes(index, overlaps)
     artifacts.write_csv(
         layout.journal_volumes,
         ("membership", "issn_l", "publisher", "n_articles_shared"),
@@ -628,101 +579,31 @@ def run_compare(config: PipelineConfig) -> None:
     artifacts.write_csv(
         layout.intersections_publisher,
         ("membership", "publisher", "n_journals", "n_articles_shared"),
-        [
-            (membership, publisher, cell[0], cell[1])
-            for (membership, publisher), cell in sorted(by_pub.items())
-        ],
+        per_publisher,
     )
 
-    indicator_rows = _read_indicators(layout)
+    indicator_rows = artifacts.read_indicators(layout.indicators)
     uptake_header = (
-        "year",
-        "source",
-        "role",
-        "n_original",
-        "n_oa",
-        "oa_share",
-        "n_ta_oa",
-        "ta_share_of_oa",
+        "year", "source", "role", "n_original", "n_oa", "oa_share", "n_ta_oa", "ta_share_of_oa"
     )
-
-    def uptake_row(r: IndicatorRow, extra: tuple = ()) -> tuple:
-        return extra + (
-            r.year,
-            r.source,
-            r.role,
-            r.n_original,
-            r.n_oa,
-            artifacts.format_share(r.oa_share),
-            r.n_ta_oa,
-            artifacts.format_share(r.ta_share_of_oa),
-        )
-
     artifacts.write_csv(
         layout.uptake_global,
         uptake_header,
-        [uptake_row(r) for r in indicator_rows if r.group_kind == GROUP_GLOBAL],
+        [_uptake_row(r) for r in indicator_rows if r.group_kind == GROUP_GLOBAL],
     )
     artifacts.write_csv(
         layout.uptake_publisher,
         ("publisher",) + uptake_header,
-        [
-            uptake_row(r, (r.group_key,))
-            for r in indicator_rows
-            if r.group_kind == GROUP_PUBLISHER
-        ],
+        [_uptake_row(r, (r.group_key,)) for r in indicator_rows if r.group_kind == GROUP_PUBLISHER],
     )
 
-    metrics = _country_metrics(indicator_rows)
-    base = metrics.get((open_label, ROLE_FIRST), {})
-    correlation_rows = []
-    scatter_rows = []
-    for combo in sorted(metrics):
-        if combo == (open_label, ROLE_FIRST) or not base:
-            continue
-        for metric in ("article_volume", "oa_share", "ta_oa_volume", "ta_oa_share"):
-            x_all = base.get(metric, {})
-            y_all = metrics[combo].get(metric, {})
-            gate_metric, threshold_attr = _METRIC_FILTERS[metric]
-            threshold = getattr(config, threshold_attr)
-            x_gate = base.get(gate_metric, {})
-            y_gate = metrics[combo].get(gate_metric, {})
-            keys = sorted(
-                k
-                for k in x_all.keys() & y_all.keys()
-                if x_gate.get(k, 0) >= threshold and y_gate.get(k, 0) >= threshold
-            )
-            scatter_rows.extend(
-                (
-                    metric,
-                    k,
-                    open_label,
-                    ROLE_FIRST,
-                    f"{x_all[k]:.6f}",
-                    combo[0],
-                    combo[1],
-                    f"{y_all[k]:.6f}",
-                )
-                for k in keys
-            )
-            try:
-                result = analytics.spearman(
-                    {k: x_all[k] for k in keys}, {k: y_all[k] for k in keys}
-                )
-            except InsufficientPairs:
-                continue
-            correlation_rows.append(
-                (
-                    metric,
-                    open_label,
-                    ROLE_FIRST,
-                    combo[0],
-                    combo[1],
-                    threshold,
-                    result.n,
-                    f"{result.rho:.6f}",
-                )
-            )
+    thresholds = {
+        "article_volume": config.correlation_min_articles,
+        "ta_oa_volume": config.correlation_min_ta_oa,
+    }
+    correlation_rows, scatter_rows = analytics.country_correlations(
+        indicator_rows, (open_label, ROLE_FIRST), thresholds
+    )
     artifacts.write_csv(
         layout.correlations,
         ("metric", "x_source", "x_role", "y_source", "y_role", "filter_threshold", "n", "rho"),
@@ -735,22 +616,12 @@ def run_compare(config: PipelineConfig) -> None:
     )
     counters["correlations"] = len(correlation_rows)
 
-    artifacts.write_manifest(
-        layout,
-        "compare",
-        config.digest(),
-        [artifacts.describe_input(p) for p in needed],
-        [
-            layout.intersections,
-            layout.intersections_publisher,
-            layout.journal_volumes,
-            layout.correlations,
-            layout.uptake_global,
-            layout.uptake_publisher,
-            layout.country_scatter,
-        ],
-        counters,
-    )
+    outputs = [
+        layout.intersections, layout.intersections_publisher, layout.journal_volumes,
+        layout.correlations, layout.uptake_global, layout.uptake_publisher, layout.country_scatter,
+    ]
+    inputs = [artifacts.describe_input(p) for p in needed]
+    artifacts.write_manifest(layout, "compare", config.digest(), inputs, outputs, counters)
 
 
 STAGE_FUNCTIONS = {
@@ -828,24 +699,20 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
             lines.append(
                 f"  role {role}: orgs {sorted(author.org_ids)} -> resolved {sorted(orgs)}"
             )
-            candidates = journal_agreements.get(record.journal_issn_l, ())
-            if not candidates:
+            verdicts = attribute.agreement_verdicts(record, orgs, journal_agreements)
+            if not verdicts:
                 lines.append("    no agreements cover this journal")
                 continue
-            matched = []
-            for agreement in candidates:
-                window_ok = agreement.covers(record.pub_date)
-                hit = sorted(orgs & agreement.institution_ids)
-                inst_ok = bool(hit)
-                verdict = "MATCH" if window_ok and inst_ok else "no match"
+            for v in verdicts:
+                agreement = v.agreement
                 lines.append(
                     f"    - {agreement.agreement_id}: journal PASS;"
-                    f" institutions {'PASS ' + hit[0] if inst_ok else 'FAIL'};"
+                    f" institutions {'PASS ' + min(v.institutions) if v.institutions else 'FAIL'};"
                     f" window {agreement.start_date}..{agreement.end_date}"
-                    f" {'PASS' if window_ok else 'FAIL'} -> {verdict}"
+                    f" {'PASS' if v.in_window else 'FAIL'}"
+                    f" -> {'MATCH' if v.matched else 'no match'}"
                 )
-                if window_ok and inst_ok:
-                    matched.append(agreement.agreement_id)
+            matched = [v.agreement.agreement_id for v in verdicts if v.matched]
             if matched:
                 lines.append(f"    TA-enabled via {', '.join(matched)}")
             else:

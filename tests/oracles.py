@@ -5,6 +5,7 @@ plain set algebra) without touching the engine's indexes, so they stay
 independent of the implementation paths they check.
 """
 
+import math
 import random
 from collections import defaultdict
 from datetime import date, timedelta
@@ -281,3 +282,137 @@ def oracle_coverage_summary(corpora, years):
         ]
         out.extend((source, measure, value) for measure, value in measures)
     return out
+
+
+def oracle_journal_index(corpora, years):
+    """One rescan of every corpus per fact: universe, DOI sets, publishers.
+
+    `corpora` maps source -> classified articles (lists, read three times).
+    """
+    universe = defaultdict(set)
+    for source, articles in corpora.items():
+        for article in articles:
+            if article.is_hybrid_oa and _in_window(article.year, years):
+                universe[article.record.journal_issn_l].add(source)
+    doi_sets = defaultdict(set)
+    for source, articles in corpora.items():
+        for article in articles:
+            if article.countable and article.record.doi and _in_window(article.year, years):
+                doi_sets[(source, article.record.journal_issn_l)].add(article.record.doi)
+    publishers = {}
+    for source, articles in corpora.items():
+        for article in articles:
+            publishers.setdefault(article.record.journal_issn_l, article.publisher)
+    return (
+        {issn_l: frozenset(sources) for issn_l, sources in universe.items()},
+        dict(doi_sets),
+        publishers,
+    )
+
+
+def _membership_key(membership):
+    return "|".join(sorted(membership))
+
+
+def oracle_journal_volumes(universe, doi_sets, publishers):
+    """Per-journal shared DOIs and their (membership, publisher) sums."""
+    per_journal = []
+    by_pub = defaultdict(lambda: [0, 0])
+    for issn_l in sorted(universe):
+        membership = universe[issn_l]
+        per_source = {s: doi_sets.get((s, issn_l), set()) for s in membership}
+        shared = len(set.intersection(*per_source.values())) if per_source else 0
+        publisher = publishers.get(issn_l, "")
+        per_journal.append((_membership_key(membership), issn_l, publisher, shared))
+        cell = by_pub[(_membership_key(membership), publisher)]
+        cell[0] += 1
+        cell[1] += shared
+    return per_journal, [
+        (membership, publisher, cell[0], cell[1])
+        for (membership, publisher), cell in sorted(by_pub.items())
+    ]
+
+
+def _oracle_country_metrics(rows):
+    sums = defaultdict(lambda: defaultdict(lambda: [0, 0, 0]))
+    for r in rows:
+        if r.group_kind != GROUP_COUNTRY:
+            continue
+        cell = sums[(r.source, r.role)][r.group_key]
+        cell[0] += r.n_original
+        cell[1] += r.n_oa
+        cell[2] += r.n_ta_oa
+    out = {}
+    for combo, by_country in sums.items():
+        metrics = {"article_volume": {}, "oa_share": {}, "ta_oa_volume": {}, "ta_oa_share": {}}
+        for country, (orig, oa, ta) in by_country.items():
+            metrics["article_volume"][country] = float(orig)
+            metrics["ta_oa_volume"][country] = float(ta)
+            if orig > 0:
+                metrics["oa_share"][country] = oa / orig
+            if oa > 0:
+                metrics["ta_oa_share"][country] = ta / oa
+        out[combo] = metrics
+    return out
+
+
+def _oracle_rho(x, y):
+    """Spearman's rho from average ranks; None below two pairs or on a constant side."""
+    if len(x) < 2:
+        return None
+
+    def ranks(values):
+        return [
+            sum(1 for w in values if w < v) + (sum(1 for w in values if w == v) + 1) / 2
+            for v in values
+        ]
+
+    rx, ry = ranks(x), ranks(y)
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    vx = sum((a - mx) ** 2 for a in rx)
+    vy = sum((b - my) ** 2 for b in ry)
+    if vx == 0 or vy == 0:
+        return None
+    return sum((a - mx) * (b - my) for a, b in zip(rx, ry)) / math.sqrt(vx * vy)
+
+
+def oracle_country_correlations(rows, open_label, min_articles, min_ta_oa):
+    """Correlation and scatter rows of each (source, role) against (open, FIRST).
+
+    Volumes and shares of articles are gated by the article volume on both
+    sides; TA-OA volumes and shares by the TA-OA volume.
+    """
+    gates = {
+        "article_volume": ("article_volume", min_articles),
+        "oa_share": ("article_volume", min_articles),
+        "ta_oa_volume": ("ta_oa_volume", min_ta_oa),
+        "ta_oa_share": ("ta_oa_volume", min_ta_oa),
+    }
+    metrics = _oracle_country_metrics(rows)
+    base = metrics.get((open_label, ROLE_FIRST), {})
+    correlation_rows = []
+    scatter_rows = []
+    for combo in sorted(metrics):
+        if combo == (open_label, ROLE_FIRST) or not base:
+            continue
+        for metric in ("article_volume", "oa_share", "ta_oa_volume", "ta_oa_share"):
+            x_all = base[metric]
+            y_all = metrics[combo][metric]
+            gate_metric, threshold = gates[metric]
+            keys = sorted(
+                k
+                for k in x_all.keys() & y_all.keys()
+                if base[gate_metric].get(k, 0) >= threshold
+                and metrics[combo][gate_metric].get(k, 0) >= threshold
+            )
+            scatter_rows.extend(
+                (metric, k, open_label, ROLE_FIRST, f"{x_all[k]:.6f}", *combo, f"{y_all[k]:.6f}")
+                for k in keys
+            )
+            rho = _oracle_rho([x_all[k] for k in keys], [y_all[k] for k in keys])
+            if rho is None:
+                continue
+            correlation_rows.append(
+                (metric, open_label, ROLE_FIRST, *combo, threshold, len(keys), f"{rho:.6f}")
+            )
+    return correlation_rows, scatter_rows

@@ -9,8 +9,12 @@ from hypothesis import strategies as st
 
 from hybridoa.analytics import (
     aggregate,
+    country_correlations,
     coverage_summary,
-    journal_universe,
+    gated_keys,
+    journal_index,
+    journal_overlaps,
+    journal_volumes,
     spearman,
     upset_sets,
 )
@@ -22,11 +26,19 @@ from hybridoa.model import (
     GROUP_COUNTRY,
     GROUP_GLOBAL,
     GROUP_PUBLISHER,
+    IndicatorRow,
     ROLE_CORRESPONDING,
     ROLE_FIRST,
 )
 
-from oracles import oracle_coverage_summary, oracle_indicators, oracle_upset
+from oracles import (
+    oracle_country_correlations,
+    oracle_coverage_summary,
+    oracle_indicators,
+    oracle_journal_index,
+    oracle_journal_volumes,
+    oracle_upset,
+)
 
 YEARS = (2019, 2023)
 
@@ -75,18 +87,18 @@ def test_universe_membership_is_oa_activity():
         "srcA": [cls(source="srcA", native_id="A1", oa=True)],
         "srcB": [cls(source="srcB", native_id="B1", oa=False)],
     }
-    universe = journal_universe(corpora, YEARS)
+    universe = journal_index(corpora, YEARS).universe
     assert universe == {"0378-5955": frozenset({"open", "srcA"})}
 
 
 def test_universe_ignores_articles_outside_window():
     corpora = {"open": [cls(oa=True, year=2018)]}
-    assert journal_universe(corpora, YEARS) == {}
+    assert journal_index(corpora, YEARS).universe == {}
 
 
 def test_universe_empty_when_no_oa():
     corpora = {"open": [cls(oa=False)]}
-    assert journal_universe(corpora, YEARS) == {}
+    assert journal_index(corpora, YEARS).universe == {}
 
 
 # --- upset sets --------------------------------------------------------------------
@@ -97,7 +109,7 @@ def test_upset_partition_of_membership_combinations():
         "j2": frozenset({"open", "srcA"}),
         "j3": frozenset({"open"}),
     }
-    sets = upset_sets(universe, {}, "open")
+    sets = upset_sets(universe, journal_overlaps(universe, {}, "open"))
     got = {frozenset(s.membership): s.n_journals for s in sets}
     assert got == {
         frozenset({"open", "srcA", "srcB"}): 1,
@@ -116,12 +128,12 @@ def test_upset_shared_and_surplus_fixture():
     }
     expected = oracle_upset(universe, doi_sets, "open")
     assert expected[frozenset({"open", "srcA", "srcB"})] == (1, 1, 1)
-    (result,) = upset_sets(universe, doi_sets, "open")
+    (result,) = upset_sets(universe, journal_overlaps(universe, doi_sets, "open"))
     assert (result.n_journals, result.n_articles_shared, result.n_articles_surplus_open) == (1, 1, 1)
 
 
 def test_upset_empty_universe():
-    assert upset_sets({}, {}, "open") == []
+    assert upset_sets({}, journal_overlaps({}, {}, "open")) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -139,7 +151,7 @@ def test_upset_equals_oracle_on_random_universes(seed):
                 f"d{j}.{d}" for d in range(rng.randint(0, 6))
                 if rng.random() < 0.7
             }
-    results = upset_sets(universe, doi_sets, "open")
+    results = upset_sets(universe, journal_overlaps(universe, doi_sets, "open"))
     got = {
         s.membership: (s.n_journals, s.n_articles_shared, s.n_articles_surplus_open)
         for s in results
@@ -350,11 +362,13 @@ def test_spearman_drops_unshared_keys():
 
 
 def test_spearman_min_count_filter():
+    """Counts gated by themselves: keys below the threshold on either side drop out."""
     x = {"a": 5.0, "b": 100.0, "c": 200.0}
     y = {"a": 7.0, "b": 150.0, "c": 90.0}
-    result = spearman(x, y, min_count=50)
+    keys = gated_keys(x, y, x, y, 50)
+    result = spearman({k: x[k] for k in keys}, {k: y[k] for k in keys})
     assert result.n == 2
-    assert result.filter_threshold == 50
+    assert keys == ["b", "c"]
 
 
 def test_spearman_insufficient_pairs():
@@ -399,3 +413,98 @@ def test_spearman_invariant_under_monotone_transform(pair):
         return
     transformed = spearman(cubed, y)
     assert abs(base.rho - transformed.rho) < 1e-12
+
+
+# --- compare: one pass over one-shot streams ------------------------------------------
+
+class OneShot:
+    """An iterable that allows a single pass; a second pass fails the test."""
+
+    def __init__(self, items):
+        self._items = list(items)
+        self._used = False
+
+    def __iter__(self):
+        assert not self._used, "second pass over a one-shot stream"
+        self._used = True
+        return iter(self._items)
+
+
+def random_corpora(rng):
+    """Per source: articles over few journals and DOIs, so overlaps are common.
+
+    Each article draws its own publisher, so the first-seen publisher of a
+    journal depends on the order of sources and articles.
+    """
+    corpora = {}
+    for source in ("open", "srcA", "srcB"):
+        corpora[source] = [
+            cls(
+                source=source,
+                native_id=f"{source}{i}",
+                issn_l=f"j{rng.randrange(8)}",
+                year=rng.randint(2017, 2025),
+                oa=rng.random() < 0.6,
+                countable=rng.random() < 0.8,
+                doi=rng.choice([None] + [f"10.1/{d}" for d in range(20)]),
+                publisher=rng.choice(("Pub1", "Pub2", "Pub3")),
+                hybrid=rng.random() < 0.9,
+            )
+            for i in range(rng.randint(0, 30))
+        ]
+    return corpora
+
+
+def random_indicator_rows(rng):
+    """Country rows for a few (source, role) combinations, plus GLOBAL rows."""
+    rows = []
+    combos = [("open", ROLE_FIRST), ("srcA", ROLE_FIRST), ("srcA", ROLE_CORRESPONDING)]
+    combos += [("srcB", ROLE_FIRST)] * rng.randint(0, 1)
+    for source, role in combos:
+        for year in (2020, 2021):
+            for country in rng.sample(("BR", "DE", "FR", "IN", "JP", "US"), rng.randint(0, 6)):
+                n_original = rng.randint(0, 60)
+                n_oa = rng.randint(0, n_original)
+                n_ta_oa = rng.randint(0, n_oa)
+                for kind, key in ((GROUP_COUNTRY, country), (GROUP_GLOBAL, "")):
+                    rows.append(
+                        IndicatorRow(
+                            year=year,
+                            source=source,
+                            role=role,
+                            group_kind=kind,
+                            group_key=key,
+                            n_total=n_original,
+                            n_original=n_original,
+                            n_oa=n_oa,
+                            n_ta_oa=n_ta_oa,
+                        )
+                    )
+    return rows
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 100_000))
+def test_compare_equals_oracle_on_random_corpora(seed):
+    rng = random.Random(seed)
+    corpora = random_corpora(rng)
+    index = journal_index({s: OneShot(a) for s, a in corpora.items()}, YEARS)
+    universe, doi_sets, publishers = oracle_journal_index(corpora, YEARS)
+    assert (index.universe, index.doi_sets, index.publishers) == (universe, doi_sets, publishers)
+
+    overlaps = journal_overlaps(index.universe, index.doi_sets, "open")
+    got = {
+        s.membership: (s.n_journals, s.n_articles_shared, s.n_articles_surplus_open)
+        for s in upset_sets(index.universe, overlaps)
+    }
+    assert got == oracle_upset(universe, doi_sets, "open")
+    assert journal_volumes(index, overlaps) == oracle_journal_volumes(
+        universe, doi_sets, publishers
+    )
+
+    rows = random_indicator_rows(rng)
+    min_articles, min_ta_oa = rng.randint(0, 60), rng.randint(0, 20)
+    thresholds = {"article_volume": min_articles, "ta_oa_volume": min_ta_oa}
+    assert country_correlations(
+        OneShot(rows), ("open", ROLE_FIRST), thresholds
+    ) == oracle_country_correlations(rows, "open", min_articles, min_ta_oa)

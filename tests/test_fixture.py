@@ -1,5 +1,8 @@
 import csv
 import filecmp
+import os
+import subprocess
+import sys
 
 from hybridoa.fixture import FixtureParams, generate
 from hybridoa.identifiers import is_valid_issn
@@ -13,6 +16,25 @@ def test_generation_reproducible(tmp_path):
     generate(params, str(b))
     for name in ("articles_open.ndjson", "agreements.csv", "truth/attributions.csv"):
         assert filecmp.cmp(a / name, b / name, shallow=False), name
+
+
+def test_generation_independent_of_hash_seed(tmp_path):
+    """One --seed gives the same corpus in processes with different string hashing."""
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (src, env.get("PYTHONPATH"))))
+        command = [sys.executable, "-m", "hybridoa.cli", "gen-fixture", "--seed", "1"]
+        command += ["--articles", "300", "--out", str(tmp_path / hash_seed)]
+        subprocess.run(command, env=env, check=True, stdout=subprocess.DEVNULL)
+    names = sorted(
+        os.path.relpath(os.path.join(d, f), tmp_path / "1")
+        for d, _, files in os.walk(tmp_path / "1")
+        for f in files
+    )
+    assert names
+    match, mismatch, errors = filecmp.cmpfiles(tmp_path / "1", tmp_path / "2", names, shallow=False)
+    assert (mismatch, errors) == ([], []), mismatch
 
 
 def test_different_seeds_differ(tmp_path):

@@ -284,8 +284,9 @@ def explain_blocks(trace):
 def test_explain_agrees_with_classified_artifact(tmp_path):
     """On every DOI, a countable record shows a passing license iff the
     classified artifact marks it hybrid OA, also for a source that labels
-    user-license and delayed content as OA."""
-    corpus, config = small_corpus(tmp_path, delayed_oa_publisher="Elbe")
+    user-license and delayed content as OA; and each role's agreement
+    verdict names exactly the agreement ids of its attribution row."""
+    corpus, config = small_corpus(tmp_path, delayed_oa_publisher="Elbe", n_agreements=11)
     sources = tuple(replace(s, lenient_oa=True) if s.label == "srcB" else s for s in config.sources)
     config = replace(config, sources=sources)
     pipeline.run(config)
@@ -300,7 +301,15 @@ def test_explain_agrees_with_classified_artifact(tmp_path):
                     key = (source.label, obj["record"]["native_id"])
                     flags[key] = (obj["record"]["doi"], obj["countable"], obj["is_hybrid_oa"])
 
+    attributions = {}
+    for role in config.roles:
+        with open(layout.attributions(role), encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                key = (row["source"], row["native_id"], role)
+                attributions[key] = (row["ta_enabled"], row["agreement_ids"])
+
     lenient_user_license_passes = 0
+    ta_enabled_traces = traced_agreement_ids = 0
     for doi in sorted({doi for doi, _, _ in flags.values()}):
         for block in explain_blocks(pipeline.explain_doi(config, doi)):
             label, native_id = block[0][1:].split("] native_id=")
@@ -312,7 +321,24 @@ def test_explain_agrees_with_classified_artifact(tmp_path):
             lenient_user_license_passes += sum(
                 label == "srcB" and "user-license" in line for line in passing
             )
+            # the agreement verdict of every role matches attribute/<role>.csv
+            role = None
+            for line in block:
+                if line.startswith("  role "):
+                    role = line.split()[1].rstrip(":")
+                elif line.startswith("    TA-enabled via "):
+                    ids = line[len("    TA-enabled via "):].split(", ")
+                    assert attributions.get((label, native_id, role)) == (
+                        "true",
+                        "|".join(ids),
+                    ), block
+                    ta_enabled_traces += 1
+                    traced_agreement_ids += len(ids)
+                elif line == "    not TA-enabled":
+                    assert attributions.get((label, native_id, role), ("false",))[0] == "false"
     assert lenient_user_license_passes > 0
+    # some TA-enabled traces name several agreements
+    assert traced_agreement_ids > ta_enabled_traces > 0
 
 
 def test_explain_unknown_doi(pipeline_run):
