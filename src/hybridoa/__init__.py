@@ -10,7 +10,6 @@ from .classify import (
     classify_article,
     detect_paratext,
     in_regular_issue,
-    is_hybrid_journal,
     is_original,
     oa_status,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "classify_article",
     "detect_paratext",
     "in_regular_issue",
-    "is_hybrid_journal",
     "is_original",
     "journal_index",
     "load_agreement_dump",

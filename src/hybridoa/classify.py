@@ -110,11 +110,6 @@ class ClassifierConfig:
     lenient_oa_sources: frozenset[str] = frozenset()
 
 
-def is_hybrid_journal(journal: Journal, fully_oa_set: set[str]) -> bool:
-    """A journal is hybrid when its ISSN-L is on no fully-OA list."""
-    return journal.issn_l not in fully_oa_set
-
-
 def assign_year(record: ArticleRecord) -> int:
     """Publication year: the year of the earliest known date."""
     if record.pub_date is None:

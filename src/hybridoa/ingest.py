@@ -34,6 +34,7 @@ from .model import (
     Institution,
     Journal,
     LicenseStatement,
+    majority_label,
     normalize_publisher,
     parse_date_pinned,
 )
@@ -271,7 +272,7 @@ def load_agreement_dump(
     for agreement_id in journals:
         if not journals[agreement_id] or not orgs[agreement_id]:
             continue
-        publisher = _majority_label(publishers[agreement_id])
+        publisher = majority_label(publishers[agreement_id])
         dump.agreements.add(
             Agreement(
                 agreement_id=agreement_id,
@@ -283,12 +284,6 @@ def load_agreement_dump(
     return dump
 
 
-def _majority_label(votes: Counter) -> str:
-    """Most frequent label; ties break to the lexicographically smallest."""
-    top = max(votes.values())
-    return min(k for k, v in votes.items() if v == top)
-
-
 def build_journals(
     publisher_votes: dict[str, Counter],
     variants: dict[str, set[str]],
@@ -296,7 +291,7 @@ def build_journals(
 ) -> dict[str, Journal]:
     """Assemble the journal table from agreement-dump facts.
 
-    Publisher per journal is the `_majority_label` of its dump rows;
+    Publisher per journal is the `majority_label` of its dump rows;
     hybrid status is the absence of the journal's ISSN-L from every
     fully-OA list.
     """
@@ -304,7 +299,7 @@ def build_journals(
         issn_l: Journal(
             issn_l=issn_l,
             issn_variants=frozenset(variants.get(issn_l, ())),
-            publisher=_majority_label(votes),
+            publisher=majority_label(votes),
             is_hybrid=issn_l not in fully_oa_set,
         )
         for issn_l, votes in publisher_votes.items()

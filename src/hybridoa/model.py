@@ -12,6 +12,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date
+from typing import Mapping
 
 from .errors import SchemaViolation
 
@@ -60,6 +61,12 @@ def normalize_publisher(name: str, aliases: dict[str, str] | None = None) -> str
     return cleaned
 
 
+def majority_label(votes: Mapping[str, int]) -> str:
+    """Most frequent label; ties break to the lexicographically smallest."""
+    top = max(votes.values())
+    return min(k for k, v in votes.items() if v == top)
+
+
 @dataclass(frozen=True, slots=True)
 class Journal:
     """A venue keyed by its linking ISSN."""
@@ -93,10 +100,6 @@ class Authorship:
     is_corresponding: bool | None = None
     org_ids: frozenset[str] = frozenset()
     countries: frozenset[str] = frozenset()
-
-    @property
-    def is_first(self) -> bool:
-        return self.position == 1
 
 
 @dataclass(frozen=True, slots=True)

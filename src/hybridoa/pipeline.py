@@ -15,6 +15,7 @@ import logging
 import os
 import pickle
 import re
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from typing import Callable, Iterable, Iterator
@@ -293,35 +294,36 @@ def run_classify(config: PipelineConfig) -> None:
 
 # --- reconcile ----------------------------------------------------------------
 
+def _first_author_ids(layout: Layout, label: str, open_side: bool) -> reconcile.Projection:
+    records = (c.record for c in artifacts.iter_classified(layout.classified(label), label))
+    return reconcile.first_author_ids(records, open_side)
+
+
 def run_reconcile(config: PipelineConfig) -> None:
-    """Build the open/proprietary crosswalk by DOI bridging, plus an audit sample."""
+    """Build the open/proprietary crosswalk by DOI bridging, plus an audit sample.
+
+    The open side is projected once and bridged with each proprietary
+    source in turn; every source's pairs add to one tally.
+    """
     layout = Layout(config.out_dir)
     open_label = config.open_source
     needed = [layout.classified(s.label) for s in config.sources]
     _require(needed, "reconcile")
     counters: dict = {}
 
-    open_records = [
-        c.record for c in artifacts.iter_classified(layout.classified(open_label), open_label)
-    ]
-    shards = []
+    open_ids = _first_author_ids(layout, open_label, open_side=True)
+    counts: Counter = Counter()
     examples: dict = {}
     for source in config.sources:
         if source.label == open_label:
             continue
-        prop_records = (
-            c.record
-            for c in artifacts.iter_classified(layout.classified(source.label), source.label)
-        )
-        bridge = reconcile.build_bridge(open_records, prop_records)
+        prop_ids = _first_author_ids(layout, source.label, open_side=False)
+        bridge = reconcile.build_bridge(open_ids, prop_ids)
         counters[f"bridged_{source.label}"] = len(bridge)
-        tallies, pair_examples = reconcile.tally_pairs(bridge)
-        shards.append(tallies)
-        examples.update(pair_examples)
+        examples.update(reconcile.tally_pairs(bridge, open_ids, prop_ids, counts))
 
-    merged = reconcile.merge_tallies(shards)
-    crosswalk = reconcile.select_crosswalk(merged, config.min_support)
-    counters["pairs"] = len(merged)
+    crosswalk = reconcile.select_crosswalk(counts, config.min_support)
+    counters["pairs"] = len(counts)
     counters["crosswalk_entries"] = len(crosswalk)
     artifacts.write_crosswalk(layout.crosswalk, crosswalk)
 
@@ -353,6 +355,15 @@ def run_reconcile(config: PipelineConfig) -> None:
 
 
 # --- attribute ----------------------------------------------------------------
+
+def _attribution_indexes(layout: Layout) -> tuple:
+    """Agreements by journal, proprietary -> open IDs, and the institution index."""
+    return (
+        attribute.agreements_by_journal(artifacts.read_agreements(layout.agreements)),
+        reconcile.invert_crosswalk(artifacts.read_crosswalk(layout.crosswalk)),
+        ingest.institution_index(artifacts.read_institutions(layout.institutions)),
+    )
+
 
 def _attribute_chunk(item: tuple[str, list[str]]) -> dict[str, list[tuple]]:
     """Role -> attribution rows of one chunk; each line is decoded once."""
@@ -395,11 +406,7 @@ def run_attribute(config: PipelineConfig) -> None:
     needed += [layout.classified(s.label) for s in config.sources]
     _require(needed, "attribute")
 
-    agreements = artifacts.read_agreements(layout.agreements)
-    journal_agreements = attribute.agreements_by_journal(agreements)
-    crosswalk_inverse = reconcile.invert_crosswalk(artifacts.read_crosswalk(layout.crosswalk))
-    inst_index = ingest.institution_index(artifacts.read_institutions(layout.institutions))
-    ctx = (tuple(config.roles), journal_agreements, crosswalk_inverse, inst_index)
+    ctx = (tuple(config.roles), *_attribution_indexes(layout))
     workers = _effective_workers(config)
     counters: dict = {}
     outputs = []
@@ -654,10 +661,7 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
     if not hits:
         raise UnknownDoi(doi)
 
-    agreements = artifacts.read_agreements(layout.agreements)
-    journal_agreements = attribute.agreements_by_journal(agreements)
-    crosswalk_inverse = reconcile.invert_crosswalk(artifacts.read_crosswalk(layout.crosswalk))
-    inst_index = ingest.institution_index(artifacts.read_institutions(layout.institutions))
+    journal_agreements, crosswalk_inverse, inst_index = _attribution_indexes(layout)
     cls_cfg = _classifier_config(config)
 
     lines = [f"DOI {doi}"]

@@ -1,8 +1,10 @@
 """Crosswalk construction between open and proprietary organization IDs.
 
-Articles present in both an open and a proprietary corpus are joined by
-DOI; the first authors' identifier pairs are tallied, and per open ID the
-most frequent proprietary partner wins. Multiple affiliations of single
+Each corpus is read once into a projection: DOI -> the sorted org IDs of
+its first author, ROR IDs on the open side and every other scheme on a
+proprietary side. DOIs present in both projections bridge; their first
+authors' identifier pairs are tallied, and per (open ID, scheme) the most
+frequent proprietary partner wins. Multiple affiliations of single
 authors are the main noise source, so a minimum-support threshold is the
 documented mitigation knob.
 """
@@ -12,130 +14,93 @@ from __future__ import annotations
 import logging
 import random
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, Mapping
 
 from .errors import SampleTooLarge
 from .identifiers import ROR_SCHEME, org_scheme
-from .model import ArticleRecord, CrosswalkEntry
+from .model import ArticleRecord, CrosswalkEntry, majority_label
 
 log = logging.getLogger(__name__)
 
-
-@dataclass(frozen=True, slots=True)
-class PairTally:
-    """Support count for one open/proprietary identifier co-occurrence."""
-
-    open_id: str
-    proprietary_id: str
-    scheme: str
-    count: int
+Projection = dict[str, tuple[str, ...]]
+Pair = tuple[str, str]
 
 
-def build_bridge(
-    open_corpus: Iterable[ArticleRecord],
-    proprietary_corpus: Iterable[ArticleRecord],
-) -> dict[str, tuple[ArticleRecord, ArticleRecord]]:
-    """Join two corpora on DOI, keeping only unambiguous matches.
+def first_author_ids(corpus: Iterable[ArticleRecord], open_side: bool) -> Projection:
+    """DOI -> sorted first-author org IDs of one side, for unambiguous DOIs.
 
-    A DOI bridges exactly when it occurs once in each corpus; DOIs that
-    repeat within either corpus are logged and skipped.
+    Records without a DOI are skipped; DOIs that repeat within the corpus
+    are logged and dropped. A DOI whose first author is missing or has no
+    IDs of the side maps to an empty tuple: it bridges but adds no pair.
     """
-    sides: list[dict[str, ArticleRecord]] = []
-    for corpus in (open_corpus, proprietary_corpus):
-        unique: dict[str, ArticleRecord] = {}
-        ambiguous: set[str] = set()
-        for record in corpus:
-            if record.doi is None:
-                continue
-            if record.doi in ambiguous:
-                continue
-            if record.doi in unique:
-                ambiguous.add(record.doi)
-                del unique[record.doi]
-                continue
-            unique[record.doi] = record
-        if ambiguous:
-            log.info("%d multi-occurrence DOIs skipped while bridging", len(ambiguous))
-        sides.append(unique)
-    open_side, prop_side = sides
-    return {
-        doi: (open_side[doi], prop_side[doi])
-        for doi in open_side
-        if doi in prop_side
-    }
+    projection: Projection = {}
+    ambiguous: set[str] = set()
+    for record in corpus:
+        doi = record.doi
+        if doi is None or doi in ambiguous:
+            continue
+        if doi in projection:
+            ambiguous.add(doi)
+            del projection[doi]
+            continue
+        first = record.first_author()
+        org_ids = first.org_ids if first is not None else ()
+        projection[doi] = tuple(
+            sorted(o for o in org_ids if (org_scheme(o) == ROR_SCHEME) == open_side)
+        )
+    if ambiguous:
+        log.info("%d multi-occurrence DOIs skipped while bridging", len(ambiguous))
+    return projection
+
+
+def build_bridge(open_ids: Projection, proprietary_ids: Projection) -> list[str]:
+    """The DOIs present in both projections, sorted."""
+    return sorted(open_ids.keys() & proprietary_ids.keys())
 
 
 def tally_pairs(
-    bridge: dict[str, tuple[ArticleRecord, ArticleRecord]],
+    bridge: Iterable[str],
+    open_ids: Projection,
+    proprietary_ids: Projection,
+    counts: Counter,
     examples_per_pair: int = 3,
-) -> tuple[list[PairTally], dict[tuple[str, str], tuple[str, ...]]]:
-    """Count co-occurring first-author identifier pairs across the bridge.
+) -> dict[Pair, tuple[str, ...]]:
+    """Add the bridge's (open ID, proprietary ID) pairs to `counts`.
 
-    Every (open org ID x proprietary org ID) combination on a bridged
-    article increments its tally once per article; articles lacking
-    either side contribute nothing. Also returns up to
-    `examples_per_pair` supporting DOIs per pair for audits.
+    Every combination on a bridged article counts once per article.
+    Returns up to `examples_per_pair` supporting DOIs per pair for audits.
     """
-    counts: Counter = Counter()
-    examples: dict[tuple[str, str], list[str]] = {}
-    for doi in sorted(bridge):
-        open_record, prop_record = bridge[doi]
-        open_first = open_record.first_author()
-        prop_first = prop_record.first_author()
-        if open_first is None or prop_first is None:
-            continue
-        open_ids = sorted(o for o in open_first.org_ids if org_scheme(o) == ROR_SCHEME)
-        prop_ids = sorted(p for p in prop_first.org_ids if org_scheme(p) != ROR_SCHEME)
-        for open_id in open_ids:
-            for prop_id in prop_ids:
+    examples: dict[Pair, list[str]] = {}
+    for doi in bridge:
+        for open_id in open_ids[doi]:
+            for prop_id in proprietary_ids[doi]:
                 pair = (open_id, prop_id)
                 counts[pair] += 1
                 bucket = examples.setdefault(pair, [])
                 if len(bucket) < examples_per_pair:
                     bucket.append(doi)
-    tallies = [
-        PairTally(open_id=o, proprietary_id=p, scheme=org_scheme(p), count=c)
-        for (o, p), c in sorted(counts.items())
-    ]
-    return tallies, {pair: tuple(dois) for pair, dois in examples.items()}
+    return {pair: tuple(dois) for pair, dois in examples.items()}
 
 
-def merge_tallies(shards: Iterable[Iterable[PairTally]]) -> list[PairTally]:
-    """Sum tallies computed over corpus shards."""
-    counts: Counter = Counter()
-    for shard in shards:
-        for t in shard:
-            counts[(t.open_id, t.proprietary_id)] += t.count
-    return [
-        PairTally(open_id=o, proprietary_id=p, scheme=org_scheme(p), count=c)
-        for (o, p), c in sorted(counts.items())
-    ]
+def select_crosswalk(counts: Mapping[Pair, int], min_support: int = 1) -> list[CrosswalkEntry]:
+    """Pick the `majority_label` proprietary ID per (open ID, scheme).
 
-
-def select_crosswalk(
-    tallies: Iterable[PairTally],
-    min_support: int = 1,
-) -> list[CrosswalkEntry]:
-    """Pick the winning proprietary ID per (open ID, scheme).
-
-    The maximal count wins; ties break to the lexicographically smallest
-    proprietary ID. Winners below `min_support` are dropped. The result
-    is a function on (open_id, scheme) but may map many open IDs onto the
-    same proprietary ID.
+    Winners below `min_support` are dropped. The result is a function on
+    (open_id, scheme) but may map many open IDs onto the same proprietary
+    ID.
     """
-    grouped: dict[tuple[str, str], list[tuple[str, int]]] = {}
-    for t in tallies:
-        grouped.setdefault((t.open_id, t.scheme), []).append((t.proprietary_id, t.count))
+    grouped: dict[Pair, dict[str, int]] = {}
+    for (open_id, prop_id), count in counts.items():
+        grouped.setdefault((open_id, org_scheme(prop_id)), {})[prop_id] = count
     entries: list[CrosswalkEntry] = []
-    for (open_id, scheme), candidates in grouped.items():
-        top = max(count for _, count in candidates)
-        if top < min_support:
-            continue
-        winner = min(prop_id for prop_id, count in candidates if count == top)
-        entries.append(
-            CrosswalkEntry(open_id=open_id, scheme=scheme, proprietary_id=winner, support=top)
-        )
+    for (open_id, scheme), votes in grouped.items():
+        winner = majority_label(votes)
+        if votes[winner] >= min_support:
+            entries.append(
+                CrosswalkEntry(
+                    open_id=open_id, scheme=scheme, proprietary_id=winner, support=votes[winner]
+                )
+            )
     entries.sort(key=lambda e: (e.scheme, e.open_id))
     return entries
 

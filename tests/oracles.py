@@ -17,6 +17,7 @@ from hybridoa.model import (
     AttributionRecord,
     Authorship,
     ClassifiedArticle,
+    CrosswalkEntry,
     GROUP_COUNTRY,
     GROUP_GLOBAL,
     GROUP_PUBLISHER,
@@ -66,6 +67,65 @@ def oracle_match(article, role, agreements, inverse, index):
         agreement_ids=tuple(matched),
         matched_institution=matched_institution,
     )
+
+
+def oracle_crosswalk(open_corpus, proprietary_corpora, min_support, examples_per_pair=3):
+    """Record-level DOI bridge, per-source tallies, summed, then argmax.
+
+    `proprietary_corpora` maps source label -> records. Returns the
+    crosswalk entries, the number of distinct pairs, the bridged DOI count
+    per source, and up to `examples_per_pair` DOIs per pair (the last
+    source that saw a pair supplies its examples).
+    """
+    open_corpus = list(open_corpus)
+
+    def unique_by_doi(corpus):
+        unique, ambiguous = {}, set()
+        for record in corpus:
+            if record.doi is None or record.doi in ambiguous:
+                continue
+            if record.doi in unique:
+                ambiguous.add(record.doi)
+                del unique[record.doi]
+                continue
+            unique[record.doi] = record
+        return unique
+
+    shards, bridged, examples = [], {}, {}
+    for label, prop_corpus in proprietary_corpora.items():
+        open_side, prop_side = unique_by_doi(open_corpus), unique_by_doi(prop_corpus)
+        bridge = {doi: (open_side[doi], prop_side[doi]) for doi in open_side if doi in prop_side}
+        bridged[label] = len(bridge)
+        counts, source_examples = defaultdict(int), {}
+        for doi in sorted(bridge):
+            open_first = bridge[doi][0].first_author()
+            prop_first = bridge[doi][1].first_author()
+            if open_first is None or prop_first is None:
+                continue
+            for o in sorted(o for o in open_first.org_ids if o.startswith("ror:")):
+                for p in sorted(p for p in prop_first.org_ids if not p.startswith("ror:")):
+                    counts[(o, p)] += 1
+                    bucket = source_examples.setdefault((o, p), [])
+                    if len(bucket) < examples_per_pair:
+                        bucket.append(doi)
+        shards.append(counts)
+        examples.update({pair: tuple(dois) for pair, dois in source_examples.items()})
+
+    merged = defaultdict(int)
+    for shard in shards:
+        for pair, count in shard.items():
+            merged[pair] += count
+    grouped = defaultdict(list)
+    for (o, p), count in merged.items():
+        grouped[(o, p.split(":", 1)[0])].append((p, count))
+    entries = []
+    for (o, scheme), candidates in grouped.items():
+        top = max(count for _, count in candidates)
+        if top >= min_support:
+            winner = min(p for p, count in candidates if count == top)
+            entries.append(CrosswalkEntry(o, scheme, winner, top))
+    entries.sort(key=lambda e: (e.scheme, e.open_id))
+    return entries, len(merged), bridged, examples
 
 
 def random_world(rng: random.Random, n_articles: int, n_agreements: int):

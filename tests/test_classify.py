@@ -1,3 +1,4 @@
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -13,13 +14,13 @@ from hybridoa.classify import (
     classify_article,
     detect_paratext,
     in_regular_issue,
-    is_hybrid_journal,
     is_original,
     license_failure,
     load_paratext_patterns,
     oa_status,
 )
 from hybridoa.errors import NoDate
+from hybridoa.ingest import build_journals
 from hybridoa.model import ArticleRecord, Authorship, Journal, LicenseStatement
 
 PATTERNS = load_paratext_patterns()
@@ -61,6 +62,12 @@ JOURNAL = Journal(issn_l="0378-5955", publisher="Pub", is_hybrid=True)
 
 
 # --- hybrid status ------------------------------------------------------------
+
+def is_hybrid_journal(journal, fully_oa_set):
+    """Hybrid status as `build_journals` assigns it to the journal's ISSN-L."""
+    journals = build_journals({journal.issn_l: Counter({journal.publisher: 1})}, {}, fully_oa_set)
+    return journals[journal.issn_l].is_hybrid
+
 
 def test_journal_on_fully_oa_list_not_hybrid():
     assert not is_hybrid_journal(JOURNAL, {"0378-5955"})

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -5,6 +6,7 @@ import pytest
 from hybridoa.errors import SchemaViolation
 from hybridoa.model import (
     Agreement,
+    ArticleRecord,
     Authorship,
     Institution,
     IndicatorRow,
@@ -31,9 +33,18 @@ def test_bad_dates_raise(bad):
         parse_date_pinned(bad)
 
 
-def test_authorship_is_first_follows_position():
-    assert Authorship(position=1).is_first
-    assert not Authorship(position=2).is_first
+def test_first_author_follows_position():
+    first = Authorship(position=1, org_ids=frozenset({"ror:r1"}))
+    record = ArticleRecord(
+        source="open",
+        native_id="W1",
+        journal_issn_l="0378-5955",
+        pub_date=date(2021, 1, 1),
+        document_class="Article",
+        authors=(Authorship(position=2), first),
+    )
+    assert record.first_author() == first
+    assert replace(record, authors=(Authorship(position=2),)).first_author() is None
 
 
 def test_institution_rejects_self_association():

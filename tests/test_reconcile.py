@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 from datetime import date
 
 import pytest
@@ -8,14 +9,14 @@ from hypothesis import strategies as st
 from hybridoa.errors import SampleTooLarge
 from hybridoa.model import ArticleRecord, Authorship
 from hybridoa.reconcile import (
-    PairTally,
     audit_sample,
     build_bridge,
+    first_author_ids,
     invert_crosswalk,
-    merge_tallies,
     select_crosswalk,
     tally_pairs,
 )
+from oracles import oracle_crosswalk
 
 
 def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
@@ -30,124 +31,142 @@ def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
     )
 
 
+def bridge_of_corpora(open_corpus, prop_corpus):
+    return build_bridge(
+        first_author_ids(open_corpus, open_side=True),
+        first_author_ids(prop_corpus, open_side=False),
+    )
+
+
 # --- bridging -------------------------------------------------------------------
 
 def test_bridge_unique_doi_in_both():
-    bridge = build_bridge([rec("open", "W1", "10.1/a")], [rec("srcA", "A1", "10.1/a")])
+    bridge = bridge_of_corpora([rec("open", "W1", "10.1/a")], [rec("srcA", "A1", "10.1/a")])
     assert set(bridge) == {"10.1/a"}
 
 
 def test_bridge_skips_doi_repeated_in_one_corpus():
-    bridge = build_bridge(
+    bridge = bridge_of_corpora(
         [rec("open", "W1", "10.1/a"), rec("open", "W2", "10.1/a")],
         [rec("srcA", "A1", "10.1/a")],
     )
-    assert bridge == {}
+    assert bridge == []
+    # repeated inside one proprietary source: it still bridges for the other
+    open_ids = first_author_ids([rec("open", "W1", "10.1/a")], open_side=True)
+    src_a = first_author_ids(
+        [rec("srcA", "A1", "10.1/a"), rec("srcA", "A2", "10.1/a")], open_side=False
+    )
+    src_b = first_author_ids([rec("srcB", "B1", "10.1/a")], open_side=False)
+    assert build_bridge(open_ids, src_a) == []
+    assert build_bridge(open_ids, src_b) == ["10.1/a"]
 
 
 def test_bridge_requires_presence_on_both_sides():
-    bridge = build_bridge([rec("open", "W1", "10.1/a")], [rec("srcA", "A1", "10.1/b")])
-    assert bridge == {}
+    bridge = bridge_of_corpora([rec("open", "W1", "10.1/a")], [rec("srcA", "A1", "10.1/b")])
+    assert bridge == []
 
 
 def test_bridge_ignores_missing_dois():
-    bridge = build_bridge([rec("open", "W1", None)], [rec("srcA", "A1", None)])
-    assert bridge == {}
+    bridge = bridge_of_corpora([rec("open", "W1", None)], [rec("srcA", "A1", None)])
+    assert bridge == []
 
 
 def test_bridge_triple_occurrence_still_skipped():
-    bridge = build_bridge(
+    bridge = bridge_of_corpora(
         [rec("open", f"W{i}", "10.1/a") for i in range(3)],
         [rec("srcA", "A1", "10.1/a")],
     )
-    assert bridge == {}
+    assert bridge == []
 
 
 # --- tallies ----------------------------------------------------------------------
 
-def bridge_of(pairs):
-    """pairs: list of (doi, open org ids, prop org ids)."""
-    out = {}
-    for doi, open_ids, prop_ids in pairs:
-        out[doi] = (
-            rec("open", f"W{doi}", doi, open_ids),
-            rec("srcA", f"A{doi}", doi, prop_ids),
-        )
-    return out
+def tally_of(articles, examples_per_pair=3):
+    """articles: list of (doi, open org ids, prop org ids[, prop first-author position]).
+
+    Returns (bridged DOIs, pair counts, pair examples).
+    """
+    open_ids = first_author_ids(
+        (rec("open", f"W{doi}", doi, org_ids) for doi, org_ids, *_ in articles),
+        open_side=True,
+    )
+    prop_ids = first_author_ids(
+        (rec("srcA", f"A{doi}", doi, org_ids, *pos) for doi, _, org_ids, *pos in articles),
+        open_side=False,
+    )
+    bridge = build_bridge(open_ids, prop_ids)
+    counts: Counter = Counter()
+    examples = tally_pairs(bridge, open_ids, prop_ids, counts, examples_per_pair)
+    return bridge, counts, examples
 
 
 def test_tally_counts_articles():
-    bridge = bridge_of([(f"10.1/{i}", ("ror:r1",), ("srcA:p9",)) for i in range(3)])
-    tallies, _ = tally_pairs(bridge)
-    assert tallies == [PairTally("ror:r1", "srcA:p9", "srcA", 3)]
+    _, counts, _ = tally_of([(f"10.1/{i}", ("ror:r1",), ("srcA:p9",)) for i in range(3)])
+    assert counts == {("ror:r1", "srcA:p9"): 3}
 
 
 def test_tally_multi_affiliation_cross_product():
-    bridge = bridge_of([("10.1/a", ("ror:r1", "ror:r2"), ("srcA:p9",))])
-    tallies, _ = tally_pairs(bridge)
-    assert {(t.open_id, t.proprietary_id, t.count) for t in tallies} == {
-        ("ror:r1", "srcA:p9", 1),
-        ("ror:r2", "srcA:p9", 1),
-    }
+    _, counts, _ = tally_of([("10.1/a", ("ror:r1", "ror:r2"), ("srcA:p9",))])
+    assert counts == {("ror:r1", "srcA:p9"): 1, ("ror:r2", "srcA:p9"): 1}
 
 
 def test_tally_empty_proprietary_side_contributes_nothing():
-    bridge = bridge_of([("10.1/a", ("ror:r1",), ())])
-    tallies, _ = tally_pairs(bridge)
-    assert tallies == []
+    _, counts, _ = tally_of([("10.1/a", ("ror:r1",), ())])
+    assert counts == {}
+    # the proprietary first author is absent: the DOI bridges, adds no pair
+    bridge, counts, _ = tally_of([("10.1/a", ("ror:r1",), ("srcA:p9",), 2)])
+    assert bridge == ["10.1/a"]
+    assert counts == {}
 
 
 def test_tally_examples_capped():
-    bridge = bridge_of([(f"10.1/{i}", ("ror:r1",), ("srcA:p9",)) for i in range(9)])
-    _, examples = tally_pairs(bridge, examples_per_pair=3)
-    assert len(examples[("ror:r1", "srcA:p9")]) == 3
-
-
-def test_merge_tallies_sums_shards():
-    shard = [PairTally("ror:r1", "srcA:p9", "srcA", 2)]
-    merged = merge_tallies([shard, shard])
-    assert merged == [PairTally("ror:r1", "srcA:p9", "srcA", 4)]
+    _, _, examples = tally_of(
+        [(f"10.1/{i}", ("ror:r1",), ("srcA:p9",)) for i in range(9)], examples_per_pair=3
+    )
+    assert examples[("ror:r1", "srcA:p9")] == ("10.1/0", "10.1/1", "10.1/2")
 
 
 # --- selection -------------------------------------------------------------------
 
-def T(open_id, prop_id, count):
-    scheme = prop_id.split(":", 1)[0]
-    return PairTally(open_id, prop_id, scheme, count)
+def T(*tallies):
+    """(open id, proprietary id, count) triples -> pair counts."""
+    return {(open_id, prop_id): count for open_id, prop_id, count in tallies}
 
 
 def test_select_majority_wins():
-    entries = select_crosswalk([T("ror:r1", "srcA:p9", 3), T("ror:r1", "srcA:p7", 1)])
+    entries = select_crosswalk(T(("ror:r1", "srcA:p9", 3), ("ror:r1", "srcA:p7", 1)))
     assert [(e.open_id, e.proprietary_id, e.support) for e in entries] == [
         ("ror:r1", "srcA:p9", 3)
     ]
 
 
 def test_select_tie_breaks_lexicographically():
-    entries = select_crosswalk([T("ror:r1", "srcA:p9", 2), T("ror:r1", "srcA:p7", 2)])
+    entries = select_crosswalk(T(("ror:r1", "srcA:p9", 2), ("ror:r1", "srcA:p7", 2)))
     assert entries[0].proprietary_id == "srcA:p7"
 
 
 def test_select_min_support_drops_entry():
-    assert select_crosswalk([T("ror:r1", "srcA:p9", 1)], min_support=2) == []
+    assert select_crosswalk(T(("ror:r1", "srcA:p9", 1)), min_support=2) == []
 
 
 def test_select_keeps_schemes_separate():
-    entries = select_crosswalk([T("ror:r1", "srcA:p9", 1), T("ror:r1", "srcB:q3", 5)])
+    entries = select_crosswalk(T(("ror:r1", "srcA:p9", 1), ("ror:r1", "srcB:q3", 5)))
     assert {(e.scheme, e.proprietary_id) for e in entries} == {
         ("srcA", "srcA:p9"),
         ("srcB", "srcB:q3"),
     }
 
 
-def oracle_select(tallies, min_support):
+def oracle_select(counts, min_support):
     """Brute-force argmax with lexicographic tie-break."""
     out = {}
-    keys = {(t.open_id, t.scheme) for t in tallies}
+    keys = {(o, p.split(":", 1)[0]) for o, p in counts}
     for open_id, scheme in keys:
-        candidates = [t for t in tallies if t.open_id == open_id and t.scheme == scheme]
-        best = max(c.count for c in candidates)
-        winner = min(c.proprietary_id for c in candidates if c.count == best)
+        candidates = [
+            (p, c) for (o, p), c in counts.items() if o == open_id and p.startswith(scheme + ":")
+        ]
+        best = max(c for _, c in candidates)
+        winner = min(p for p, c in candidates if c == best)
         if best >= min_support:
             out[(open_id, scheme)] = (winner, best)
     return out
@@ -169,20 +188,69 @@ def oracle_select(tallies, min_support):
     st.integers(1, 4),
 )
 def test_select_equals_bruteforce_oracle(raw, min_support):
-    tallies = [
-        PairTally(f"ror:r{o}", f"{s}:p{p}", s, c) for o, s, p, c in raw
-    ]
+    counts = {(f"ror:r{o}", f"{s}:p{p}"): c for o, s, p, c in raw}
     got = {
         (e.open_id, e.scheme): (e.proprietary_id, e.support)
-        for e in select_crosswalk(tallies, min_support)
+        for e in select_crosswalk(counts, min_support)
     }
-    assert got == oracle_select(tallies, min_support)
+    assert got == oracle_select(counts, min_support)
+
+
+# --- engine vs record-level oracle ------------------------------------------------------
+
+ORG_POOL = ("ror:r0", "ror:r1", "ror:r2", "srcA:p0", "srcA:p1", "srcB:q0", "srcB:q1")
+
+corpus_strategy = st.lists(
+    st.tuples(
+        st.one_of(st.none(), st.integers(0, 7)),  # DOI; small pool, so DOIs repeat
+        st.sampled_from([1, 1, 2]),  # position 2 only: no first author
+        st.frozensets(st.sampled_from(ORG_POOL), max_size=3),
+    ),
+    max_size=14,
+)
+
+
+def corpus_of(source, raw):
+    return [
+        rec(source, f"{source}{i}", None if d is None else f"10.1/{d}", org_ids, position)
+        for i, (d, position, org_ids) in enumerate(raw)
+    ]
+
+
+def engine_crosswalk(open_corpus, proprietary_corpora, min_support):
+    """The reconcile stage's composition, over one-shot iterables."""
+    open_ids = first_author_ids(open_corpus, open_side=True)
+    counts: Counter = Counter()
+    bridged, examples = {}, {}
+    for label, corpus in proprietary_corpora.items():
+        prop_ids = first_author_ids(corpus, open_side=False)
+        bridge = build_bridge(open_ids, prop_ids)
+        bridged[label] = len(bridge)
+        examples.update(tally_pairs(bridge, open_ids, prop_ids, counts))
+    return select_crosswalk(counts, min_support), len(counts), bridged, examples
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_strategy, corpus_strategy, corpus_strategy, st.integers(1, 3))
+def test_crosswalk_equals_record_level_oracle(raw_open, raw_a, raw_b, min_support):
+    corpora = {
+        "open": corpus_of("open", raw_open),
+        "srcA": corpus_of("srcA", raw_a),
+        "srcB": corpus_of("srcB", raw_b),
+    }
+    got = engine_crosswalk(
+        iter(corpora["open"]),
+        {label: iter(corpora[label]) for label in ("srcA", "srcB")},
+        min_support,
+    )
+    want = oracle_crosswalk(
+        corpora["open"], {label: corpora[label] for label in ("srcA", "srcB")}, min_support
+    )
+    assert got == want
 
 
 def test_invert_crosswalk_is_non_injective():
-    entries = select_crosswalk(
-        [T("ror:r1", "srcA:p9", 3), T("ror:r2", "srcA:p9", 2)]
-    )
+    entries = select_crosswalk(T(("ror:r1", "srcA:p9", 3), ("ror:r2", "srcA:p9", 2)))
     inverse = invert_crosswalk(entries)
     assert inverse == {"srcA:p9": frozenset({"ror:r1", "ror:r2"})}
 
@@ -190,7 +258,7 @@ def test_invert_crosswalk_is_non_injective():
 # --- audit sampling ----------------------------------------------------------------
 
 def crosswalk_of(n):
-    return select_crosswalk([T(f"ror:r{i}", f"srcA:p{i}", 2) for i in range(n)])
+    return select_crosswalk(T(*((f"ror:r{i}", f"srcA:p{i}", 2) for i in range(n))))
 
 
 def test_audit_sample_reproducible():
@@ -232,8 +300,11 @@ def test_planted_mapping_recovery_with_noise():
         doi = f"10.1/{article}"
         open_corpus.append(rec("open", f"W{article}", doi, open_ids))
         prop_corpus.append(rec("srcA", f"A{article}", doi, prop_ids))
-    tallies, _ = tally_pairs(build_bridge(open_corpus, prop_corpus))
-    entries = select_crosswalk(tallies, min_support=2)
+    open_ids = first_author_ids(open_corpus, open_side=True)
+    prop_ids = first_author_ids(prop_corpus, open_side=False)
+    counts: Counter = Counter()
+    tally_pairs(build_bridge(open_ids, prop_ids), open_ids, prop_ids, counts)
+    entries = select_crosswalk(counts, min_support=2)
     correct = sum(1 for e in entries if truth.get(e.open_id) == e.proprietary_id)
     assert len(entries) >= 0.95 * n_inst
     assert correct >= 0.95 * len(entries)
