@@ -31,6 +31,7 @@ from .model import (
     IndicatorRow,
     IntersectionSet,
     ROLE_FIRST,
+    membership_key,
 )
 
 
@@ -100,10 +101,6 @@ def journal_overlaps(
             surplus = len(per_source[open_source].difference(*others))
         out[issn_l] = (shared, surplus)
     return out
-
-
-def membership_key(membership: frozenset[str]) -> str:
-    return "|".join(sorted(membership))
 
 
 def upset_sets(

@@ -18,14 +18,20 @@ from typing import Iterable, Sequence
 
 from .identifiers import ROR_SCHEME, make_org_id, org_value
 from .model import (
+    GROUP_GLOBAL,
+    GROUP_PUBLISHER,
     Agreement,
     ArticleRecord,
+    AttributionRecord,
     Authorship,
     ClassifiedArticle,
     CrosswalkEntry,
     IndicatorRow,
     Institution,
+    IntersectionSet,
+    Journal,
     LicenseStatement,
+    membership_key,
 )
 
 STAGES = ("ingest", "classify", "reconcile", "attribute", "aggregate", "compare")
@@ -138,6 +144,15 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int
     return count
 
 
+def write_ndjson(path: str, objects: Iterable) -> None:
+    """One canonical JSON line per object."""
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for obj in objects:
+            fh.write(dump_canonical(obj))
+            fh.write("\n")
+
+
 def write_manifest(
     layout: Layout,
     stage: str,
@@ -171,11 +186,7 @@ def write_manifest(
         "outputs": described,
         "counters": dict(sorted(counters.items())),
     }
-    path = layout.manifest(stage)
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(dump_canonical(payload))
-        fh.write("\n")
+    write_ndjson(layout.manifest(stage), [payload])
 
 
 def describe_input(path: str, rows: int | None = None) -> dict:
@@ -299,6 +310,10 @@ def classified_from_line(line: str, source: str) -> ClassifiedArticle:
     )
 
 
+def write_records(path: str, records: Iterable[ArticleRecord]) -> None:
+    write_ndjson(path, map(record_to_dict, records))
+
+
 def iter_classified(path: str, source: str):
     with open(path, encoding="utf-8") as fh:
         for line in fh:
@@ -309,8 +324,7 @@ def iter_classified(path: str, source: str):
 # --- tabular artifacts ------------------------------------------------------
 
 def write_agreements(path: str, agreements: Iterable[Agreement]) -> None:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    payload = [
+    payload = (
         {
             "agreement_id": a.agreement_id,
             "publisher": a.publisher,
@@ -320,11 +334,8 @@ def write_agreements(path: str, agreements: Iterable[Agreement]) -> None:
             "end_date": _iso(a.end_date),
         }
         for a in sorted(agreements, key=lambda a: a.agreement_id)
-    ]
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        for entry in payload:
-            fh.write(dump_canonical(entry))
-            fh.write("\n")
+    )
+    write_ndjson(path, payload)
 
 
 def read_agreements(path: str) -> list[Agreement]:
@@ -345,6 +356,27 @@ def read_agreements(path: str) -> list[Agreement]:
                 )
             )
     return out
+
+
+def write_journals(path: str, journals: Iterable[Journal]) -> None:
+    rows = [
+        (j.issn_l, j.publisher, str(j.is_hybrid).lower(), "|".join(sorted(j.issn_variants)))
+        for j in sorted(journals, key=lambda j: j.issn_l)
+    ]
+    write_csv(path, ("issn_l", "publisher", "is_hybrid", "issn_variants"), rows)
+
+
+def read_journals(path: str) -> dict[str, Journal]:
+    with open(path, encoding="utf-8", newline="") as fh:
+        return {
+            row["issn_l"]: Journal(
+                issn_l=row["issn_l"],
+                issn_variants=frozenset(v for v in row["issn_variants"].split("|") if v),
+                publisher=row["publisher"],
+                is_hybrid=row["is_hybrid"] == "true",
+            )
+            for row in csv.DictReader(fh)
+        }
 
 
 def write_institutions(path: str, institutions: Iterable[Institution]) -> None:
@@ -371,12 +403,25 @@ def read_institutions(path: str) -> list[Institution]:
     return out
 
 
+CROSSWALK_HEADER = ("open_id", "scheme", "proprietary_id", "support")
+
+
+def _crosswalk_row(e: CrosswalkEntry) -> tuple:
+    return (org_value(e.open_id), e.scheme, org_value(e.proprietary_id), e.support)
+
+
 def write_crosswalk(path: str, entries: Iterable[CrosswalkEntry]) -> None:
+    rows = [_crosswalk_row(e) for e in sorted(entries, key=lambda e: (e.scheme, e.open_id))]
+    write_csv(path, CROSSWALK_HEADER, rows)
+
+
+def write_audit(path: str, sample: Iterable[CrosswalkEntry], examples: dict) -> None:
+    """Sampled crosswalk entries with their example DOIs, `|`-joined."""
     rows = [
-        (org_value(e.open_id), e.scheme, org_value(e.proprietary_id), e.support)
-        for e in sorted(entries, key=lambda e: (e.scheme, e.open_id))
+        _crosswalk_row(e) + ("|".join(examples.get((e.open_id, e.proprietary_id), ())),)
+        for e in sample
     ]
-    write_csv(path, ("open_id", "scheme", "proprietary_id", "support"), rows)
+    write_csv(path, CROSSWALK_HEADER + ("example_dois",), rows)
 
 
 def read_crosswalk(path: str) -> list[CrosswalkEntry]:
@@ -392,6 +437,60 @@ def read_crosswalk(path: str) -> list[CrosswalkEntry]:
                 )
             )
     return out
+
+
+ATTRIBUTION_HEADER = (
+    "source", "native_id", "doi", "year", "role", "ta_enabled", "agreement_ids",
+    "matched_institution",
+)
+
+
+def attribution_row(
+    article: ClassifiedArticle, role: str, match: AttributionRecord | None
+) -> tuple:
+    """One row of `attributions_<role>.csv`; `match` is None when no agreement matched."""
+    record = article.record
+    row = (record.source, record.native_id, record.doi or "", article.year, role)
+    if match is None:
+        return row + ("false", "", "")
+    return row + ("true", "|".join(match.agreement_ids), match.matched_institution)
+
+
+def write_attributions(path: str, rows: Iterable[tuple]) -> int:
+    """Write `attribution_row` rows in (source, native_id) order; returns
+    the number of TA-enabled rows."""
+    ordered = sorted(rows, key=lambda r: (r[0], r[1]))
+    write_csv(path, ATTRIBUTION_HEADER, ordered)
+    return sum(1 for r in ordered if r[5] == "true")
+
+
+def read_ta_keys(path: str) -> set[tuple[str, str]]:
+    """(source, native_id) of every TA-enabled attribution row."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        return {
+            (row["source"], row["native_id"])
+            for row in csv.DictReader(fh)
+            if row["ta_enabled"] == "true"
+        }
+
+
+def write_indicators(path: str, rows: Iterable[IndicatorRow]) -> int:
+    ordered = sorted(rows, key=lambda r: (r.role, r.group_kind, r.source, r.year, r.group_key))
+    header = (
+        "year", "source", "role", "group_kind", "group_key", "n_total", "n_original", "n_oa",
+        "n_ta_oa", "oa_share", "ta_share_of_oa",
+    )
+    return write_csv(
+        path,
+        header,
+        [
+            (
+                r.year, r.source, r.role, r.group_kind, r.group_key, r.n_total, r.n_original,
+                r.n_oa, r.n_ta_oa, format_share(r.oa_share), format_share(r.ta_share_of_oa),
+            )
+            for r in ordered
+        ],
+    )
 
 
 def read_indicators(path: str) -> list[IndicatorRow]:
@@ -410,3 +509,52 @@ def read_indicators(path: str) -> list[IndicatorRow]:
             )
             for row in csv.DictReader(fh)
         ]
+
+
+# --- analysis tables ----------------------------------------------------------
+
+def write_intersections(path: str, sets: Iterable[IntersectionSet]) -> None:
+    rows = [
+        (membership_key(s.membership), s.n_journals, s.n_articles_shared, s.n_articles_surplus_open)
+        for s in sets
+    ]
+    header = ("membership", "n_journals", "n_articles_shared", "n_articles_surplus_open")
+    write_csv(path, header, rows)
+
+
+def write_uptake(global_path: str, publisher_path: str, rows: Sequence[IndicatorRow]) -> None:
+    """GLOBAL indicator rows to one table, PUBLISHER rows (keyed by publisher) to the other."""
+    header = (
+        "year", "source", "role", "n_original", "n_oa", "oa_share", "n_ta_oa", "ta_share_of_oa"
+    )
+
+    def uptake(r: IndicatorRow) -> tuple:
+        return (
+            r.year, r.source, r.role, r.n_original, r.n_oa, format_share(r.oa_share), r.n_ta_oa,
+            format_share(r.ta_share_of_oa),
+        )
+
+    write_csv(global_path, header, [uptake(r) for r in rows if r.group_kind == GROUP_GLOBAL])
+    write_csv(
+        publisher_path,
+        ("publisher",) + header,
+        [(r.group_key,) + uptake(r) for r in rows if r.group_kind == GROUP_PUBLISHER],
+    )
+
+
+# Headers of the tables whose rows `analytics` builds, by file name.
+TABLE_HEADERS = {
+    "coverage.csv": ("source", "measure", "value"),
+    "journal_volumes.csv": ("membership", "issn_l", "publisher", "n_articles_shared"),
+    "intersections_publisher.csv": ("membership", "publisher", "n_journals", "n_articles_shared"),
+    "correlations.csv": (
+        "metric", "x_source", "x_role", "y_source", "y_role", "filter_threshold", "n", "rho",
+    ),
+    "country_scatter.csv": (
+        "metric", "country", "x_source", "x_role", "x_value", "y_source", "y_role", "y_value",
+    ),
+}
+
+
+def write_table(path: str, rows: Iterable[Sequence]) -> int:
+    return write_csv(path, TABLE_HEADERS[os.path.basename(path)], rows)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .classify import (
     DEFAULT_ALLOWLIST,
@@ -114,6 +114,34 @@ def _resolve(base: str, path: str | None) -> str | None:
     return path if os.path.isabs(path) else os.path.normpath(os.path.join(base, path))
 
 
+# Fields naming one input file, resolved against the config file's directory.
+_PATH_FIELDS = frozenset(
+    {"articles", "agreement_dump", "durations", "issn_links", "institutions",
+     "publisher_aliases", "paratext_patterns"}
+)
+
+
+def _from_raw(cls, raw: dict, base: str):
+    """`cls` from the file's keys; a missing key keeps the dataclass default.
+
+    Paths resolve against `base`; a value whose default is a bool, int or
+    tuple is cast to that type. Unknown keys are ignored.
+    """
+    values = {}
+    for f in fields(cls):
+        if f.name not in raw:
+            continue
+        value = raw[f.name]
+        if f.name in _PATH_FIELDS:
+            value = _resolve(base, value)
+        elif f.name == "fully_oa_lists":
+            value = tuple(_resolve(base, p) for p in value)
+        elif isinstance(f.default, (bool, int, tuple)):
+            value = type(f.default)(value)
+        values[f.name] = value
+    return cls(**values)
+
+
 def load_config(path: str) -> PipelineConfig:
     """Read a config file, resolving relative paths against its directory."""
     try:
@@ -123,46 +151,12 @@ def load_config(path: str) -> PipelineConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     base = os.path.dirname(os.path.abspath(path))
     try:
-        sources = tuple(
-            SourceConfig(
-                label=s["label"],
-                articles=_resolve(base, s["articles"]),
-                scheme=s["scheme"],
-                open_baseline=bool(s.get("open_baseline", False)),
-                doc_class_mode=s.get("doc_class_mode", DOC_MODE_ALLOWLIST),
-                doc_class_allowlist=tuple(s.get("doc_class_allowlist", DEFAULT_ALLOWLIST)),
-                journal_article_classes=tuple(
-                    s.get("journal_article_classes", DEFAULT_JOURNAL_ARTICLE_CLASSES)
-                ),
-                lenient_oa=bool(s.get("lenient_oa", False)),
-            )
-            for s in raw["sources"]
-        )
-        config = PipelineConfig(
-            sources=sources,
-            agreement_dump=_resolve(base, raw["agreement_dump"]),
-            durations=_resolve(base, raw["durations"]),
-            issn_links=_resolve(base, raw["issn_links"]),
-            institutions=_resolve(base, raw["institutions"]),
-            fully_oa_lists=tuple(_resolve(base, p) for p in raw.get("fully_oa_lists", ())),
-            publisher_aliases=_resolve(base, raw.get("publisher_aliases")),
-            paratext_patterns=_resolve(base, raw.get("paratext_patterns")),
-            cc_license_pattern=raw.get("cc_license_pattern", DEFAULT_CC_LICENSE_PATTERN),
-            user_license_pattern=raw.get("user_license_pattern", DEFAULT_USER_LICENSE_PATTERN),
-            license_grace_days=int(raw.get("license_grace_days", 31)),
-            years=tuple(raw.get("years", (2019, 2023))),
-            roles=tuple(raw.get("roles", ROLES)),
-            min_support=int(raw.get("min_support", 1)),
-            correlation_min_articles=int(raw.get("correlation_min_articles", 10000)),
-            correlation_min_ta_oa=int(raw.get("correlation_min_ta_oa", 1000)),
-            audit_sample_size=int(raw.get("audit_sample_size", 50)),
-            seed=int(raw.get("seed", 42)),
-            workers=raw.get("workers"),
-            out_dir=_resolve(base, raw.get("out_dir", "out")),
-        )
+        sources = tuple(_from_raw(SourceConfig, s, base) for s in raw["sources"])
+        config = _from_raw(PipelineConfig, {**raw, "sources": sources}, base)
+        # out_dir resolves like an input path, its default included
+        return replace(config, out_dir=_resolve(base, config.out_dir))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad config {path}: {exc}") from exc
-    return config
 
 
 def apply_overrides(

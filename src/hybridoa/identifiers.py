@@ -59,14 +59,6 @@ def validate_issn(raw: str) -> str:
     return f"{compact[:4]}-{compact[4:]}"
 
 
-def is_valid_issn(raw: str) -> bool:
-    try:
-        validate_issn(raw)
-        return True
-    except (MalformedIssn, ChecksumFailure):
-        return False
-
-
 def normalize_doi(raw: str | None) -> str | None:
     """Normalize a DOI string, or return None when it is not a DOI.
 

@@ -14,7 +14,6 @@ peak resident memory stays independent of file length.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import os
@@ -140,17 +139,31 @@ def resolve_issn_l(issn: str, links: dict[str, str]) -> str:
     return links.get(issn, issn)
 
 
-def _open_csv(path: str, required: tuple[str, ...]) -> tuple[io.TextIOWrapper, csv.DictReader]:
-    fh = open(path, encoding="utf-8", newline="")
-    reader = csv.DictReader(fh)
-    if reader.fieldnames is None:
-        fh.close()
-        raise MissingColumn(f"{path}: empty file, header row required")
-    missing = [c for c in required if c not in reader.fieldnames]
-    if missing:
-        fh.close()
-        raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
-    return fh, reader
+def _checked_issn(raw: str) -> str:
+    """`validate_issn`, with its failures raised as reject-coded SchemaViolations."""
+    try:
+        return validate_issn(raw)
+    except MalformedIssn as exc:
+        raise SchemaViolation(REJECT_MALFORMED_ISSN, str(exc)) from None
+    except ChecksumFailure as exc:
+        raise SchemaViolation(REJECT_CHECKSUM, str(exc)) from None
+
+
+def _csv_rows(path: str, columns: tuple[str, ...]) -> Iterator[tuple[int, dict, str]]:
+    """(line number, row, reject text) of each data row of a CSV input.
+
+    The header must name every one of `columns`, else MissingColumn. The
+    reject text is those columns comma-joined, a missing field as empty.
+    """
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise MissingColumn(f"{path}: empty file, header row required")
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            yield reader.line_num, row, ",".join(row.get(c) or "" for c in columns)
 
 
 def load_issn_link_table(path: str, rejects: RejectLog | None = None) -> dict[str, str]:
@@ -161,24 +174,17 @@ def load_issn_link_table(path: str, rejects: RejectLog | None = None) -> dict[st
     """
     rejects = rejects or RejectLog(None)
     links: dict[str, str] = {}
-    fh, reader = _open_csv(path, ("issn", "issn_l"))
-    with fh:
-        for row in reader:
-            lineno = reader.line_num
-            raw = f"{row.get('issn')},{row.get('issn_l')}"
-            try:
-                issn = validate_issn(row["issn"] or "")
-                issn_l = validate_issn(row["issn_l"] or "")
-            except MalformedIssn:
-                rejects.reject(lineno, REJECT_MALFORMED_ISSN, raw)
-                continue
-            except ChecksumFailure:
-                rejects.reject(lineno, REJECT_CHECKSUM, raw)
-                continue
-            if issn in links and links[issn] != issn_l:
-                rejects.reject(lineno, REJECT_CONFLICTING_LINK, raw)
-                continue
-            links[issn] = issn_l
+    for lineno, row, raw in _csv_rows(path, ("issn", "issn_l")):
+        try:
+            issn = _checked_issn(row["issn"] or "")
+            issn_l = _checked_issn(row["issn_l"] or "")
+        except SchemaViolation as exc:
+            rejects.reject(lineno, exc.code, raw)
+            continue
+        if issn in links and links[issn] != issn_l:
+            rejects.reject(lineno, REJECT_CONFLICTING_LINK, raw)
+            continue
+        links[issn] = issn_l
     return links
 
 
@@ -201,12 +207,9 @@ def load_fully_oa_lists(
                 if not text:
                     continue
                 try:
-                    issn = validate_issn(text)
-                except MalformedIssn:
-                    rejects.reject(lineno, REJECT_MALFORMED_ISSN, line)
-                    continue
-                except ChecksumFailure:
-                    rejects.reject(lineno, REJECT_CHECKSUM, line)
+                    issn = _checked_issn(text)
+                except SchemaViolation as exc:
+                    rejects.reject(lineno, exc.code, line)
                     continue
                 out.add(resolve_issn_l(issn, links))
     return out
@@ -241,34 +244,24 @@ def load_agreement_dump(
     orgs: dict[str, set[str]] = {}
     publishers: dict[str, Counter] = {}
     dump = AgreementDump()
-    fh, reader = _open_csv(path, ("agreement_id", "issn", "org_id", "publisher"))
-    with fh:
-        for row in reader:
-            lineno = reader.line_num
-            raw = ",".join((row.get(c) or "") for c in ("agreement_id", "issn", "org_id", "publisher"))
-            agreement_id = (row["agreement_id"] or "").strip()
-            org = (row["org_id"] or "").strip()
-            if not agreement_id or not org:
-                rejects.reject(lineno, REJECT_SCHEMA, raw)
-                continue
-            if not is_org_id(org):
-                rejects.reject(lineno, REJECT_SCHEMA, raw)
-                continue
-            try:
-                issn = validate_issn(row["issn"] or "")
-            except MalformedIssn:
-                rejects.reject(lineno, REJECT_MALFORMED_ISSN, raw)
-                continue
-            except ChecksumFailure:
-                rejects.reject(lineno, REJECT_CHECKSUM, raw)
-                continue
-            issn_l = resolve_issn_l(issn, links)
-            publisher = normalize_publisher(row["publisher"] or "", aliases)
-            journals.setdefault(agreement_id, set()).add(issn_l)
-            orgs.setdefault(agreement_id, set()).add(org)
-            publishers.setdefault(agreement_id, Counter())[publisher] += 1
-            dump.publisher_votes.setdefault(issn_l, Counter())[publisher] += 1
-            dump.variants.setdefault(issn_l, set()).add(issn)
+    for lineno, row, raw in _csv_rows(path, ("agreement_id", "issn", "org_id", "publisher")):
+        agreement_id = (row["agreement_id"] or "").strip()
+        org = (row["org_id"] or "").strip()
+        if not agreement_id or not is_org_id(org):
+            rejects.reject(lineno, REJECT_SCHEMA, raw)
+            continue
+        try:
+            issn = _checked_issn(row["issn"] or "")
+        except SchemaViolation as exc:
+            rejects.reject(lineno, exc.code, raw)
+            continue
+        issn_l = resolve_issn_l(issn, links)
+        publisher = normalize_publisher(row["publisher"] or "", aliases)
+        journals.setdefault(agreement_id, set()).add(issn_l)
+        orgs.setdefault(agreement_id, set()).add(org)
+        publishers.setdefault(agreement_id, Counter())[publisher] += 1
+        dump.publisher_votes.setdefault(issn_l, Counter())[publisher] += 1
+        dump.variants.setdefault(issn_l, set()).add(issn)
     for agreement_id in journals:
         if not journals[agreement_id] or not orgs[agreement_id]:
             continue
@@ -317,22 +310,18 @@ def load_durations(
     """
     rejects = rejects or RejectLog(None)
     windows: dict[str, tuple[date, date]] = {}
-    fh, reader = _open_csv(path, ("agreement_id", "start_date", "end_date"))
-    with fh:
-        for row in reader:
-            lineno = reader.line_num
-            raw = ",".join((row.get(c) or "") for c in ("agreement_id", "start_date", "end_date"))
-            agreement_id = (row["agreement_id"] or "").strip()
-            try:
-                start = parse_date_pinned(row["start_date"] or "")
-                end = parse_date_pinned(row["end_date"] or "")
-            except SchemaViolation:
-                rejects.reject(lineno, REJECT_BAD_DATE, raw)
-                continue
-            if start > end:
-                rejects.reject(lineno, REJECT_INVERTED_WINDOW, raw)
-                continue
-            windows[agreement_id] = (start, end)
+    for lineno, row, raw in _csv_rows(path, ("agreement_id", "start_date", "end_date")):
+        agreement_id = (row["agreement_id"] or "").strip()
+        try:
+            start = parse_date_pinned(row["start_date"] or "")
+            end = parse_date_pinned(row["end_date"] or "")
+        except SchemaViolation:
+            rejects.reject(lineno, REJECT_BAD_DATE, raw)
+            continue
+        if start > end:
+            rejects.reject(lineno, REJECT_INVERTED_WINDOW, raw)
+            continue
+        windows[agreement_id] = (start, end)
     dated: set[Agreement] = set()
     for agreement in agreements:
         window = windows.get(agreement.agreement_id)
@@ -359,15 +348,13 @@ def load_publisher_aliases(path: str, rejects: RejectLog | None = None) -> dict[
     """
     rejects = rejects or RejectLog(None)
     aliases: dict[str, str] = {}
-    fh, reader = _open_csv(path, ("alias", "canonical"))
-    with fh:
-        for row in reader:
-            alias = " ".join((row["alias"] or "").split()).casefold()
-            canonical = " ".join((row["canonical"] or "").split())
-            if not alias or not canonical:
-                rejects.reject(reader.line_num, REJECT_SCHEMA, f"{row.get('alias')},{row.get('canonical')}")
-                continue
-            aliases[alias] = canonical
+    for lineno, row, raw in _csv_rows(path, ("alias", "canonical")):
+        alias = " ".join((row["alias"] or "").split()).casefold()
+        canonical = " ".join((row["canonical"] or "").split())
+        if not alias or not canonical:
+            rejects.reject(lineno, REJECT_SCHEMA, raw)
+            continue
+        aliases[alias] = canonical
     return aliases
 
 
@@ -379,28 +366,24 @@ def load_institutions(path: str, rejects: RejectLog | None = None) -> set[Instit
     """
     rejects = rejects or RejectLog(None)
     out: set[Institution] = set()
-    fh, reader = _open_csv(path, ("org_id", "country", "associated_ids"))
-    with fh:
-        for row in reader:
-            lineno = reader.line_num
-            raw = ",".join((row.get(c) or "") for c in ("org_id", "country", "associated_ids"))
-            org = (row["org_id"] or "").strip()
-            if not is_org_id(org):
-                rejects.reject(lineno, REJECT_SCHEMA, raw)
-                continue
-            associated = frozenset(
-                a.strip() for a in (row["associated_ids"] or "").split("|") if a.strip()
+    for lineno, row, raw in _csv_rows(path, ("org_id", "country", "associated_ids")):
+        org = (row["org_id"] or "").strip()
+        if not is_org_id(org):
+            rejects.reject(lineno, REJECT_SCHEMA, raw)
+            continue
+        associated = frozenset(
+            a.strip() for a in (row["associated_ids"] or "").split("|") if a.strip()
+        )
+        if org in associated:
+            rejects.reject(lineno, REJECT_SELF_ASSOCIATION, raw)
+            continue
+        out.add(
+            Institution(
+                org_id=org,
+                country=(row["country"] or "").strip().upper(),
+                associated_ids=associated,
             )
-            if org in associated:
-                rejects.reject(lineno, REJECT_SELF_ASSOCIATION, raw)
-                continue
-            out.add(
-                Institution(
-                    org_id=org,
-                    country=(row["country"] or "").strip().upper(),
-                    associated_ids=associated,
-                )
-            )
+        )
     return out
 
 
@@ -442,12 +425,7 @@ def parse_article_line(
     raw_issn = obj.get("issn")
     if not raw_issn:
         raise SchemaViolation("missing_field", "issn")
-    try:
-        issn = validate_issn(raw_issn)
-    except MalformedIssn as exc:
-        raise SchemaViolation(REJECT_MALFORMED_ISSN, str(exc)) from None
-    except ChecksumFailure as exc:
-        raise SchemaViolation(REJECT_CHECKSUM, str(exc)) from None
+    issn = _checked_issn(raw_issn)
 
     raw_dates = obj.get("pub_date")
     if raw_dates is None or raw_dates == [] or raw_dates == "":

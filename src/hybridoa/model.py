@@ -270,6 +270,10 @@ class IntersectionSet:
     n_articles_surplus_open: int
 
 
+def membership_key(membership: frozenset[str]) -> str:
+    return "|".join(sorted(membership))
+
+
 @dataclass(frozen=True, slots=True)
 class CorrelationResult:
     """Spearman rank correlation over paired per-key metrics."""

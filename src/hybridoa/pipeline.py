@@ -1,15 +1,15 @@
 """Stage orchestration: ingest -> classify -> reconcile -> attribute ->
 aggregate -> compare.
 
-Each stage reads the previous stage's artifacts, writes its own plus a
-run manifest, and never mutates inputs. Classification and attribution
+Each stage reads the previous stage's artifacts, writes its own, and
+never mutates inputs; `run` checks and hashes a stage's declared inputs
+and writes its manifest. Classification and attribution
 apply their pure per-record functions over chunked record streams, so a
 worker pool changes wall time but never output bytes.
 """
 
 from __future__ import annotations
 
-import csv
 import json
 import logging
 import os
@@ -24,33 +24,39 @@ from . import analytics, artifacts, attribute, classify, ingest, reconcile
 from .artifacts import Layout
 from .config import PipelineConfig
 from .errors import DependencyError, UnknownDoi
-from .identifiers import normalize_doi, org_value
-from .model import (
-    ClassifiedArticle,
-    GROUP_GLOBAL,
-    GROUP_PUBLISHER,
-    IndicatorRow,
-    Journal,
-    ROLE_FIRST,
-)
+from .identifiers import normalize_doi
+from .model import ClassifiedArticle, ROLE_FIRST
 
 log = logging.getLogger(__name__)
 
 CHUNK_LINES = 2000
 
+# A stage body's output paths and manifest counters.
+StageResult = tuple[list[str], dict]
+
 
 def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str]:
-    """Run the requested stages in dependency order; returns what ran."""
+    """Run the requested stages in dependency order; returns what ran.
+
+    This is the one stage boundary: each stage's declared inputs are
+    checked and hashed here, its body returns (outputs, counters), and its
+    manifest is written here.
+    """
     wanted = set(stages) if stages else set(artifacts.STAGES)
     unknown = wanted - set(artifacts.STAGES)
     if unknown:
         raise DependencyError(f"unknown stage(s): {', '.join(sorted(unknown))}")
+    layout = Layout(config.out_dir)
     executed = []
     for stage in artifacts.STAGES:
         if stage not in wanted:
             continue
         log.info("stage %s", stage)
-        STAGE_FUNCTIONS[stage](config)
+        needed = STAGE_INPUTS[stage](layout, config)
+        _require(needed, stage)
+        inputs = [artifacts.describe_input(p) for p in needed]
+        outputs, counters = STAGE_FUNCTIONS[stage](config, layout, inputs)
+        artifacts.write_manifest(layout, stage, config.digest(), inputs, outputs, counters)
         executed.append(stage)
     return executed
 
@@ -61,6 +67,27 @@ def _require(paths: Iterable[str], stage: str) -> None:
         raise DependencyError(
             f"stage {stage!r} needs artifacts that do not exist: {', '.join(missing)}"
         )
+
+
+def _classified(layout: Layout, config: PipelineConfig) -> list[str]:
+    return [layout.classified(s.label) for s in config.sources]
+
+
+# Each stage's inputs under out_dir; ingest reads only the config's files.
+STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
+    "ingest": lambda layout, config: [],
+    "classify": lambda layout, config: (
+        [layout.journals] + [layout.articles(s.label) for s in config.sources]
+    ),
+    "reconcile": _classified,
+    "attribute": lambda layout, config: (
+        [layout.agreements, layout.institutions, layout.crosswalk] + _classified(layout, config)
+    ),
+    "aggregate": lambda layout, config: (
+        _classified(layout, config) + [layout.attributions(role) for role in config.roles]
+    ),
+    "compare": lambda layout, config: _classified(layout, config) + [layout.indicators],
+}
 
 
 # --- chunked worker execution ----------------------------------------------
@@ -127,99 +154,59 @@ def _effective_workers(config: PipelineConfig) -> int:
 
 # --- ingest ------------------------------------------------------------------
 
-def run_ingest(config: PipelineConfig) -> None:
-    """Parse all inputs into normalized artifacts with reject sidecars."""
-    layout = Layout(config.out_dir)
+def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
+    """Parse all inputs into normalized artifacts with reject sidecars.
+
+    Appends a description of every external input it reads to `inputs`.
+    """
     counters: dict = {}
-    inputs: list[dict] = []
-    outputs: list[str] = []
 
-    with ingest.RejectLog(layout.reject_log("issn_links")) as rej:
-        links = ingest.load_issn_link_table(config.issn_links, rej)
-        counters["issn_links_rejects"] = rej.count
-    inputs.append(artifacts.describe_input(config.issn_links))
-    counters["issn_links"] = len(links)
+    def load(stem: str, loader: Callable, path, *args):
+        """One loader run with its reject sidecar; `path` is a path or a tuple of them."""
+        with ingest.RejectLog(layout.reject_log(stem)) as rej:
+            loaded = loader(path, *args, rej)
+        counters[f"{stem}_rejects"] = rej.count
+        paths = (path,) if isinstance(path, str) else path
+        inputs.extend(artifacts.describe_input(p) for p in paths)
+        return loaded
 
-    with ingest.RejectLog(layout.reject_log("fully_oa")) as rej:
-        fully_oa = ingest.load_fully_oa_lists(config.fully_oa_lists, links, rej)
-        counters["fully_oa_rejects"] = rej.count
-    inputs.extend(artifacts.describe_input(p) for p in config.fully_oa_lists)
-    counters["fully_oa_journals"] = len(fully_oa)
-
+    links = load("issn_links", ingest.load_issn_link_table, config.issn_links)
+    fully_oa = load("fully_oa", ingest.load_fully_oa_lists, config.fully_oa_lists, links)
     aliases = None
     if config.publisher_aliases:
-        with ingest.RejectLog(layout.reject_log("publisher_aliases")) as rej:
-            aliases = ingest.load_publisher_aliases(config.publisher_aliases, rej)
-        inputs.append(artifacts.describe_input(config.publisher_aliases))
-
-    with ingest.RejectLog(layout.reject_log("agreement_dump")) as rej:
-        dump = ingest.load_agreement_dump(config.agreement_dump, links, aliases, rej)
-        counters["agreement_dump_rejects"] = rej.count
-    inputs.append(artifacts.describe_input(config.agreement_dump))
-
-    with ingest.RejectLog(layout.reject_log("durations")) as rej:
-        agreements = ingest.load_durations(config.durations, dump.agreements, rej)
-        counters["durations_rejects"] = rej.count
-    inputs.append(artifacts.describe_input(config.durations))
-    counters["agreements_undated"] = len(dump.agreements)
-    counters["agreements"] = len(agreements)
-
+        aliases = load("publisher_aliases", ingest.load_publisher_aliases, config.publisher_aliases)
+    dump = load("agreement_dump", ingest.load_agreement_dump, config.agreement_dump, links, aliases)
+    agreements = load("durations", ingest.load_durations, config.durations, dump.agreements)
+    institutions = load("institutions", ingest.load_institutions, config.institutions)
     journals = ingest.build_journals(dump.publisher_votes, dump.variants, fully_oa)
-    counters["journals"] = len(journals)
-
-    with ingest.RejectLog(layout.reject_log("institutions")) as rej:
-        institutions = ingest.load_institutions(config.institutions, rej)
-        counters["institutions_rejects"] = rej.count
-    inputs.append(artifacts.describe_input(config.institutions))
-    counters["institutions"] = len(institutions)
-
-    artifacts.write_agreements(layout.agreements, agreements)
-    outputs.append(layout.agreements)
-    artifacts.write_csv(
-        layout.journals,
-        ("issn_l", "publisher", "is_hybrid", "issn_variants"),
-        [
-            (j.issn_l, j.publisher, str(j.is_hybrid).lower(), "|".join(sorted(j.issn_variants)))
-            for j in sorted(journals.values(), key=lambda j: j.issn_l)
-        ],
+    counters.update(
+        issn_links=len(links),
+        fully_oa_journals=len(fully_oa),
+        agreements_undated=len(dump.agreements),
+        agreements=len(agreements),
+        journals=len(journals),
+        institutions=len(institutions),
     )
-    outputs.append(layout.journals)
+    artifacts.write_agreements(layout.agreements, agreements)
+    artifacts.write_journals(layout.journals, journals.values())
     artifacts.write_institutions(layout.institutions, institutions)
-    outputs.append(layout.institutions)
+    outputs = [layout.agreements, layout.journals, layout.institutions]
 
     for source in config.sources:
         path = layout.articles(source.label)
-        os.makedirs(os.path.dirname(path), exist_ok=True)
         with ingest.RejectLog(layout.reject_log(f"articles_{source.label}")) as rej:
             stream, manifest = ingest.load_article_stream(
                 source.articles, source.label, links, rej
             )
-            with open(path, "w", encoding="utf-8", newline="") as fh:
-                for record in stream:
-                    fh.write(artifacts.dump_canonical(artifacts.record_to_dict(record)))
-                    fh.write("\n")
+            artifacts.write_records(path, stream)
         inputs.append(artifacts.describe_input(source.articles, rows=manifest.total_lines))
         outputs.append(path)
         counters[f"records_{source.label}"] = manifest.record_count
         counters[f"rejects_{source.label}"] = manifest.reject_count
-
-    artifacts.write_manifest(layout, "ingest", config.digest(), inputs, outputs, counters)
+    return outputs, counters
 
 
 # --- classify ----------------------------------------------------------------
-
-def _load_journal_table(layout: Layout) -> dict[str, Journal]:
-    journals: dict[str, Journal] = {}
-    with open(layout.journals, encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            journals[row["issn_l"]] = Journal(
-                issn_l=row["issn_l"],
-                issn_variants=frozenset(v for v in row["issn_variants"].split("|") if v),
-                publisher=row["publisher"],
-                is_hybrid=row["is_hybrid"] == "true",
-            )
-    return journals
-
 
 def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     policies = {
@@ -260,18 +247,14 @@ def _source_chunks(config: PipelineConfig, path_of: Callable[[str], str]) -> Ite
             yield source.label, chunk
 
 
-def run_classify(config: PipelineConfig) -> None:
+def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Apply all classification rules to every ingested record.
 
     One chunk map covers every source; each result goes to its source's file.
     """
-    layout = Layout(config.out_dir)
-    needed = [layout.journals] + [layout.articles(s.label) for s in config.sources]
-    _require(needed, "classify")
-    journals = _load_journal_table(layout)
+    journals = artifacts.read_journals(layout.journals)
     cfg = _classifier_config(config)
     workers = _effective_workers(config)
-    inputs = [artifacts.describe_input(p) for p in needed]
     outputs = [layout.classified(s.label) for s in config.sources]
     rows = {s.label: 0 for s in config.sources}
 
@@ -288,8 +271,7 @@ def run_classify(config: PipelineConfig) -> None:
                 fh.write("\n")
             rows[label] += len(lines)
 
-    counters = {f"classified_{label}": n for label, n in rows.items()}
-    artifacts.write_manifest(layout, "classify", config.digest(), inputs, outputs, counters)
+    return outputs, {f"classified_{label}": n for label, n in rows.items()}
 
 
 # --- reconcile ----------------------------------------------------------------
@@ -299,18 +281,14 @@ def _first_author_ids(layout: Layout, label: str, open_side: bool) -> reconcile.
     return reconcile.first_author_ids(records, open_side)
 
 
-def run_reconcile(config: PipelineConfig) -> None:
+def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Build the open/proprietary crosswalk by DOI bridging, plus an audit sample.
 
     The open side is projected once and bridged with each proprietary
-    source in turn; every source's pairs add to one tally.
+    source in turn; every source's pairs and example DOIs add to one tally.
     """
-    layout = Layout(config.out_dir)
     open_label = config.open_source
-    needed = [layout.classified(s.label) for s in config.sources]
-    _require(needed, "reconcile")
     counters: dict = {}
-
     open_ids = _first_author_ids(layout, open_label, open_side=True)
     counts: Counter = Counter()
     examples: dict = {}
@@ -320,38 +298,15 @@ def run_reconcile(config: PipelineConfig) -> None:
         prop_ids = _first_author_ids(layout, source.label, open_side=False)
         bridge = reconcile.build_bridge(open_ids, prop_ids)
         counters[f"bridged_{source.label}"] = len(bridge)
-        examples.update(reconcile.tally_pairs(bridge, open_ids, prop_ids, counts))
+        reconcile.tally_pairs(bridge, open_ids, prop_ids, counts, examples)
 
     crosswalk = reconcile.select_crosswalk(counts, config.min_support)
     counters["pairs"] = len(counts)
     counters["crosswalk_entries"] = len(crosswalk)
     artifacts.write_crosswalk(layout.crosswalk, crosswalk)
-
     k = min(config.audit_sample_size, len(crosswalk))
-    sample = reconcile.audit_sample(crosswalk, k, config.seed)
-    artifacts.write_csv(
-        layout.audit,
-        ("open_id", "scheme", "proprietary_id", "support", "example_dois"),
-        [
-            (
-                org_value(e.open_id),
-                e.scheme,
-                org_value(e.proprietary_id),
-                e.support,
-                "|".join(examples.get((e.open_id, e.proprietary_id), ())),
-            )
-            for e in sample
-        ],
-    )
-
-    artifacts.write_manifest(
-        layout,
-        "reconcile",
-        config.digest(),
-        [artifacts.describe_input(p) for p in needed],
-        [layout.crosswalk, layout.audit],
-        counters,
-    )
+    artifacts.write_audit(layout.audit, reconcile.audit_sample(crosswalk, k, config.seed), examples)
+    return [layout.crosswalk, layout.audit], counters
 
 
 # --- attribute ----------------------------------------------------------------
@@ -377,185 +332,67 @@ def _attribute_chunk(item: tuple[str, list[str]]) -> dict[str, list[tuple]]:
         for role in roles:
             if attribute.role_author(article, role) is None:
                 continue
-            record = attribute.match_agreements(
+            match = attribute.match_agreements(
                 article, role, journal_agreements, crosswalk_inverse, inst_index
             )
-            rows[role].append(
-                (
-                    source,
-                    article.record.native_id,
-                    article.record.doi or "",
-                    article.year,
-                    role,
-                    "true" if record is not None else "false",
-                    "|".join(record.agreement_ids) if record is not None else "",
-                    record.matched_institution if record is not None else "",
-                )
-            )
+            rows[role].append(artifacts.attribution_row(article, role, match))
     return rows
 
 
-def run_attribute(config: PipelineConfig) -> None:
+def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Evaluate every eligible OA article against the agreement registry.
 
     One chunk map over every source evaluates every role on each decoded
     record.
     """
-    layout = Layout(config.out_dir)
-    needed = [layout.agreements, layout.institutions, layout.crosswalk]
-    needed += [layout.classified(s.label) for s in config.sources]
-    _require(needed, "attribute")
-
     ctx = (tuple(config.roles), *_attribution_indexes(layout))
-    workers = _effective_workers(config)
-    counters: dict = {}
-    outputs = []
-
     rows: dict[str, list[tuple]] = {role: [] for role in config.roles}
     chunks = _source_chunks(config, layout.classified)
-    for result in _map_chunks(_attribute_chunk, chunks, ctx, workers):
+    for result in _map_chunks(_attribute_chunk, chunks, ctx, _effective_workers(config)):
         for role, role_rows in result.items():
             rows[role].extend(role_rows)
 
+    counters: dict = {}
     for role, role_rows in rows.items():
-        role_rows.sort(key=lambda r: (r[0], r[1]))
-        path = layout.attributions(role)
-        artifacts.write_csv(
-            path,
-            (
-                "source",
-                "native_id",
-                "doi",
-                "year",
-                "role",
-                "ta_enabled",
-                "agreement_ids",
-                "matched_institution",
-            ),
-            role_rows,
-        )
-        outputs.append(path)
         counters[f"evaluated_{role}"] = len(role_rows)
-        counters[f"ta_enabled_{role}"] = sum(1 for r in role_rows if r[5] == "true")
-
-    artifacts.write_manifest(
-        layout,
-        "attribute",
-        config.digest(),
-        [artifacts.describe_input(p) for p in needed],
-        outputs,
-        counters,
-    )
+        counters[f"ta_enabled_{role}"] = artifacts.write_attributions(
+            layout.attributions(role), role_rows
+        )
+    return [layout.attributions(role) for role in rows], counters
 
 
 # --- aggregate ----------------------------------------------------------------
 
-def _load_ta_keys(layout: Layout, role: str) -> set[tuple[str, str]]:
-    keys: set[tuple[str, str]] = set()
-    with open(layout.attributions(role), encoding="utf-8", newline="") as fh:
-        for row in csv.DictReader(fh):
-            if row["ta_enabled"] == "true":
-                keys.add((row["source"], row["native_id"]))
-    return keys
-
-
-def run_aggregate(config: PipelineConfig) -> None:
+def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Turn classified and attributed articles into indicator tables.
 
     One pass per source: each classified record is decoded once and feeds
     every (role, group kind) indicator cell and the coverage tallies.
     """
-    layout = Layout(config.out_dir)
-    needed = [layout.classified(s.label) for s in config.sources]
-    needed += [layout.attributions(role) for role in config.roles]
-    _require(needed, "aggregate")
+    ta_keys = {role: artifacts.read_ta_keys(layout.attributions(role)) for role in config.roles}
     counters: dict = {}
-
-    ta_keys = {role: _load_ta_keys(layout, role) for role in config.roles}
     folds = []
-    rows: list[IndicatorRow] = []
     for source in config.sources:
         articles = artifacts.iter_classified(layout.classified(source.label), source.label)
         fold = analytics.aggregate(source.label, articles, ta_keys, config.years)
         folds.append(fold)
-        rows.extend(fold.rows)
         for role in fold.skipped_roles:
             counters[f"skipped_{source.label}_{role}"] = 1
 
-    rows.sort(key=lambda r: (r.role, r.group_kind, r.source, r.year, r.group_key))
-    artifacts.write_csv(
-        layout.indicators,
-        (
-            "year",
-            "source",
-            "role",
-            "group_kind",
-            "group_key",
-            "n_total",
-            "n_original",
-            "n_oa",
-            "n_ta_oa",
-            "oa_share",
-            "ta_share_of_oa",
-        ),
-        [
-            (
-                r.year,
-                r.source,
-                r.role,
-                r.group_kind,
-                r.group_key,
-                r.n_total,
-                r.n_original,
-                r.n_oa,
-                r.n_ta_oa,
-                artifacts.format_share(r.oa_share),
-                artifacts.format_share(r.ta_share_of_oa),
-            )
-            for r in rows
-        ],
-    )
-    counters["indicator_rows"] = len(rows)
-
-    coverage = analytics.coverage_summary(folds)
-    artifacts.write_csv(layout.coverage, ("source", "measure", "value"), coverage)
-
-    artifacts.write_manifest(
-        layout,
-        "aggregate",
-        config.digest(),
-        [artifacts.describe_input(p) for p in needed],
-        [layout.indicators, layout.coverage],
-        counters,
-    )
+    rows = [row for fold in folds for row in fold.rows]
+    counters["indicator_rows"] = artifacts.write_indicators(layout.indicators, rows)
+    artifacts.write_table(layout.coverage, analytics.coverage_summary(folds))
+    return [layout.indicators, layout.coverage], counters
 
 
 # --- compare ------------------------------------------------------------------
 
-def _uptake_row(r: IndicatorRow, extra: tuple = ()) -> tuple:
-    return extra + (
-        r.year,
-        r.source,
-        r.role,
-        r.n_original,
-        r.n_oa,
-        artifacts.format_share(r.oa_share),
-        r.n_ta_oa,
-        artifacts.format_share(r.ta_share_of_oa),
-    )
-
-
-def run_compare(config: PipelineConfig) -> None:
+def run_compare(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Coverage intersections, per-figure plot series, and rank correlations.
 
     Each classified file is read once, as a stream, into the journal index.
     """
-    layout = Layout(config.out_dir)
-    needed = [layout.classified(s.label) for s in config.sources] + [layout.indicators]
-    _require(needed, "compare")
     open_label = config.open_source
-    counters: dict = {}
-
     corpora = {
         s.label: artifacts.iter_classified(layout.classified(s.label), s.label)
         for s in config.sources
@@ -563,47 +400,13 @@ def run_compare(config: PipelineConfig) -> None:
     index = analytics.journal_index(corpora, config.years)
     overlaps = analytics.journal_overlaps(index.universe, index.doi_sets, open_label)
     sets = analytics.upset_sets(index.universe, overlaps)
-    counters["universe_journals"] = len(index.universe)
-    artifacts.write_csv(
-        layout.intersections,
-        ("membership", "n_journals", "n_articles_shared", "n_articles_surplus_open"),
-        [
-            (
-                analytics.membership_key(s.membership),
-                s.n_journals,
-                s.n_articles_shared,
-                s.n_articles_surplus_open,
-            )
-            for s in sets
-        ],
-    )
+    artifacts.write_intersections(layout.intersections, sets)
     per_journal, per_publisher = analytics.journal_volumes(index, overlaps)
-    artifacts.write_csv(
-        layout.journal_volumes,
-        ("membership", "issn_l", "publisher", "n_articles_shared"),
-        per_journal,
-    )
-    artifacts.write_csv(
-        layout.intersections_publisher,
-        ("membership", "publisher", "n_journals", "n_articles_shared"),
-        per_publisher,
-    )
+    artifacts.write_table(layout.journal_volumes, per_journal)
+    artifacts.write_table(layout.intersections_publisher, per_publisher)
 
     indicator_rows = artifacts.read_indicators(layout.indicators)
-    uptake_header = (
-        "year", "source", "role", "n_original", "n_oa", "oa_share", "n_ta_oa", "ta_share_of_oa"
-    )
-    artifacts.write_csv(
-        layout.uptake_global,
-        uptake_header,
-        [_uptake_row(r) for r in indicator_rows if r.group_kind == GROUP_GLOBAL],
-    )
-    artifacts.write_csv(
-        layout.uptake_publisher,
-        ("publisher",) + uptake_header,
-        [_uptake_row(r, (r.group_key,)) for r in indicator_rows if r.group_kind == GROUP_PUBLISHER],
-    )
-
+    artifacts.write_uptake(layout.uptake_global, layout.uptake_publisher, indicator_rows)
     thresholds = {
         "article_volume": config.correlation_min_articles,
         "ta_oa_volume": config.correlation_min_ta_oa,
@@ -611,24 +414,15 @@ def run_compare(config: PipelineConfig) -> None:
     correlation_rows, scatter_rows = analytics.country_correlations(
         indicator_rows, (open_label, ROLE_FIRST), thresholds
     )
-    artifacts.write_csv(
-        layout.correlations,
-        ("metric", "x_source", "x_role", "y_source", "y_role", "filter_threshold", "n", "rho"),
-        correlation_rows,
-    )
-    artifacts.write_csv(
-        layout.country_scatter,
-        ("metric", "country", "x_source", "x_role", "x_value", "y_source", "y_role", "y_value"),
-        scatter_rows,
-    )
-    counters["correlations"] = len(correlation_rows)
+    artifacts.write_table(layout.correlations, correlation_rows)
+    artifacts.write_table(layout.country_scatter, scatter_rows)
 
     outputs = [
         layout.intersections, layout.intersections_publisher, layout.journal_volumes,
         layout.correlations, layout.uptake_global, layout.uptake_publisher, layout.country_scatter,
     ]
-    inputs = [artifacts.describe_input(p) for p in needed]
-    artifacts.write_manifest(layout, "compare", config.digest(), inputs, outputs, counters)
+    counters = {"universe_journals": len(index.universe), "correlations": len(correlation_rows)}
+    return outputs, counters
 
 
 STAGE_FUNCTIONS = {
@@ -646,9 +440,7 @@ STAGE_FUNCTIONS = {
 def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
     """Human-readable attribution trace for one DOI across all sources."""
     layout = Layout(config.out_dir)
-    needed = [layout.classified(s.label) for s in config.sources]
-    needed += [layout.agreements, layout.institutions, layout.crosswalk]
-    _require(needed, "explain")
+    _require(STAGE_INPUTS["attribute"](layout, config), "explain")
     doi = normalize_doi(raw_doi)
     if doi is None:
         raise UnknownDoi(f"not a DOI: {raw_doi!r}")

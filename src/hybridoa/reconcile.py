@@ -63,23 +63,24 @@ def tally_pairs(
     open_ids: Projection,
     proprietary_ids: Projection,
     counts: Counter,
+    examples: dict[Pair, list[str]],
     examples_per_pair: int = 3,
-) -> dict[Pair, tuple[str, ...]]:
+) -> None:
     """Add the bridge's (open ID, proprietary ID) pairs to `counts`.
 
-    Every combination on a bridged article counts once per article.
-    Returns up to `examples_per_pair` supporting DOIs per pair for audits.
+    Every combination on a bridged article counts once per article. Each
+    pair's list in `examples` keeps its first `examples_per_pair` distinct
+    supporting DOIs for audits; called once per source, in config order,
+    the two accumulators cover every source alike.
     """
-    examples: dict[Pair, list[str]] = {}
     for doi in bridge:
         for open_id in open_ids[doi]:
             for prop_id in proprietary_ids[doi]:
                 pair = (open_id, prop_id)
                 counts[pair] += 1
                 bucket = examples.setdefault(pair, [])
-                if len(bucket) < examples_per_pair:
+                if len(bucket) < examples_per_pair and doi not in bucket:
                     bucket.append(doi)
-    return {pair: tuple(dois) for pair, dois in examples.items()}
 
 
 def select_crosswalk(counts: Mapping[Pair, int], min_support: int = 1) -> list[CrosswalkEntry]:

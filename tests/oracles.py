@@ -5,12 +5,22 @@ plain set algebra) without touching the engine's indexes, so they stay
 independent of the implementation paths they check.
 """
 
+import json
 import math
+import os
 import random
 from collections import defaultdict
 from datetime import date, timedelta
 
 from hybridoa.attribute import role_author
+from hybridoa.classify import (
+    DEFAULT_ALLOWLIST,
+    DEFAULT_CC_LICENSE_PATTERN,
+    DEFAULT_JOURNAL_ARTICLE_CLASSES,
+    DEFAULT_USER_LICENSE_PATTERN,
+    DOC_MODE_ALLOWLIST,
+)
+from hybridoa.config import PipelineConfig, SourceConfig
 from hybridoa.model import (
     Agreement,
     ArticleRecord,
@@ -23,6 +33,7 @@ from hybridoa.model import (
     GROUP_PUBLISHER,
     IndicatorRow,
     ROLE_FIRST,
+    ROLES,
 )
 
 
@@ -74,8 +85,9 @@ def oracle_crosswalk(open_corpus, proprietary_corpora, min_support, examples_per
 
     `proprietary_corpora` maps source label -> records. Returns the
     crosswalk entries, the number of distinct pairs, the bridged DOI count
-    per source, and up to `examples_per_pair` DOIs per pair (the last
-    source that saw a pair supplies its examples).
+    per source, and up to `examples_per_pair` distinct DOIs per pair: the
+    first ones seen, source by source in the given order, each source's
+    bridged DOIs in sorted order.
     """
     open_corpus = list(open_corpus)
 
@@ -96,7 +108,7 @@ def oracle_crosswalk(open_corpus, proprietary_corpora, min_support, examples_per
         open_side, prop_side = unique_by_doi(open_corpus), unique_by_doi(prop_corpus)
         bridge = {doi: (open_side[doi], prop_side[doi]) for doi in open_side if doi in prop_side}
         bridged[label] = len(bridge)
-        counts, source_examples = defaultdict(int), {}
+        counts = defaultdict(int)
         for doi in sorted(bridge):
             open_first = bridge[doi][0].first_author()
             prop_first = bridge[doi][1].first_author()
@@ -105,11 +117,10 @@ def oracle_crosswalk(open_corpus, proprietary_corpora, min_support, examples_per
             for o in sorted(o for o in open_first.org_ids if o.startswith("ror:")):
                 for p in sorted(p for p in prop_first.org_ids if not p.startswith("ror:")):
                     counts[(o, p)] += 1
-                    bucket = source_examples.setdefault((o, p), [])
-                    if len(bucket) < examples_per_pair:
+                    bucket = examples.setdefault((o, p), [])
+                    if len(bucket) < examples_per_pair and doi not in bucket:
                         bucket.append(doi)
         shards.append(counts)
-        examples.update({pair: tuple(dois) for pair, dois in source_examples.items()})
 
     merged = defaultdict(int)
     for shard in shards:
@@ -476,3 +487,54 @@ def oracle_country_correlations(rows, open_label, min_articles, min_ta_oa):
                 (metric, open_label, ROLE_FIRST, *combo, threshold, len(keys), f"{rho:.6f}")
             )
     return correlation_rows, scatter_rows
+
+
+def oracle_load_config(path):
+    """Config loading with every default written out: a missing key takes
+    the value stated here, paths resolve against the file's directory."""
+    with open(path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    base = os.path.dirname(os.path.abspath(path))
+
+    def resolve(p):
+        if p is None:
+            return None
+        return p if os.path.isabs(p) else os.path.normpath(os.path.join(base, p))
+
+    sources = tuple(
+        SourceConfig(
+            label=s["label"],
+            articles=resolve(s["articles"]),
+            scheme=s["scheme"],
+            open_baseline=bool(s.get("open_baseline", False)),
+            doc_class_mode=s.get("doc_class_mode", DOC_MODE_ALLOWLIST),
+            doc_class_allowlist=tuple(s.get("doc_class_allowlist", DEFAULT_ALLOWLIST)),
+            journal_article_classes=tuple(
+                s.get("journal_article_classes", DEFAULT_JOURNAL_ARTICLE_CLASSES)
+            ),
+            lenient_oa=bool(s.get("lenient_oa", False)),
+        )
+        for s in raw["sources"]
+    )
+    return PipelineConfig(
+        sources=sources,
+        agreement_dump=resolve(raw["agreement_dump"]),
+        durations=resolve(raw["durations"]),
+        issn_links=resolve(raw["issn_links"]),
+        institutions=resolve(raw["institutions"]),
+        fully_oa_lists=tuple(resolve(p) for p in raw.get("fully_oa_lists", ())),
+        publisher_aliases=resolve(raw.get("publisher_aliases")),
+        paratext_patterns=resolve(raw.get("paratext_patterns")),
+        cc_license_pattern=raw.get("cc_license_pattern", DEFAULT_CC_LICENSE_PATTERN),
+        user_license_pattern=raw.get("user_license_pattern", DEFAULT_USER_LICENSE_PATTERN),
+        license_grace_days=int(raw.get("license_grace_days", 31)),
+        years=tuple(raw.get("years", (2019, 2023))),
+        roles=tuple(raw.get("roles", ROLES)),
+        min_support=int(raw.get("min_support", 1)),
+        correlation_min_articles=int(raw.get("correlation_min_articles", 10000)),
+        correlation_min_ta_oa=int(raw.get("correlation_min_ta_oa", 1000)),
+        audit_sample_size=int(raw.get("audit_sample_size", 50)),
+        seed=int(raw.get("seed", 42)),
+        workers=raw.get("workers"),
+        out_dir=resolve(raw.get("out_dir", "out")),
+    )

@@ -5,7 +5,7 @@ import subprocess
 import sys
 
 from hybridoa.fixture import FixtureParams, generate
-from hybridoa.identifiers import is_valid_issn
+from hybridoa.identifiers import validate_issn
 
 
 def test_generation_reproducible(tmp_path):
@@ -50,7 +50,9 @@ def test_different_seeds_differ(tmp_path):
 def test_all_issns_valid(corpus_dir):
     with open(corpus_dir / "issn_links.csv", encoding="utf-8") as fh:
         for row in csv.DictReader(fh):
-            assert is_valid_issn(row["issn"]) and is_valid_issn(row["issn_l"])
+            # validate_issn raises on a malformed ISSN or a failed checksum
+            assert validate_issn(row["issn"]) == row["issn"]
+            assert validate_issn(row["issn_l"]) == row["issn_l"]
 
 
 def test_noise_rate_close_to_requested(corpus_dir):

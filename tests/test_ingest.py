@@ -1,3 +1,4 @@
+import csv
 import json
 import random
 from datetime import date
@@ -145,6 +146,21 @@ def test_link_table_conflicting_key_rejected(tmp_path):
     assert rejects.count == 1
 
 
+def logged_rejects(path):
+    with open(path, encoding="utf-8", newline="") as fh:
+        return [(row["reason"], row["raw"]) for row in csv.DictReader(fh)]
+
+
+def test_link_table_short_row_logs_missing_field_as_empty(tmp_path):
+    path = write_lines(tmp_path / "l.csv", ["issn,issn_l", ISSN_A, f"{ISSN_BAD},{ISSN_A}"])
+    with RejectLog(str(tmp_path / "rej.csv")) as rejects:
+        assert load_issn_link_table(path, rejects) == {}
+    assert logged_rejects(tmp_path / "rej.csv") == [
+        ("malformed_issn", f"{ISSN_A},"),
+        ("checksum_failure", f"{ISSN_BAD},{ISSN_A}"),
+    ]
+
+
 def test_unknown_issn_falls_back_to_itself(tmp_path):
     path = write_lines(tmp_path / "l.csv", ["issn,issn_l"])
     links = load_issn_link_table(path)
@@ -210,6 +226,13 @@ def test_institution_self_association_rejected(tmp_path):
 def test_publisher_aliases(tmp_path):
     path = write_lines(tmp_path / "al.csv", ["alias,canonical", "Imprint GmbH,Parent"])
     assert load_publisher_aliases(path) == {"imprint gmbh": "Parent"}
+
+
+def test_publisher_aliases_short_row_logs_missing_field_as_empty(tmp_path):
+    path = write_lines(tmp_path / "al.csv", ["alias,canonical", "Imprint GmbH", "Other,Parent"])
+    with RejectLog(str(tmp_path / "rej.csv")) as rejects:
+        assert load_publisher_aliases(path, rejects) == {"other": "Parent"}
+    assert logged_rejects(tmp_path / "rej.csv") == [("schema_violation", "Imprint GmbH,")]
 
 
 # --- article stream ----------------------------------------------------------------

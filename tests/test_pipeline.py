@@ -2,6 +2,8 @@ import csv
 import hashlib
 import json
 import os
+import re
+import shutil
 from dataclasses import replace
 
 import pytest
@@ -69,6 +71,79 @@ def test_unknown_stage_rejected(tmp_path):
     corpus, config = small_corpus(tmp_path)
     with pytest.raises(DependencyError):
         pipeline.run(config, ["reticulate"])
+
+
+@pytest.fixture(scope="module")
+def full_tree(tmp_path_factory):
+    """A complete small output tree, for tests that move its files aside."""
+    corpus, config = small_corpus(tmp_path_factory.mktemp("boundary"))
+    pipeline.run(config)
+    return config
+
+
+def raises_naming_each_missing(declared, action):
+    """Move each path aside in turn: `action` must raise a DependencyError naming it."""
+    for path in declared:
+        os.rename(path, path + ".aside")
+        try:
+            with pytest.raises(DependencyError, match=re.escape(path)):
+                action()
+        finally:
+            os.rename(path + ".aside", path)
+
+
+def test_stage_boundary_checks_and_records_declared_inputs(full_tree, tmp_path):
+    config = full_tree
+    layout = Layout(config.out_dir)
+    assert pipeline.STAGE_INPUTS["ingest"](layout, config) == []
+    external = [config.issn_links, *config.fully_oa_lists, config.agreement_dump]
+    external += [config.durations, config.institutions] + [s.articles for s in config.sources]
+    assert [e["path"] for e in read_manifest(layout, "ingest")["inputs"]] == sorted(external)
+    for stage in pipeline.artifacts.STAGES[1:]:
+        declared = pipeline.STAGE_INPUTS[stage](layout, config)
+        recorded = [e["path"] for e in read_manifest(layout, stage)["inputs"]]
+        assert recorded == sorted(os.path.relpath(p, config.out_dir) for p in declared), stage
+        raises_naming_each_missing(declared, lambda: pipeline.run(config, [stage]))
+    # the declared inputs suffice: a tree holding only them reproduces the
+    # stage's outputs and manifest
+    for stage in pipeline.artifacts.STAGES:
+        alone = replace(config, out_dir=str(tmp_path / stage))
+        for path in pipeline.STAGE_INPUTS[stage](layout, config):
+            copy = os.path.join(alone.out_dir, os.path.relpath(path, config.out_dir))
+            os.makedirs(os.path.dirname(copy), exist_ok=True)
+            shutil.copyfile(path, copy)
+        pipeline.run(alone, [stage])
+        manifest = read_manifest(layout, stage)
+        assert read_manifest(Layout(alone.out_dir), stage) == manifest
+        for entry in manifest["outputs"]:
+            with open(os.path.join(alone.out_dir, entry["path"]), "rb") as fh:
+                assert hashlib.sha256(fh.read()).hexdigest() == entry["sha256"], entry["path"]
+
+
+def test_explain_checks_attribute_inputs_and_hashes_nothing(full_tree, monkeypatch):
+    config = full_tree
+    layout = Layout(config.out_dir)
+    with open(layout.classified(config.open_source), encoding="utf-8") as fh:
+        doi = json.loads(fh.readline())["record"]["doi"]
+    declared = pipeline.STAGE_INPUTS["attribute"](layout, config)
+    raises_naming_each_missing(declared, lambda: pipeline.explain_doi(config, doi))
+
+    def no_hash(path):
+        raise AssertionError(f"explain hashed {path}")
+
+    monkeypatch.setattr(pipeline.artifacts, "sha256_file", no_hash)
+    assert pipeline.explain_doi(config, doi).startswith(f"DOI {doi}")
+
+
+def test_ingest_counts_publisher_alias_rejects(tmp_path):
+    corpus, config = small_corpus(tmp_path)
+    aliases = tmp_path / "aliases.csv"
+    aliases.write_text("alias,canonical\nImprint GmbH,Parent\nOrphan Imprint,\n", encoding="utf-8")
+    config = replace(config, publisher_aliases=str(aliases))
+    pipeline.run(config, ["ingest"])
+    manifest = read_manifest(Layout(config.out_dir), "ingest")
+    assert manifest["counters"]["publisher_aliases_rejects"] == 1
+    assert str(aliases) in [e["path"] for e in manifest["inputs"]]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -142,6 +217,35 @@ def test_flag_overrides():
     assert updated.seed == 9 and updated.workers == 4 and updated.out_dir == "x"
     with pytest.raises(ConfigError):
         apply_overrides(config, years="2020-2021")
+
+
+def test_config_defaults_come_from_the_dataclasses(tmp_path, corpus_dir):
+    from hybridoa.config import PipelineConfig, SourceConfig
+    from oracles import oracle_load_config
+
+    minimal = {
+        "sources": [{"label": "open", "articles": "a.ndjson", "scheme": "ror", "colour": "red"}],
+        "agreement_dump": "agreements.csv",
+        "durations": "durations.csv",
+        "issn_links": "links.csv",
+        "institutions": "/data/institutions.csv",
+        "unknown_key": 1,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(minimal), encoding="utf-8")
+    base = str(tmp_path)
+    want = PipelineConfig(
+        sources=(SourceConfig("open", os.path.join(base, "a.ndjson"), "ror"),),
+        agreement_dump=os.path.join(base, "agreements.csv"),
+        durations=os.path.join(base, "durations.csv"),
+        issn_links=os.path.join(base, "links.csv"),
+        institutions="/data/institutions.csv",
+        out_dir=os.path.join(base, "out"),
+    )
+    assert load_config(str(path)) == want == oracle_load_config(str(path))
+    fixture_config = str(corpus_dir / "config.json")
+    assert load_config(fixture_config) == oracle_load_config(fixture_config)
+    assert load_config(fixture_config).digest() == oracle_load_config(fixture_config).digest()
 
 
 # --- attribution artifact ------------------------------------------------------

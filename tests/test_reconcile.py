@@ -3,7 +3,7 @@ from collections import Counter
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridoa.errors import SampleTooLarge
@@ -96,7 +96,8 @@ def tally_of(articles, examples_per_pair=3):
     )
     bridge = build_bridge(open_ids, prop_ids)
     counts: Counter = Counter()
-    examples = tally_pairs(bridge, open_ids, prop_ids, counts, examples_per_pair)
+    examples: dict = {}
+    tally_pairs(bridge, open_ids, prop_ids, counts, examples, examples_per_pair)
     return bridge, counts, examples
 
 
@@ -123,7 +124,7 @@ def test_tally_examples_capped():
     _, _, examples = tally_of(
         [(f"10.1/{i}", ("ror:r1",), ("srcA:p9",)) for i in range(9)], examples_per_pair=3
     )
-    assert examples[("ror:r1", "srcA:p9")] == ("10.1/0", "10.1/1", "10.1/2")
+    assert examples[("ror:r1", "srcA:p9")] == ["10.1/0", "10.1/1", "10.1/2"]
 
 
 # --- selection -------------------------------------------------------------------
@@ -226,12 +227,23 @@ def engine_crosswalk(open_corpus, proprietary_corpora, min_support):
         prop_ids = first_author_ids(corpus, open_side=False)
         bridge = build_bridge(open_ids, prop_ids)
         bridged[label] = len(bridge)
-        examples.update(tally_pairs(bridge, open_ids, prop_ids, counts))
+        tally_pairs(bridge, open_ids, prop_ids, counts, examples)
     return select_crosswalk(counts, min_support), len(counts), bridged, examples
+
+
+SHARED_SCHEME_CASE = (
+    [(d, 1, frozenset({"ror:r0"})) for d in range(4)],
+    [(d, 1, frozenset({"srcA:p0"})) for d in (0, 1)],
+    # srcB carries srcA's scheme: one pair gets support from both sources,
+    # and its example DOIs come from both, srcA's first
+    [(d, 1, frozenset({"srcA:p0"})) for d in (2, 3)],
+    1,
+)
 
 
 @settings(max_examples=300, deadline=None)
 @given(corpus_strategy, corpus_strategy, corpus_strategy, st.integers(1, 3))
+@example(*SHARED_SCHEME_CASE)
 def test_crosswalk_equals_record_level_oracle(raw_open, raw_a, raw_b, min_support):
     corpora = {
         "open": corpus_of("open", raw_open),
@@ -303,7 +315,7 @@ def test_planted_mapping_recovery_with_noise():
     open_ids = first_author_ids(open_corpus, open_side=True)
     prop_ids = first_author_ids(prop_corpus, open_side=False)
     counts: Counter = Counter()
-    tally_pairs(build_bridge(open_ids, prop_ids), open_ids, prop_ids, counts)
+    tally_pairs(build_bridge(open_ids, prop_ids), open_ids, prop_ids, counts, {})
     entries = select_crosswalk(counts, min_support=2)
     correct = sum(1 for e in entries if truth.get(e.open_id) == e.proprietary_id)
     assert len(entries) >= 0.95 * n_inst
