@@ -13,8 +13,9 @@ import csv
 import hashlib
 import json
 import os
+from contextlib import contextmanager
 from datetime import date
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .identifiers import ROR_SCHEME, make_org_id, org_value
 from .model import (
@@ -116,11 +117,41 @@ class Layout:
 
 
 def sha256_file(path: str) -> str:
+    return hash_lines(path)[0]
+
+
+def hash_lines(path: str) -> tuple[str, int]:
+    """sha256 and line count of a file, from one read."""
     digest = hashlib.sha256()
+    lines = 0
+    last = b"\n"
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
-    return digest.hexdigest()
+            lines += block.count(b"\n")
+            last = block[-1:]
+    return digest.hexdigest(), lines + (last != b"\n")
+
+
+@contextmanager
+def open_artifact(path: str) -> Iterator[TextIO]:
+    """The one way a file is written: UTF-8 text, each "\n" written as given.
+
+    Creates the parent directory when it is missing. The text goes to a
+    temp file beside `path` that replaces `path` when the block exits
+    cleanly; on an exception the temp file is deleted and whatever was at
+    `path` stays.
+    """
+    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+    tmp = path + ".tmp"
+    fh = open(tmp, "w", encoding="utf-8", newline="")
+    try:
+        with fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def dump_canonical(obj) -> str:
@@ -133,9 +164,8 @@ def format_share(value: float | None) -> str:
 
 
 def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int:
-    os.makedirs(os.path.dirname(path), exist_ok=True)
     count = 0
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_artifact(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -146,8 +176,7 @@ def write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> int
 
 def write_ndjson(path: str, objects: Iterable) -> None:
     """One canonical JSON line per object."""
-    os.makedirs(os.path.dirname(path), exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with open_artifact(path) as fh:
         for obj in objects:
             fh.write(dump_canonical(obj))
             fh.write("\n")
@@ -164,13 +193,11 @@ def write_manifest(
     """Write the stage manifest; output paths are stored out_dir-relative."""
     described = []
     for path in outputs:
-        entry = {
-            "path": os.path.relpath(path, layout.out_dir),
-            "sha256": sha256_file(path),
-        }
-        rows = _row_count(path)
-        if rows is not None:
-            entry["rows"] = rows
+        digest, lines = hash_lines(path)
+        entry = {"path": os.path.relpath(path, layout.out_dir), "sha256": digest}
+        # rows: data lines of a text artifact, the CSV header not counted
+        if path.endswith((".csv", ".ndjson", ".json")):
+            entry["rows"] = max(0, lines - 1) if path.endswith(".csv") else lines
         described.append(entry)
     described.sort(key=lambda e: e["path"])
     # prior-stage inputs live under out_dir; store them relative so the
@@ -194,15 +221,6 @@ def describe_input(path: str, rows: int | None = None) -> dict:
     if rows is not None:
         entry["rows"] = rows
     return entry
-
-
-def _row_count(path: str) -> int | None:
-    """Data rows of a text artifact: lines minus the CSV header."""
-    if not (path.endswith(".csv") or path.endswith(".ndjson") or path.endswith(".json")):
-        return None
-    with open(path, "rb") as fh:
-        lines = sum(1 for _ in fh)
-    return max(0, lines - 1) if path.endswith(".csv") else lines
 
 
 def read_manifest(layout: Layout, stage: str) -> dict:
@@ -312,6 +330,19 @@ def classified_from_line(line: str, source: str) -> ClassifiedArticle:
 
 def write_records(path: str, records: Iterable[ArticleRecord]) -> None:
     write_ndjson(path, map(record_to_dict, records))
+
+
+def classified_with_doi(path: str, source: str, doi: str) -> list[ClassifiedArticle]:
+    """The articles of one classified file whose DOI is `doi`.
+
+    A classified line is canonical JSON, so the line of a record with DOI
+    `doi` holds `"doi":` + json.dumps(doi) exactly once; only lines that
+    hold that text are decoded.
+    """
+    needle = '"doi":' + json.dumps(doi)
+    with open(path, encoding="utf-8") as fh:
+        hits = [classified_from_line(line, source) for line in fh if needle in line]
+    return [article for article in hits if article.record.doi == doi]
 
 
 def iter_classified(path: str, source: str):

@@ -121,11 +121,16 @@ _PATH_FIELDS = frozenset(
 )
 
 
+_JSON_TYPES = {bool: "boolean", int: "integer", str: "string"}
+
+
 def _from_raw(cls, raw: dict, base: str):
     """`cls` from the file's keys; a missing key keeps the dataclass default.
 
-    Paths resolve against `base`; a value whose default is a bool, int or
-    tuple is cast to that type. Unknown keys are ignored.
+    Paths resolve against `base`. A field whose default is a bool or an int
+    takes only a JSON value of exactly that type (an int field no boolean),
+    and a tuple field only a list of elements typed like the default's;
+    anything else raises ConfigError. Unknown keys are ignored.
     """
     values = {}
     for f in fields(cls):
@@ -136,8 +141,19 @@ def _from_raw(cls, raw: dict, base: str):
             value = _resolve(base, value)
         elif f.name == "fully_oa_lists":
             value = tuple(_resolve(base, p) for p in value)
-        elif isinstance(f.default, (bool, int, tuple)):
-            value = type(f.default)(value)
+        elif isinstance(f.default, tuple):
+            kind = type(f.default[0])
+            if type(value) is not list or any(type(v) is not kind for v in value):
+                raise ConfigError(
+                    f"config key {f.name!r} must be a list of JSON {_JSON_TYPES[kind]}s,"
+                    f" got {value!r}"
+                )
+            value = tuple(value)
+        elif isinstance(f.default, (bool, int)) and type(value) is not type(f.default):
+            raise ConfigError(
+                f"config key {f.name!r} must be a JSON {_JSON_TYPES[type(f.default)]},"
+                f" got {value!r}"
+            )
         values[f.name] = value
     return cls(**values)
 

@@ -20,7 +20,9 @@ import os
 import random
 from dataclasses import dataclass
 from datetime import date, timedelta
+from itertools import accumulate
 
+from . import artifacts
 from .identifiers import issn_check_digit, make_org_id
 from .model import parse_date_pinned
 
@@ -138,9 +140,6 @@ class _Work:
 def generate(params: FixtureParams, out_dir: str) -> dict:
     """Write a complete fixture into `out_dir`; returns summary counts."""
     rng = random.Random(params.seed)
-    os.makedirs(out_dir, exist_ok=True)
-    truth_dir = os.path.join(out_dir, "truth")
-    os.makedirs(truth_dir, exist_ok=True)
 
     journals = _make_journals(params, rng)
     institutions = _make_institutions(params)
@@ -149,13 +148,12 @@ def generate(params: FixtureParams, out_dir: str) -> dict:
     dump_journals = {j.index for spec in agreements for j in spec.journals}
     _assign_licenses(params, rng, works, dump_journals)
 
-    _write_issn_links(out_dir, journals)
+    tables = _input_tables(journals, institutions, agreements)
+    tables.update(_truth_tables(params, works, institutions, agreements, dump_journals))
+    for name, (header, rows) in tables.items():
+        artifacts.write_csv(os.path.join(out_dir, name), header, rows)
     _write_fully_oa(out_dir, journals)
-    _write_agreement_dump(out_dir, agreements)
-    _write_durations(out_dir, agreements)
-    _write_institutions(out_dir, institutions)
     counts = _write_articles(params, out_dir, works)
-    _write_truth(params, out_dir, works, institutions, agreements)
     _write_config(params, out_dir)
 
     counts.update(
@@ -269,15 +267,16 @@ def _make_works(
     journals: list[_Journal],
     institutions: list[_Institution],
 ) -> list[_Work]:
-    weights = [1 + (j.index % 5) for j in journals]
+    # cumulative weights computed once draw exactly what per-call weights draw
+    weights = list(accumulate(1 + (j.index % 5) for j in journals))
     presence_sets = [c for c, _ in _PRESENCE_CHOICES]
-    presence_weights = [w for _, w in _PRESENCE_CHOICES]
+    presence_weights = list(accumulate(w for _, w in _PRESENCE_CHOICES))
     works = []
     for idx in range(params.n_articles):
-        journal = rng.choices(journals, weights=weights, k=1)[0]
+        journal = rng.choices(journals, cum_weights=weights)[0]
         year = params.year_lo + idx % (params.year_hi - params.year_lo + 1)
         date_text, pub_date = _random_date_text(rng, year)
-        presence = rng.choices(presence_sets, weights=presence_weights, k=1)[0]
+        presence = rng.choices(presence_sets, cum_weights=presence_weights)[0]
 
         roll = rng.random()
         if roll < params.paratext_rate:
@@ -480,9 +479,11 @@ def _author_entries(work: _Work, source: str, params: FixtureParams) -> list[dic
     return authors
 
 
+_NATIVE_PREFIX = {OPEN: "W", SRC_A: "A", SRC_B: "B"}
+
+
 def _native_id(work: _Work, source: str) -> str:
-    prefix = {"open": "W", SRC_A: "A", SRC_B: "B"}[source]
-    return f"{prefix}{work.index:06d}"
+    return f"{_NATIVE_PREFIX[source]}{work.index:06d}"
 
 
 def _record(work: _Work, source: str, params: FixtureParams) -> dict:
@@ -504,32 +505,23 @@ def _record(work: _Work, source: str, params: FixtureParams) -> dict:
 
 def _write_articles(params: FixtureParams, out_dir: str, works: list[_Work]) -> dict:
     counts = {}
+    # json.dumps(sort_keys=True) would build this encoder once per record
+    encode = json.JSONEncoder(sort_keys=True).encode
     for source in SOURCES:
-        path = os.path.join(out_dir, f"articles_{source}.ndjson")
         n = 0
-        with open(path, "w", encoding="utf-8", newline="") as fh:
+        with artifacts.open_artifact(os.path.join(out_dir, f"articles_{source}.ndjson")) as fh:
             for work in works:
                 if source not in work.presence:
                     continue
-                fh.write(json.dumps(_record(work, source, params), sort_keys=True))
+                fh.write(encode(_record(work, source, params)))
                 fh.write("\n")
                 n += 1
         counts[f"records_{source}"] = n
     return counts
 
 
-def _write_issn_links(out_dir: str, journals: list[_Journal]) -> None:
-    path = os.path.join(out_dir, "issn_links.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("issn,issn_l\n")
-        for j in journals:
-            fh.write(f"{j.issn_l},{j.issn_l}\n")
-            fh.write(f"{j.variant},{j.issn_l}\n")
-
-
 def _write_fully_oa(out_dir: str, journals: list[_Journal]) -> None:
-    path = os.path.join(out_dir, "fully_oa.txt")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with artifacts.open_artifact(os.path.join(out_dir, "fully_oa.txt")) as fh:
         fh.write("# fully open access journals (synthetic)\n")
         for j in journals:
             if j.fully_oa:
@@ -537,38 +529,40 @@ def _write_fully_oa(out_dir: str, journals: list[_Journal]) -> None:
                 fh.write(f"{j.variant if j.index % 2 else j.issn_l}\n")
 
 
-def _write_agreement_dump(out_dir: str, agreements: list[_AgreementSpec]) -> None:
-    path = os.path.join(out_dir, "agreements.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("agreement_id,issn,org_id,publisher\n")
-        for spec in agreements:
-            for journal in spec.journals:
-                issn = journal.variant if journal.index % 2 else journal.issn_l
-                for inst in spec.institutions:
-                    fh.write(f"{spec.agreement_id},{issn},{inst.ror},{spec.publisher}\n")
-        # an agreement with no duration row: dropped and logged downstream
-        first = agreements[0]
-        fh.write(
-            f"ta-orphan-undated,{first.journals[0].issn_l},{first.institutions[0].ror},{first.publisher}\n"
-        )
-
-
-def _write_durations(out_dir: str, agreements: list[_AgreementSpec]) -> None:
-    path = os.path.join(out_dir, "durations.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("agreement_id,start_date,end_date\n")
-        for spec in agreements:
-            fh.write(f"{spec.agreement_id},{spec.start.isoformat()},{spec.end.isoformat()}\n")
-        # inverted window: rejected by the loader
-        fh.write("ta-ghost-inverted,2023-01-01,2022-01-01\n")
-
-
-def _write_institutions(out_dir: str, institutions: list[_Institution]) -> None:
-    path = os.path.join(out_dir, "institutions.csv")
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("org_id,country,associated_ids\n")
-        for inst in institutions:
-            fh.write(f"{inst.ror},{inst.country},{'|'.join(inst.hospitals)}\n")
+def _input_tables(
+    journals: list[_Journal], institutions: list[_Institution], agreements: list[_AgreementSpec]
+) -> dict[str, tuple]:
+    """File name -> (header, rows) of each CSV input."""
+    first = agreements[0]
+    return {
+        "issn_links.csv": (
+            ("issn", "issn_l"),
+            [(issn, j.issn_l) for j in journals for issn in (j.issn_l, j.variant)],
+        ),
+        "agreements.csv": (
+            ("agreement_id", "issn", "org_id", "publisher"),
+            [
+                (spec.agreement_id, journal.variant if journal.index % 2 else journal.issn_l,
+                 inst.ror, spec.publisher)
+                for spec in agreements
+                for journal in spec.journals
+                for inst in spec.institutions
+            ]
+            # an agreement with no duration row: dropped and logged downstream
+            + [("ta-orphan-undated", first.journals[0].issn_l, first.institutions[0].ror,
+                first.publisher)],
+        ),
+        "durations.csv": (
+            ("agreement_id", "start_date", "end_date"),
+            [(s.agreement_id, s.start.isoformat(), s.end.isoformat()) for s in agreements]
+            # inverted window: rejected by the loader
+            + [("ta-ghost-inverted", "2023-01-01", "2022-01-01")],
+        ),
+        "institutions.csv": (
+            ("org_id", "country", "associated_ids"),
+            [(inst.ror, inst.country, "|".join(inst.hospitals)) for inst in institutions],
+        ),
+    }
 
 
 def _truth_oa(work: _Work, source: str, params: FixtureParams) -> bool:
@@ -605,64 +599,41 @@ def _truth_role_insts(work: _Work, source: str, role: str) -> list[_Institution]
     return [work.extra_insts[pick - 2]]
 
 
-def _write_truth(
+def _truth_tables(
     params: FixtureParams,
-    out_dir: str,
     works: list[_Work],
     institutions: list[_Institution],
     agreements: list[_AgreementSpec],
-) -> None:
-    truth_dir = os.path.join(out_dir, "truth")
-    dump_journals = {j.index for spec in agreements for j in spec.journals}
-
-    with open(os.path.join(truth_dir, "crosswalk.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("open_id,scheme,proprietary_id\n")
-        for inst in institutions:
-            for scheme in (SRC_A, SRC_B):
-                prop = inst.prop_ids[scheme].split(":", 1)[1]
-                fh.write(f"{inst.ror.split(':', 1)[1]},{scheme},{prop}\n")
-                for hospital in inst.hospitals:
-                    fh.write(f"{hospital.split(':', 1)[1]},{scheme},{prop}\n")
-
-    with open(os.path.join(truth_dir, "labels.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write(
-            "source,native_id,doi,year,issn_l,publisher,kind,"
-            "is_paratext,is_supplement,is_bronze,is_delayed,is_oa,countable,noise_free\n"
+    dump_journals: set[int],
+) -> dict[str, tuple]:
+    """File name -> (header, rows) of each planted-truth table."""
+    crosswalk = (
+        (open_id.split(":", 1)[1], scheme, inst.prop_ids[scheme].split(":", 1)[1])
+        for inst in institutions
+        for scheme in (SRC_A, SRC_B)
+        for open_id in (inst.ror, *inst.hospitals)
+    )
+    labels = (
+        (
+            source, _native_id(work, source), work.doi or "", work.pub_date.year,
+            work.journal.issn_l, work.journal.publisher, work.kind,
+            str(work.kind == "paratext").lower(), str(work.kind == "supplement").lower(),
+            str(work.bronze).lower(), str(work.delayed).lower(),
+            str(_truth_oa(work, source, params)).lower(),
+            str(_truth_countable(work, source, dump_journals)).lower(),
+            str(work.noise_free).lower(),
         )
-        for work in works:
-            for source in SOURCES:
-                if source not in work.presence:
-                    continue
-                fh.write(
-                    ",".join(
-                        (
-                            source,
-                            _native_id(work, source),
-                            work.doi or "",
-                            str(work.pub_date.year),
-                            work.journal.issn_l,
-                            work.journal.publisher,
-                            work.kind,
-                            str(work.kind == "paratext").lower(),
-                            str(work.kind == "supplement").lower(),
-                            str(work.bronze).lower(),
-                            str(work.delayed).lower(),
-                            str(_truth_oa(work, source, params)).lower(),
-                            str(_truth_countable(work, source, dump_journals)).lower(),
-                            str(work.noise_free).lower(),
-                        )
-                    )
-                    + "\n"
-                )
+        for work in works
+        for source in SOURCES
+        if source in work.presence
+    )
 
-    with open(os.path.join(truth_dir, "attributions.csv"), "w", encoding="utf-8", newline="") as fh:
-        fh.write("source,native_id,doi,role,agreement_ids,noise_free\n")
+    def attributions():
         for work in works:
             for source in SOURCES:
-                if source not in work.presence:
-                    continue
                 if not (
-                    _truth_countable(work, source, dump_journals)
+                    source in work.presence
+                    and _truth_countable(work, source, dump_journals)
                     and _truth_oa(work, source, params)
                 ):
                     continue
@@ -677,19 +648,23 @@ def _write_truth(
                         and {i.index for i in insts} & {i.index for i in spec.institutions}
                         and spec.start <= work.pub_date <= spec.end
                     )
-                    fh.write(
-                        ",".join(
-                            (
-                                source,
-                                _native_id(work, source),
-                                work.doi or "",
-                                role,
-                                "|".join(matched),
-                                str(work.noise_free).lower(),
-                            )
-                        )
-                        + "\n"
+                    yield (
+                        source, _native_id(work, source), work.doi or "", role,
+                        "|".join(matched), str(work.noise_free).lower(),
                     )
+
+    return {
+        "truth/crosswalk.csv": (("open_id", "scheme", "proprietary_id"), crosswalk),
+        "truth/labels.csv": (
+            ("source", "native_id", "doi", "year", "issn_l", "publisher", "kind", "is_paratext",
+             "is_supplement", "is_bronze", "is_delayed", "is_oa", "countable", "noise_free"),
+            labels,
+        ),
+        "truth/attributions.csv": (
+            ("source", "native_id", "doi", "role", "agreement_ids", "noise_free"),
+            attributions(),
+        ),
+    }
 
 
 def _write_config(params: FixtureParams, out_dir: str) -> None:
@@ -730,7 +705,7 @@ def _write_config(params: FixtureParams, out_dir: str) -> None:
         "seed": params.seed,
         "out_dir": "out",
     }
-    with open(os.path.join(out_dir, "config.json"), "w", encoding="utf-8", newline="") as fh:
+    with artifacts.open_artifact(os.path.join(out_dir, "config.json")) as fh:
         json.dump(config, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -754,7 +729,7 @@ def write_bulk_articles(path: str, n_lines: int) -> None:
     The lines cycle four journals and carry no planted truth; they size
     ingest throughput and memory checks, where every line must parse.
     """
-    with open(path, "w", encoding="utf-8") as fh:
+    with artifacts.open_artifact(path) as fh:
         for i in range(n_lines):
             year, month, day = 2019 + i % 5, 1 + i % 9, i % 9
             page = 1 + i % 400

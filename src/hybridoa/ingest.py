@@ -20,10 +20,12 @@ import os
 import sqlite3
 import tempfile
 from collections import Counter
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
 from typing import Iterable, Iterator
 
+from . import artifacts
 from .errors import ChecksumFailure, MalformedIssn, MissingColumn, SchemaViolation
 from .identifiers import is_org_id, normalize_doi, validate_issn
 from .model import (
@@ -49,6 +51,7 @@ REJECT_SELF_ASSOCIATION = "self_association"
 REJECT_SCHEMA = "schema_violation"
 REJECT_DUPLICATE = "duplicate_record"
 REJECT_BAD_DATE = "bad_date"
+REJECT_BAD_FIELD = "bad_field"
 
 
 @dataclass
@@ -68,34 +71,35 @@ class CorpusManifest:
 
 
 class RejectLog:
-    """Sidecar writer for rejected rows: line number, reason, raw text."""
+    """Sidecar writer for rejected rows: line number, reason, raw text.
+
+    The log is an artifact: it appears at `path` when the writer is closed,
+    and a `with` block that raises discards it.
+    """
 
     def __init__(self, path: str | None):
         self.path = path
         self.count = 0
-        self._fh = None
+        self._writer = None
+        self._file = ExitStack()
         if path:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-            self._fh = open(path, "w", encoding="utf-8", newline="")
-            self._writer = csv.writer(self._fh, lineterminator="\n")
+            fh = self._file.enter_context(artifacts.open_artifact(path))
+            self._writer = csv.writer(fh, lineterminator="\n")
             self._writer.writerow(["line", "reason", "raw"])
 
     def reject(self, lineno: int, reason: str, raw: str):
         self.count += 1
-        if self._fh:
+        if self._writer:
             self._writer.writerow([lineno, reason, raw.rstrip("\n")])
-            self._fh.flush()
 
     def close(self):
-        if self._fh:
-            self._fh.close()
-            self._fh = None
+        self._file.close()
 
     def __enter__(self):
         return self
 
     def __exit__(self, *exc):
-        self.close()
+        self._file.__exit__(*exc)
 
 
 class DedupeIndex:
@@ -439,16 +443,26 @@ def parse_article_line(
     document_class = obj.get("document_class")
     if not document_class or not isinstance(document_class, str):
         raise SchemaViolation("missing_field", "document_class")
+    for name in ("doi", "pagination", "title"):
+        value = obj.get(name)
+        if value is not None and not isinstance(value, str):
+            raise SchemaViolation(REJECT_BAD_FIELD, f"{name} {value!r}")
+    article_number = obj.get("article_number")
+    if isinstance(article_number, bool) or not isinstance(article_number, (str, int, type(None))):
+        raise SchemaViolation(REJECT_BAD_FIELD, f"article_number {article_number!r}")
 
     licenses = []
     for lic in obj.get("licenses") or ():
         if not isinstance(lic, dict) or not lic.get("url"):
             raise SchemaViolation("bad_license", repr(lic))
+        applies_to_vor = lic.get("applies_to_vor", False)
+        if not isinstance(applies_to_vor, bool):
+            raise SchemaViolation("bad_license", f"applies_to_vor {applies_to_vor!r}")
         start = lic.get("start_date")
         licenses.append(
             LicenseStatement(
                 url=str(lic["url"]),
-                applies_to_vor=bool(lic.get("applies_to_vor", False)),
+                applies_to_vor=applies_to_vor,
                 start_date=parse_date_pinned(str(start)) if start else None,
             )
         )
@@ -458,7 +472,7 @@ def parse_article_line(
         if not isinstance(author, dict):
             raise SchemaViolation("bad_author", repr(author))
         position = author.get("position")
-        if not isinstance(position, int) or position < 1:
+        if type(position) is not int or position < 1:
             raise SchemaViolation("bad_author", f"position {position!r}")
         org_ids = tuple(author.get("org_ids") or ())
         for org in org_ids:
@@ -467,14 +481,19 @@ def parse_article_line(
         corresponding = author.get("corresponding")
         if corresponding is not None and not isinstance(corresponding, bool):
             raise SchemaViolation("bad_author", f"corresponding {corresponding!r}")
+        countries = author.get("countries") or []
+        if not isinstance(countries, list):
+            raise SchemaViolation("bad_author", f"countries {countries!r}")
+        try:
+            codes = frozenset(c.strip().upper() for c in countries if c.strip())
+        except AttributeError:  # an element that is not a string
+            raise SchemaViolation("bad_author", f"countries {countries!r}") from None
         authors.append(
             Authorship(
                 position=position,
                 is_corresponding=corresponding,
                 org_ids=frozenset(org_ids),
-                countries=frozenset(
-                    str(c).strip().upper() for c in (author.get("countries") or ()) if str(c).strip()
-                ),
+                countries=codes,
             )
         )
     authors.sort(key=lambda a: a.position)
@@ -487,7 +506,7 @@ def parse_article_line(
         document_class=document_class,
         doi=normalize_doi(obj.get("doi")),
         pagination=obj.get("pagination") or None,
-        article_number=str(obj["article_number"]) if obj.get("article_number") else None,
+        article_number=str(article_number) if article_number else None,
         title=obj.get("title") or "",
         licenses=tuple(licenses),
         authors=tuple(authors),

@@ -25,7 +25,7 @@ from .artifacts import Layout
 from .config import PipelineConfig
 from .errors import DependencyError, UnknownDoi
 from .identifiers import normalize_doi
-from .model import ClassifiedArticle, ROLE_FIRST
+from .model import ROLE_FIRST
 
 log = logging.getLogger(__name__)
 
@@ -259,10 +259,10 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
     rows = {s.label: 0 for s in config.sources}
 
     with ExitStack() as stack:
-        files = {}
-        for source, path in zip(config.sources, outputs):
-            os.makedirs(os.path.dirname(path), exist_ok=True)
-            files[source.label] = stack.enter_context(open(path, "w", encoding="utf-8", newline=""))
+        files = {
+            source.label: stack.enter_context(artifacts.open_artifact(path))
+            for source, path in zip(config.sources, outputs)
+        }
         chunks = _source_chunks(config, layout.articles)
         for label, lines in _map_chunks(_classify_chunk, chunks, (cfg, journals), workers):
             fh = files[label]
@@ -445,11 +445,13 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
     if doi is None:
         raise UnknownDoi(f"not a DOI: {raw_doi!r}")
 
-    hits: list[ClassifiedArticle] = []
-    for source in config.sources:
-        for article in artifacts.iter_classified(layout.classified(source.label), source.label):
-            if article.record.doi == doi:
-                hits.append(article)
+    hits = [
+        article
+        for source in config.sources
+        for article in artifacts.classified_with_doi(
+            layout.classified(source.label), source.label, doi
+        )
+    ]
     if not hits:
         raise UnknownDoi(doi)
 

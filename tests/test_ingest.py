@@ -260,6 +260,7 @@ def test_stream_missing_issn_rejected_stream_continues(tmp_path):
     )
     rejects = RejectLog(str(tmp_path / "rej.csv"))
     records, manifest = consume(path, "open", rejects=rejects)
+    rejects.close()
     assert [r.native_id for r in records] == ["W1", "W2"]
     assert manifest.reject_count == 1
     with open(tmp_path / "rej.csv") as fh:
@@ -274,6 +275,7 @@ def test_stream_duplicate_native_id_rejected(tmp_path):
     )
     rejects = RejectLog(str(tmp_path / "rej.csv"))
     records, manifest = consume(path, "open", rejects=rejects)
+    rejects.close()
     assert len(records) == 1
     assert manifest.record_count == 1 and manifest.reject_count == 1
     assert "duplicate_record" in open(tmp_path / "rej.csv").read()
@@ -327,6 +329,36 @@ def test_parse_licenses():
     record = parse_article_line(line, "open")
     assert record.licenses[0].applies_to_vor
     assert record.licenses[0].start_date == date(2021, 3, 1)
+
+
+
+CC_BY = "https://creativecommons.org/licenses/by/4.0/"
+
+
+@pytest.mark.parametrize(
+    "overrides, code",
+    [
+        ({"doi": 12}, "bad_field"),
+        ({"pagination": 5}, "bad_field"),
+        ({"title": 42}, "bad_field"),
+        ({"article_number": 1.5}, "bad_field"),
+        ({"article_number": True}, "bad_field"),
+        ({"licenses": [{"url": CC_BY, "applies_to_vor": "false"}]}, "bad_license"),
+        ({"authors": [{"position": True, "org_ids": ["ror:0r001"]}]}, "bad_author"),
+        ({"authors": [{"position": 1, "countries": "DE"}]}, "bad_author"),
+        ({"authors": [{"position": 1, "countries": [49]}]}, "bad_author"),
+    ],
+)
+def test_parse_rejects_mistyped_field(overrides, code):
+    with pytest.raises(SchemaViolation) as excinfo:
+        parse_article_line(article_line(**overrides), "open")
+    assert excinfo.value.code == code
+
+
+def test_parse_article_number_string_or_integer():
+    for value in ("e1234", 1234):
+        record = parse_article_line(article_line(article_number=value), "open")
+        assert record.article_number == str(value)
 
 
 # --- invariants -----------------------------------------------------------------

@@ -154,6 +154,51 @@ def test_rerun_is_byte_identical(tmp_path):
     assert tree_digest(config.out_dir) == first
 
 
+def files_under(root):
+    """Relative path -> bytes of every file under `root`."""
+    out = {}
+    for dirpath, _, filenames in os.walk(root):
+        for name in filenames:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
+    return out
+
+
+def test_write_csv_that_raises_keeps_the_previous_file(tmp_path):
+    path = str(tmp_path / "table.csv")
+    pipeline.artifacts.write_csv(path, ("n",), [(1,), (2,)])
+    before = files_under(tmp_path)
+
+    def rows():
+        yield (3,)
+        raise RuntimeError("row source failed")
+
+    with pytest.raises(RuntimeError):
+        pipeline.artifacts.write_csv(path, ("n",), rows())
+    assert files_under(tmp_path) == before
+
+
+def test_failed_classify_leaves_the_finished_tree_unchanged(tmp_path, monkeypatch):
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)
+    before = files_under(config.out_dir)
+    classify_article = pipeline.classify.classify_article
+    calls = []
+
+    def fails_after_100(*args):
+        calls.append(None)
+        if len(calls) > 100:
+            raise RuntimeError("classifier failed")
+        return classify_article(*args)
+
+    monkeypatch.setattr(pipeline.classify, "classify_article", fails_after_100)
+    with pytest.raises(RuntimeError):
+        pipeline.run(config, ["classify"])
+    # every classify/ file and manifests/classify.json included; no temp file left
+    assert files_under(config.out_dir) == before
+
+
 def test_manifest_reconciliation(pipeline_run, corpus_dir):
     layout, config = pipeline_run
     manifest = read_manifest(layout, "ingest")
@@ -177,6 +222,48 @@ def test_ingest_logs_rejects_for_planted_bad_rows(pipeline_run):
     # the orphan agreement (no duration row) is dropped, not an error
     assert manifest["counters"]["agreements"] == 5
     assert manifest["counters"]["agreements_undated"] == 6
+
+
+def test_mistyped_interchange_fields_are_rejected_not_fatal(tmp_path):
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)
+    clean = files_under(config.out_dir)
+
+    open_source = next(s for s in config.sources if s.open_baseline)
+    with open(open_source.articles, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    template = json.loads(lines[0])
+    cases = [
+        ({"doi": 12}, "bad_field"),
+        ({"pagination": 5}, "bad_field"),
+        ({"title": 42}, "bad_field"),
+        ({"licenses": [{"url": fixture.CC_BY, "applies_to_vor": "false"}]}, "bad_license"),
+        ({"authors": [{"position": True, "org_ids": [], "countries": []}]}, "bad_author"),
+        ({"authors": [{"position": 1, "org_ids": [], "countries": "DE"}]}, "bad_author"),
+    ]
+    for k, (overrides, _) in enumerate(cases):
+        lines.append(json.dumps({**template, "native_id": f"W-bad-{k}", **overrides}))
+    articles = tmp_path / "articles_open.ndjson"
+    articles.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    sources = tuple(
+        replace(s, articles=str(articles)) if s is open_source else s for s in config.sources
+    )
+    config = replace(config, sources=sources, out_dir=str(tmp_path / "mistyped"))
+    assert pipeline.run(config) == list(pipeline.artifacts.STAGES)
+
+    layout = Layout(config.out_dir)
+    reject_log = layout.reject_log(f"articles_{open_source.label}")
+    with open(reject_log, encoding="utf-8", newline="") as fh:
+        logged = [(int(row["line"]), row["reason"]) for row in csv.DictReader(fh)]
+    first_bad = len(lines) - len(cases) + 1
+    assert logged == [(first_bad + k, code) for k, (_, code) in enumerate(cases)]
+    # the good lines come out as before: only manifests and this reject log differ
+    mistyped = files_under(config.out_dir)
+    changed = {path for path in clean if clean[path] != mistyped[path]}
+    assert mistyped.keys() == clean.keys()
+    assert {p for p in changed if not p.startswith("manifests")} == {
+        os.path.relpath(reject_log, config.out_dir)
+    }
 
 
 def test_manifests_carry_config_digest_and_io(pipeline_run):
@@ -246,6 +333,22 @@ def test_config_defaults_come_from_the_dataclasses(tmp_path, corpus_dir):
     fixture_config = str(corpus_dir / "config.json")
     assert load_config(fixture_config) == oracle_load_config(fixture_config)
     assert load_config(fixture_config).digest() == oracle_load_config(fixture_config).digest()
+
+
+def test_config_values_keep_their_json_type(tmp_path, corpus_dir):
+    raw = json.loads((corpus_dir / "config.json").read_text(encoding="utf-8"))
+    cases = [
+        ("lenient_oa", lambda r: r["sources"][0].update(lenient_oa="false")),
+        ("years", lambda r: r.update(years=["2019", "2023"])),
+        ("min_support", lambda r: r.update(min_support=True)),
+    ]
+    path = tmp_path / "config.json"
+    for key, mistype in cases:
+        mistyped = json.loads(json.dumps(raw))
+        mistype(mistyped)
+        path.write_text(json.dumps(mistyped), encoding="utf-8")
+        with pytest.raises(ConfigError, match=key):
+            load_config(str(path))
 
 
 # --- attribution artifact ------------------------------------------------------
@@ -451,6 +554,38 @@ def test_explain_unknown_doi(pipeline_run):
         pipeline.explain_doi(config, "10.9999/not-in-corpus")
     with pytest.raises(UnknownDoi):
         pipeline.explain_doi(config, "garbage")
+
+
+def test_explain_decodes_only_the_lines_of_its_doi(full_tree, monkeypatch):
+    config = full_tree
+    layout = Layout(config.out_dir)
+    holders: dict = {}
+    for source in config.sources:
+        with open(layout.classified(source.label), encoding="utf-8") as fh:
+            for line in fh:
+                doi = json.loads(line)["record"]["doi"]
+                if doi:
+                    holders.setdefault(doi, []).append(source.label)
+    # one DOI per distinct set of holding sources
+    sample = {tuple(labels): doi for doi, labels in sorted(holders.items())}
+    assert len(sample) > 3
+
+    decode = pipeline.artifacts.classified_from_line
+    calls = []
+
+    def counting(line, source):
+        calls.append(source)
+        return decode(line, source)
+
+    monkeypatch.setattr(pipeline.artifacts, "classified_from_line", counting)
+    for labels, doi in sample.items():
+        calls.clear()
+        assert pipeline.explain_doi(config, doi).startswith(f"DOI {doi}")
+        assert calls == list(labels), doi
+    calls.clear()
+    with pytest.raises(UnknownDoi):
+        pipeline.explain_doi(config, "10.9999/not-in-corpus")
+    assert calls == []
 
 
 # --- CLI surface ------------------------------------------------------------------
