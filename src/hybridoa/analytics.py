@@ -18,11 +18,11 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Container, Iterable, Mapping
 
+from .artifacts import ClassifiedRow
 from .attribute import role_author
 from .errors import InsufficientPairs
 from .model import (
     Authorship,
-    ClassifiedArticle,
     CorrelationResult,
     GROUP_COUNTRY,
     GROUP_GLOBAL,
@@ -30,7 +30,9 @@ from .model import (
     GROUP_PUBLISHER,
     IndicatorRow,
     IntersectionSet,
+    ROLE_CORRESPONDING,
     ROLE_FIRST,
+    ROLES,
     membership_key,
 )
 
@@ -56,7 +58,7 @@ class JournalIndex:
 
 
 def journal_index(
-    corpora: Mapping[str, Iterable[ClassifiedArticle]],
+    corpora: Mapping[str, Iterable[ClassifiedRow]],
     years: tuple[int, int],
 ) -> JournalIndex:
     """Build the journal index in one pass over each source's articles."""
@@ -65,14 +67,14 @@ def journal_index(
     publishers: dict[str, str] = {}
     for source, articles in corpora.items():
         for article in articles:
-            issn_l = article.record.journal_issn_l
+            issn_l = article.journal_issn_l
             publishers.setdefault(issn_l, article.publisher)
             if not in_window(article.year, years):
                 continue
             if article.is_hybrid_oa:
                 membership[issn_l].add(source)
-            if article.countable and article.record.doi:
-                doi_sets[(source, issn_l)].add(article.record.doi)
+            if article.countable and article.doi:
+                doi_sets[(source, issn_l)].add(article.doi)
     return JournalIndex(
         universe={issn_l: frozenset(sources) for issn_l, sources in membership.items()},
         doi_sets=dict(doi_sets),
@@ -167,31 +169,38 @@ _ARTICLE_MEASURES = (
     "articles_original_first_affiliation",
     "articles_original_corresponding_affiliation",
 )
+# Countable articles whose role author has an affiliation, by role.
+_AFFILIATION_MEASURES = {
+    ROLE_FIRST: "articles_original_first_affiliation",
+    ROLE_CORRESPONDING: "articles_original_corresponding_affiliation",
+}
 
 
 def _tally_coverage(
-    article: ClassifiedArticle, journals: dict[str, set[str]], totals: dict[str, int]
+    article: ClassifiedRow,
+    authors: Mapping[str, Authorship | None],
+    journals: dict[str, set[str]],
+    totals: dict[str, int],
 ) -> None:
-    record = article.record
-    issn_l = record.journal_issn_l
+    """Add one in-scope article; `authors` maps each role to its `role_author`."""
+    issn_l = article.journal_issn_l
     journals["journals_active"].add(issn_l)
     totals["articles_total"] += 1
-    if record.doi:
+    if article.doi:
         totals["articles_with_doi"] += 1
     if not article.countable:
         return
     journals["journals_active_original"].add(issn_l)
     totals["articles_original"] += 1
-    if record.doi:
+    if article.doi:
         totals["articles_original_with_doi"] += 1
     if article.is_hybrid_oa:
         journals["journals_active_original_oa"].add(issn_l)
         totals["articles_original_oa"] += 1
-    first = record.first_author()
-    if first is not None and first.org_ids:
-        totals["articles_original_first_affiliation"] += 1
-    if any(a.org_ids for a in record.corresponding_authors()):
-        totals["articles_original_corresponding_affiliation"] += 1
+    for role, measure in _AFFILIATION_MEASURES.items():
+        author = authors[role]
+        if author is not None and author.org_ids:
+            totals[measure] += 1
 
 
 @dataclass
@@ -209,7 +218,7 @@ class SourceFold:
     coverage: list[tuple[str, int]]
 
 
-def _group_keys(kind: str, article: ClassifiedArticle, author: Authorship | None) -> Iterable[str]:
+def _group_keys(kind: str, article: ClassifiedRow, author: Authorship | None) -> Iterable[str]:
     if kind == GROUP_GLOBAL:
         return ("",)
     if kind == GROUP_PUBLISHER:
@@ -219,7 +228,7 @@ def _group_keys(kind: str, article: ClassifiedArticle, author: Authorship | None
 
 def aggregate(
     source: str,
-    articles: Iterable[ClassifiedArticle],
+    articles: Iterable[ClassifiedRow],
     ta_keys: Mapping[str, Container[tuple[str, str]]],
     years: tuple[int, int],
 ) -> SourceFold:
@@ -241,16 +250,16 @@ def aggregate(
     has_corresponding_data = False
 
     for article in articles:
-        record = article.record
         if not has_corresponding_data:
-            has_corresponding_data = record.has_corresponding_data()
+            has_corresponding_data = article.has_corresponding_data()
         if not article.journal_is_hybrid or not in_window(article.year, years):
             continue
-        _tally_coverage(article, journals, totals)
-        key = (record.source, record.native_id)
+        authors = {role: role_author(article, role) for role in ROLES}
+        _tally_coverage(article, authors, journals, totals)
+        key = (article.source, article.native_id)
         for role, enabled in ta_keys.items():
             ta_enabled = key in enabled
-            author = role_author(article, role)
+            author = authors[role]
             for kind in GROUP_KINDS:
                 for group_key in _group_keys(kind, article, author):
                     cell = counts[(role, kind, article.year, group_key)]

@@ -190,7 +190,7 @@ def write_manifest(
     outputs: list[str],
     counters: dict,
 ) -> None:
-    """Write the stage manifest; output paths are stored out_dir-relative."""
+    """Write the stage manifest; every path is stored out_dir-relative."""
     described = []
     for path in outputs:
         digest, lines = hash_lines(path)
@@ -200,16 +200,14 @@ def write_manifest(
             entry["rows"] = max(0, lines - 1) if path.endswith(".csv") else lines
         described.append(entry)
     described.sort(key=lambda e: e["path"])
-    # prior-stage inputs live under out_dir; store them relative so the
-    # manifest bytes do not depend on where the output tree sits
-    root = os.path.abspath(layout.out_dir) + os.sep
+    # so are the inputs, external files included: a corpus and its output
+    # tree moved together keep their manifest bytes
     for entry in inputs:
-        if os.path.abspath(entry.get("path", "")).startswith(root):
-            entry["path"] = os.path.relpath(entry["path"], layout.out_dir)
+        entry["path"] = os.path.relpath(entry["path"], layout.out_dir)
     payload = {
         "stage": stage,
         "config_digest": config_digest,
-        "inputs": sorted(inputs, key=lambda e: e.get("path", "")),
+        "inputs": sorted(inputs, key=lambda e: e["path"]),
         "outputs": described,
         "counters": dict(sorted(counters.items())),
     }
@@ -232,6 +230,10 @@ def read_manifest(layout: Layout, stage: str) -> dict:
 
 def _iso(day: date | None) -> str | None:
     return None if day is None else day.isoformat()
+
+
+def _date(text: str | None) -> date | None:
+    return date.fromisoformat(text) if text else None
 
 
 def record_to_dict(record: ArticleRecord) -> dict:
@@ -265,42 +267,50 @@ def record_to_dict(record: ArticleRecord) -> dict:
     }
 
 
+def _license(obj: dict) -> LicenseStatement:
+    return LicenseStatement(
+        url=obj["url"],
+        applies_to_vor=obj["applies_to_vor"],
+        start_date=_date(obj.get("start_date")),
+    )
+
+
+def _authorship(obj: dict) -> Authorship:
+    return Authorship(
+        position=obj["position"],
+        is_corresponding=obj.get("corresponding"),
+        org_ids=frozenset(obj.get("org_ids") or ()),
+        countries=frozenset(obj.get("countries") or ()),
+    )
+
+
 def record_from_dict(obj: dict, source: str) -> ArticleRecord:
     """Trusted deserialization of an artifact line (no validation)."""
     return ArticleRecord(
         source=source,
         native_id=obj["native_id"],
         journal_issn_l=obj["issn"],
-        pub_date=date.fromisoformat(obj["pub_date"]) if obj.get("pub_date") else None,
+        pub_date=_date(obj.get("pub_date")),
         document_class=obj["document_class"],
         doi=obj.get("doi"),
         pagination=obj.get("pagination"),
         article_number=obj.get("article_number"),
         title=obj.get("title") or "",
-        licenses=tuple(
-            LicenseStatement(
-                url=lic["url"],
-                applies_to_vor=lic["applies_to_vor"],
-                start_date=date.fromisoformat(lic["start_date"]) if lic.get("start_date") else None,
-            )
-            for lic in obj.get("licenses") or ()
-        ),
-        authors=tuple(
-            Authorship(
-                position=author["position"],
-                is_corresponding=author.get("corresponding"),
-                org_ids=frozenset(author.get("org_ids") or ()),
-                countries=frozenset(author.get("countries") or ()),
-            )
-            for author in obj.get("authors") or ()
-        ),
+        licenses=tuple(map(_license, obj.get("licenses") or ())),
+        authors=tuple(map(_authorship, obj.get("authors") or ())),
     )
 
 
+# The record keys a classified line keeps: what reconcile, attribute,
+# aggregate, compare and explain read. The source is the file's label.
+_CLASSIFIED_RECORD_KEYS = ("authors", "doi", "issn", "licenses", "native_id", "pub_date")
+
+
 def classified_to_line(article: ClassifiedArticle) -> str:
+    record = record_to_dict(article.record)
     return dump_canonical(
         {
-            "record": record_to_dict(article.record),
+            "record": {key: record[key] for key in _CLASSIFIED_RECORD_KEYS},
             "year": article.year,
             "is_original": article.is_original,
             "is_paratext": article.is_paratext,
@@ -313,27 +323,85 @@ def classified_to_line(article: ClassifiedArticle) -> str:
     )
 
 
-def classified_from_line(line: str, source: str) -> ClassifiedArticle:
-    obj = json.loads(line)
-    return ClassifiedArticle(
-        record=record_from_dict(obj["record"], source),
-        year=obj["year"],
-        is_original=obj["is_original"],
-        is_paratext=obj["is_paratext"],
-        in_regular_issue=obj["in_regular_issue"],
-        is_hybrid_oa=obj["is_hybrid_oa"],
-        countable=obj["countable"],
-        journal_is_hybrid=obj["journal_is_hybrid"],
-        publisher=obj["publisher"],
+# A countable article is in a regular issue, and canonical key order puts
+# these three flags first: the line of every countable hybrid OA article,
+# and of no other, starts with this text.
+_ATTRIBUTABLE_PREFIX = '{"countable":true,"in_regular_issue":true,"is_hybrid_oa":true,'
+
+
+def is_attributable(line: str) -> bool:
+    """Whether a classified line is countable hybrid OA, told without decoding it."""
+    return line.startswith(_ATTRIBUTABLE_PREFIX)
+
+
+class ClassifiedRow:
+    """One decoded classified line, as the stages after classify read it.
+
+    The flags, year, publisher and the record's keys are attributes; the
+    publication date, licenses and authors are built only when asked for.
+    The first-author and has-corresponding-data rules are written here.
+    """
+
+    __slots__ = (
+        "source", "native_id", "doi", "journal_issn_l", "year", "publisher", "is_original",
+        "is_paratext", "in_regular_issue", "is_hybrid_oa", "countable", "journal_is_hybrid",
+        "_record",
     )
+
+    def __init__(self, obj: dict, source: str):
+        record = obj["record"]
+        self.source = source
+        self.native_id = record["native_id"]
+        self.doi = record["doi"]
+        self.journal_issn_l = record["issn"]
+        self.year = obj["year"]
+        self.publisher = obj["publisher"]
+        self.is_original = obj["is_original"]
+        self.is_paratext = obj["is_paratext"]
+        self.in_regular_issue = obj["in_regular_issue"]
+        self.is_hybrid_oa = obj["is_hybrid_oa"]
+        self.countable = obj["countable"]
+        self.journal_is_hybrid = obj["journal_is_hybrid"]
+        self._record = record
+
+    @property
+    def pub_date(self) -> date | None:
+        return _date(self._record["pub_date"])
+
+    @property
+    def licenses(self) -> tuple[LicenseStatement, ...]:
+        return tuple(map(_license, self._record["licenses"]))
+
+    def first_author(self) -> Authorship | None:
+        """The author at position 1, wherever it sits in the list."""
+        for author in self._record["authors"]:
+            if author["position"] == 1:
+                return _authorship(author)
+        return None
+
+    def corresponding_authors(self) -> tuple[Authorship, ...]:
+        return tuple(_authorship(a) for a in self._record["authors"] if a["corresponding"] is True)
+
+    def has_corresponding_data(self) -> bool:
+        """Whether any author carries a corresponding flag, true or false."""
+        return any(a["corresponding"] is not None for a in self._record["authors"])
+
+
+# A classified line is one canonical JSON object: decoded without the
+# whitespace checks of json.loads.
+_decode_object = json.JSONDecoder().raw_decode
+
+
+def classified_from_line(line: str, source: str) -> ClassifiedRow:
+    return ClassifiedRow(_decode_object(line)[0], source)
 
 
 def write_records(path: str, records: Iterable[ArticleRecord]) -> None:
     write_ndjson(path, map(record_to_dict, records))
 
 
-def classified_with_doi(path: str, source: str, doi: str) -> list[ClassifiedArticle]:
-    """The articles of one classified file whose DOI is `doi`.
+def classified_with_doi(path: str, source: str, doi: str) -> list[ClassifiedRow]:
+    """The rows of one classified file whose DOI is `doi`.
 
     A classified line is canonical JSON, so the line of a record with DOI
     `doi` holds `"doi":` + json.dumps(doi) exactly once; only lines that
@@ -342,10 +410,10 @@ def classified_with_doi(path: str, source: str, doi: str) -> list[ClassifiedArti
     needle = '"doi":' + json.dumps(doi)
     with open(path, encoding="utf-8") as fh:
         hits = [classified_from_line(line, source) for line in fh if needle in line]
-    return [article for article in hits if article.record.doi == doi]
+    return [row for row in hits if row.doi == doi]
 
 
-def iter_classified(path: str, source: str):
+def iter_classified(path: str, source: str) -> Iterator[ClassifiedRow]:
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
@@ -382,8 +450,8 @@ def read_agreements(path: str) -> list[Agreement]:
                     publisher=obj["publisher"],
                     journal_issn_ls=frozenset(obj["journal_issn_ls"]),
                     institution_ids=frozenset(obj["institution_ids"]),
-                    start_date=date.fromisoformat(obj["start_date"]) if obj["start_date"] else None,
-                    end_date=date.fromisoformat(obj["end_date"]) if obj["end_date"] else None,
+                    start_date=_date(obj["start_date"]),
+                    end_date=_date(obj["end_date"]),
                 )
             )
     return out
@@ -476,15 +544,12 @@ ATTRIBUTION_HEADER = (
 )
 
 
-def attribution_row(
-    article: ClassifiedArticle, role: str, match: AttributionRecord | None
-) -> tuple:
+def attribution_row(row: ClassifiedRow, role: str, match: AttributionRecord | None) -> tuple:
     """One row of `attributions_<role>.csv`; `match` is None when no agreement matched."""
-    record = article.record
-    row = (record.source, record.native_id, record.doi or "", article.year, role)
+    out = (row.source, row.native_id, row.doi or "", row.year, role)
     if match is None:
-        return row + ("false", "", "")
-    return row + ("true", "|".join(match.agreement_ids), match.matched_institution)
+        return out + ("false", "", "")
+    return out + ("true", "|".join(match.agreement_ids), match.matched_institution)
 
 
 def write_attributions(path: str, rows: Iterable[tuple]) -> int:

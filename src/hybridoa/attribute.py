@@ -12,17 +12,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Mapping
 
+from .artifacts import ClassifiedRow
 from .errors import PipelineError
 from .identifiers import ROR_SCHEME, org_scheme
-from .model import (
-    Agreement,
-    ArticleRecord,
-    AttributionRecord,
-    Authorship,
-    ClassifiedArticle,
-    ROLE_CORRESPONDING,
-    ROLE_FIRST,
-)
+from .model import Agreement, AttributionRecord, Authorship, ROLE_CORRESPONDING, ROLE_FIRST
 
 
 def agreements_by_journal(agreements: Iterable[Agreement]) -> dict[str, tuple[Agreement, ...]]:
@@ -39,18 +32,17 @@ def agreements_by_journal(agreements: Iterable[Agreement]) -> dict[str, tuple[Ag
     }
 
 
-def role_author(article: ClassifiedArticle, role: str) -> Authorship | None:
+def role_author(article: ClassifiedRow, role: str) -> Authorship | None:
     """Pick the author the role refers to; None when the data is absent.
 
     CORRESPONDING over a source without corresponding-author metadata
     returns None: no silent substitution of the first author. Several
     flagged corresponding authors merge into one synthetic authorship.
     """
-    record = article.record
     if role == ROLE_FIRST:
-        return record.first_author()
+        return article.first_author()
     if role == ROLE_CORRESPONDING:
-        flagged = record.corresponding_authors()
+        flagged = article.corresponding_authors()
         if not flagged:
             return None
         if len(flagged) == 1:
@@ -114,27 +106,28 @@ class AgreementVerdict:
 
 
 def agreement_verdicts(
-    record: ArticleRecord,
+    article: ClassifiedRow,
     orgs: frozenset[str],
     journal_agreements: Mapping[str, tuple[Agreement, ...]],
 ) -> list[AgreementVerdict]:
-    """Check every agreement of the record's journal, in agreement_id order.
+    """Check every agreement of the article's journal, in agreement_id order.
 
     The journal check passes by construction: the candidates are the
-    agreements indexed under the record's journal.
+    agreements indexed under the article's journal.
     """
+    pub_date = article.pub_date
     return [
         AgreementVerdict(
             agreement=agreement,
             institutions=orgs & agreement.institution_ids,
-            in_window=agreement.covers(record.pub_date),
+            in_window=agreement.covers(pub_date),
         )
-        for agreement in journal_agreements.get(record.journal_issn_l, ())
+        for agreement in journal_agreements.get(article.journal_issn_l, ())
     ]
 
 
 def match_agreements(
-    article: ClassifiedArticle,
+    article: ClassifiedRow,
     role: str,
     journal_agreements: Mapping[str, tuple[Agreement, ...]],
     crosswalk_inverse: Mapping[str, frozenset[str]],
@@ -154,17 +147,16 @@ def match_agreements(
     author = role_author(article, role)
     if author is None:
         return None
-    record = article.record
-    if not journal_agreements.get(record.journal_issn_l):
+    if not journal_agreements.get(article.journal_issn_l):
         return None
     orgs = resolve_org(author, crosswalk_inverse, institution_index, diagnostics)
-    matched = [v for v in agreement_verdicts(record, orgs, journal_agreements) if v.matched]
+    matched = [v for v in agreement_verdicts(article, orgs, journal_agreements) if v.matched]
     if not matched:
         return None
     return AttributionRecord(
-        source=record.source,
-        native_id=record.native_id,
-        doi=record.doi,
+        source=article.source,
+        native_id=article.native_id,
+        doi=article.doi,
         year=article.year,
         role=role,
         agreement_ids=tuple(v.agreement.agreement_id for v in matched),

@@ -9,7 +9,6 @@ record streams.
 
 from __future__ import annotations
 
-import logging
 import re
 from dataclasses import dataclass, field
 from datetime import timedelta
@@ -18,16 +17,15 @@ from importlib import resources
 from .errors import NoDate
 from .model import ArticleRecord, ClassifiedArticle, Journal, LicenseStatement
 
-log = logging.getLogger(__name__)
-
 DOC_MODE_ALLOWLIST = "allowlist"
 DOC_MODE_HEURISTIC = "heuristic"
 
 DEFAULT_ALLOWLIST = ("article", "review")
 DEFAULT_JOURNAL_ARTICLE_CLASSES = ("journal-article",)
 
-# Non-original labels we recognize; anything else gets logged once as an
-# unknown document class (and still treated as not original).
+# Non-original labels we recognize; anything else outside the allowlist is
+# an unknown document class (still treated as not original), counted in the
+# classify manifest.
 KNOWN_NOT_ORIGINAL = frozenset(
     {
         "editorial",
@@ -140,9 +138,6 @@ def in_regular_issue(record: ArticleRecord) -> bool:
     return False
 
 
-_warned_classes: set[tuple[str, str]] = set()
-
-
 def is_original(
     record: ArticleRecord,
     policy: SourcePolicy,
@@ -161,20 +156,25 @@ def is_original(
         if regular_issue is None:
             regular_issue = in_regular_issue(record)
         return not paratext and regular_issue
-    if doc_class in policy.allowlist:
-        return True
-    if doc_class not in KNOWN_NOT_ORIGINAL:
-        key = (record.source, doc_class)
-        if key not in _warned_classes:
-            _warned_classes.add(key)
-            log.warning("unknown document class %r in source %s", record.document_class, record.source)
-    return False
+    return doc_class in policy.allowlist
+
+
+def is_unknown_class(record: ArticleRecord, policy: SourcePolicy) -> bool:
+    """An allowlist source's document class that is neither allowed nor a
+    known non-original label."""
+    if policy.mode != DOC_MODE_ALLOWLIST:
+        return False
+    doc_class = record.document_class.strip().casefold()
+    return doc_class not in policy.allowlist and doc_class not in KNOWN_NOT_ORIGINAL
 
 
 def license_failure(
     lic: LicenseStatement, record: ArticleRecord, cfg: ClassifierConfig
 ) -> str | None:
     """Why one license statement does not make the record OA; None when it does.
+
+    Of `record` only `source` and `pub_date` are read, so a classified
+    row serves as well.
 
     A statement qualifies when it applies to the VOR, its URL matches the
     CC pattern, and its start date (when present) is at most

@@ -72,8 +72,13 @@ class PipelineConfig:
     def canonical_json(self) -> str:
         payload = asdict(self)
         # workers and out_dir are execution details: they must not change
-        # artifact bytes, so they stay out of the digest.
+        # artifact bytes, so they stay out of the digest. So do input paths:
+        # the manifests hash the inputs themselves.
         del payload["workers"], payload["out_dir"]
+        for name in _INPUT_FIELDS:
+            del payload[name]
+        for source in payload["sources"]:
+            del source["articles"]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     def digest(self) -> str:
@@ -119,6 +124,8 @@ _PATH_FIELDS = frozenset(
     {"articles", "agreement_dump", "durations", "issn_links", "institutions",
      "publisher_aliases", "paratext_patterns"}
 )
+# PipelineConfig fields naming inputs.
+_INPUT_FIELDS = (_PATH_FIELDS - {"articles"}) | {"fully_oa_lists"}
 
 
 _JSON_TYPES = {bool: "boolean", int: "integer", str: "string"}

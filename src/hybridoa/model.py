@@ -122,18 +122,6 @@ class ArticleRecord:
     licenses: tuple[LicenseStatement, ...] = ()
     authors: tuple[Authorship, ...] = ()
 
-    def first_author(self) -> Authorship | None:
-        for a in self.authors:
-            if a.position == 1:
-                return a
-        return None
-
-    def corresponding_authors(self) -> tuple[Authorship, ...]:
-        return tuple(a for a in self.authors if a.is_corresponding is True)
-
-    def has_corresponding_data(self) -> bool:
-        return any(a.is_corresponding is not None for a in self.authors)
-
 
 @dataclass(frozen=True, slots=True)
 class Institution:
@@ -219,7 +207,9 @@ class ClassifiedArticle:
 
     `countable` articles are the denominator of all indicator shares:
     original, non-paratext, regular-issue articles in hybrid journals.
-    OA status is only ever asserted on countable articles.
+    OA status is only ever asserted on countable articles. Classify
+    writes it as one classified line; the later stages read that line
+    back as an `artifacts.ClassifiedRow`.
     """
 
     record: ArticleRecord

@@ -78,6 +78,7 @@ STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
     "ingest": lambda layout, config: [],
     "classify": lambda layout, config: (
         [layout.journals] + [layout.articles(s.label) for s in config.sources]
+        + ([config.paratext_patterns] if config.paratext_patterns else [])
     ),
     "reconcile": _classified,
     "attribute": lambda layout, config: (
@@ -132,11 +133,14 @@ def _map_chunks(
             yield future.result()
 
 
-def _chunked_lines(path: str, size: int = CHUNK_LINES) -> Iterator[list[str]]:
+def _chunked_lines(
+    path: str, keep: Callable[[str], bool] = str.strip, size: int = CHUNK_LINES
+) -> Iterator[list[str]]:
+    """Chunks of the file's lines that `keep` accepts (default: non-blank)."""
     chunk: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for line in fh:
-            if not line.strip():
+            if not keep(line):
                 continue
             chunk.append(line)
             if len(chunk) >= size:
@@ -229,21 +233,29 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     )
 
 
-def _classify_chunk(item: tuple[str, list[str]]) -> tuple[str, list[str]]:
+def _classify_chunk(item: tuple[str, list[str]]) -> tuple[str, list[str], Counter]:
+    """The chunk's classified lines, and its records per unknown document class."""
     source, lines = item
     cfg, journals = _WORKER_CTX
+    policy = cfg.policies[source]
     out = []
+    unknown: Counter = Counter()
     for line in lines:
         record = artifacts.record_from_dict(json.loads(line), source)
         journal = journals.get(record.journal_issn_l)
-        out.append(artifacts.classified_to_line(classify.classify_article(record, journal, cfg)))
-    return source, out
+        article = classify.classify_article(record, journal, cfg)
+        if classify.is_unknown_class(record, policy):
+            unknown[record.document_class] += 1
+        out.append(artifacts.classified_to_line(article))
+    return source, out, unknown
 
 
-def _source_chunks(config: PipelineConfig, path_of: Callable[[str], str]) -> Iterator:
+def _source_chunks(
+    config: PipelineConfig, path_of: Callable[[str], str], keep: Callable[[str], bool] = str.strip
+) -> Iterator:
     """(source label, lines) chunks of every source's file, in config order."""
     for source in config.sources:
-        for chunk in _chunked_lines(path_of(source.label)):
+        for chunk in _chunked_lines(path_of(source.label), keep):
             yield source.label, chunk
 
 
@@ -257,6 +269,7 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
     workers = _effective_workers(config)
     outputs = [layout.classified(s.label) for s in config.sources]
     rows = {s.label: 0 for s in config.sources}
+    unknown = {s.label: Counter() for s in config.sources}
 
     with ExitStack() as stack:
         files = {
@@ -264,21 +277,30 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
             for source, path in zip(config.sources, outputs)
         }
         chunks = _source_chunks(config, layout.articles)
-        for label, lines in _map_chunks(_classify_chunk, chunks, (cfg, journals), workers):
+        for label, lines, classes in _map_chunks(_classify_chunk, chunks, (cfg, journals), workers):
             fh = files[label]
             for line in lines:
                 fh.write(line)
                 fh.write("\n")
             rows[label] += len(lines)
+            unknown[label].update(classes)
 
-    return outputs, {f"classified_{label}": n for label, n in rows.items()}
+    counters = {}
+    for label, n in rows.items():
+        counters[f"classified_{label}"] = n
+        counters[f"unknown_doc_class_{label}"] = sum(unknown[label].values())
+        for doc_class, count in sorted(unknown[label].items()):
+            log.warning(
+                "unknown document class %r in source %s: %d records", doc_class, label, count
+            )
+    return outputs, counters
 
 
 # --- reconcile ----------------------------------------------------------------
 
 def _first_author_ids(layout: Layout, label: str, open_side: bool) -> reconcile.Projection:
-    records = (c.record for c in artifacts.iter_classified(layout.classified(label), label))
-    return reconcile.first_author_ids(records, open_side)
+    rows = artifacts.iter_classified(layout.classified(label), label)
+    return reconcile.first_author_ids(rows, open_side)
 
 
 def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
@@ -320,37 +342,43 @@ def _attribution_indexes(layout: Layout) -> tuple:
     )
 
 
-def _attribute_chunk(item: tuple[str, list[str]]) -> dict[str, list[tuple]]:
-    """Role -> attribution rows of one chunk; each line is decoded once."""
+def _attribute_chunk(item: tuple[str, list[str]]) -> tuple[dict[str, list[tuple]], dict]:
+    """Role -> attribution rows of one chunk of attributable lines, each
+    decoded once, and role -> `resolve_org` diagnostics."""
     source, lines = item
     roles, journal_agreements, crosswalk_inverse, inst_index = _WORKER_CTX
     rows: dict[str, list[tuple]] = {role: [] for role in roles}
+    diagnostics: dict[str, dict] = {role: {} for role in roles}
     for line in lines:
         article = artifacts.classified_from_line(line, source)
-        if not article.countable or not article.is_hybrid_oa:
-            continue
         for role in roles:
             if attribute.role_author(article, role) is None:
                 continue
             match = attribute.match_agreements(
-                article, role, journal_agreements, crosswalk_inverse, inst_index
+                article, role, journal_agreements, crosswalk_inverse, inst_index,
+                diagnostics[role],
             )
             rows[role].append(artifacts.attribution_row(article, role, match))
-    return rows
+    return rows, diagnostics
 
 
 def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Evaluate every eligible OA article against the agreement registry.
 
-    One chunk map over every source evaluates every role on each decoded
-    record.
+    Lines that are not countable hybrid OA are dropped before they are
+    decoded or sent to a worker. One chunk map over every source
+    evaluates every role on each decoded record.
     """
     ctx = (tuple(config.roles), *_attribution_indexes(layout))
     rows: dict[str, list[tuple]] = {role: [] for role in config.roles}
-    chunks = _source_chunks(config, layout.classified)
-    for result in _map_chunks(_attribute_chunk, chunks, ctx, _effective_workers(config)):
+    unresolved = dict.fromkeys(config.roles, 0)
+    chunks = _source_chunks(config, layout.classified, artifacts.is_attributable)
+    for result, diagnostics in _map_chunks(
+        _attribute_chunk, chunks, ctx, _effective_workers(config)
+    ):
         for role, role_rows in result.items():
             rows[role].extend(role_rows)
+            unresolved[role] += diagnostics[role].get("unresolved_org_ids", 0)
 
     counters: dict = {}
     for role, role_rows in rows.items():
@@ -358,6 +386,7 @@ def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
         counters[f"ta_enabled_{role}"] = artifacts.write_attributions(
             layout.attributions(role), role_rows
         )
+        counters[f"unresolved_org_ids_{role}"] = unresolved[role]
     return [layout.attributions(role) for role in rows], counters
 
 
@@ -460,10 +489,9 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
 
     lines = [f"DOI {doi}"]
     for article in hits:
-        record = article.record
-        lines.append(f"[{record.source}] native_id={record.native_id}")
+        lines.append(f"[{article.source}] native_id={article.native_id}")
         lines.append(
-            f"  journal {record.journal_issn_l} ({article.publisher or 'unknown publisher'}),"
+            f"  journal {article.journal_issn_l} ({article.publisher or 'unknown publisher'}),"
             f" hybrid={'yes' if article.journal_is_hybrid else 'no'}"
         )
         lines.append(
@@ -472,12 +500,13 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
             f" regular_issue={_yn(article.in_regular_issue)}"
             f" countable={_yn(article.countable)} hybrid_oa={_yn(article.is_hybrid_oa)}"
         )
-        if record.licenses:
+        licenses = article.licenses
+        if licenses:
             lines.append("  licenses:")
-            for lic in record.licenses:
+            for lic in licenses:
                 start = f" start={lic.start_date.isoformat()}" if lic.start_date is not None else ""
                 is_cc = bool(cls_cfg.cc_license_re.search(lic.url))
-                failure = classify.license_failure(lic, record, cls_cfg)
+                failure = classify.license_failure(lic, article, cls_cfg)
                 verdict = f"FAIL ({failure})" if failure else "PASS"
                 lines.append(
                     f"    - {lic.url} vor={_yn(lic.applies_to_vor)}{start}"
@@ -497,7 +526,7 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
             lines.append(
                 f"  role {role}: orgs {sorted(author.org_ids)} -> resolved {sorted(orgs)}"
             )
-            verdicts = attribute.agreement_verdicts(record, orgs, journal_agreements)
+            verdicts = attribute.agreement_verdicts(article, orgs, journal_agreements)
             if not verdicts:
                 lines.append("    no agreements cover this journal")
                 continue

@@ -17,8 +17,9 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import SampleTooLarge
+from .artifacts import ClassifiedRow
 from .identifiers import ROR_SCHEME, org_scheme
-from .model import ArticleRecord, CrosswalkEntry, majority_label
+from .model import CrosswalkEntry, majority_label
 
 log = logging.getLogger(__name__)
 
@@ -26,7 +27,7 @@ Projection = dict[str, tuple[str, ...]]
 Pair = tuple[str, str]
 
 
-def first_author_ids(corpus: Iterable[ArticleRecord], open_side: bool) -> Projection:
+def first_author_ids(corpus: Iterable[ClassifiedRow], open_side: bool) -> Projection:
     """DOI -> sorted first-author org IDs of one side, for unambiguous DOIs.
 
     Records without a DOI are skipped; DOIs that repeat within the corpus
@@ -35,15 +36,15 @@ def first_author_ids(corpus: Iterable[ArticleRecord], open_side: bool) -> Projec
     """
     projection: Projection = {}
     ambiguous: set[str] = set()
-    for record in corpus:
-        doi = record.doi
+    for row in corpus:
+        doi = row.doi
         if doi is None or doi in ambiguous:
             continue
         if doi in projection:
             ambiguous.add(doi)
             del projection[doi]
             continue
-        first = record.first_author()
+        first = row.first_author()
         org_ids = first.org_ids if first is not None else ()
         projection[doi] = tuple(
             sorted(o for o in org_ids if (org_scheme(o) == ROR_SCHEME) == open_side)

@@ -12,7 +12,7 @@ import random
 from collections import defaultdict
 from datetime import date, timedelta
 
-from hybridoa.attribute import role_author
+from hybridoa.artifacts import classified_from_line, classified_to_line
 from hybridoa.classify import (
     DEFAULT_ALLOWLIST,
     DEFAULT_CC_LICENSE_PATTERN,
@@ -32,9 +32,63 @@ from hybridoa.model import (
     GROUP_GLOBAL,
     GROUP_PUBLISHER,
     IndicatorRow,
+    ROLE_CORRESPONDING,
     ROLE_FIRST,
     ROLES,
 )
+
+
+# --- the full-record path: rules over ArticleRecord's Authorship tuple ---------
+
+def oracle_first_author(record):
+    """The first author in the tuple at position 1, or None."""
+    for author in record.authors:
+        if author.position == 1:
+            return author
+    return None
+
+
+def oracle_role_author(record, role):
+    """The role's author: several flagged corresponding authors merge into
+    one, with the first one's position and the union of their IDs and
+    countries; None when no author fits."""
+    if role == ROLE_FIRST:
+        return oracle_first_author(record)
+    assert role == ROLE_CORRESPONDING, role
+    flagged = [a for a in record.authors if a.is_corresponding is True]
+    if len(flagged) <= 1:
+        return flagged[0] if flagged else None
+    return Authorship(
+        position=flagged[0].position,
+        is_corresponding=True,
+        org_ids=frozenset().union(*(a.org_ids for a in flagged)),
+        countries=frozenset().union(*(a.countries for a in flagged)),
+    )
+
+
+def oracle_has_corresponding_data(record):
+    return any(a.is_corresponding is not None for a in record.authors)
+
+
+def as_row(article):
+    """`article` as the stages after classify read it: through the classified line."""
+    return classified_from_line(classified_to_line(article), article.record.source)
+
+
+def record_row(record):
+    """A bare record as a row; every flag false, year from the publication date."""
+    return as_row(
+        ClassifiedArticle(
+            record=record,
+            year=record.pub_date.year,
+            is_original=False,
+            is_paratext=False,
+            in_regular_issue=False,
+            is_hybrid_oa=False,
+            countable=False,
+            journal_is_hybrid=False,
+        )
+    )
 
 
 def oracle_match(article, role, agreements, inverse, index):
@@ -110,8 +164,8 @@ def oracle_crosswalk(open_corpus, proprietary_corpora, min_support, examples_per
         bridged[label] = len(bridge)
         counts = defaultdict(int)
         for doi in sorted(bridge):
-            open_first = bridge[doi][0].first_author()
-            prop_first = bridge[doi][1].first_author()
+            open_first = oracle_first_author(bridge[doi][0])
+            prop_first = oracle_first_author(bridge[doi][1])
             if open_first is None or prop_first is None:
                 continue
             for o in sorted(o for o in open_first.org_ids if o.startswith("ror:")):
@@ -248,7 +302,7 @@ def oracle_aggregate(stream, group_kind, role, years):
         elif group_kind == GROUP_PUBLISHER:
             keys = (article.publisher,)
         elif group_kind == GROUP_COUNTRY:
-            author = role_author(article, role)
+            author = oracle_role_author(article.record, role)
             keys = tuple(sorted(author.countries)) if author is not None else ()
         else:
             raise ValueError(f"unknown group kind {group_kind!r}")
@@ -293,7 +347,7 @@ def oracle_indicators(corpora, ta_keys, years):
     for role, keys in ta_keys.items():
         for source, articles in corpora.items():
             has_role = role == ROLE_FIRST or any(
-                a.is_corresponding is not None for art in articles for a in art.record.authors
+                oracle_has_corresponding_data(art.record) for art in articles
             )
             if not has_role:
                 skipped.add((source, role))
@@ -331,10 +385,11 @@ def oracle_coverage_summary(corpora, years):
                 if article.is_hybrid_oa:
                     journals_oa.add(issn_l)
                     totals["articles_original_oa"] += 1
-                first = article.record.first_author()
+                first = oracle_first_author(article.record)
                 if first is not None and first.org_ids:
                     totals["articles_original_first_affiliation"] += 1
-                if any(a.org_ids for a in article.record.corresponding_authors()):
+                flagged = [a for a in article.record.authors if a.is_corresponding is True]
+                if any(a.org_ids for a in flagged):
                     totals["articles_original_corresponding_affiliation"] += 1
         measures = [
             ("journals_active", len(journals_active)),

@@ -27,7 +27,7 @@ from hybridoa.fixture import write_bulk_articles
 from hybridoa.model import ROLE_CORRESPONDING, ROLE_FIRST
 
 from conftest import load_truth_attributions, load_truth_crosswalk
-from oracles import oracle_match, random_world
+from oracles import as_row, oracle_match, random_world
 
 
 def report(criterion: str, ok: bool, detail: str = ""):
@@ -53,7 +53,7 @@ def test_criterion_1_oracle_equivalence():
         for article in articles:
             for role in (ROLE_FIRST, ROLE_CORRESPONDING):
                 total += 1
-                got = match_agreements(article, role, journal_index, inverse, index)
+                got = match_agreements(as_row(article), role, journal_index, inverse, index)
                 want = oracle_match(article, role, agreements, inverse, index)
                 if got != want:
                     discrepancies += 1
@@ -356,11 +356,15 @@ print(json.dumps({"records": count, "rejects": manifest.reject_count,
 
 
 def ingest_in_subprocess(path: str) -> dict:
+    # the child imports hybridoa from where this process found it
+    package_root = os.path.dirname(os.path.dirname(fixture.__file__))
+    pythonpath = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", _CONSUMER, path],
         capture_output=True,
         text=True,
         check=True,
+        env=dict(os.environ, PYTHONPATH=pythonpath),
     )
     return json.loads(proc.stdout)
 

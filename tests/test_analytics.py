@@ -32,6 +32,7 @@ from hybridoa.model import (
 )
 
 from oracles import (
+    as_row,
     oracle_country_correlations,
     oracle_coverage_summary,
     oracle_indicators,
@@ -41,6 +42,11 @@ from oracles import (
 )
 
 YEARS = (2019, 2023)
+
+
+def rows_of(corpora):
+    """Source -> the classified rows of its articles."""
+    return {source: [as_row(a) for a in articles] for source, articles in corpora.items()}
 
 
 def cls(
@@ -87,18 +93,18 @@ def test_universe_membership_is_oa_activity():
         "srcA": [cls(source="srcA", native_id="A1", oa=True)],
         "srcB": [cls(source="srcB", native_id="B1", oa=False)],
     }
-    universe = journal_index(corpora, YEARS).universe
+    universe = journal_index(rows_of(corpora), YEARS).universe
     assert universe == {"0378-5955": frozenset({"open", "srcA"})}
 
 
 def test_universe_ignores_articles_outside_window():
     corpora = {"open": [cls(oa=True, year=2018)]}
-    assert journal_index(corpora, YEARS).universe == {}
+    assert journal_index(rows_of(corpora), YEARS).universe == {}
 
 
 def test_universe_empty_when_no_oa():
     corpora = {"open": [cls(oa=False)]}
-    assert journal_index(corpora, YEARS).universe == {}
+    assert journal_index(rows_of(corpora), YEARS).universe == {}
 
 
 # --- upset sets --------------------------------------------------------------------
@@ -167,7 +173,7 @@ def indicator_rows(stream, kind, role=ROLE_FIRST, source="open"):
     """Rows of one group kind from (article, ta_enabled) pairs via the one-pass fold."""
     stream = list(stream)
     enabled = {(a.record.source, a.record.native_id) for a, ta in stream if ta}
-    fold = aggregate(source, [a for a, _ in stream], {role: enabled}, YEARS)
+    fold = aggregate(source, [as_row(a) for a, _ in stream], {role: enabled}, YEARS)
     return [r for r in fold.rows if r.group_kind == kind]
 
 
@@ -235,7 +241,7 @@ def test_coverage_summary_totals():
     corpora = {
         "open": [cls(native_id="W1", oa=True), cls(native_id="W2", countable=False)],
     }
-    folds = [aggregate(s, articles, {ROLE_FIRST: set()}, YEARS) for s, articles in corpora.items()]
+    folds = [aggregate(s, rows, {ROLE_FIRST: set()}, YEARS) for s, rows in rows_of(corpora).items()]
     rows = dict(((s, m), v) for s, m, v in coverage_summary(folds))
     assert rows[("open", "articles_total")] == 2
     assert rows[("open", "articles_original")] == 1
@@ -316,7 +322,9 @@ def test_fold_equals_per_kind_oracle(seed):
         role: {k for k in keys if rng.random() < 0.5} for role in (ROLE_FIRST, ROLE_CORRESPONDING)
     }
 
-    folds = [aggregate(source, articles, ta_keys, YEARS) for source, articles in corpora.items()]
+    folds = [
+        aggregate(source, articles, ta_keys, YEARS) for source, articles in rows_of(corpora).items()
+    ]
     rows = sorted(
         (r for fold in folds for r in fold.rows),
         key=lambda r: (r.role, r.group_kind, r.source, r.year, r.group_key),
@@ -488,7 +496,7 @@ def random_indicator_rows(rng):
 def test_compare_equals_oracle_on_random_corpora(seed):
     rng = random.Random(seed)
     corpora = random_corpora(rng)
-    index = journal_index({s: OneShot(a) for s, a in corpora.items()}, YEARS)
+    index = journal_index({s: OneShot(a) for s, a in rows_of(corpora).items()}, YEARS)
     universe, doi_sets, publishers = oracle_journal_index(corpora, YEARS)
     assert (index.universe, index.doi_sets, index.publishers) == (universe, doi_sets, publishers)
 

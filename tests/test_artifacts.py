@@ -1,0 +1,121 @@
+from datetime import date
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from hybridoa.artifacts import classified_to_line, is_attributable
+from hybridoa.attribute import role_author
+from hybridoa.model import (
+    ArticleRecord,
+    Authorship,
+    ClassifiedArticle,
+    LicenseStatement,
+    ROLES,
+)
+from oracles import (
+    as_row,
+    oracle_first_author,
+    oracle_has_corresponding_data,
+    oracle_role_author,
+)
+
+ORGS = ("ror:r1", "ror:r2", "srcA:p1", "srcB:q1")
+COUNTRIES = ("CH", "DE", "NL")
+DATES = st.dates(date(2015, 1, 1), date(2025, 12, 31))
+
+authors_strategy = st.lists(
+    st.builds(
+        Authorship,
+        position=st.integers(1, 4),
+        is_corresponding=st.sampled_from([None, True, False]),
+        org_ids=st.frozensets(st.sampled_from(ORGS), max_size=3),
+        countries=st.frozensets(st.sampled_from(COUNTRIES), max_size=2),
+    ),
+    max_size=5,
+).map(tuple)
+
+licenses_strategy = st.lists(
+    st.builds(
+        LicenseStatement,
+        url=st.sampled_from(
+            ["https://creativecommons.org/licenses/by/4.0/", "https://publisher.example/license"]
+        ),
+        applies_to_vor=st.booleans(),
+        start_date=st.one_of(st.none(), DATES),
+    ),
+    max_size=2,
+).map(tuple)
+
+
+def article(authors, pub_date, licenses=(), countable=True, oa=True, regular=True):
+    record = ArticleRecord(
+        source="srcA",
+        native_id="A1",
+        journal_issn_l="0378-5955",
+        pub_date=pub_date,
+        document_class="Article",
+        doi="10.1/a",
+        pagination="1-9",
+        title="A title the row drops",
+        licenses=licenses,
+        authors=authors,
+    )
+    return ClassifiedArticle(
+        record=record,
+        year=pub_date.year if pub_date else 2021,
+        is_original=countable,
+        is_paratext=False,
+        # a countable article is in a regular issue
+        in_regular_issue=countable or regular,
+        is_hybrid_oa=countable and oa,
+        countable=countable,
+        journal_is_hybrid=True,
+        publisher="Pub",
+    )
+
+
+def author(position, corresponding=None, *orgs):
+    return Authorship(position, corresponding, frozenset(orgs), frozenset({"DE"}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.builds(
+        article,
+        authors_strategy,
+        st.one_of(st.none(), DATES),
+        licenses_strategy,
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+    )
+)
+@example(article((author(2, None, "ror:r1"), author(3, None)), date(2021, 1, 1)))  # no first author
+@example(  # several corresponding authors, the first of them not first in the tuple
+    article(
+        (author(1, False, "ror:r1"), author(3, True, "srcA:p1"), author(2, True, "ror:r2")),
+        date(2021, 1, 1),
+    )
+)
+@example(article((author(1, None, "ror:r1"),), None))  # corresponding null, no pub_date
+def test_row_equals_full_record_path(full):
+    """The row read back from a classified line answers as the full record."""
+    line = classified_to_line(full)
+    row = as_row(full)
+    record = full.record
+    assert row.first_author() == oracle_first_author(record)
+    for role in ROLES:
+        assert role_author(row, role) == oracle_role_author(record, role)
+    assert row.has_corresponding_data() == oracle_has_corresponding_data(record)
+    assert row.pub_date == record.pub_date
+    assert row.licenses == record.licenses
+    assert (row.source, row.native_id, row.doi, row.journal_issn_l) == (
+        record.source, record.native_id, record.doi, record.journal_issn_l,
+    )
+    flags = (
+        "year", "publisher", "is_original", "is_paratext", "in_regular_issue", "is_hybrid_oa",
+        "countable", "journal_is_hybrid",
+    )
+    assert [getattr(row, f) for f in flags] == [getattr(full, f) for f in flags]
+    assert is_attributable(line) == (full.countable and full.is_hybrid_oa)
+    assert "title" not in line and "pagination" not in line

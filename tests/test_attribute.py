@@ -19,6 +19,7 @@ from hybridoa.model import (
     ROLE_CORRESPONDING,
     ROLE_FIRST,
 )
+from oracles import as_row, oracle_match, random_world
 
 ISSN = "0378-5955"
 
@@ -46,16 +47,18 @@ def classified(
         doi="10.1/a",
         authors=tuple(authors),
     )
-    return ClassifiedArticle(
-        record=record,
-        year=pub_date.year,
-        is_original=countable,
-        is_paratext=False,
-        in_regular_issue=countable,
-        is_hybrid_oa=oa and countable,
-        countable=countable,
-        journal_is_hybrid=True,
-        publisher="Pub",
+    return as_row(
+        ClassifiedArticle(
+            record=record,
+            year=pub_date.year,
+            is_original=countable,
+            is_paratext=False,
+            in_regular_issue=countable,
+            is_hybrid_oa=oa and countable,
+            countable=countable,
+            journal_is_hybrid=True,
+            publisher="Pub",
+        )
     )
 
 
@@ -200,9 +203,6 @@ def test_matched_institution_from_first_agreement_in_id_order():
 
 # --- oracle equivalence and monotonicity ------------------------------------------------
 
-from oracles import oracle_match, random_world  # noqa: E402
-
-
 def test_matches_bruteforce_oracle_on_random_corpora():
     for trial in range(20):
         rng = random.Random(500 + trial)
@@ -210,7 +210,7 @@ def test_matches_bruteforce_oracle_on_random_corpora():
         journal_index = agreements_by_journal(agreements)
         for article in articles:
             for role in (ROLE_FIRST, ROLE_CORRESPONDING):
-                got = match_agreements(article, role, journal_index, inverse, index)
+                got = match_agreements(as_row(article), role, journal_index, inverse, index)
                 want = oracle_match(article, role, agreements, inverse, index)
                 assert got == want
 
@@ -230,7 +230,7 @@ def test_adding_agreement_never_removes_attribution(seed, extra_days):
     )
     before = agreements_by_journal(agreements)
     after = agreements_by_journal(agreements + [new_agreement])
-    for article in articles:
+    for article in map(as_row, articles):
         old = match_agreements(article, ROLE_FIRST, before, inverse, index)
         new = match_agreements(article, ROLE_FIRST, after, inverse, index)
         if old is not None:
@@ -253,7 +253,7 @@ def test_widening_window_never_removes_attribution(seed, widen_days):
     ]
     before = agreements_by_journal(agreements)
     after = agreements_by_journal(widened)
-    for article in articles:
+    for article in map(as_row, articles):
         old = match_agreements(article, ROLE_FIRST, before, inverse, index)
         new = match_agreements(article, ROLE_FIRST, after, inverse, index)
         if old is not None:

@@ -13,6 +13,7 @@ from hybridoa.model import (
     normalize_publisher,
     parse_date_pinned,
 )
+from oracles import record_row
 
 
 def test_year_only_pins_to_january_first():
@@ -43,8 +44,8 @@ def test_first_author_follows_position():
         document_class="Article",
         authors=(Authorship(position=2), first),
     )
-    assert record.first_author() == first
-    assert replace(record, authors=(Authorship(position=2),)).first_author() is None
+    assert record_row(record).first_author() == first
+    assert record_row(replace(record, authors=(Authorship(position=2),))).first_author() is None
 
 
 def test_institution_rejects_self_association():

@@ -10,6 +10,7 @@ import pytest
 
 from hybridoa import fixture, pipeline
 from hybridoa.artifacts import Layout, read_manifest
+from hybridoa.classify import KNOWN_NOT_ORIGINAL
 from hybridoa.config import apply_overrides, load_config
 from hybridoa.errors import ConfigError, DependencyError, UnknownDoi
 
@@ -92,22 +93,25 @@ def raises_naming_each_missing(declared, action):
             os.rename(path + ".aside", path)
 
 
-def test_stage_boundary_checks_and_records_declared_inputs(full_tree, tmp_path):
+def test_stage_boundary_checks_and_records_declared_inputs(full_tree):
     config = full_tree
     layout = Layout(config.out_dir)
     assert pipeline.STAGE_INPUTS["ingest"](layout, config) == []
     external = [config.issn_links, *config.fully_oa_lists, config.agreement_dump]
     external += [config.durations, config.institutions] + [s.articles for s in config.sources]
-    assert [e["path"] for e in read_manifest(layout, "ingest")["inputs"]] == sorted(external)
+    assert [e["path"] for e in read_manifest(layout, "ingest")["inputs"]] == sorted(
+        os.path.relpath(p, config.out_dir) for p in external
+    )
     for stage in pipeline.artifacts.STAGES[1:]:
         declared = pipeline.STAGE_INPUTS[stage](layout, config)
         recorded = [e["path"] for e in read_manifest(layout, stage)["inputs"]]
         assert recorded == sorted(os.path.relpath(p, config.out_dir) for p in declared), stage
         raises_naming_each_missing(declared, lambda: pipeline.run(config, [stage]))
     # the declared inputs suffice: a tree holding only them reproduces the
-    # stage's outputs and manifest
+    # stage's outputs and manifest; it sits beside out_dir, so the external
+    # inputs keep their out_dir-relative paths
     for stage in pipeline.artifacts.STAGES:
-        alone = replace(config, out_dir=str(tmp_path / stage))
+        alone = replace(config, out_dir=os.path.join(os.path.dirname(config.out_dir), stage))
         for path in pipeline.STAGE_INPUTS[stage](layout, config):
             copy = os.path.join(alone.out_dir, os.path.relpath(path, config.out_dir))
             os.makedirs(os.path.dirname(copy), exist_ok=True)
@@ -143,7 +147,7 @@ def test_ingest_counts_publisher_alias_rejects(tmp_path):
     pipeline.run(config, ["ingest"])
     manifest = read_manifest(Layout(config.out_dir), "ingest")
     assert manifest["counters"]["publisher_aliases_rejects"] == 1
-    assert str(aliases) in [e["path"] for e in manifest["inputs"]]
+    assert os.path.relpath(aliases, config.out_dir) in [e["path"] for e in manifest["inputs"]]
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -152,6 +156,78 @@ def test_rerun_is_byte_identical(tmp_path):
     first = tree_digest(config.out_dir)
     pipeline.run(config)
     assert tree_digest(config.out_dir) == first
+
+
+def test_one_corpus_in_two_places_gives_identical_trees(tmp_path):
+    """Manifests included: input paths are stored out_dir-relative and stay
+    out of the config digest."""
+    trees = []
+    for place in ("a", os.path.join("elsewhere", "deeper")):
+        corpus, config = small_corpus(tmp_path / place)
+        pipeline.run(config)
+        trees.append(files_under(config.out_dir))
+    assert trees[0] == trees[1]
+
+
+def test_classify_counts_unknown_document_classes(tmp_path):
+    """`unknown_doc_class_<source>` recounts the same on every run and at
+    every worker count."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config, ["ingest"])
+    layout = Layout(config.out_dir)
+    expected = {}
+    for source in config.sources:
+        allowed = {c.casefold() for c in source.doc_class_allowlist}
+        with open(layout.articles(source.label), encoding="utf-8") as fh:
+            classes = [json.loads(line)["document_class"].strip().casefold() for line in fh]
+        expected[f"unknown_doc_class_{source.label}"] = sum(
+            source.doc_class_mode == "allowlist" and c not in allowed | KNOWN_NOT_ORIGINAL
+            for c in classes
+        )
+    assert any(expected.values())
+    for workers in (1, 1, 2):
+        pipeline.run(replace(config, workers=workers), ["classify"])
+        counters = read_manifest(layout, "classify")["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("unknown")} == expected
+
+
+def test_attribute_counts_unresolved_org_ids(tmp_path):
+    """`unresolved_org_ids_<role>` counts the proprietary IDs of role authors
+    on attributable articles in agreement journals that the crosswalk lacks,
+    alike at every worker count."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config, ["ingest", "classify", "reconcile"])
+    layout = Layout(config.out_dir)
+    with open(layout.crosswalk, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with open(layout.crosswalk, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[: len(lines) // 2])  # header and the first half
+    with open(layout.crosswalk, encoding="utf-8") as fh:
+        known = {f"{row['scheme']}:{row['proprietary_id']}" for row in csv.DictReader(fh)}
+    with open(layout.agreements, encoding="utf-8") as fh:
+        covered = {
+            issn for a in map(json.loads, fh) if a["start_date"] and a["end_date"]
+            for issn in a["journal_issn_ls"]
+        }
+    expected = {"unresolved_org_ids_first": 0, "unresolved_org_ids_corresponding": 0}
+    for source in config.sources:
+        with open(layout.classified(source.label), encoding="utf-8") as fh:
+            for obj in map(json.loads, fh):
+                record = obj["record"]
+                if not (obj["countable"] and obj["is_hybrid_oa"]) or record["issn"] not in covered:
+                    continue
+                first = [a for a in record["authors"] if a["position"] == 1][:1]
+                flagged = [a for a in record["authors"] if a["corresponding"] is True]
+                for role, authors in (("first", first), ("corresponding", flagged)):
+                    ids = {o for a in authors for o in a["org_ids"]}
+                    expected[f"unresolved_org_ids_{role}"] += sum(
+                        not o.startswith("ror:") and o not in known for o in ids
+                    )
+    assert all(expected.values())
+    for workers in (1, 2):
+        pipeline.run(replace(config, workers=workers), ["attribute"])
+        counters = read_manifest(layout, "attribute")["counters"]
+        assert {k: v for k, v in counters.items() if k.startswith("unresolved")} == expected
 
 
 def files_under(root):
@@ -422,13 +498,19 @@ def test_country_full_counting_at_least_global(pipeline_run):
 
 
 def test_attribute_and_aggregate_decode_each_record_once(tmp_path, monkeypatch):
+    """Reconcile, aggregate and compare decode each classified line once;
+    attribute decodes only the countable hybrid OA lines."""
     corpus, config = small_corpus(tmp_path)
-    pipeline.run(config, ["ingest", "classify", "reconcile"])
+    pipeline.run(config, ["ingest", "classify"])
     layout = Layout(config.out_dir)
-    records = 0
+    records = attributable = 0
     for source in config.sources:
         with open(layout.classified(source.label), encoding="utf-8") as fh:
-            records += sum(1 for line in fh if line.strip())
+            for line in fh:
+                obj = json.loads(line)
+                records += 1
+                attributable += obj["countable"] and obj["is_hybrid_oa"]
+    assert 0 < attributable < records
 
     decode = pipeline.artifacts.classified_from_line
     calls = []
@@ -438,10 +520,13 @@ def test_attribute_and_aggregate_decode_each_record_once(tmp_path, monkeypatch):
         return decode(line, source)
 
     monkeypatch.setattr(pipeline.artifacts, "classified_from_line", counting)
-    for stage in ("attribute", "aggregate"):
+    expected = {
+        "reconcile": records, "attribute": attributable, "aggregate": records, "compare": records,
+    }
+    for stage, decodes in expected.items():
         calls.clear()
         pipeline.run(config, [stage])
-        assert len(calls) == records, stage
+        assert len(calls) == decodes, stage
 
 
 # --- explain ---------------------------------------------------------------------

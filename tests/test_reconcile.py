@@ -16,7 +16,7 @@ from hybridoa.reconcile import (
     select_crosswalk,
     tally_pairs,
 )
-from oracles import oracle_crosswalk
+from oracles import oracle_crosswalk, record_row
 
 
 def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
@@ -31,10 +31,15 @@ def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
     )
 
 
+def projection(records, open_side):
+    """`first_author_ids` over the classified rows of the records."""
+    return first_author_ids(map(record_row, records), open_side)
+
+
 def bridge_of_corpora(open_corpus, prop_corpus):
     return build_bridge(
-        first_author_ids(open_corpus, open_side=True),
-        first_author_ids(prop_corpus, open_side=False),
+        projection(open_corpus, open_side=True),
+        projection(prop_corpus, open_side=False),
     )
 
 
@@ -52,11 +57,11 @@ def test_bridge_skips_doi_repeated_in_one_corpus():
     )
     assert bridge == []
     # repeated inside one proprietary source: it still bridges for the other
-    open_ids = first_author_ids([rec("open", "W1", "10.1/a")], open_side=True)
-    src_a = first_author_ids(
+    open_ids = projection([rec("open", "W1", "10.1/a")], open_side=True)
+    src_a = projection(
         [rec("srcA", "A1", "10.1/a"), rec("srcA", "A2", "10.1/a")], open_side=False
     )
-    src_b = first_author_ids([rec("srcB", "B1", "10.1/a")], open_side=False)
+    src_b = projection([rec("srcB", "B1", "10.1/a")], open_side=False)
     assert build_bridge(open_ids, src_a) == []
     assert build_bridge(open_ids, src_b) == ["10.1/a"]
 
@@ -86,11 +91,11 @@ def tally_of(articles, examples_per_pair=3):
 
     Returns (bridged DOIs, pair counts, pair examples).
     """
-    open_ids = first_author_ids(
+    open_ids = projection(
         (rec("open", f"W{doi}", doi, org_ids) for doi, org_ids, *_ in articles),
         open_side=True,
     )
-    prop_ids = first_author_ids(
+    prop_ids = projection(
         (rec("srcA", f"A{doi}", doi, org_ids, *pos) for doi, _, org_ids, *pos in articles),
         open_side=False,
     )
@@ -220,11 +225,11 @@ def corpus_of(source, raw):
 
 def engine_crosswalk(open_corpus, proprietary_corpora, min_support):
     """The reconcile stage's composition, over one-shot iterables."""
-    open_ids = first_author_ids(open_corpus, open_side=True)
+    open_ids = projection(open_corpus, open_side=True)
     counts: Counter = Counter()
     bridged, examples = {}, {}
     for label, corpus in proprietary_corpora.items():
-        prop_ids = first_author_ids(corpus, open_side=False)
+        prop_ids = projection(corpus, open_side=False)
         bridge = build_bridge(open_ids, prop_ids)
         bridged[label] = len(bridge)
         tally_pairs(bridge, open_ids, prop_ids, counts, examples)
@@ -312,8 +317,8 @@ def test_planted_mapping_recovery_with_noise():
         doi = f"10.1/{article}"
         open_corpus.append(rec("open", f"W{article}", doi, open_ids))
         prop_corpus.append(rec("srcA", f"A{article}", doi, prop_ids))
-    open_ids = first_author_ids(open_corpus, open_side=True)
-    prop_ids = first_author_ids(prop_corpus, open_side=False)
+    open_ids = projection(open_corpus, open_side=True)
+    prop_ids = projection(prop_corpus, open_side=False)
     counts: Counter = Counter()
     tally_pairs(build_bridge(open_ids, prop_ids), open_ids, prop_ids, counts, {})
     entries = select_crosswalk(counts, min_support=2)
