@@ -22,7 +22,6 @@ from .model import (
     GROUP_GLOBAL,
     GROUP_PUBLISHER,
     Agreement,
-    ArticleRecord,
     AttributionRecord,
     Authorship,
     ClassifiedArticle,
@@ -236,37 +235,6 @@ def _date(text: str | None) -> date | None:
     return date.fromisoformat(text) if text else None
 
 
-def record_to_dict(record: ArticleRecord) -> dict:
-    return {
-        "source": record.source,
-        "native_id": record.native_id,
-        "issn": record.journal_issn_l,
-        "pub_date": _iso(record.pub_date),
-        "document_class": record.document_class,
-        "doi": record.doi,
-        "pagination": record.pagination,
-        "article_number": record.article_number,
-        "title": record.title,
-        "licenses": [
-            {
-                "url": lic.url,
-                "applies_to_vor": lic.applies_to_vor,
-                "start_date": _iso(lic.start_date),
-            }
-            for lic in record.licenses
-        ],
-        "authors": [
-            {
-                "position": author.position,
-                "corresponding": author.is_corresponding,
-                "org_ids": sorted(author.org_ids),
-                "countries": sorted(author.countries),
-            }
-            for author in record.authors
-        ],
-    }
-
-
 def _license(obj: dict) -> LicenseStatement:
     return LicenseStatement(
         url=obj["url"],
@@ -284,21 +252,34 @@ def _authorship(obj: dict) -> Authorship:
     )
 
 
-def record_from_dict(obj: dict, source: str) -> ArticleRecord:
-    """Trusted deserialization of an artifact line (no validation)."""
-    return ArticleRecord(
-        source=source,
-        native_id=obj["native_id"],
-        journal_issn_l=obj["issn"],
-        pub_date=_date(obj.get("pub_date")),
-        document_class=obj["document_class"],
-        doi=obj.get("doi"),
-        pagination=obj.get("pagination"),
-        article_number=obj.get("article_number"),
-        title=obj.get("title") or "",
-        licenses=tuple(map(_license, obj.get("licenses") or ())),
-        authors=tuple(map(_authorship, obj.get("authors") or ())),
+class IngestRow:
+    """One decoded ingest line, as classify reads it.
+
+    The line is the record's canonical dict, written by ingest as
+    `ingest.parse_article_line` built it. What the classification rules
+    read is an attribute, the publication date a `date`; licenses are
+    built only when asked for.
+    """
+
+    __slots__ = (
+        "source", "native_id", "journal_issn_l", "pub_date", "document_class", "title",
+        "pagination", "article_number", "_record",
     )
+
+    def __init__(self, obj: dict, source: str):
+        self.source = source
+        self.native_id = obj["native_id"]
+        self.journal_issn_l = obj["issn"]
+        self.pub_date = _date(obj["pub_date"])
+        self.document_class = obj["document_class"]
+        self.title = obj["title"]
+        self.pagination = obj["pagination"]
+        self.article_number = obj["article_number"]
+        self._record = obj
+
+    @property
+    def licenses(self) -> tuple[LicenseStatement, ...]:
+        return tuple(map(_license, self._record["licenses"]))
 
 
 # The record keys a classified line keeps: what reconcile, attribute,
@@ -307,7 +288,7 @@ _CLASSIFIED_RECORD_KEYS = ("authors", "doi", "issn", "licenses", "native_id", "p
 
 
 def classified_to_line(article: ClassifiedArticle) -> str:
-    record = record_to_dict(article.record)
+    record = article.record._record
     return dump_canonical(
         {
             "record": {key: record[key] for key in _CLASSIFIED_RECORD_KEYS},
@@ -387,17 +368,17 @@ class ClassifiedRow:
         return any(a["corresponding"] is not None for a in self._record["authors"])
 
 
-# A classified line is one canonical JSON object: decoded without the
-# whitespace checks of json.loads.
+# Ingest and classified lines are each one canonical JSON object: decoded
+# without the whitespace checks of json.loads.
 _decode_object = json.JSONDecoder().raw_decode
+
+
+def ingest_from_line(line: str, source: str) -> IngestRow:
+    return IngestRow(_decode_object(line)[0], source)
 
 
 def classified_from_line(line: str, source: str) -> ClassifiedRow:
     return ClassifiedRow(_decode_object(line)[0], source)
-
-
-def write_records(path: str, records: Iterable[ArticleRecord]) -> None:
-    write_ndjson(path, map(record_to_dict, records))
 
 
 def classified_with_doi(path: str, source: str, doi: str) -> list[ClassifiedRow]:

@@ -4,7 +4,7 @@ Covers hybrid-journal status, original-article filtering, paratext
 detection, regular-issue detection, publication-year assignment, and
 open access status. Everything here is a pure function of the record
 plus static configuration, so classification can run data-parallel over
-record streams.
+record streams. A record is an `artifacts.IngestRow`, read by attribute.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from datetime import timedelta
 from importlib import resources
 
 from .errors import NoDate
-from .model import ArticleRecord, ClassifiedArticle, Journal, LicenseStatement
+from .artifacts import ClassifiedRow, IngestRow
+from .model import ClassifiedArticle, Journal, LicenseStatement
 
 DOC_MODE_ALLOWLIST = "allowlist"
 DOC_MODE_HEURISTIC = "heuristic"
@@ -108,7 +109,7 @@ class ClassifierConfig:
     lenient_oa_sources: frozenset[str] = frozenset()
 
 
-def assign_year(record: ArticleRecord) -> int:
+def assign_year(record: IngestRow) -> int:
     """Publication year: the year of the earliest known date."""
     if record.pub_date is None:
         raise NoDate(f"{record.source}/{record.native_id}")
@@ -123,7 +124,7 @@ def detect_paratext(title: str, patterns: tuple[re.Pattern, ...]) -> bool:
     return any(p.match(normalized) for p in patterns)
 
 
-def in_regular_issue(record: ArticleRecord) -> bool:
+def in_regular_issue(record: IngestRow) -> bool:
     """Numerical pagination, or an all-digit article number when unpaginated.
 
     Alphabetic page prefixes (S12, e103) signal supplements or special
@@ -139,7 +140,7 @@ def in_regular_issue(record: ArticleRecord) -> bool:
 
 
 def is_original(
-    record: ArticleRecord,
+    record: IngestRow,
     policy: SourcePolicy,
     *,
     paratext: bool | None = None,
@@ -159,7 +160,7 @@ def is_original(
     return doc_class in policy.allowlist
 
 
-def is_unknown_class(record: ArticleRecord, policy: SourcePolicy) -> bool:
+def is_unknown_class(record: IngestRow, policy: SourcePolicy) -> bool:
     """An allowlist source's document class that is neither allowed nor a
     known non-original label."""
     if policy.mode != DOC_MODE_ALLOWLIST:
@@ -169,7 +170,7 @@ def is_unknown_class(record: ArticleRecord, policy: SourcePolicy) -> bool:
 
 
 def license_failure(
-    lic: LicenseStatement, record: ArticleRecord, cfg: ClassifierConfig
+    lic: LicenseStatement, record: IngestRow | ClassifiedRow, cfg: ClassifierConfig
 ) -> str | None:
     """Why one license statement does not make the record OA; None when it does.
 
@@ -205,13 +206,13 @@ def license_failure(
     return None
 
 
-def oa_status(record: ArticleRecord, cfg: ClassifierConfig) -> bool:
+def oa_status(record: IngestRow, cfg: ClassifierConfig) -> bool:
     """Open access when any license statement passes `license_failure`."""
     return any(license_failure(lic, record, cfg) is None for lic in record.licenses)
 
 
 def classify_article(
-    record: ArticleRecord,
+    record: IngestRow,
     journal: Journal | None,
     cfg: ClassifierConfig,
 ) -> ClassifiedArticle:

@@ -6,9 +6,14 @@ offending row into a sidecar log and never abort the run. Reject logs
 carry line number, reason code, and the raw text so every dropped row is
 auditable.
 
-Article streams are generators with constant per-record memory. Exact
-duplicate detection over (source, native_id) uses a disk-backed index so
-peak resident memory stays independent of file length.
+An article line is validated straight into the dict that its ingest
+artifact line holds (`parse_article_line`), and that dict is written as
+it is. A list field (licenses, authors, an author's org IDs or
+countries) that holds anything but a list is rejected like any other
+mistyped field. Article streams are generators with constant per-record
+memory. Exact duplicate detection over (source, native_id) uses a
+disk-backed index so peak resident memory stays independent of file
+length.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
+from operator import itemgetter
 from typing import Iterable, Iterator
 
 from . import artifacts
@@ -30,11 +36,8 @@ from .errors import ChecksumFailure, MalformedIssn, MissingColumn, SchemaViolati
 from .identifiers import is_org_id, normalize_doi, validate_issn
 from .model import (
     Agreement,
-    ArticleRecord,
-    Authorship,
     Institution,
     Journal,
-    LicenseStatement,
     majority_label,
     normalize_publisher,
     parse_date_pinned,
@@ -401,12 +404,22 @@ def institution_index(institutions: Iterable[Institution]) -> dict[str, str]:
     return index
 
 
-def parse_article_line(
-    text: str,
-    source: str,
-    links: dict[str, str] | None = None,
-) -> ArticleRecord:
-    """Parse one interchange line into an ArticleRecord.
+def _list_field(obj: dict, name: str, code: str) -> list:
+    """`obj[name]` as a list; absent or empty is [], any other non-list
+    value raises SchemaViolation with `code`."""
+    value = obj.get(name) or []
+    if not isinstance(value, list):
+        raise SchemaViolation(code, f"{name} {value!r}")
+    return value
+
+
+def parse_article_line(text: str, source: str, links: dict[str, str] | None = None) -> dict:
+    """Parse one interchange line into the object the ingest artifact holds.
+
+    That object is the record's canonical form: the ISSN resolved to its
+    ISSN-L, the DOI normalized, the earliest pinned publication date and
+    each license start date as ISO text, authors in position order with
+    sorted, de-duplicated org IDs and country codes.
 
     Raises SchemaViolation with a reason code on any deviation from the
     documented schema; callers turn that into a reject-log entry.
@@ -429,6 +442,8 @@ def parse_article_line(
     raw_issn = obj.get("issn")
     if not raw_issn:
         raise SchemaViolation("missing_field", "issn")
+    if not isinstance(raw_issn, str):
+        raise SchemaViolation(REJECT_MALFORMED_ISSN, repr(raw_issn))
     issn = _checked_issn(raw_issn)
 
     raw_dates = obj.get("pub_date")
@@ -452,65 +467,63 @@ def parse_article_line(
         raise SchemaViolation(REJECT_BAD_FIELD, f"article_number {article_number!r}")
 
     licenses = []
-    for lic in obj.get("licenses") or ():
-        if not isinstance(lic, dict) or not lic.get("url"):
+    for lic in _list_field(obj, "licenses", "bad_license"):
+        if not isinstance(lic, dict) or not lic.get("url") or not isinstance(lic["url"], str):
             raise SchemaViolation("bad_license", repr(lic))
         applies_to_vor = lic.get("applies_to_vor", False)
         if not isinstance(applies_to_vor, bool):
             raise SchemaViolation("bad_license", f"applies_to_vor {applies_to_vor!r}")
         start = lic.get("start_date")
         licenses.append(
-            LicenseStatement(
-                url=str(lic["url"]),
-                applies_to_vor=applies_to_vor,
-                start_date=parse_date_pinned(str(start)) if start else None,
-            )
+            {
+                "applies_to_vor": applies_to_vor,
+                "start_date": parse_date_pinned(str(start)).isoformat() if start else None,
+                "url": lic["url"],
+            }
         )
 
     authors = []
-    for author in obj.get("authors") or ():
+    for author in _list_field(obj, "authors", "bad_author"):
         if not isinstance(author, dict):
             raise SchemaViolation("bad_author", repr(author))
         position = author.get("position")
         if type(position) is not int or position < 1:
             raise SchemaViolation("bad_author", f"position {position!r}")
-        org_ids = tuple(author.get("org_ids") or ())
+        org_ids = _list_field(author, "org_ids", "bad_org_id")
         for org in org_ids:
             if not isinstance(org, str) or not is_org_id(org):
                 raise SchemaViolation("bad_org_id", repr(org))
         corresponding = author.get("corresponding")
         if corresponding is not None and not isinstance(corresponding, bool):
             raise SchemaViolation("bad_author", f"corresponding {corresponding!r}")
-        countries = author.get("countries") or []
-        if not isinstance(countries, list):
-            raise SchemaViolation("bad_author", f"countries {countries!r}")
+        countries = _list_field(author, "countries", "bad_author")
         try:
-            codes = frozenset(c.strip().upper() for c in countries if c.strip())
+            codes = {c.strip().upper() for c in countries if c.strip()}
         except AttributeError:  # an element that is not a string
             raise SchemaViolation("bad_author", f"countries {countries!r}") from None
         authors.append(
-            Authorship(
-                position=position,
-                is_corresponding=corresponding,
-                org_ids=frozenset(org_ids),
-                countries=codes,
-            )
+            {
+                "corresponding": corresponding,
+                "countries": sorted(codes),
+                "org_ids": sorted(set(org_ids)),
+                "position": position,
+            }
         )
-    authors.sort(key=lambda a: a.position)
+    authors.sort(key=itemgetter("position"))
 
-    return ArticleRecord(
-        source=source,
-        native_id=native_id,
-        journal_issn_l=resolve_issn_l(issn, links),
-        pub_date=pub_date,
-        document_class=document_class,
-        doi=normalize_doi(obj.get("doi")),
-        pagination=obj.get("pagination") or None,
-        article_number=str(article_number) if article_number else None,
-        title=obj.get("title") or "",
-        licenses=tuple(licenses),
-        authors=tuple(authors),
-    )
+    return {
+        "article_number": str(article_number) if article_number else None,
+        "authors": authors,
+        "doi": normalize_doi(obj.get("doi")),
+        "document_class": document_class,
+        "issn": resolve_issn_l(issn, links),
+        "licenses": licenses,
+        "native_id": native_id,
+        "pagination": obj.get("pagination") or None,
+        "pub_date": pub_date.isoformat(),
+        "source": source,
+        "title": obj.get("title") or "",
+    }
 
 
 def load_article_stream(
@@ -519,8 +532,9 @@ def load_article_stream(
     links: dict[str, str] | None = None,
     rejects: RejectLog | None = None,
     dedupe_dir: str | None = None,
-) -> tuple[Iterator[ArticleRecord], CorpusManifest]:
-    """Stream ArticleRecords from a newline-delimited interchange file.
+) -> tuple[Iterator[dict], CorpusManifest]:
+    """Stream parsed records (see `parse_article_line`) from a
+    newline-delimited interchange file.
 
     Malformed lines and duplicate (source, native_id) keys are rejected
     and the stream continues. Memory stays constant in file length; the
@@ -529,7 +543,7 @@ def load_article_stream(
     rejects = rejects or RejectLog(None)
     manifest = CorpusManifest()
 
-    def generate() -> Iterator[ArticleRecord]:
+    def generate() -> Iterator[dict]:
         with open(path, encoding="utf-8") as fh, DedupeIndex(dedupe_dir) as seen:
             for lineno, line in enumerate(fh, 1):
                 if not line.strip():
@@ -540,7 +554,7 @@ def load_article_stream(
                     manifest.reject_count += 1
                     rejects.reject(lineno, exc.code, line)
                     continue
-                if not seen.add(record.native_id):
+                if not seen.add(record["native_id"]):
                     manifest.reject_count += 1
                     rejects.reject(lineno, REJECT_DUPLICATE, line)
                     continue

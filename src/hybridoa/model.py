@@ -12,9 +12,12 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from datetime import date
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
 
 from .errors import SchemaViolation
+
+if TYPE_CHECKING:
+    from .artifacts import IngestRow
 
 ROLE_FIRST = "first"
 ROLE_CORRESPONDING = "corresponding"
@@ -103,27 +106,6 @@ class Authorship:
 
 
 @dataclass(frozen=True, slots=True)
-class ArticleRecord:
-    """One article as reported by one source.
-
-    `pub_date` is the earliest known publication date; when the input
-    carries several dates the minimum (after pinning) is kept.
-    """
-
-    source: str
-    native_id: str
-    journal_issn_l: str
-    pub_date: date | None
-    document_class: str
-    doi: str | None = None
-    pagination: str | None = None
-    article_number: str | None = None
-    title: str = ""
-    licenses: tuple[LicenseStatement, ...] = ()
-    authors: tuple[Authorship, ...] = ()
-
-
-@dataclass(frozen=True, slots=True)
 class Institution:
     """An agreement-participating organization with its associated IDs.
 
@@ -207,12 +189,13 @@ class ClassifiedArticle:
 
     `countable` articles are the denominator of all indicator shares:
     original, non-paratext, regular-issue articles in hybrid journals.
-    OA status is only ever asserted on countable articles. Classify
-    writes it as one classified line; the later stages read that line
+    OA status is only ever asserted on countable articles. `record` is
+    the decoded ingest line the flags were derived from. Classify writes
+    the article as one classified line; the later stages read that line
     back as an `artifacts.ClassifiedRow`.
     """
 
-    record: ArticleRecord
+    record: IngestRow
     year: int
     is_original: bool
     is_paratext: bool

@@ -10,7 +10,6 @@ worker pool changes wall time but never output bytes.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import pickle
@@ -202,7 +201,7 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
             stream, manifest = ingest.load_article_stream(
                 source.articles, source.label, links, rej
             )
-            artifacts.write_records(path, stream)
+            artifacts.write_ndjson(path, stream)
         inputs.append(artifacts.describe_input(source.articles, rows=manifest.total_lines))
         outputs.append(path)
         counters[f"records_{source.label}"] = manifest.record_count
@@ -211,6 +210,16 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
 
 
 # --- classify ----------------------------------------------------------------
+
+def _license_settings(config: PipelineConfig) -> dict:
+    """The `ClassifierConfig` fields that `classify.license_failure` reads."""
+    return dict(
+        cc_license_re=re.compile(config.cc_license_pattern, re.IGNORECASE),
+        user_license_re=re.compile(config.user_license_pattern, re.IGNORECASE),
+        license_grace_days=config.license_grace_days,
+        lenient_oa_sources=frozenset(s.label for s in config.sources if s.lenient_oa),
+    )
+
 
 def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     policies = {
@@ -226,10 +235,7 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     return classify.ClassifierConfig(
         policies=policies,
         paratext_patterns=classify.load_paratext_patterns(config.paratext_patterns),
-        cc_license_re=re.compile(config.cc_license_pattern, re.IGNORECASE),
-        user_license_re=re.compile(config.user_license_pattern, re.IGNORECASE),
-        license_grace_days=config.license_grace_days,
-        lenient_oa_sources=frozenset(s.label for s in config.sources if s.lenient_oa),
+        **_license_settings(config),
     )
 
 
@@ -241,9 +247,8 @@ def _classify_chunk(item: tuple[str, list[str]]) -> tuple[str, list[str], Counte
     out = []
     unknown: Counter = Counter()
     for line in lines:
-        record = artifacts.record_from_dict(json.loads(line), source)
-        journal = journals.get(record.journal_issn_l)
-        article = classify.classify_article(record, journal, cfg)
+        record = artifacts.ingest_from_line(line, source)
+        article = classify.classify_article(record, journals.get(record.journal_issn_l), cfg)
         if classify.is_unknown_class(record, policy):
             unknown[record.document_class] += 1
         out.append(artifacts.classified_to_line(article))
@@ -485,7 +490,10 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
         raise UnknownDoi(doi)
 
     journal_agreements, crosswalk_inverse, inst_index = _attribution_indexes(layout)
-    cls_cfg = _classifier_config(config)
+    # the license verdicts need no source policy and no paratext pattern
+    cls_cfg = classify.ClassifierConfig(
+        policies={}, paratext_patterns=(), **_license_settings(config)
+    )
 
     lines = [f"DOI {doi}"]
     for article in hits:

@@ -10,20 +10,30 @@ import math
 import os
 import random
 from collections import defaultdict
+from dataclasses import dataclass, replace
 from datetime import date, timedelta
 
-from hybridoa.artifacts import classified_from_line, classified_to_line
+from hybridoa.artifacts import (
+    IngestRow,
+    classified_from_line,
+    classified_to_line,
+    dump_canonical,
+)
 from hybridoa.classify import (
     DEFAULT_ALLOWLIST,
     DEFAULT_CC_LICENSE_PATTERN,
     DEFAULT_JOURNAL_ARTICLE_CLASSES,
     DEFAULT_USER_LICENSE_PATTERN,
     DOC_MODE_ALLOWLIST,
+    classify_article,
+    is_unknown_class,
 )
 from hybridoa.config import PipelineConfig, SourceConfig
+from hybridoa.errors import SchemaViolation
+from hybridoa.identifiers import is_org_id, normalize_doi
+from hybridoa.ingest import _checked_issn, resolve_issn_l
 from hybridoa.model import (
     Agreement,
-    ArticleRecord,
     AttributionRecord,
     Authorship,
     ClassifiedArticle,
@@ -32,10 +42,238 @@ from hybridoa.model import (
     GROUP_GLOBAL,
     GROUP_PUBLISHER,
     IndicatorRow,
+    LicenseStatement,
     ROLE_CORRESPONDING,
     ROLE_FIRST,
     ROLES,
+    parse_date_pinned,
 )
+
+
+# --- the record tree: ingest and classify over ArticleRecord objects -------------
+
+@dataclass(frozen=True, slots=True)
+class ArticleRecord:
+    """One article as reported by one source, as a tree of values.
+
+    `pub_date` is the earliest known publication date; when the input
+    carries several dates the minimum (after pinning) is kept.
+    """
+
+    source: str
+    native_id: str
+    journal_issn_l: str
+    pub_date: date | None
+    document_class: str
+    doi: str | None = None
+    pagination: str | None = None
+    article_number: str | None = None
+    title: str = ""
+    licenses: tuple[LicenseStatement, ...] = ()
+    authors: tuple[Authorship, ...] = ()
+
+
+def _oracle_list(value, code, what):
+    """An absent or empty list field is (); any other non-list rejects."""
+    if not value:
+        return ()
+    if not isinstance(value, list):
+        raise SchemaViolation(code, f"{what} {value!r}")
+    return value
+
+
+def oracle_parse_article_line(text, source, links=None):
+    """The interchange line as an ArticleRecord tree, every field checked
+    as the interchange schema says; raises SchemaViolation with the reject
+    code of the first check that fails."""
+    links = links or {}
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SchemaViolation("bad_json", str(exc)) from None
+    if not isinstance(obj, dict):
+        raise SchemaViolation("bad_json", "line is not an object")
+    if obj.get("source") != source:
+        raise SchemaViolation("source_mismatch", repr(obj.get("source")))
+    native_id = obj.get("native_id")
+    if not native_id or not isinstance(native_id, str):
+        raise SchemaViolation("missing_field", "native_id")
+    if not obj.get("issn"):
+        raise SchemaViolation("missing_field", "issn")
+    if not isinstance(obj["issn"], str):
+        raise SchemaViolation("malformed_issn", repr(obj["issn"]))
+    issn = _checked_issn(obj["issn"])
+    raw_dates = obj.get("pub_date")
+    if raw_dates is None or raw_dates == [] or raw_dates == "":
+        raise SchemaViolation("missing_field", "pub_date")
+    if isinstance(raw_dates, str):
+        raw_dates = [raw_dates]
+    if not isinstance(raw_dates, list):
+        raise SchemaViolation("bad_date", repr(raw_dates))
+    pub_date = min(parse_date_pinned(str(d)) for d in raw_dates)
+    document_class = obj.get("document_class")
+    if not document_class or not isinstance(document_class, str):
+        raise SchemaViolation("missing_field", "document_class")
+    for name in ("doi", "pagination", "title"):
+        if obj.get(name) is not None and not isinstance(obj[name], str):
+            raise SchemaViolation("bad_field", name)
+    article_number = obj.get("article_number")
+    if isinstance(article_number, bool) or not isinstance(article_number, (str, int, type(None))):
+        raise SchemaViolation("bad_field", "article_number")
+
+    licenses = []
+    for lic in _oracle_list(obj.get("licenses"), "bad_license", "licenses"):
+        if not isinstance(lic, dict) or not lic.get("url") or not isinstance(lic["url"], str):
+            raise SchemaViolation("bad_license", repr(lic))
+        if not isinstance(lic.get("applies_to_vor", False), bool):
+            raise SchemaViolation("bad_license", "applies_to_vor")
+        start = lic.get("start_date")
+        licenses.append(
+            LicenseStatement(
+                url=lic["url"],
+                applies_to_vor=lic.get("applies_to_vor", False),
+                start_date=parse_date_pinned(str(start)) if start else None,
+            )
+        )
+
+    authors = []
+    for author in _oracle_list(obj.get("authors"), "bad_author", "authors"):
+        if not isinstance(author, dict):
+            raise SchemaViolation("bad_author", repr(author))
+        position = author.get("position")
+        if type(position) is not int or position < 1:
+            raise SchemaViolation("bad_author", "position")
+        org_ids = _oracle_list(author.get("org_ids"), "bad_org_id", "org_ids")
+        for org in org_ids:
+            if not isinstance(org, str) or not is_org_id(org):
+                raise SchemaViolation("bad_org_id", repr(org))
+        corresponding = author.get("corresponding")
+        if corresponding is not None and not isinstance(corresponding, bool):
+            raise SchemaViolation("bad_author", "corresponding")
+        countries = _oracle_list(author.get("countries"), "bad_author", "countries")
+        if not all(isinstance(c, str) for c in countries):
+            raise SchemaViolation("bad_author", "countries")
+        authors.append(
+            Authorship(
+                position=position,
+                is_corresponding=corresponding,
+                org_ids=frozenset(org_ids),
+                countries=frozenset(c.strip().upper() for c in countries if c.strip()),
+            )
+        )
+    authors.sort(key=lambda a: a.position)
+
+    return ArticleRecord(
+        source=source,
+        native_id=native_id,
+        journal_issn_l=resolve_issn_l(issn, links),
+        pub_date=pub_date,
+        document_class=document_class,
+        doi=normalize_doi(obj.get("doi")),
+        pagination=obj.get("pagination") or None,
+        article_number=str(article_number) if article_number else None,
+        title=obj.get("title") or "",
+        licenses=tuple(licenses),
+        authors=tuple(authors),
+    )
+
+
+def _iso(day):
+    return None if day is None else day.isoformat()
+
+
+def _day(text):
+    return date.fromisoformat(text) if text else None
+
+
+def record_to_dict(record):
+    """The ingest artifact's object for a record tree."""
+    return {
+        "source": record.source,
+        "native_id": record.native_id,
+        "issn": record.journal_issn_l,
+        "pub_date": _iso(record.pub_date),
+        "document_class": record.document_class,
+        "doi": record.doi,
+        "pagination": record.pagination,
+        "article_number": record.article_number,
+        "title": record.title,
+        "licenses": [
+            {
+                "url": lic.url,
+                "applies_to_vor": lic.applies_to_vor,
+                "start_date": _iso(lic.start_date),
+            }
+            for lic in record.licenses
+        ],
+        "authors": [
+            {
+                "position": author.position,
+                "corresponding": author.is_corresponding,
+                "org_ids": sorted(author.org_ids),
+                "countries": sorted(author.countries),
+            }
+            for author in record.authors
+        ],
+    }
+
+
+def record_from_dict(obj, source):
+    """The record tree of an ingest artifact's object."""
+    return ArticleRecord(
+        source=source,
+        native_id=obj["native_id"],
+        journal_issn_l=obj["issn"],
+        pub_date=_day(obj.get("pub_date")),
+        document_class=obj["document_class"],
+        doi=obj.get("doi"),
+        pagination=obj.get("pagination"),
+        article_number=obj.get("article_number"),
+        title=obj.get("title") or "",
+        licenses=tuple(
+            LicenseStatement(lic["url"], lic["applies_to_vor"], _day(lic.get("start_date")))
+            for lic in obj.get("licenses") or ()
+        ),
+        authors=tuple(
+            Authorship(
+                position=a["position"],
+                is_corresponding=a.get("corresponding"),
+                org_ids=frozenset(a.get("org_ids") or ()),
+                countries=frozenset(a.get("countries") or ()),
+            )
+            for a in obj.get("authors") or ()
+        ),
+    )
+
+
+def oracle_classified_line(article):
+    """The classified line of an article whose record is a record tree."""
+    record = record_to_dict(article.record)
+    keys = ("authors", "doi", "issn", "licenses", "native_id", "pub_date")
+    return dump_canonical(
+        {
+            "record": {key: record[key] for key in keys},
+            "year": article.year,
+            "is_original": article.is_original,
+            "is_paratext": article.is_paratext,
+            "in_regular_issue": article.in_regular_issue,
+            "is_hybrid_oa": article.is_hybrid_oa,
+            "countable": article.countable,
+            "journal_is_hybrid": article.journal_is_hybrid,
+            "publisher": article.publisher,
+        }
+    )
+
+
+def oracle_ingest_and_classify(text, source, links, journals, cfg):
+    """Ingest line, classified line and unknown-class flag of one
+    interchange line, through record trees: parse, dump, rebuild the tree
+    from the dumped line, classify, dump again."""
+    ingest_line = dump_canonical(record_to_dict(oracle_parse_article_line(text, source, links)))
+    record = record_from_dict(json.loads(ingest_line), source)
+    article = classify_article(record, journals.get(record.journal_issn_l), cfg)
+    unknown = is_unknown_class(record, cfg.policies[source])
+    return ingest_line, oracle_classified_line(article), unknown
 
 
 # --- the full-record path: rules over ArticleRecord's Authorship tuple ---------
@@ -70,9 +308,16 @@ def oracle_has_corresponding_data(record):
     return any(a.is_corresponding is not None for a in record.authors)
 
 
+def written_line(article):
+    """The engine's classified line for an article whose record is a
+    record tree, passed to the writer as the ingest row that holds it."""
+    row = IngestRow(record_to_dict(article.record), article.record.source)
+    return classified_to_line(replace(article, record=row))
+
+
 def as_row(article):
     """`article` as the stages after classify read it: through the classified line."""
-    return classified_from_line(classified_to_line(article), article.record.source)
+    return classified_from_line(written_line(article), article.record.source)
 
 
 def record_row(record):

@@ -20,7 +20,6 @@ from hybridoa.analytics import (
 )
 from hybridoa.errors import InsufficientPairs
 from hybridoa.model import (
-    ArticleRecord,
     Authorship,
     ClassifiedArticle,
     GROUP_COUNTRY,
@@ -32,6 +31,7 @@ from hybridoa.model import (
 )
 
 from oracles import (
+    ArticleRecord,
     as_row,
     oracle_country_correlations,
     oracle_coverage_summary,

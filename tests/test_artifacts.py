@@ -3,20 +3,21 @@ from datetime import date
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridoa.artifacts import classified_to_line, is_attributable
+from hybridoa.artifacts import is_attributable
 from hybridoa.attribute import role_author
 from hybridoa.model import (
-    ArticleRecord,
     Authorship,
     ClassifiedArticle,
     LicenseStatement,
     ROLES,
 )
 from oracles import (
+    ArticleRecord,
     as_row,
     oracle_first_author,
     oracle_has_corresponding_data,
     oracle_role_author,
+    written_line,
 )
 
 ORGS = ("ror:r1", "ror:r2", "srcA:p1", "srcB:q1")
@@ -100,7 +101,7 @@ def author(position, corresponding=None, *orgs):
 @example(article((author(1, None, "ror:r1"),), None))  # corresponding null, no pub_date
 def test_row_equals_full_record_path(full):
     """The row read back from a classified line answers as the full record."""
-    line = classified_to_line(full)
+    line = written_line(full)
     row = as_row(full)
     record = full.record
     assert row.first_author() == oracle_first_author(record)

@@ -13,13 +13,12 @@ from hybridoa.attribute import (
 )
 from hybridoa.model import (
     Agreement,
-    ArticleRecord,
     Authorship,
     ClassifiedArticle,
     ROLE_CORRESPONDING,
     ROLE_FIRST,
 )
-from oracles import as_row, oracle_match, random_world
+from oracles import ArticleRecord, as_row, oracle_match, random_world
 
 ISSN = "0378-5955"
 

@@ -21,7 +21,8 @@ from hybridoa.classify import (
 )
 from hybridoa.errors import NoDate
 from hybridoa.ingest import build_journals
-from hybridoa.model import ArticleRecord, Authorship, Journal, LicenseStatement
+from hybridoa.model import Authorship, Journal, LicenseStatement
+from oracles import ArticleRecord
 
 PATTERNS = load_paratext_patterns()
 

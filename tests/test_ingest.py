@@ -4,9 +4,17 @@ import random
 from datetime import date
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridoa import pipeline
+from hybridoa.artifacts import dump_canonical
+from hybridoa.classify import (
+    DOC_MODE_HEURISTIC,
+    ClassifierConfig,
+    SourcePolicy,
+    load_paratext_patterns,
+)
 from hybridoa.errors import MissingColumn, SchemaViolation
 from hybridoa.ingest import (
     RejectLog,
@@ -20,9 +28,10 @@ from hybridoa.ingest import (
     load_publisher_aliases,
     parse_article_line,
 )
-from hybridoa.model import Agreement
+from hybridoa.model import Agreement, Journal
 
 from conftest import article_line, write_lines
+from oracles import oracle_ingest_and_classify
 
 ISSN_A = "0378-5955"
 ISSN_B = "0024-9319"  # valid: 0*8+0*7+2*6+4*5+9*4+3*3+1*2 = 79, 11-(79%11)=9
@@ -165,7 +174,7 @@ def test_unknown_issn_falls_back_to_itself(tmp_path):
     path = write_lines(tmp_path / "l.csv", ["issn,issn_l"])
     links = load_issn_link_table(path)
     record = parse_article_line(article_line(issn=ISSN_A), "open", links)
-    assert record.journal_issn_l == ISSN_A
+    assert record["issn"] == ISSN_A
 
 
 # --- fully-OA lists -------------------------------------------------------------
@@ -261,7 +270,7 @@ def test_stream_missing_issn_rejected_stream_continues(tmp_path):
     rejects = RejectLog(str(tmp_path / "rej.csv"))
     records, manifest = consume(path, "open", rejects=rejects)
     rejects.close()
-    assert [r.native_id for r in records] == ["W1", "W2"]
+    assert [r["native_id"] for r in records] == ["W1", "W2"]
     assert manifest.reject_count == 1
     with open(tmp_path / "rej.csv") as fh:
         content = fh.read()
@@ -297,20 +306,20 @@ def test_parse_multiple_dates_takes_minimum():
     record = parse_article_line(
         article_line(pub_date=["2022-01-02", "2021-12-30"]), "open"
     )
-    assert record.pub_date == date(2021, 12, 30)
+    assert record["pub_date"] == "2021-12-30"
 
 
 def test_parse_truncated_date_pinned():
     record = parse_article_line(article_line(pub_date="2019"), "open")
-    assert record.pub_date == date(2019, 1, 1)
+    assert record["pub_date"] == "2019-01-01"
 
 
 def test_parse_normalizes_doi_and_issn():
     record = parse_article_line(
         article_line(doi="https://doi.org/10.5555/UP", issn="03785955"), "open"
     )
-    assert record.doi == "10.5555/up"
-    assert record.journal_issn_l == ISSN_A
+    assert record["doi"] == "10.5555/up"
+    assert record["issn"] == ISSN_A
 
 
 def test_parse_untagged_org_id_rejected():
@@ -327,8 +336,8 @@ def test_parse_licenses():
         ]
     )
     record = parse_article_line(line, "open")
-    assert record.licenses[0].applies_to_vor
-    assert record.licenses[0].start_date == date(2021, 3, 1)
+    assert record["licenses"][0]["applies_to_vor"]
+    assert record["licenses"][0]["start_date"] == "2021-03-01"
 
 
 
@@ -347,6 +356,13 @@ CC_BY = "https://creativecommons.org/licenses/by/4.0/"
         ({"authors": [{"position": True, "org_ids": ["ror:0r001"]}]}, "bad_author"),
         ({"authors": [{"position": 1, "countries": "DE"}]}, "bad_author"),
         ({"authors": [{"position": 1, "countries": [49]}]}, "bad_author"),
+        ({"licenses": 5}, "bad_license"),
+        ({"licenses": True}, "bad_license"),
+        ({"licenses": [{"url": 5, "applies_to_vor": True}]}, "bad_license"),
+        ({"authors": 7}, "bad_author"),
+        ({"authors": [{"position": 1, "org_ids": 5}]}, "bad_org_id"),
+        ({"issn": 3785955}, "malformed_issn"),
+        ({"issn": [ISSN_A]}, "malformed_issn"),
     ],
 )
 def test_parse_rejects_mistyped_field(overrides, code):
@@ -358,7 +374,7 @@ def test_parse_rejects_mistyped_field(overrides, code):
 def test_parse_article_number_string_or_integer():
     for value in ("e1234", 1234):
         record = parse_article_line(article_line(article_number=value), "open")
-        assert record.article_number == str(value)
+        assert record["article_number"] == str(value)
 
 
 # --- invariants -----------------------------------------------------------------
@@ -395,12 +411,165 @@ def test_ingestion_order_insensitive_for_sets(tmp_path_factory, rnd):
 
 def test_ingestion_deterministic_bytes(tmp_path, corpus_dir):
     """Re-parsing identical bytes yields identical serialized output."""
-    from hybridoa.artifacts import dump_canonical, record_to_dict
-
     source_path = corpus_dir / "articles_srcB.ndjson"
 
     def one_pass():
         stream, _ = load_article_stream(str(source_path), "srcB")
-        return "\n".join(dump_canonical(record_to_dict(r)) for r in stream)
+        return "\n".join(map(dump_canonical, stream))
 
     assert one_pass() == one_pass()
+
+
+# --- oracle: the record-tree path -------------------------------------------------
+
+USER_LICENSE = "https://publisher.example/user-license"
+ISSN_D = "0000-0000"  # valid, in no journal table
+ORACLE_LINKS = {ISSN_B: ISSN_A}
+ORACLE_JOURNALS = {
+    ISSN_A: Journal(issn_l=ISSN_A, publisher="Pub", is_hybrid=True),
+    ISSN_C: Journal(issn_l=ISSN_C, publisher="OA Pub", is_hybrid=False),
+}
+ORACLE_CFG = ClassifierConfig(
+    policies={
+        "open": SourcePolicy(mode=DOC_MODE_HEURISTIC),
+        "srcA": SourcePolicy(),
+        "srcB": SourcePolicy(),
+    },
+    paratext_patterns=load_paratext_patterns(),
+    lenient_oa_sources=frozenset({"srcB"}),
+)
+
+DATE_TEXTS = ("2021", "2021-03", "2021-03-04", " 2021-12-30 ", "2022-01-02", 2020)
+valid_licenses = st.lists(
+    st.fixed_dictionaries(
+        {"url": st.sampled_from([CC_BY, USER_LICENSE, "https://publisher.example/terms"])},
+        optional={
+            "applies_to_vor": st.booleans(),
+            "start_date": st.sampled_from([None, "", "2021-04", "2021-04-20", "2023-01-01"]),
+        },
+    ),
+    max_size=3,
+)
+valid_authors = st.lists(
+    st.fixed_dictionaries(
+        {"position": st.integers(1, 4)},
+        optional={
+            "corresponding": st.sampled_from([None, True, False]),
+            "org_ids": st.one_of(
+                st.none(),
+                st.lists(st.sampled_from(["ror:r1", "ror:r2", "srcA:p1", "srcB:q1"]), max_size=4),
+            ),
+            "countries": st.one_of(
+                st.none(), st.lists(st.sampled_from(["DE", "de", " nl ", "", "CH"]), max_size=3)
+            ),
+        },
+    ),
+    max_size=4,
+)
+valid_objects = st.fixed_dictionaries(
+    {
+        "source": st.sampled_from(["open", "srcA", "srcB"]),
+        "native_id": st.sampled_from(["W1", "A-2"]),
+        "issn": st.sampled_from([ISSN_A, "03785955", ISSN_B, ISSN_C, ISSN_D]),
+        "pub_date": st.one_of(
+            st.sampled_from(DATE_TEXTS), st.lists(st.sampled_from(DATE_TEXTS), min_size=1)
+        ),
+        "document_class": st.sampled_from(
+            ["journal-article", "Article", "review", "editorial", "Data Paper", "posted-content"]
+        ),
+    },
+    optional={
+        "doi": st.sampled_from([None, "10.5555/x1", " https://doi.org/10.5555/UP ", "doi:10.1/a"]),
+        "title": st.sampled_from(
+            [None, "", "A study", "Editorial Board", "Issue Information, Vol. 3"]
+        ),
+        "pagination": st.sampled_from([None, "", "10-19", " 12 ", "S1-S9", "e12"]),
+        "article_number": st.sampled_from([None, "", 0, 1234, "e1234", "12"]),
+        "licenses": st.one_of(st.none(), valid_licenses),
+        "authors": st.one_of(st.none(), valid_authors),
+    },
+)
+
+# (field, value): one field of the line, or of its first license or author, set
+# to a value of the wrong shape or type
+MISTYPINGS = [
+    ("licenses", value) for value in (5, True, False, "x", {"url": CC_BY})
+] + [
+    ("authors", value) for value in (7, True, "abc", {"position": 1})
+] + [
+    ("license.url", value) for value in (5, "", None)
+] + [
+    ("license.applies_to_vor", "false"), ("license.start_date", "2021-13"),
+] + [
+    ("author.org_ids", value) for value in (5, "ror:r1", [5], ["untagged"], {"ror:r1": 1})
+] + [
+    ("author.countries", value) for value in ("DE", [49], 5)
+] + [
+    ("author.position", value) for value in (0, True, "1")
+] + [
+    ("author.corresponding", "yes"),
+    ("pub_date", None), ("pub_date", []), ("pub_date", 2021.5), ("pub_date", ["2021", "x"]),
+    ("issn", None), ("issn", "0000-0001"), ("issn", "1234"), ("issn", 3785955), ("issn", [ISSN_A]),
+    ("doi", 12), ("title", 42),
+    ("pagination", 5), ("article_number", 1.5), ("article_number", True), ("native_id", ""),
+    ("native_id", 5), ("source", "other"), ("document_class", ""), ("document_class", 5),
+]
+
+
+def mistype(obj, field_value):
+    field, value = field_value
+    obj = json.loads(json.dumps(obj))
+    if "." in field:
+        container, key = field.split(".")
+        if not isinstance(obj.get(f"{container}s"), list) or not obj[f"{container}s"]:
+            obj[f"{container}s"] = [{"url": CC_BY} if container == "license" else {"position": 1}]
+        obj[f"{container}s"][0][key] = value
+    else:
+        obj[field] = value
+    return obj
+
+
+interchange_lines = st.one_of(
+    valid_objects,
+    st.builds(mistype, valid_objects, st.sampled_from(MISTYPINGS)),
+).map(lambda obj: (obj["source"] if obj["source"] != "other" else "open", json.dumps(obj)))
+
+
+@settings(max_examples=500, deadline=None)
+@given(interchange_lines)
+@example(("srcA", article_line(source="srcA", authors=[
+    {"position": 1, "org_ids": ["srcA:p2", "srcA:p1", "srcA:p2"], "countries": ["DE"]}])))
+@example(("open", article_line(authors=[
+    {"position": 1, "org_ids": ["ror:r1"], "countries": [" de", "nl ", "DE", " "]}])))
+@example(("srcA", article_line(source="srcA", authors=[
+    {"position": 3, "corresponding": True}, {"position": 1, "org_ids": ["srcA:p1"]},
+    {"position": 2, "corresponding": False}])))
+@example(("open", article_line(pub_date="2021")))
+@example(("open", article_line(pub_date=["2022-01-02", "2021-12-30", "2021"])))
+@example(("srcA", article_line(source="srcA", pagination=None, article_number=1234)))
+@example(("srcB", article_line(source="srcB", document_class="Article", licenses=[
+    {"url": USER_LICENSE, "applies_to_vor": True, "start_date": "2023-01-01"}])))
+@example(("open", article_line(title="Editorial Board, Volume 12", pagination="S1")))
+@example(("open", article_line(licenses=[{"url": CC_BY, "applies_to_vor": True}])))
+@example(("open", "{not json"))
+@example(("open", "[1, 2]"))
+def test_ingest_and_classify_equal_the_record_tree_oracle(case):
+    """Ingest's dict and classify's row give the bytes of the path through
+    record trees: the same reject code, else the same ingest line, the same
+    classified line and the same unknown-class verdict."""
+    source, text = case
+    try:
+        expected = oracle_ingest_and_classify(
+            text, source, ORACLE_LINKS, ORACLE_JOURNALS, ORACLE_CFG
+        )
+    except SchemaViolation as exc:
+        with pytest.raises(SchemaViolation) as excinfo:
+            parse_article_line(text, source, ORACLE_LINKS)
+        assert excinfo.value.code == exc.code
+        return
+    ingest_line = dump_canonical(parse_article_line(text, source, ORACLE_LINKS))
+    chunk = (source, [ingest_line + "\n"])
+    (_, (classified,), unknown), = pipeline._map_chunks(
+        pipeline._classify_chunk, [chunk], (ORACLE_CFG, ORACLE_JOURNALS), 1
+    )
+    assert (ingest_line, classified, bool(unknown)) == expected

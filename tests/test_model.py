@@ -6,14 +6,13 @@ import pytest
 from hybridoa.errors import SchemaViolation
 from hybridoa.model import (
     Agreement,
-    ArticleRecord,
     Authorship,
     Institution,
     IndicatorRow,
     normalize_publisher,
     parse_date_pinned,
 )
-from oracles import record_row
+from oracles import ArticleRecord, record_row
 
 
 def test_year_only_pins_to_january_first():

@@ -139,6 +139,20 @@ def test_explain_checks_attribute_inputs_and_hashes_nothing(full_tree, monkeypat
     assert pipeline.explain_doi(config, doi).startswith(f"DOI {doi}")
 
 
+def test_explain_loads_no_paratext_patterns(full_tree, monkeypatch):
+    """The license verdicts are all `explain` needs of the classifier
+    settings; the paratext pattern file is read by classify only."""
+    config = full_tree
+    doi, _ = attributed_doi(Layout(config.out_dir))
+
+    def no_patterns(path=None):
+        raise AssertionError("explain loaded the paratext patterns")
+
+    monkeypatch.setattr(pipeline.classify, "load_paratext_patterns", no_patterns)
+    trace = pipeline.explain_doi(config, doi)
+    assert "-> PASS" in trace and "TA-enabled via" in trace
+
+
 def test_ingest_counts_publisher_alias_rejects(tmp_path):
     corpus, config = small_corpus(tmp_path)
     aliases = tmp_path / "aliases.csv"
@@ -156,6 +170,69 @@ def test_rerun_is_byte_identical(tmp_path):
     first = tree_digest(config.out_dir)
     pipeline.run(config)
     assert tree_digest(config.out_dir) == first
+
+
+# `sha256sum` of every file of the six-stage tree built from
+# `gen-fixture --seed 7 --articles 300` at workers=1, manifests included.
+PINNED_TREE = """
+0519d4aecb37b5615912d33abf41bb48d4d407a031f1c96398e6a44b36342589  aggregate/coverage.csv
+d3907fee02f445d04c49d90b1a2620c7523da26eda039d5f17b170121a20ab9d  aggregate/indicators.csv
+7762674b559ab895ec15b2d326d59fe1d5599755fffd215749a7309bd9436db0  attribute/attributions_corresponding.csv
+6bc6c4aa41421d325a3fed7ba167dd47fedba9ef4bd8e543448a792d223a5f9c  attribute/attributions_first.csv
+800bfd756a9442378f9600a8e8ab129bd964ce11a479d4f1a131d9b7b4cfe31d  classify/articles_open.ndjson
+e6dbad361943d1e7481d9ca8c825d12268bda9f874b766691f4e3611b4feacef  classify/articles_srcA.ndjson
+8c919221d105204aee40311cc6f0d9b4a616da1457053a619493fdde8afe2471  classify/articles_srcB.ndjson
+cdc042361c6fcf1160869f209e272230cd6579c958252aa546581924c0a1450e  compare/correlations.csv
+f09bdd7ea1ea2172837bacc2159bb182201c6080edd3816a26ad77e023254b9d  compare/country_scatter.csv
+bdc38b82175099c5f3fc8ee8d96690f4c68d3da63b1c9663f2a1433bc832c5aa  compare/intersections.csv
+b2a6c6a5a5d5acf1b423b3a35055c22efaba1d61e209bc1cbb9b71576661c02c  compare/intersections_publisher.csv
+b73d183ec1d98016ae9beb95ffb37199669ec3c31899b42993fd6dd09ed2f071  compare/journal_volumes.csv
+fa7d829c9ca87d1e5399d02dba37896025e233986db2adcfeba0b3fd09e9c878  compare/uptake_global.csv
+1cb61af4d0fbb2eb1dbb5670bf768aa072ae16a0d5d6e0c789bb0d1b26b6b5e9  compare/uptake_publisher.csv
+ab9f62666e85ccf86af74e40e2aba934c4ec7ec047680b07d91f66664b112c0a  ingest/agreements.json
+99b7ddae1f2c985d0d23b20ac38b83d614128488d3f2a83ab293e7bcea319669  ingest/articles_open.ndjson
+f2621e6528275080ee5a31652741fbddb8bb5246d30150d84ac7ac518631e1fa  ingest/articles_srcA.ndjson
+0e1fdddb0e811671e8fc8fe422815d1c6b85f2fa92bc687cc8584d896a5295df  ingest/articles_srcB.ndjson
+51ce0017f7b7cbb86c07641f33928d2344b4961f85e9d663895029afa09881b0  ingest/institutions.csv
+2a18cdd87cff43c5b65c884abaa92bb2d8b2e8b273c1d247615b82ad4e8dbd52  ingest/journals.csv
+ab89d20508a1d5ae11fc545d9ac2da996457ae02da5180cc9079f4ff1ec1b1c6  manifests/aggregate.json
+f34b6e35e4c8380910e1932d6668ca45132564290222f40abf212196599fb924  manifests/attribute.json
+856e9954e298422fa911e6eb3235787bba8f5e6e06c54752eb7a7a8a8232ed8c  manifests/classify.json
+07a4155af2c5ee4dcf70a519b3878648938d0abdd29ad3a5dee47f6f1f819060  manifests/compare.json
+aefa9914b8d54a477655c873c174a14505125dff25b0fcb4003a3a0af12d9821  manifests/ingest.json
+b5c9ba7166b8181268d54aa7d3cf790e61327964a2b45749adca906fbf2e681f  manifests/reconcile.json
+89fabf40e1d03bfa0bc2e6f014b2d3488954757d2673cd887d9f115e09a2412c  reconcile/audit_sample.csv
+cef32a996a3e1dd7617240935522f3aa6106734c3d71fe1cdfd4d0a3d3748a64  reconcile/crosswalk.csv
+aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/agreement_dump.csv
+aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/articles_open.csv
+aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/articles_srcA.csv
+aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/articles_srcB.csv
+0c082d28de03d94aed975849c308396e160de1b8c144d3d2c0ab9425e108b66b  rejects/durations.csv
+aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/fully_oa.csv
+aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/institutions.csv
+aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/issn_links.csv
+"""
+
+
+def test_artifact_tree_matches_pinned_digests(tmp_path):
+    """Every byte of a small tree is pinned, so a refactor that must keep
+    the artifacts identical gets a standing check.
+
+    A change that means to alter an artifact format, a manifest counter or
+    the fixture updates PINNED_TREE: regenerate it with `sha256sum` over
+    the tree's files and say in the change log why the bytes moved.
+    """
+    from hybridoa.cli import main
+
+    corpus = tmp_path / "c"
+    assert main(["gen-fixture", "--out", str(corpus), "--seed", "7", "--articles", "300"]) == 0
+    assert main(["run", "--config", str(corpus / "config.json"), "--workers", "1"]) == 0
+    actual = {
+        path: hashlib.sha256(content).hexdigest()
+        for path, content in files_under(str(corpus / "out")).items()
+    }
+    pinned = dict(reversed(line.split("  ", 1)) for line in PINNED_TREE.split("\n") if line)
+    assert actual == pinned
 
 
 def test_one_corpus_in_two_places_gives_identical_trees(tmp_path):
@@ -191,17 +268,10 @@ def test_classify_counts_unknown_document_classes(tmp_path):
         assert {k: v for k, v in counters.items() if k.startswith("unknown")} == expected
 
 
-def test_attribute_counts_unresolved_org_ids(tmp_path):
-    """`unresolved_org_ids_<role>` counts the proprietary IDs of role authors
-    on attributable articles in agreement journals that the crosswalk lacks,
-    alike at every worker count."""
-    corpus, config = small_corpus(tmp_path)
-    pipeline.run(config, ["ingest", "classify", "reconcile"])
-    layout = Layout(config.out_dir)
-    with open(layout.crosswalk, encoding="utf-8") as fh:
-        lines = fh.readlines()
-    with open(layout.crosswalk, "w", encoding="utf-8") as fh:
-        fh.writelines(lines[: len(lines) // 2])  # header and the first half
+def recount_unresolved(layout, config):
+    """`unresolved_org_ids_<role>` recounted from the classified lines: the
+    proprietary IDs of role authors on attributable articles in journals of
+    dated agreements that the crosswalk lacks."""
     with open(layout.crosswalk, encoding="utf-8") as fh:
         known = {f"{row['scheme']}:{row['proprietary_id']}" for row in csv.DictReader(fh)}
     with open(layout.agreements, encoding="utf-8") as fh:
@@ -223,11 +293,58 @@ def test_attribute_counts_unresolved_org_ids(tmp_path):
                     expected[f"unresolved_org_ids_{role}"] += sum(
                         not o.startswith("ror:") and o not in known for o in ids
                     )
+    return expected
+
+
+def unresolved_counters(layout):
+    counters = read_manifest(layout, "attribute")["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("unresolved")}
+
+
+def test_attribute_counts_unresolved_org_ids(tmp_path):
+    """`unresolved_org_ids_<role>` counts the proprietary IDs of role authors
+    on attributable articles in agreement journals that the crosswalk lacks,
+    alike at every worker count."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config, ["ingest", "classify", "reconcile"])
+    layout = Layout(config.out_dir)
+    with open(layout.crosswalk, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    with open(layout.crosswalk, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[: len(lines) // 2])  # header and the first half
+    expected = recount_unresolved(layout, config)
     assert all(expected.values())
     for workers in (1, 2):
         pipeline.run(replace(config, workers=workers), ["attribute"])
-        counters = read_manifest(layout, "attribute")["counters"]
-        assert {k: v for k, v in counters.items() if k.startswith("unresolved")} == expected
+        assert unresolved_counters(layout) == expected
+
+
+def test_unresolved_org_ids_counted_end_to_end(tmp_path):
+    """First authors whose srcA IDs have no open partner, written into the
+    corpus itself, are counted by a full run, alike at workers 1 and 2."""
+    corpus, config = small_corpus(tmp_path)
+    path = corpus / "articles_srcA.ndjson"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    for k in range(0, len(lines), 3):
+        obj = json.loads(lines[k])
+        for author in obj["authors"]:
+            if author["position"] == 1:
+                # a fresh ID on one article: DOI bridging can give it a
+                # support of 1 at most, below the fixture's min_support
+                author["org_ids"] = [
+                    f"srcA:unpaired{k}" if o.startswith("srcA:") else o for o in author["org_ids"]
+                ]
+        lines[k] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    counted = []
+    for workers in (1, 2):
+        run = replace(config, workers=workers, out_dir=str(tmp_path / f"workers{workers}"))
+        assert pipeline.run(run) == list(pipeline.artifacts.STAGES)
+        layout = Layout(run.out_dir)
+        counted.append(unresolved_counters(layout))
+    expected = recount_unresolved(layout, config)
+    assert expected["unresolved_org_ids_first"] > 0
+    assert counted == [expected, expected]
 
 
 def files_under(root):
@@ -300,7 +417,10 @@ def test_ingest_logs_rejects_for_planted_bad_rows(pipeline_run):
     assert manifest["counters"]["agreements_undated"] == 6
 
 
-def test_mistyped_interchange_fields_are_rejected_not_fatal(tmp_path):
+def assert_bad_lines_rejected_not_fatal(tmp_path, cases):
+    """Each `(overrides, code)` case, applied to a copy of the open source's
+    first line, lands in its reject log with `code`; all six stages
+    complete, and every other artifact is as without the bad lines."""
     corpus, config = small_corpus(tmp_path)
     pipeline.run(config)
     clean = files_under(config.out_dir)
@@ -309,14 +429,6 @@ def test_mistyped_interchange_fields_are_rejected_not_fatal(tmp_path):
     with open(open_source.articles, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     template = json.loads(lines[0])
-    cases = [
-        ({"doi": 12}, "bad_field"),
-        ({"pagination": 5}, "bad_field"),
-        ({"title": 42}, "bad_field"),
-        ({"licenses": [{"url": fixture.CC_BY, "applies_to_vor": "false"}]}, "bad_license"),
-        ({"authors": [{"position": True, "org_ids": [], "countries": []}]}, "bad_author"),
-        ({"authors": [{"position": 1, "org_ids": [], "countries": "DE"}]}, "bad_author"),
-    ]
     for k, (overrides, _) in enumerate(cases):
         lines.append(json.dumps({**template, "native_id": f"W-bad-{k}", **overrides}))
     articles = tmp_path / "articles_open.ndjson"
@@ -340,6 +452,37 @@ def test_mistyped_interchange_fields_are_rejected_not_fatal(tmp_path):
     assert {p for p in changed if not p.startswith("manifests")} == {
         os.path.relpath(reject_log, config.out_dir)
     }
+
+
+def test_mistyped_interchange_fields_are_rejected_not_fatal(tmp_path):
+    assert_bad_lines_rejected_not_fatal(
+        tmp_path,
+        [
+            ({"doi": 12}, "bad_field"),
+            ({"pagination": 5}, "bad_field"),
+            ({"title": 42}, "bad_field"),
+            ({"licenses": [{"url": fixture.CC_BY, "applies_to_vor": "false"}]}, "bad_license"),
+            ({"authors": [{"position": True, "org_ids": [], "countries": []}]}, "bad_author"),
+            ({"authors": [{"position": 1, "org_ids": [], "countries": "DE"}]}, "bad_author"),
+        ],
+    )
+
+
+def test_mistyped_lists_urls_and_issns_are_rejected_not_fatal(tmp_path):
+    """A licenses, authors or org_ids value that is not a list, or a
+    license URL or an ISSN that is not a string, is a reject, not a
+    crashed run."""
+    assert_bad_lines_rejected_not_fatal(
+        tmp_path,
+        [
+            ({"licenses": 5}, "bad_license"),
+            ({"licenses": True}, "bad_license"),
+            ({"licenses": [{"url": 5, "applies_to_vor": True}]}, "bad_license"),
+            ({"authors": 7}, "bad_author"),
+            ({"authors": [{"position": 1, "org_ids": 5, "countries": []}]}, "bad_org_id"),
+            ({"issn": 3785955}, "malformed_issn"),
+        ],
+    )
 
 
 def test_manifests_carry_config_digest_and_io(pipeline_run):

@@ -7,7 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridoa.errors import SampleTooLarge
-from hybridoa.model import ArticleRecord, Authorship
+from hybridoa.model import Authorship
 from hybridoa.reconcile import (
     audit_sample,
     build_bridge,
@@ -16,7 +16,7 @@ from hybridoa.reconcile import (
     select_crosswalk,
     tally_pairs,
 )
-from oracles import oracle_crosswalk, record_row
+from oracles import ArticleRecord, oracle_crosswalk, record_row
 
 
 def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
