@@ -11,9 +11,12 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import io
 import json
 import os
+import re
 from contextlib import contextmanager
+from contextvars import ContextVar
 from datetime import date
 from typing import Iterable, Iterator, Sequence, TextIO
 
@@ -116,20 +119,70 @@ class Layout:
 
 
 def sha256_file(path: str) -> str:
-    return hash_lines(path)[0]
-
-
-def hash_lines(path: str) -> tuple[str, int]:
-    """sha256 and line count of a file, from one read."""
     digest = hashlib.sha256()
-    lines = 0
-    last = b"\n"
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
-            lines += block.count(b"\n")
-            last = block[-1:]
-    return digest.hexdigest(), lines + (last != b"\n")
+    return digest.hexdigest()
+
+
+class HashedFile(io.RawIOBase):
+    """A file opened for reading or writing whose bytes are hashed, and
+    their lines counted, as they pass; so no second read is needed."""
+
+    def __init__(self, path: str, mode: str):
+        self._file = io.FileIO(path, mode)
+        self.sha256 = hashlib.sha256()
+        self._lines = 0
+        self._last = b"\n"
+
+    def readable(self) -> bool:
+        return self._file.readable()
+
+    def writable(self) -> bool:
+        return self._file.writable()
+
+    def readinto(self, buffer) -> int:
+        n = self._file.readinto(buffer)
+        self._count(bytes(memoryview(buffer)[:n]))
+        return n
+
+    def write(self, data) -> int:
+        data = bytes(data)
+        n = self._file.write(data)
+        self._count(data[:n])
+        return n
+
+    def _count(self, data: bytes) -> None:
+        if data:
+            self.sha256.update(data)
+            self._lines += data.count(b"\n")
+            self._last = data[-1:]
+
+    def close(self) -> None:
+        self._file.close()
+        super().close()
+
+    @property
+    def lines(self) -> int:
+        """Lines passed so far; an unterminated last line counts."""
+        return self._lines + (self._last != b"\n")
+
+
+# Absolute path -> (sha256, lines) of each file `open_artifact` publishes
+# inside a `recording` block; None outside one.
+_recorded: ContextVar[dict[str, tuple[str, int]] | None] = ContextVar("recorded", default=None)
+
+
+@contextmanager
+def recording() -> Iterator[dict[str, tuple[str, int]]]:
+    """Absolute path -> (sha256, lines) of each file published in the block."""
+    written: dict[str, tuple[str, int]] = {}
+    token = _recorded.set(written)
+    try:
+        yield written
+    finally:
+        _recorded.reset(token)
 
 
 @contextmanager
@@ -139,11 +192,17 @@ def open_artifact(path: str) -> Iterator[TextIO]:
     Creates the parent directory when it is missing. The text goes to a
     temp file beside `path` that replaces `path` when the block exits
     cleanly; on an exception the temp file is deleted and whatever was at
-    `path` stays.
+    `path` stays. Inside a `recording` block the bytes are hashed and
+    their lines counted as they are written, for the stage manifest.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    fh = open(tmp, "w", encoding="utf-8", newline="")
+    written = _recorded.get()
+    if written is None:
+        fh = open(tmp, "w", encoding="utf-8", newline="")
+    else:
+        raw = HashedFile(tmp, "w")
+        fh = io.TextIOWrapper(io.BufferedWriter(raw), encoding="utf-8", newline="")
     try:
         with fh:
             yield fh
@@ -151,6 +210,8 @@ def open_artifact(path: str) -> Iterator[TextIO]:
     except BaseException:
         os.unlink(tmp)
         raise
+    if written is not None:
+        written[os.path.abspath(path)] = (raw.sha256.hexdigest(), raw.lines)
 
 
 def dump_canonical(obj) -> str:
@@ -188,11 +249,16 @@ def write_manifest(
     inputs: list[dict],
     outputs: list[str],
     counters: dict,
+    written: dict[str, tuple[str, int]],
 ) -> None:
-    """Write the stage manifest; every path is stored out_dir-relative."""
+    """Write the stage manifest; every path is stored out_dir-relative.
+
+    Each output's sha256 and line count come from `written`, what
+    `recording` took while the stage wrote it.
+    """
     described = []
     for path in outputs:
-        digest, lines = hash_lines(path)
+        digest, lines = written[os.path.abspath(path)]
         entry = {"path": os.path.relpath(path, layout.out_dir), "sha256": digest}
         # rows: data lines of a text artifact, the CSV header not counted
         if path.endswith((".csv", ".ndjson", ".json")):
@@ -213,8 +279,9 @@ def write_manifest(
     write_ndjson(layout.manifest(stage), [payload])
 
 
-def describe_input(path: str, rows: int | None = None) -> dict:
-    entry = {"path": path, "sha256": sha256_file(path)}
+def describe_input(path: str, rows: int | None = None, sha256: str | None = None) -> dict:
+    """An input's manifest entry; `sha256` is its digest when already taken."""
+    entry = {"path": path, "sha256": sha256 or sha256_file(path)}
     if rows is not None:
         entry["rows"] = rows
     return entry
@@ -231,8 +298,16 @@ def _iso(day: date | None) -> str | None:
     return None if day is None else day.isoformat()
 
 
+_ISO_DAY = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
 def _date(text: str | None) -> date | None:
-    return date.fromisoformat(text) if text else None
+    """An artifact's date: `YYYY-MM-DD` only, a form every interpreter reads alike."""
+    if not text:
+        return None
+    if not _ISO_DAY.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
 
 
 def _license(obj: dict) -> LicenseStatement:

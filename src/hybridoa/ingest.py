@@ -10,15 +10,18 @@ An article line is validated straight into the dict that its ingest
 artifact line holds (`parse_article_line`), and that dict is written as
 it is. A list field (licenses, authors, an author's org IDs or
 countries) that holds anything but a list is rejected like any other
-mistyped field. Article streams are generators with constant per-record
-memory. Exact duplicate detection over (source, native_id) uses a
-disk-backed index so peak resident memory stays independent of file
-length.
+mistyped field, and so is a line that is not UTF-8. Article streams are
+read in chunks of non-blank lines (`article_chunks`); the lines of a
+chunk can be parsed anywhere (`article_outcomes`), and an
+`ArticleLedger` takes the outcomes back in input order. Memory stays
+constant in file length: exact duplicate detection over (source,
+native_id) uses a disk-backed index.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import json
 import logging
 import os
@@ -93,7 +96,11 @@ class RejectLog:
     def reject(self, lineno: int, reason: str, raw: str):
         self.count += 1
         if self._writer:
-            self._writer.writerow([lineno, reason, raw.rstrip("\n")])
+            raw = raw.rstrip("\n")
+            if not raw.isascii():
+                # bytes that were not UTF-8, read as lone surrogates, as \xNN
+                raw = raw.encode("utf-8", "surrogateescape").decode("utf-8", "backslashreplace")
+            self._writer.writerow([lineno, reason, raw])
 
     def close(self):
         self._file.close()
@@ -112,8 +119,8 @@ class DedupeIndex:
     profile no matter how many records pass through.
     """
 
-    def __init__(self, directory: str | None = None):
-        fd, self._path = tempfile.mkstemp(suffix=".dedupe.sqlite", dir=directory)
+    def __init__(self):
+        fd, self._path = tempfile.mkstemp(suffix=".dedupe.sqlite")
         os.close(fd)
         self._conn = sqlite3.connect(self._path)
         self._conn.execute("PRAGMA journal_mode=OFF")
@@ -425,6 +432,11 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
     documented schema; callers turn that into a reject-log entry.
     """
     links = links or {}
+    if not text.isascii():
+        try:
+            text.encode("utf-8")
+        except UnicodeEncodeError:  # bytes that were not UTF-8, read as lone surrogates
+            raise SchemaViolation("bad_json", "line is not UTF-8") from None
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -526,12 +538,90 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
     }
 
 
+# Lines per chunk of an article stream. The reader keeps the raw lines of
+# every chunk in flight, for the reject log.
+ARTICLE_CHUNK_LINES = 500
+
+
+def article_chunks(raw: io.RawIOBase) -> Iterator[tuple[list[int], list[str]]]:
+    """(line numbers, lines) of the non-blank lines of the interchange file
+    opened as `raw`, ARTICLE_CHUNK_LINES at a time; closes `raw` at the end.
+
+    Bytes that are not UTF-8 reach their line as lone surrogates, which
+    `parse_article_line` rejects.
+    """
+    linenos: list[int] = []
+    lines: list[str] = []
+    text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape")
+    with text:
+        for lineno, line in enumerate(text, 1):
+            if not line.strip():
+                continue
+            linenos.append(lineno)
+            lines.append(line)
+            if len(lines) >= ARTICLE_CHUNK_LINES:
+                yield linenos, lines
+                linenos, lines = [], []
+    if lines:
+        yield linenos, lines
+
+
+def article_outcomes(
+    lines: Iterable[str], source: str, links: dict[str, str] | None, encode=None
+) -> list:
+    """Each line parsed: (native_id, record), or (native_id, encode(record))
+    when `encode` is given; or the reject code of a line that fails."""
+    out: list = []
+    for line in lines:
+        try:
+            record = parse_article_line(line, source, links)
+        except SchemaViolation as exc:
+            out.append(exc.code)
+            continue
+        out.append((record["native_id"], encode(record) if encode else record))
+    return out
+
+
+class ArticleLedger:
+    """The in-order half of reading one article stream.
+
+    It takes each chunk's `article_outcomes` back in input order. The
+    first record of each native ID passes and a later one is a duplicate.
+    Duplicates and failed lines go to the reject log with their line
+    number and raw text, and `manifest` counts both.
+    """
+
+    def __init__(self, rejects: RejectLog, manifest: CorpusManifest):
+        self.rejects = rejects
+        self.manifest = manifest
+        self._seen = DedupeIndex()
+
+    def admit(self, linenos: list[int], lines: list[str], outcomes: list) -> Iterator:
+        """What `article_outcomes` made of each passing record, in input order."""
+        for lineno, line, outcome in zip(linenos, lines, outcomes):
+            if isinstance(outcome, str):
+                code = outcome
+            elif self._seen.add(outcome[0]):
+                self.manifest.record_count += 1
+                yield outcome[1]
+                continue
+            else:
+                code = REJECT_DUPLICATE
+            self.manifest.reject_count += 1
+            self.rejects.reject(lineno, code, line)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._seen.close()
+
+
 def load_article_stream(
     path: str,
     source: str,
     links: dict[str, str] | None = None,
     rejects: RejectLog | None = None,
-    dedupe_dir: str | None = None,
 ) -> tuple[Iterator[dict], CorpusManifest]:
     """Stream parsed records (see `parse_article_line`) from a
     newline-delimited interchange file.
@@ -544,21 +634,8 @@ def load_article_stream(
     manifest = CorpusManifest()
 
     def generate() -> Iterator[dict]:
-        with open(path, encoding="utf-8") as fh, DedupeIndex(dedupe_dir) as seen:
-            for lineno, line in enumerate(fh, 1):
-                if not line.strip():
-                    continue
-                try:
-                    record = parse_article_line(line, source, links)
-                except SchemaViolation as exc:
-                    manifest.reject_count += 1
-                    rejects.reject(lineno, exc.code, line)
-                    continue
-                if not seen.add(record["native_id"]):
-                    manifest.reject_count += 1
-                    rejects.reject(lineno, REJECT_DUPLICATE, line)
-                    continue
-                manifest.record_count += 1
-                yield record
+        with ArticleLedger(rejects, manifest) as ledger:
+            for linenos, lines in article_chunks(io.FileIO(path)):
+                yield from ledger.admit(linenos, lines, article_outcomes(lines, source, links))
 
     return generate(), manifest

@@ -28,26 +28,25 @@ GROUP_PUBLISHER = "PUBLISHER"
 GROUP_COUNTRY = "COUNTRY"
 GROUP_KINDS = (GROUP_GLOBAL, GROUP_PUBLISHER, GROUP_COUNTRY)
 
-_DATE_YM = re.compile(r"^(\d{4})-(\d{2})$")
-_DATE_Y = re.compile(r"^(\d{4})$")
+# YYYY, YYYY-MM or YYYY-MM-DD in ASCII digits; no other form, on any interpreter
+_DATE = re.compile(r"([0-9]{4})(?:-([0-9]{2})(?:-([0-9]{2}))?)?")
 
 
 def parse_date_pinned(text: str) -> date:
-    """Parse an ISO-8601 date, pinning truncated precision early.
+    """Parse a `YYYY`, `YYYY-MM` or `YYYY-MM-DD` date, pinning truncated
+    precision early.
 
     Year-only values become January 1, year-month values day 1. Pinning
     early is deterministic and biases toward inclusion at agreement
-    window boundaries.
+    window boundaries. Any other form is a `bad_date`.
     """
     text = text.strip()
+    m = _DATE.fullmatch(text)
+    if m is None:
+        raise SchemaViolation("bad_date", text)
+    year, month, day = m.groups()
     try:
-        m = _DATE_Y.match(text)
-        if m:
-            return date(int(m.group(1)), 1, 1)
-        m = _DATE_YM.match(text)
-        if m:
-            return date(int(m.group(1)), int(m.group(2)), 1)
-        return date.fromisoformat(text)
+        return date(int(year), int(month or 1), int(day or 1))
     except ValueError as exc:
         raise SchemaViolation("bad_date", text) from exc
 

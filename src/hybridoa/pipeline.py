@@ -3,8 +3,9 @@ aggregate -> compare.
 
 Each stage reads the previous stage's artifacts, writes its own, and
 never mutates inputs; `run` checks and hashes a stage's declared inputs
-and writes its manifest. Classification and attribution
-apply their pure per-record functions over chunked record streams, so a
+and writes its manifest. Ingest, classification and attribution apply
+their pure per-record functions over chunked record streams, and
+reconcile and aggregate reduce each source in a task of its own, so a
 worker pool changes wall time but never output bytes.
 """
 
@@ -14,7 +15,7 @@ import logging
 import os
 import pickle
 import re
-from collections import Counter
+from collections import Counter, deque
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from typing import Callable, Iterable, Iterator
@@ -39,7 +40,7 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
 
     This is the one stage boundary: each stage's declared inputs are
     checked and hashed here, its body returns (outputs, counters), and its
-    manifest is written here.
+    manifest is written here, from the digests its files got as written.
     """
     wanted = set(stages) if stages else set(artifacts.STAGES)
     unknown = wanted - set(artifacts.STAGES)
@@ -54,8 +55,11 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
         needed = STAGE_INPUTS[stage](layout, config)
         _require(needed, stage)
         inputs = [artifacts.describe_input(p) for p in needed]
-        outputs, counters = STAGE_FUNCTIONS[stage](config, layout, inputs)
-        artifacts.write_manifest(layout, stage, config.digest(), inputs, outputs, counters)
+        with artifacts.recording() as written:
+            outputs, counters = STAGE_FUNCTIONS[stage](config, layout, inputs)
+        artifacts.write_manifest(
+            layout, stage, config.digest(), inputs, outputs, counters, written
+        )
         executed.append(stage)
     return executed
 
@@ -195,18 +199,59 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
     artifacts.write_institutions(layout.institutions, institutions)
     outputs = [layout.agreements, layout.journals, layout.institutions]
 
-    for source in config.sources:
-        path = layout.articles(source.label)
-        with ingest.RejectLog(layout.reject_log(f"articles_{source.label}")) as rej:
-            stream, manifest = ingest.load_article_stream(
-                source.articles, source.label, links, rej
-            )
-            artifacts.write_ndjson(path, stream)
-        inputs.append(artifacts.describe_input(source.articles, rows=manifest.total_lines))
-        outputs.append(path)
+    outputs += [layout.articles(s.label) for s in config.sources]
+    for source, (digest, manifest) in zip(config.sources, _ingest_articles(config, layout, links)):
+        inputs.append(artifacts.describe_input(source.articles, manifest.total_lines, digest))
         counters[f"records_{source.label}"] = manifest.record_count
         counters[f"rejects_{source.label}"] = manifest.reject_count
     return outputs, counters
+
+
+def _ingest_chunk(item: tuple[str, list[str]]) -> list:
+    """Each line of one chunk as (native_id, ingest line text), or its reject code."""
+    source, lines = item
+    return ingest.article_outcomes(lines, source, _WORKER_CTX, artifacts.dump_canonical)
+
+
+def _ingest_articles(
+    config: PipelineConfig, layout: Layout, links: dict[str, str]
+) -> list[tuple[str, ingest.CorpusManifest]]:
+    """Write every source's ingest articles and reject log through one chunk map.
+
+    This process reads each interchange file once, hashing it as it
+    reads, and keeps each chunk's line numbers and raw lines until the
+    chunk's outcomes come back; the ledger then dedupes and writes in
+    input order. Returns each source's input digest and manifest, in
+    config order.
+    """
+    in_flight: deque = deque()
+    digests: dict[str, str] = {}
+
+    def chunks() -> Iterator[tuple[str, list[str]]]:
+        for source in config.sources:
+            raw = artifacts.HashedFile(source.articles, "r")
+            for linenos, lines in ingest.article_chunks(raw):
+                in_flight.append((source.label, linenos, lines))
+                yield source.label, lines
+            digests[source.label] = raw.sha256.hexdigest()
+
+    with ExitStack() as stack:
+        files, ledgers = {}, {}
+        for source in config.sources:
+            label = source.label
+            files[label] = stack.enter_context(artifacts.open_artifact(layout.articles(label)))
+            rejects = stack.enter_context(ingest.RejectLog(layout.reject_log(f"articles_{label}")))
+            ledgers[label] = stack.enter_context(
+                ingest.ArticleLedger(rejects, ingest.CorpusManifest())
+            )
+        results = _map_chunks(_ingest_chunk, chunks(), links, _effective_workers(config))
+        for outcomes in results:
+            label, linenos, lines = in_flight.popleft()
+            fh = files[label]
+            for text in ledgers[label].admit(linenos, lines, outcomes):
+                fh.write(text)
+                fh.write("\n")
+    return [(digests[label], ledgers[label].manifest) for label in files]
 
 
 # --- classify ----------------------------------------------------------------
@@ -303,28 +348,32 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
 
 # --- reconcile ----------------------------------------------------------------
 
-def _first_author_ids(layout: Layout, label: str, open_side: bool) -> reconcile.Projection:
-    rows = artifacts.iter_classified(layout.classified(label), label)
-    return reconcile.first_author_ids(rows, open_side)
+def _project_source(item: tuple[str, str, bool]) -> reconcile.Projection:
+    """One source's first-author projection, read from its classified file."""
+    path, label, open_side = item
+    return reconcile.first_author_ids(artifacts.iter_classified(path, label), open_side)
 
 
 def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Build the open/proprietary crosswalk by DOI bridging, plus an audit sample.
 
-    The open side is projected once and bridged with each proprietary
-    source in turn; every source's pairs and example DOIs add to one tally.
+    One chunk map projects every source, one task each, the open source
+    first. Each proprietary projection is bridged with the open one and
+    tallied as it arrives, in config order, so every source's pairs and
+    example DOIs add to one tally in that order.
     """
     open_label = config.open_source
+    proprietary = [s.label for s in config.sources if s.label != open_label]
+    tasks = [(layout.classified(open_label), open_label, True)]
+    tasks += [(layout.classified(label), label, False) for label in proprietary]
+    projections = _map_chunks(_project_source, tasks, None, _effective_workers(config))
+    open_ids = next(projections)
     counters: dict = {}
-    open_ids = _first_author_ids(layout, open_label, open_side=True)
     counts: Counter = Counter()
     examples: dict = {}
-    for source in config.sources:
-        if source.label == open_label:
-            continue
-        prop_ids = _first_author_ids(layout, source.label, open_side=False)
+    for label, prop_ids in zip(proprietary, projections, strict=True):
         bridge = reconcile.build_bridge(open_ids, prop_ids)
-        counters[f"bridged_{source.label}"] = len(bridge)
+        counters[f"bridged_{label}"] = len(bridge)
         reconcile.tally_pairs(bridge, open_ids, prop_ids, counts, examples)
 
     crosswalk = reconcile.select_crosswalk(counts, config.min_support)
@@ -397,21 +446,29 @@ def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
 
 # --- aggregate ----------------------------------------------------------------
 
+def _aggregate_source(item: tuple[str, str]) -> analytics.SourceFold:
+    """One source's fold, read from its classified file."""
+    path, label = item
+    ta_keys, years = _WORKER_CTX
+    return analytics.aggregate(label, artifacts.iter_classified(path, label), ta_keys, years)
+
+
 def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Turn classified and attributed articles into indicator tables.
 
-    One pass per source: each classified record is decoded once and feeds
-    every (role, group kind) indicator cell and the coverage tallies.
+    One chunk map folds every source, one task each: each classified
+    record is decoded once and feeds every (role, group kind) indicator
+    cell and the coverage tallies. The folds come back in config order.
     """
     ta_keys = {role: artifacts.read_ta_keys(layout.attributions(role)) for role in config.roles}
+    tasks = [(layout.classified(s.label), s.label) for s in config.sources]
+    folds = list(
+        _map_chunks(_aggregate_source, tasks, (ta_keys, config.years), _effective_workers(config))
+    )
     counters: dict = {}
-    folds = []
-    for source in config.sources:
-        articles = artifacts.iter_classified(layout.classified(source.label), source.label)
-        fold = analytics.aggregate(source.label, articles, ta_keys, config.years)
-        folds.append(fold)
+    for fold in folds:
         for role in fold.skipped_roles:
-            counters[f"skipped_{source.label}_{role}"] = 1
+            counters[f"skipped_{fold.source}_{role}"] = 1
 
     rows = [row for fold in folds for row in fold.rows]
     counters["indicator_rows"] = artifacts.write_indicators(layout.indicators, rows)

@@ -1,9 +1,21 @@
+import json
+import os
 from datetime import date
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridoa.artifacts import is_attributable
+from hybridoa.artifacts import (
+    Layout,
+    ingest_from_line,
+    is_attributable,
+    open_artifact,
+    read_manifest,
+    recording,
+    sha256_file,
+    write_manifest,
+)
 from hybridoa.attribute import role_author
 from hybridoa.model import (
     Authorship,
@@ -120,3 +132,31 @@ def test_row_equals_full_record_path(full):
     assert [getattr(row, f) for f in flags] == [getattr(full, f) for f in flags]
     assert is_attributable(line) == (full.countable and full.is_hybrid_oa)
     assert "title" not in line and "pagination" not in line
+
+
+@pytest.mark.parametrize(
+    "text", ["20210304", "2021-W09-4", "2021-03", "٢٠٢١-٠٣-٠٤", "2021-03-04T00"]
+)
+def test_artifact_dates_are_yyyy_mm_dd_only(text):
+    """An artifact date is read only in the one form every interpreter reads alike."""
+    obj = {
+        "native_id": "W1", "issn": "0378-5955", "pub_date": "2021-03-04",
+        "document_class": "journal-article", "title": "", "pagination": None,
+        "article_number": None,
+    }
+    assert ingest_from_line(json.dumps(obj), "open").pub_date == date(2021, 3, 4)
+    with pytest.raises(ValueError):
+        ingest_from_line(json.dumps({**obj, "pub_date": text}), "open")
+
+
+def test_manifest_digest_and_rows_are_taken_while_writing(tmp_path):
+    layout = Layout(str(tmp_path))
+    path = os.path.join(str(tmp_path), "stage", "table.ndjson")
+    with recording() as written:
+        with open_artifact(path) as fh:
+            fh.write('{"a":"\u00e9"}\n{"b":1}')  # non-ASCII, and no newline at the end
+    write_manifest(layout, "stage", "digest", [], [path], {}, written)
+    (entry,) = read_manifest(layout, "stage")["outputs"]
+    assert entry == {
+        "path": os.path.join("stage", "table.ndjson"), "sha256": sha256_file(path), "rows": 2
+    }

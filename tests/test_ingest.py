@@ -343,6 +343,34 @@ def test_parse_licenses():
 
 CC_BY = "https://creativecommons.org/licenses/by/4.0/"
 
+# Date forms outside the YYYY[-MM[-DD]] grammar: compact, week, ordinal and
+# date-time forms that some interpreters' date.fromisoformat reads, and
+# digits that are not ASCII.
+OFF_GRAMMAR_DATES = [
+    "20210304", "2021-W09-4", "2021W094", "2021-063", "2021-03-04T00:00",
+    "٢٠٢١", "٢٠٢١-٠٣",
+]
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR_DATES)
+def test_date_outside_the_grammar_is_a_bad_date_reject(tmp_path, text):
+    """As a publication date, a license start date or an agreement window end."""
+    lines = [
+        article_line(pub_date=text),
+        article_line(pub_date=["2021-03-04", text]),
+        article_line(licenses=[{"url": CC_BY, "applies_to_vor": True, "start_date": text}]),
+    ]
+    for line in lines:
+        with pytest.raises(SchemaViolation) as excinfo:
+            parse_article_line(line, "open")
+        assert excinfo.value.code == "bad_date"
+    durations = write_lines(
+        tmp_path / "d.csv", ["agreement_id,start_date,end_date", f"ag1,2021-01-01,{text}"]
+    )
+    with RejectLog(str(tmp_path / "rej.csv")) as rejects:
+        load_durations(durations, [], rejects)
+    assert [reason for reason, _ in logged_rejects(tmp_path / "rej.csv")] == ["bad_date"]
+
 
 @pytest.mark.parametrize(
     "overrides, code",

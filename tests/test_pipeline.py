@@ -417,6 +417,16 @@ def test_ingest_logs_rejects_for_planted_bad_rows(pipeline_run):
     assert manifest["counters"]["agreements_undated"] == 6
 
 
+def with_open_articles(config, tmp_path, data: bytes):
+    """`config` with the open source's interchange file replaced by `data`."""
+    articles = tmp_path / "articles_open_edited.ndjson"
+    articles.write_bytes(data)
+    sources = tuple(
+        replace(s, articles=str(articles)) if s.open_baseline else s for s in config.sources
+    )
+    return replace(config, sources=sources)
+
+
 def assert_bad_lines_rejected_not_fatal(tmp_path, cases):
     """Each `(overrides, code)` case, applied to a copy of the open source's
     first line, lands in its reject log with `code`; all six stages
@@ -431,12 +441,10 @@ def assert_bad_lines_rejected_not_fatal(tmp_path, cases):
     template = json.loads(lines[0])
     for k, (overrides, _) in enumerate(cases):
         lines.append(json.dumps({**template, "native_id": f"W-bad-{k}", **overrides}))
-    articles = tmp_path / "articles_open.ndjson"
-    articles.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    sources = tuple(
-        replace(s, articles=str(articles)) if s is open_source else s for s in config.sources
+    config = replace(
+        with_open_articles(config, tmp_path, ("\n".join(lines) + "\n").encode()),
+        out_dir=str(tmp_path / "mistyped"),
     )
-    config = replace(config, sources=sources, out_dir=str(tmp_path / "mistyped"))
     assert pipeline.run(config) == list(pipeline.artifacts.STAGES)
 
     layout = Layout(config.out_dir)
@@ -483,6 +491,110 @@ def test_mistyped_lists_urls_and_issns_are_rejected_not_fatal(tmp_path):
             ({"issn": 3785955}, "malformed_issn"),
         ],
     )
+
+
+def ingest_files(out_dir):
+    """Bytes of every file ingest writes, its manifest included."""
+    manifest = os.path.join("manifests", "ingest.json")
+    return {
+        path: data
+        for path, data in files_under(out_dir).items()
+        if path.startswith(("ingest", "rejects")) or path == manifest
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_utf8_line_is_a_bad_json_reject(tmp_path, workers):
+    """One byte that is not UTF-8 rejects its line as `bad_json`, logged
+    with a backslash escape, and the stream goes on."""
+    corpus, config = small_corpus(tmp_path)
+    open_source = next(s for s in config.sources if s.open_baseline)
+    with open(open_source.articles, "rb") as fh:
+        lines = fh.read().split(b"\n")
+    assert b'"title": "' in lines[5]
+    lines[5] = lines[5].replace(b'"title": "', b'"title": "\xff', 1)
+    config = replace(
+        with_open_articles(config, tmp_path, b"\n".join(lines)),
+        workers=workers,
+        out_dir=str(tmp_path / "out"),
+    )
+    assert pipeline.run(config, ["ingest"]) == ["ingest"]
+
+    layout = Layout(config.out_dir)
+    with open(layout.reject_log("articles_open"), encoding="utf-8", newline="") as fh:
+        logged = list(csv.DictReader(fh))
+    assert [(row["line"], row["reason"]) for row in logged] == [("6", "bad_json")]
+    assert '"title": "\\xff' in logged[0]["raw"]
+    counters = read_manifest(layout, "ingest")["counters"]
+    countable = sum(1 for line in lines if line.strip())
+    assert counters["rejects_open"] == 1
+    assert counters["records_open"] == countable - 1
+
+
+def test_ingest_is_identical_at_every_worker_count_across_chunks(tmp_path):
+    """A source of more than CHUNK_LINES lines, with blank and malformed
+    lines and one native ID whose two copies fall in different chunks,
+    gives the same ingest files, reject logs and manifest at 1, 2 and 8
+    workers."""
+    corpus, config = small_corpus(tmp_path)
+    open_source = next(s for s in config.sources if s.open_baseline)
+    with open(open_source.articles, encoding="utf-8") as fh:
+        template = [json.loads(line) for line in fh if line.strip()]
+    lines = []
+    while len(lines) <= pipeline.CHUNK_LINES:
+        for obj in template:
+            copy = {**obj, "native_id": f"{obj['native_id']}-{len(lines)}"}
+            lines.append(json.dumps(copy))
+            if len(lines) % 97 == 0:
+                lines.append("   ")
+            if len(lines) % 131 == 0:
+                lines.append("{not json")
+    lines.append(lines[0])  # the first line's native ID again, thousands of lines on
+    config = with_open_articles(config, tmp_path, ("\n".join(lines) + "\n").encode())
+
+    trees = []
+    for workers in (1, 2, 8):
+        out_dir = str(tmp_path / f"w{workers}")
+        pipeline.run(replace(config, workers=workers, out_dir=out_dir), ["ingest"])
+        trees.append(ingest_files(out_dir))
+    assert trees[0] == trees[1] == trees[2]
+
+    counters = json.loads(trees[0][os.path.join("manifests", "ingest.json")])["counters"]
+    countable = [k for k, line in enumerate(lines, 1) if line.strip()]
+    assert counters["records_open"] + counters["rejects_open"] == len(countable)
+    reject_log = trees[0][os.path.join("rejects", "articles_open.csv")].decode()
+    rows = list(csv.reader(reject_log.splitlines()))
+    expected = [[str(k), "bad_json", "{not json"] for k in countable if lines[k - 1] == "{not json"]
+    expected.append([str(len(lines)), "duplicate_record", lines[-1]])
+    assert rows[1:] == expected
+    assert counters["rejects_open"] == len(expected)
+
+
+def line_count(path):
+    with open(path, "rb") as fh:
+        data = fh.read()
+    return data.count(b"\n") + (not data.endswith(b"\n") and bool(data))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_manifest_digests_and_rows_match_the_files(tmp_path, workers):
+    """Each manifest's output sha256 and rows, taken while writing, equal a
+    fresh read of the file; ingest's input digests, taken while reading,
+    equal a fresh hash of each external input."""
+    corpus, config = small_corpus(tmp_path)
+    config = replace(config, workers=workers)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    for stage in pipeline.artifacts.STAGES:
+        manifest = read_manifest(layout, stage)
+        for entry in manifest["outputs"]:
+            path = os.path.join(config.out_dir, entry["path"])
+            assert entry["sha256"] == pipeline.artifacts.sha256_file(path), path
+            header = 1 if path.endswith(".csv") else 0
+            assert entry["rows"] == line_count(path) - header, path
+    for entry in read_manifest(layout, "ingest")["inputs"]:
+        path = os.path.normpath(os.path.join(config.out_dir, entry["path"]))
+        assert entry["sha256"] == pipeline.artifacts.sha256_file(path), path
 
 
 def test_manifests_carry_config_digest_and_io(pipeline_run):
