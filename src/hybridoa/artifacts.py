@@ -169,6 +169,34 @@ class HashedFile(io.RawIOBase):
         return self._lines + (self._last != b"\n")
 
 
+# Non-blank lines per chunk of a line-mapped stage. The reader keeps the
+# raw lines of every chunk in flight until its result comes back.
+CHUNK_LINES = 500
+
+
+def line_chunks(raw: io.RawIOBase) -> Iterator[tuple[list[int], list[str]]]:
+    """(line numbers, lines) of the non-blank lines of the file opened as
+    `raw`, CHUNK_LINES at a time; closes `raw` at the end.
+
+    Bytes that are not UTF-8 reach their line as lone surrogates, for the
+    line's parser to reject.
+    """
+    linenos: list[int] = []
+    lines: list[str] = []
+    text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape")
+    with text:
+        for lineno, line in enumerate(text, 1):
+            if not line.strip():
+                continue
+            linenos.append(lineno)
+            lines.append(line)
+            if len(lines) >= CHUNK_LINES:
+                yield linenos, lines
+                linenos, lines = [], []
+    if lines:
+        yield linenos, lines
+
+
 # Absolute path -> (sha256, lines) of each file `open_artifact` publishes
 # inside a `recording` block; None outside one.
 _recorded: ContextVar[dict[str, tuple[str, int]] | None] = ContextVar("recorded", default=None)

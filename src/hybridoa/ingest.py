@@ -11,8 +11,8 @@ artifact line holds (`parse_article_line`), and that dict is written as
 it is. A list field (licenses, authors, an author's org IDs or
 countries) that holds anything but a list is rejected like any other
 mistyped field, and so is a line that is not UTF-8. Article streams are
-read in chunks of non-blank lines (`article_chunks`); the lines of a
-chunk can be parsed anywhere (`article_outcomes`), and an
+read in chunks of non-blank lines (`artifacts.line_chunks`); the lines of
+a chunk can be parsed anywhere (`article_outcomes`), and an
 `ArticleLedger` takes the outcomes back in input order. Memory stays
 constant in file length: exact duplicate detection over (source,
 native_id) uses a disk-backed index.
@@ -53,6 +53,7 @@ REJECT_MALFORMED_ISSN = "malformed_issn"
 REJECT_CHECKSUM = "checksum_failure"
 REJECT_INVERTED_WINDOW = "inverted_window"
 REJECT_CONFLICTING_LINK = "conflicting_link"
+REJECT_CONFLICTING_WINDOW = "conflicting_window"
 REJECT_SELF_ASSOCIATION = "self_association"
 REJECT_SCHEMA = "schema_violation"
 REJECT_DUPLICATE = "duplicate_record"
@@ -163,13 +164,28 @@ def _checked_issn(raw: str) -> str:
         raise SchemaViolation(REJECT_CHECKSUM, str(exc)) from None
 
 
-def _csv_rows(path: str, columns: tuple[str, ...]) -> Iterator[tuple[int, dict, str]]:
+def _is_utf8(text: str) -> bool:
+    """False when `text` holds bytes that were not UTF-8, read as lone surrogates."""
+    if text.isascii():
+        return True
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def _csv_rows(
+    path: str, columns: tuple[str, ...], rejects: RejectLog
+) -> Iterator[tuple[int, dict, str]]:
     """(line number, row, reject text) of each data row of a CSV input.
 
     The header must name every one of `columns`, else MissingColumn. The
     reject text is those columns comma-joined, a missing field as empty.
+    A row that holds bytes that are not UTF-8 is rejected here, as a
+    schema violation, before any of its fields is checked.
     """
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
         if reader.fieldnames is None:
             raise MissingColumn(f"{path}: empty file, header row required")
@@ -177,7 +193,13 @@ def _csv_rows(path: str, columns: tuple[str, ...]) -> Iterator[tuple[int, dict, 
         if missing:
             raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
-            yield reader.line_num, row, ",".join(row.get(c) or "" for c in columns)
+            raw = ",".join(row.get(c) or "" for c in columns)
+            # fields beyond the header sit in a list under the key None
+            fields = [v for k, v in row.items() if k is not None and v] + row.get(None, [])
+            if not _is_utf8("".join(fields)):
+                rejects.reject(reader.line_num, REJECT_SCHEMA, raw)
+                continue
+            yield reader.line_num, row, raw
 
 
 def load_issn_link_table(path: str, rejects: RejectLog | None = None) -> dict[str, str]:
@@ -188,7 +210,7 @@ def load_issn_link_table(path: str, rejects: RejectLog | None = None) -> dict[st
     """
     rejects = rejects or RejectLog(None)
     links: dict[str, str] = {}
-    for lineno, row, raw in _csv_rows(path, ("issn", "issn_l")):
+    for lineno, row, raw in _csv_rows(path, ("issn", "issn_l"), rejects):
         try:
             issn = _checked_issn(row["issn"] or "")
             issn_l = _checked_issn(row["issn_l"] or "")
@@ -215,12 +237,14 @@ def load_fully_oa_lists(
     links = links or {}
     out: set[str] = set()
     for path in paths:
-        with open(path, encoding="utf-8") as fh:
+        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, 1):
                 text = line.split("#", 1)[0].strip()
                 if not text:
                     continue
                 try:
+                    if not _is_utf8(line):
+                        raise SchemaViolation(REJECT_SCHEMA, "line is not UTF-8")
                     issn = _checked_issn(text)
                 except SchemaViolation as exc:
                     rejects.reject(lineno, exc.code, line)
@@ -258,7 +282,8 @@ def load_agreement_dump(
     orgs: dict[str, set[str]] = {}
     publishers: dict[str, Counter] = {}
     dump = AgreementDump()
-    for lineno, row, raw in _csv_rows(path, ("agreement_id", "issn", "org_id", "publisher")):
+    columns = ("agreement_id", "issn", "org_id", "publisher")
+    for lineno, row, raw in _csv_rows(path, columns, rejects):
         agreement_id = (row["agreement_id"] or "").strip()
         org = (row["org_id"] or "").strip()
         if not agreement_id or not is_org_id(org):
@@ -320,12 +345,18 @@ def load_durations(
 ) -> set[Agreement]:
     """Attach validity windows; agreements without a duration row are dropped.
 
-    Rows with start after end are rejected as inverted windows.
+    A row without an agreement ID is a schema violation, and one with
+    start after end an inverted window. An agreement ID given two distinct
+    windows keeps the first and rejects the later row as a conflicting
+    window; an identical repeat is fine.
     """
     rejects = rejects or RejectLog(None)
     windows: dict[str, tuple[date, date]] = {}
-    for lineno, row, raw in _csv_rows(path, ("agreement_id", "start_date", "end_date")):
+    for lineno, row, raw in _csv_rows(path, ("agreement_id", "start_date", "end_date"), rejects):
         agreement_id = (row["agreement_id"] or "").strip()
+        if not agreement_id:
+            rejects.reject(lineno, REJECT_SCHEMA, raw)
+            continue
         try:
             start = parse_date_pinned(row["start_date"] or "")
             end = parse_date_pinned(row["end_date"] or "")
@@ -335,7 +366,8 @@ def load_durations(
         if start > end:
             rejects.reject(lineno, REJECT_INVERTED_WINDOW, raw)
             continue
-        windows[agreement_id] = (start, end)
+        if windows.setdefault(agreement_id, (start, end)) != (start, end):
+            rejects.reject(lineno, REJECT_CONFLICTING_WINDOW, raw)
     dated: set[Agreement] = set()
     for agreement in agreements:
         window = windows.get(agreement.agreement_id)
@@ -362,7 +394,7 @@ def load_publisher_aliases(path: str, rejects: RejectLog | None = None) -> dict[
     """
     rejects = rejects or RejectLog(None)
     aliases: dict[str, str] = {}
-    for lineno, row, raw in _csv_rows(path, ("alias", "canonical")):
+    for lineno, row, raw in _csv_rows(path, ("alias", "canonical"), rejects):
         alias = " ".join((row["alias"] or "").split()).casefold()
         canonical = " ".join((row["canonical"] or "").split())
         if not alias or not canonical:
@@ -380,7 +412,7 @@ def load_institutions(path: str, rejects: RejectLog | None = None) -> set[Instit
     """
     rejects = rejects or RejectLog(None)
     out: set[Institution] = set()
-    for lineno, row, raw in _csv_rows(path, ("org_id", "country", "associated_ids")):
+    for lineno, row, raw in _csv_rows(path, ("org_id", "country", "associated_ids"), rejects):
         org = (row["org_id"] or "").strip()
         if not is_org_id(org):
             rejects.reject(lineno, REJECT_SCHEMA, raw)
@@ -432,11 +464,8 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
     documented schema; callers turn that into a reject-log entry.
     """
     links = links or {}
-    if not text.isascii():
-        try:
-            text.encode("utf-8")
-        except UnicodeEncodeError:  # bytes that were not UTF-8, read as lone surrogates
-            raise SchemaViolation("bad_json", "line is not UTF-8") from None
+    if not _is_utf8(text):
+        raise SchemaViolation("bad_json", "line is not UTF-8")
     try:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -538,34 +567,6 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
     }
 
 
-# Lines per chunk of an article stream. The reader keeps the raw lines of
-# every chunk in flight, for the reject log.
-ARTICLE_CHUNK_LINES = 500
-
-
-def article_chunks(raw: io.RawIOBase) -> Iterator[tuple[list[int], list[str]]]:
-    """(line numbers, lines) of the non-blank lines of the interchange file
-    opened as `raw`, ARTICLE_CHUNK_LINES at a time; closes `raw` at the end.
-
-    Bytes that are not UTF-8 reach their line as lone surrogates, which
-    `parse_article_line` rejects.
-    """
-    linenos: list[int] = []
-    lines: list[str] = []
-    text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape")
-    with text:
-        for lineno, line in enumerate(text, 1):
-            if not line.strip():
-                continue
-            linenos.append(lineno)
-            lines.append(line)
-            if len(lines) >= ARTICLE_CHUNK_LINES:
-                yield linenos, lines
-                linenos, lines = [], []
-    if lines:
-        yield linenos, lines
-
-
 def article_outcomes(
     lines: Iterable[str], source: str, links: dict[str, str] | None, encode=None
 ) -> list:
@@ -635,7 +636,7 @@ def load_article_stream(
 
     def generate() -> Iterator[dict]:
         with ArticleLedger(rejects, manifest) as ledger:
-            for linenos, lines in article_chunks(io.FileIO(path)):
+            for linenos, lines in artifacts.line_chunks(io.FileIO(path)):
                 yield from ledger.admit(linenos, lines, article_outcomes(lines, source, links))
 
     return generate(), manifest

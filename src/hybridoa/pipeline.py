@@ -3,14 +3,16 @@ aggregate -> compare.
 
 Each stage reads the previous stage's artifacts, writes its own, and
 never mutates inputs; `run` checks and hashes a stage's declared inputs
-and writes its manifest. Ingest, classification and attribution apply
-their pure per-record functions over chunked record streams, and
-reconcile and aggregate reduce each source in a task of its own, so a
-worker pool changes wall time but never output bytes.
+and writes its manifest. A stage has one of two shapes: ingest and
+classify map a pure function over chunks of every source's lines
+(`_source_chunks`), and reconcile, attribute and aggregate fold each
+source's classified file in a task of its own (`_source_folds`). Either
+way a worker pool changes wall time but never output bytes.
 """
 
 from __future__ import annotations
 
+import io
 import logging
 import os
 import pickle
@@ -28,8 +30,6 @@ from .identifiers import normalize_doi
 from .model import ROLE_FIRST
 
 log = logging.getLogger(__name__)
-
-CHUNK_LINES = 2000
 
 # A stage body's output paths and manifest counters.
 StageResult = tuple[list[str], dict]
@@ -136,27 +136,43 @@ def _map_chunks(
             yield future.result()
 
 
-def _chunked_lines(
-    path: str, keep: Callable[[str], bool] = str.strip, size: int = CHUNK_LINES
-) -> Iterator[list[str]]:
-    """Chunks of the file's lines that `keep` accepts (default: non-blank)."""
-    chunk: list[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            if not keep(line):
-                continue
-            chunk.append(line)
-            if len(chunk) >= size:
-                yield chunk
-                chunk = []
-    if chunk:
-        yield chunk
-
-
 def _effective_workers(config: PipelineConfig) -> int:
     if config.workers is not None:
         return max(1, int(config.workers))
     return os.cpu_count() or 1
+
+
+def _source_chunks(
+    config: PipelineConfig, open_raw: Callable, fn: Callable, ctx
+) -> Iterator[tuple[str, list[int], list[str], object]]:
+    """The line map: (source label, line numbers, lines, fn's result) of
+    every chunk of every source's file, in config order.
+
+    `open_raw(source)` opens a source's file as a raw binary file; `fn`
+    gets (source label, lines) on the pool. This process keeps each
+    chunk's line numbers and lines until its result comes back.
+    """
+    in_flight: deque = deque()
+
+    def chunks() -> Iterator[tuple[str, list[str]]]:
+        for source in config.sources:
+            for linenos, lines in artifacts.line_chunks(open_raw(source)):
+                in_flight.append((source.label, linenos, lines))
+                yield source.label, lines
+
+    for result in _map_chunks(fn, chunks(), ctx, _effective_workers(config)):
+        yield *in_flight.popleft(), result
+
+
+def _source_folds(
+    config: PipelineConfig, layout: Layout, fn: Callable, ctx, labels: Iterable[str] | None = None
+) -> Iterator:
+    """The per-source fold: fn's result for each source's classified file,
+    one task of (path, label) per source, in `labels` order (default:
+    config order)."""
+    labels = labels or [s.label for s in config.sources]
+    tasks = [(layout.classified(label), label) for label in labels]
+    return _map_chunks(fn, tasks, ctx, _effective_workers(config))
 
 
 # --- ingest ------------------------------------------------------------------
@@ -199,41 +215,13 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
     artifacts.write_institutions(layout.institutions, institutions)
     outputs = [layout.agreements, layout.journals, layout.institutions]
 
-    outputs += [layout.articles(s.label) for s in config.sources]
-    for source, (digest, manifest) in zip(config.sources, _ingest_articles(config, layout, links)):
-        inputs.append(artifacts.describe_input(source.articles, manifest.total_lines, digest))
-        counters[f"records_{source.label}"] = manifest.record_count
-        counters[f"rejects_{source.label}"] = manifest.reject_count
-    return outputs, counters
+    # each interchange file is read once, hashed as it is read; the
+    # ledgers dedupe and write in input order
+    raws: dict[str, artifacts.HashedFile] = {}
 
-
-def _ingest_chunk(item: tuple[str, list[str]]) -> list:
-    """Each line of one chunk as (native_id, ingest line text), or its reject code."""
-    source, lines = item
-    return ingest.article_outcomes(lines, source, _WORKER_CTX, artifacts.dump_canonical)
-
-
-def _ingest_articles(
-    config: PipelineConfig, layout: Layout, links: dict[str, str]
-) -> list[tuple[str, ingest.CorpusManifest]]:
-    """Write every source's ingest articles and reject log through one chunk map.
-
-    This process reads each interchange file once, hashing it as it
-    reads, and keeps each chunk's line numbers and raw lines until the
-    chunk's outcomes come back; the ledger then dedupes and writes in
-    input order. Returns each source's input digest and manifest, in
-    config order.
-    """
-    in_flight: deque = deque()
-    digests: dict[str, str] = {}
-
-    def chunks() -> Iterator[tuple[str, list[str]]]:
-        for source in config.sources:
-            raw = artifacts.HashedFile(source.articles, "r")
-            for linenos, lines in ingest.article_chunks(raw):
-                in_flight.append((source.label, linenos, lines))
-                yield source.label, lines
-            digests[source.label] = raw.sha256.hexdigest()
+    def open_raw(source) -> artifacts.HashedFile:
+        raws[source.label] = artifacts.HashedFile(source.articles, "r")
+        return raws[source.label]
 
     with ExitStack() as stack:
         files, ledgers = {}, {}
@@ -244,14 +232,28 @@ def _ingest_articles(
             ledgers[label] = stack.enter_context(
                 ingest.ArticleLedger(rejects, ingest.CorpusManifest())
             )
-        results = _map_chunks(_ingest_chunk, chunks(), links, _effective_workers(config))
-        for outcomes in results:
-            label, linenos, lines = in_flight.popleft()
+        for label, linenos, lines, outcomes in _source_chunks(
+            config, open_raw, _ingest_chunk, links
+        ):
             fh = files[label]
             for text in ledgers[label].admit(linenos, lines, outcomes):
                 fh.write(text)
                 fh.write("\n")
-    return [(digests[label], ledgers[label].manifest) for label in files]
+
+    for source in config.sources:
+        manifest = ledgers[source.label].manifest
+        digest = raws[source.label].sha256.hexdigest()
+        inputs.append(artifacts.describe_input(source.articles, manifest.total_lines, digest))
+        counters[f"records_{source.label}"] = manifest.record_count
+        counters[f"rejects_{source.label}"] = manifest.reject_count
+        outputs.append(layout.articles(source.label))
+    return outputs, counters
+
+
+def _ingest_chunk(item: tuple[str, list[str]]) -> list:
+    """Each line of one chunk as (native_id, ingest line text), or its reject code."""
+    source, lines = item
+    return ingest.article_outcomes(lines, source, _WORKER_CTX, artifacts.dump_canonical)
 
 
 # --- classify ----------------------------------------------------------------
@@ -284,7 +286,7 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     )
 
 
-def _classify_chunk(item: tuple[str, list[str]]) -> tuple[str, list[str], Counter]:
+def _classify_chunk(item: tuple[str, list[str]]) -> tuple[list[str], Counter]:
     """The chunk's classified lines, and its records per unknown document class."""
     source, lines = item
     cfg, journals = _WORKER_CTX
@@ -297,26 +299,16 @@ def _classify_chunk(item: tuple[str, list[str]]) -> tuple[str, list[str], Counte
         if classify.is_unknown_class(record, policy):
             unknown[record.document_class] += 1
         out.append(artifacts.classified_to_line(article))
-    return source, out, unknown
-
-
-def _source_chunks(
-    config: PipelineConfig, path_of: Callable[[str], str], keep: Callable[[str], bool] = str.strip
-) -> Iterator:
-    """(source label, lines) chunks of every source's file, in config order."""
-    for source in config.sources:
-        for chunk in _chunked_lines(path_of(source.label), keep):
-            yield source.label, chunk
+    return out, unknown
 
 
 def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Apply all classification rules to every ingested record.
 
-    One chunk map covers every source; each result goes to its source's file.
+    One line map covers every source; each result goes to its source's file.
     """
     journals = artifacts.read_journals(layout.journals)
     cfg = _classifier_config(config)
-    workers = _effective_workers(config)
     outputs = [layout.classified(s.label) for s in config.sources]
     rows = {s.label: 0 for s in config.sources}
     unknown = {s.label: Counter() for s in config.sources}
@@ -326,8 +318,10 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
             source.label: stack.enter_context(artifacts.open_artifact(path))
             for source, path in zip(config.sources, outputs)
         }
-        chunks = _source_chunks(config, layout.articles)
-        for label, lines, classes in _map_chunks(_classify_chunk, chunks, (cfg, journals), workers):
+        chunks = _source_chunks(
+            config, lambda s: io.FileIO(layout.articles(s.label)), _classify_chunk, (cfg, journals)
+        )
+        for label, _, _, (lines, classes) in chunks:
             fh = files[label]
             for line in lines:
                 fh.write(line)
@@ -348,25 +342,26 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
 
 # --- reconcile ----------------------------------------------------------------
 
-def _project_source(item: tuple[str, str, bool]) -> reconcile.Projection:
-    """One source's first-author projection, read from its classified file."""
-    path, label, open_side = item
-    return reconcile.first_author_ids(artifacts.iter_classified(path, label), open_side)
+def _project_source(item: tuple[str, str]) -> reconcile.Projection:
+    """One source's first-author projection, read from its classified file;
+    the pool context is the open source's label."""
+    path, label = item
+    return reconcile.first_author_ids(artifacts.iter_classified(path, label), label == _WORKER_CTX)
 
 
 def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Build the open/proprietary crosswalk by DOI bridging, plus an audit sample.
 
-    One chunk map projects every source, one task each, the open source
-    first. Each proprietary projection is bridged with the open one and
-    tallied as it arrives, in config order, so every source's pairs and
-    example DOIs add to one tally in that order.
+    One per-source fold projects every source, the open source first.
+    Each proprietary projection is bridged with the open one and tallied
+    as it arrives, in config order, so every source's pairs and example
+    DOIs add to one tally in that order.
     """
     open_label = config.open_source
     proprietary = [s.label for s in config.sources if s.label != open_label]
-    tasks = [(layout.classified(open_label), open_label, True)]
-    tasks += [(layout.classified(label), label, False) for label in proprietary]
-    projections = _map_chunks(_project_source, tasks, None, _effective_workers(config))
+    projections = _source_folds(
+        config, layout, _project_source, open_label, [open_label] + proprietary
+    )
     open_ids = next(projections)
     counters: dict = {}
     counts: Counter = Counter()
@@ -396,40 +391,39 @@ def _attribution_indexes(layout: Layout) -> tuple:
     )
 
 
-def _attribute_chunk(item: tuple[str, list[str]]) -> tuple[dict[str, list[tuple]], dict]:
-    """Role -> attribution rows of one chunk of attributable lines, each
-    decoded once, and role -> `resolve_org` diagnostics."""
-    source, lines = item
+def _attribute_source(item: tuple[str, str]) -> tuple[dict[str, list[tuple]], dict]:
+    """Role -> attribution rows of one source's classified file, and role ->
+    `resolve_org` diagnostics. Lines that are not countable hybrid OA are
+    skipped before they are decoded; the others are decoded once."""
+    path, label = item
     roles, journal_agreements, crosswalk_inverse, inst_index = _WORKER_CTX
     rows: dict[str, list[tuple]] = {role: [] for role in roles}
     diagnostics: dict[str, dict] = {role: {} for role in roles}
-    for line in lines:
-        article = artifacts.classified_from_line(line, source)
-        for role in roles:
-            if attribute.role_author(article, role) is None:
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            if not artifacts.is_attributable(line):
                 continue
-            match = attribute.match_agreements(
-                article, role, journal_agreements, crosswalk_inverse, inst_index,
-                diagnostics[role],
-            )
-            rows[role].append(artifacts.attribution_row(article, role, match))
+            article = artifacts.classified_from_line(line, label)
+            for role in roles:
+                if attribute.role_author(article, role) is None:
+                    continue
+                match = attribute.match_agreements(
+                    article, role, journal_agreements, crosswalk_inverse, inst_index,
+                    diagnostics[role],
+                )
+                rows[role].append(artifacts.attribution_row(article, role, match))
     return rows, diagnostics
 
 
 def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Evaluate every eligible OA article against the agreement registry.
 
-    Lines that are not countable hybrid OA are dropped before they are
-    decoded or sent to a worker. One chunk map over every source
-    evaluates every role on each decoded record.
+    One per-source fold evaluates every role on each eligible record.
     """
     ctx = (tuple(config.roles), *_attribution_indexes(layout))
     rows: dict[str, list[tuple]] = {role: [] for role in config.roles}
     unresolved = dict.fromkeys(config.roles, 0)
-    chunks = _source_chunks(config, layout.classified, artifacts.is_attributable)
-    for result, diagnostics in _map_chunks(
-        _attribute_chunk, chunks, ctx, _effective_workers(config)
-    ):
+    for result, diagnostics in _source_folds(config, layout, _attribute_source, ctx):
         for role, role_rows in result.items():
             rows[role].extend(role_rows)
             unresolved[role] += diagnostics[role].get("unresolved_org_ids", 0)
@@ -456,15 +450,12 @@ def _aggregate_source(item: tuple[str, str]) -> analytics.SourceFold:
 def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Turn classified and attributed articles into indicator tables.
 
-    One chunk map folds every source, one task each: each classified
-    record is decoded once and feeds every (role, group kind) indicator
-    cell and the coverage tallies. The folds come back in config order.
+    One per-source fold: each classified record is decoded once and feeds
+    every (role, group kind) indicator cell and the coverage tallies. The
+    folds come back in config order.
     """
     ta_keys = {role: artifacts.read_ta_keys(layout.attributions(role)) for role in config.roles}
-    tasks = [(layout.classified(s.label), s.label) for s in config.sources]
-    folds = list(
-        _map_chunks(_aggregate_source, tasks, (ta_keys, config.years), _effective_workers(config))
-    )
+    folds = list(_source_folds(config, layout, _aggregate_source, (ta_keys, config.years)))
     counters: dict = {}
     for fold in folds:
         for role in fold.skipped_roles:

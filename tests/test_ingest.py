@@ -137,6 +137,36 @@ def test_durations_reject_inverted_window(tmp_path):
     assert rejects.count == 1
 
 
+def test_durations_conflicting_window_rejected_first_row_wins(tmp_path):
+    path = durations_file(
+        tmp_path,
+        [
+            "esac-x-1,2019-07-01,2022-12-31",
+            "esac-x-1,2020-01-01,2020-12-31",
+            "esac-x-1,2019-07-01,2022-12-31",
+        ],
+    )
+    with RejectLog(str(tmp_path / "rej.csv")) as rejects:
+        (agreement,) = load_durations(path, {undated()}, rejects)
+    assert (agreement.start_date, agreement.end_date) == (date(2019, 7, 1), date(2022, 12, 31))
+    assert logged_rejects(tmp_path / "rej.csv") == [
+        ("conflicting_window", "esac-x-1,2020-01-01,2020-12-31")
+    ]
+
+
+def test_durations_empty_agreement_id_rejected(tmp_path):
+    path = durations_file(
+        tmp_path, [",2019-07-01,2022-12-31", "  ,2019-07-01,2022-12-31", "esac-x-1,2020-01-01,"]
+    )
+    with RejectLog(str(tmp_path / "rej.csv")) as rejects:
+        assert load_durations(path, {undated()}, rejects) == set()
+    assert logged_rejects(tmp_path / "rej.csv") == [
+        ("schema_violation", ",2019-07-01,2022-12-31"),
+        ("schema_violation", "  ,2019-07-01,2022-12-31"),
+        ("bad_date", "esac-x-1,2020-01-01,"),
+    ]
+
+
 # --- link table ----------------------------------------------------------------
 
 def test_link_table_identity_allowed(tmp_path):
@@ -242,6 +272,57 @@ def test_publisher_aliases_short_row_logs_missing_field_as_empty(tmp_path):
     with RejectLog(str(tmp_path / "rej.csv")) as rejects:
         assert load_publisher_aliases(path, rejects) == {"other": "Parent"}
     assert logged_rejects(tmp_path / "rej.csv") == [("schema_violation", "Imprint GmbH,")]
+
+
+# --- bytes that are not UTF-8 ---------------------------------------------------
+
+# (loader, header, a row holding a byte that is not UTF-8, a good row, the
+# logged raw text). Each bad row would fail a field check too, or sit in a
+# column no loader reads; the UTF-8 check comes first.
+NON_UTF8_ROWS = {
+    "links": (
+        load_issn_link_table, b"issn,issn_l", b"\xff0378-5955,0378-5955",
+        b"0024-9319,0378-5955", "\\xff0378-5955,0378-5955",
+    ),
+    "fully_oa": (
+        lambda path, rejects: load_fully_oa_lists([path], None, rejects), None, b"\xff",
+        b"0378-5955", "\\xff",
+    ),
+    "aliases": (
+        load_publisher_aliases, b"alias,canonical", b"Imprint\xff GmbH,Parent", b"Other,Parent",
+        "Imprint\\xff GmbH,Parent",
+    ),
+    "dump": (
+        lambda path, rejects: load_agreement_dump(path, rejects=rejects),
+        b"agreement_id,issn,org_id,publisher", b"esac-x-1,0378-5955,ror:r1,Pub\xff",
+        b"esac-x-1,0378-5955,ror:r1,Pub", "esac-x-1,0378-5955,ror:r1,Pub\\xff",
+    ),
+    "durations": (
+        lambda path, rejects: load_durations(path, {undated()}, rejects),
+        b"agreement_id,start_date,end_date", b"esac-x-1,2019-07-01,2022-12-31\xff",
+        b"esac-x-1,2019-07-01,2022-12-31", "esac-x-1,2019-07-01,2022-12-31\\xff",
+    ),
+    "institutions": (
+        load_institutions, b"org_id,country,associated_ids", b"ror:p1,DE,,note \xff",
+        b"ror:p2,DE,", "ror:p1,DE,",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_UTF8_ROWS))
+def test_row_that_is_not_utf8_is_a_schema_violation(tmp_path, name):
+    """A tabular or list row holding a byte that is not UTF-8 is rejected,
+    logged with a backslash escape; the loader reads on and gives what the
+    good rows alone give."""
+    loader, header, bad, good, logged = NON_UTF8_ROWS[name]
+    head = [header] if header else []
+    path, clean = tmp_path / "input", tmp_path / "clean"
+    path.write_bytes(b"\n".join(head + [bad, good]) + b"\n")
+    clean.write_bytes(b"\n".join(head + [good]) + b"\n")
+    with RejectLog(str(tmp_path / "rej.csv")) as rejects:
+        loaded = loader(str(path), rejects)
+    assert loaded == loader(str(clean), RejectLog(None))
+    assert logged_rejects(tmp_path / "rej.csv") == [("schema_violation", logged)]
 
 
 # --- article stream ----------------------------------------------------------------
@@ -597,7 +678,7 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
         return
     ingest_line = dump_canonical(parse_article_line(text, source, ORACLE_LINKS))
     chunk = (source, [ingest_line + "\n"])
-    (_, (classified,), unknown), = pipeline._map_chunks(
+    ((classified,), unknown), = pipeline._map_chunks(
         pipeline._classify_chunk, [chunk], (ORACLE_CFG, ORACLE_JOURNALS), 1
     )
     assert (ingest_line, classified, bool(unknown)) == expected

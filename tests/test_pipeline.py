@@ -4,11 +4,13 @@ import json
 import os
 import re
 import shutil
+import subprocess
+import sys
 from dataclasses import replace
 
 import pytest
 
-from hybridoa import fixture, pipeline
+from hybridoa import artifacts, fixture, pipeline
 from hybridoa.artifacts import Layout, read_manifest
 from hybridoa.classify import KNOWN_NOT_ORIGINAL
 from hybridoa.config import apply_overrides, load_config
@@ -347,6 +349,68 @@ def test_unresolved_org_ids_counted_end_to_end(tmp_path):
     assert counted == [expected, expected]
 
 
+def other_interpreters():
+    """Each `python3.X` (X >= 10) on PATH that starts and is not this
+    interpreter's version; the first of a name on PATH, as a shell finds it."""
+    paths = {}
+    for directory in os.environ.get("PATH", "").split(os.pathsep):
+        try:
+            names = os.listdir(directory or ".")
+        except OSError:
+            continue
+        for name in names:
+            match = re.fullmatch(r"python3\.(\d+)", name)
+            if match and int(match.group(1)) >= 10 and name not in paths:
+                paths[name] = os.path.join(directory, name)
+    found = []
+    for name, path in sorted(paths.items()):
+        version = (3, int(name.split(".")[1]))
+        if version == sys.version_info[:2]:
+            continue
+        try:
+            probe = subprocess.run(
+                [path, "-c", "import sys; print(tuple(sys.version_info[:2]))"],
+                capture_output=True, text=True, timeout=60,
+            )
+        except (OSError, subprocess.TimeoutExpired):
+            continue
+        # a shim without that version installed exits non-zero
+        if probe.returncode == 0 and probe.stdout.strip() == str(version):
+            found.append(path)
+    return found
+
+
+def test_every_interpreter_on_path_builds_the_same_tree(tmp_path):
+    """One corpus gives the same tree, manifests and reject logs included,
+    on every installed interpreter; the corpus holds a compact date that
+    must be a `bad_date` reject on each of them."""
+    others = other_interpreters()
+    if not others:
+        pytest.skip("no other python3.X interpreter starts")
+    corpus, config = small_corpus(tmp_path)
+    path = corpus / "articles_open.ndjson"
+    lines = path.read_text(encoding="utf-8").splitlines()
+    obj = json.loads(lines[3])
+    obj["pub_date"] = "20210304"
+    lines[3] = json.dumps(obj)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+    src = os.path.dirname(os.path.dirname(os.path.abspath(pipeline.__file__)))
+    env = {**os.environ, "PYTHONPATH": src}
+    digests = {}
+    for python in [sys.executable] + others:
+        out = tmp_path / f"out{len(digests)}"
+        argv = ["-m", "hybridoa.cli", "run", "--config", str(corpus / "config.json")]
+        subprocess.run(
+            [python] + argv + ["--workers", "2", "--out", str(out)],
+            env=env, check=True, capture_output=True, timeout=600,
+        )
+        digests[python] = tree_digest(out)
+    with open(Layout(str(tmp_path / "out0")).reject_log("articles_open"), encoding="utf-8") as fh:
+        assert ("4", "bad_date") in [(row["line"], row["reason"]) for row in csv.DictReader(fh)]
+    assert len(set(digests.values())) == 1, digests
+
+
 def files_under(root):
     """Relative path -> bytes of every file under `root`."""
     out = {}
@@ -493,16 +557,6 @@ def test_mistyped_lists_urls_and_issns_are_rejected_not_fatal(tmp_path):
     )
 
 
-def ingest_files(out_dir):
-    """Bytes of every file ingest writes, its manifest included."""
-    manifest = os.path.join("manifests", "ingest.json")
-    return {
-        path: data
-        for path, data in files_under(out_dir).items()
-        if path.startswith(("ingest", "rejects")) or path == manifest
-    }
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_non_utf8_line_is_a_bad_json_reject(tmp_path, workers):
     """One byte that is not UTF-8 rejects its line as `bad_json`, logged
@@ -531,17 +585,51 @@ def test_non_utf8_line_is_a_bad_json_reject(tmp_path, workers):
     assert counters["records_open"] == countable - 1
 
 
+# input stem -> (file in the corpus, a row holding a byte that is not
+# UTF-8, the raw text its reject log holds)
+NON_UTF8_ROWS = {
+    "institutions": ("institutions.csv", b"ror:0r999,D\xffE,", "ror:0r999,D\\xffE,"),
+    "durations": (
+        "durations.csv", b"ta-x\xff-9,2020-01-01,2020-12-31", "ta-x\\xff-9,2020-01-01,2020-12-31"
+    ),
+    "fully_oa": ("fully_oa.txt", b"\xff", "\\xff"),
+}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_non_utf8_tabular_rows_are_rejects_not_fatal(tmp_path, workers):
+    """`run --stages ingest` completes when tabular and list inputs hold a
+    row that is not UTF-8; each such row is a logged schema violation."""
+    from hybridoa.cli import main
+
+    corpus, config = small_corpus(tmp_path)
+    for name, row, _ in NON_UTF8_ROWS.values():
+        with open(corpus / name, "ab") as fh:
+            fh.write(row + b"\n")
+    out = tmp_path / "out"
+    argv = ["run", "--config", str(corpus / "config.json"), "--stages", "ingest"]
+    assert main(argv + ["--workers", str(workers), "--out", str(out)]) == 0
+
+    layout = Layout(str(out))
+    counters = read_manifest(layout, "ingest")["counters"]
+    for stem, (_, _, raw) in NON_UTF8_ROWS.items():
+        with open(layout.reject_log(stem), encoding="utf-8", newline="") as fh:
+            logged = [(row["reason"], row["raw"]) for row in csv.DictReader(fh)]
+        assert logged[-1] == ("schema_violation", raw)
+        assert counters[f"{stem}_rejects"] == len(logged)
+
+
 def test_ingest_is_identical_at_every_worker_count_across_chunks(tmp_path):
-    """A source of more than CHUNK_LINES lines, with blank and malformed
+    """A source of more than four chunks of lines, with blank and malformed
     lines and one native ID whose two copies fall in different chunks,
-    gives the same ingest files, reject logs and manifest at 1, 2 and 8
-    workers."""
+    gives the same ingest and classify files, reject logs and manifests at
+    1, 2 and 8 workers."""
     corpus, config = small_corpus(tmp_path)
     open_source = next(s for s in config.sources if s.open_baseline)
     with open(open_source.articles, encoding="utf-8") as fh:
         template = [json.loads(line) for line in fh if line.strip()]
     lines = []
-    while len(lines) <= pipeline.CHUNK_LINES:
+    while len(lines) <= 4 * artifacts.CHUNK_LINES:
         for obj in template:
             copy = {**obj, "native_id": f"{obj['native_id']}-{len(lines)}"}
             lines.append(json.dumps(copy))
@@ -555,13 +643,18 @@ def test_ingest_is_identical_at_every_worker_count_across_chunks(tmp_path):
     trees = []
     for workers in (1, 2, 8):
         out_dir = str(tmp_path / f"w{workers}")
-        pipeline.run(replace(config, workers=workers, out_dir=out_dir), ["ingest"])
-        trees.append(ingest_files(out_dir))
+        pipeline.run(replace(config, workers=workers, out_dir=out_dir), ["ingest", "classify"])
+        trees.append(files_under(out_dir))
     assert trees[0] == trees[1] == trees[2]
 
     counters = json.loads(trees[0][os.path.join("manifests", "ingest.json")])["counters"]
     countable = [k for k, line in enumerate(lines, 1) if line.strip()]
     assert counters["records_open"] + counters["rejects_open"] == len(countable)
+    classified = json.loads(trees[0][os.path.join("manifests", "classify.json")])["counters"]
+    assert classified["classified_open"] == counters["records_open"]
+    assert trees[0][os.path.join("classify", "articles_open.ndjson")].count(b"\n") == (
+        counters["records_open"]
+    )
     reject_log = trees[0][os.path.join("rejects", "articles_open.csv")].decode()
     rows = list(csv.reader(reject_log.splitlines()))
     expected = [[str(k), "bad_json", "{not json"] for k in countable if lines[k - 1] == "{not json"]
