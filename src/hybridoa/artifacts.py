@@ -13,6 +13,7 @@ import csv
 import hashlib
 import io
 import json
+import mmap
 import os
 import re
 from contextlib import contextmanager
@@ -69,6 +70,10 @@ class Layout:
 
     def classified(self, source: str) -> str:
         return os.path.join(self.out_dir, "classify", f"articles_{source}.ndjson")
+
+    @property
+    def doi_index(self) -> str:
+        return os.path.join(self.out_dir, "classify", "doi_index.ndjson")
 
     @property
     def crosswalk(self) -> str:
@@ -381,6 +386,10 @@ class IngestRow:
         self._record = obj
 
     @property
+    def doi(self) -> str | None:
+        return self._record["doi"]
+
+    @property
     def licenses(self) -> tuple[LicenseStatement, ...]:
         return tuple(map(_license, self._record["licenses"]))
 
@@ -484,24 +493,90 @@ def classified_from_line(line: str, source: str) -> ClassifiedRow:
     return ClassifiedRow(_decode_object(line)[0], source)
 
 
-def classified_with_doi(path: str, source: str, doi: str) -> list[ClassifiedRow]:
-    """The rows of one classified file whose DOI is `doi`.
-
-    A classified line is canonical JSON, so the line of a record with DOI
-    `doi` holds `"doi":` + json.dumps(doi) exactly once; only lines that
-    hold that text are decoded.
-    """
-    needle = '"doi":' + json.dumps(doi)
-    with open(path, encoding="utf-8") as fh:
-        hits = [classified_from_line(line, source) for line in fh if needle in line]
-    return [row for row in hits if row.doi == doi]
-
-
 def iter_classified(path: str, source: str) -> Iterator[ClassifiedRow]:
     with open(path, encoding="utf-8") as fh:
         for line in fh:
             if line.strip():
                 yield classified_from_line(line, source)
+
+
+# --- DOI index ----------------------------------------------------------------
+# `classify/doi_index.ndjson` holds one canonical JSON array per classified
+# record that has a DOI: [doi, source, byte offset of the record's line in
+# its classified file]. Its lines are sorted as text, so the entries of one
+# DOI are adjacent and all start with `[`, the DOI's JSON string and `,`;
+# a DOI that is a prefix of another stops short of the other's closing
+# quote.
+
+# A JSON string as `dump_canonical` writes it, without the encoder's
+# per-call set-up: classify encodes one index entry per record.
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def doi_index_entries(
+    source: str, lines: list[str], dois: list[str | None], offset: int, entries: list[str]
+) -> int:
+    """Append `dump_canonical([doi, source, offset])` to `entries` for each
+    of `source`'s classified lines that has a DOI, the first line starting
+    at byte `offset`; returns the offset after the last line.
+
+    Classified lines are ASCII, so a line's bytes are its characters.
+    """
+    label = _json_string(source)
+    for line, doi in zip(lines, dois):
+        if doi:
+            entries.append(f"[{_json_string(doi)},{label},{offset}]")
+        offset += len(line) + 1
+    return offset
+
+
+def write_doi_index(fh: TextIO, entries: list[str]) -> None:
+    """Sort `doi_index_entries` lines as text, in place, and write them to `fh`."""
+    entries.sort()
+    fh.write("".join(f"{entry}\n" for entry in entries))
+
+
+def doi_index_hits(path: str, doi: str) -> list[tuple[str, int]]:
+    """(source, offset) of every index entry of `doi`, in index order.
+
+    Bisects the index for its first line not below the DOI's prefix, then
+    reads on while lines hold that prefix: O(log n) lines read, not n.
+    """
+    prefix = f"[{_json_string(doi)},".encode("ascii")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        if os.fstat(fd).st_size == 0:
+            return []  # no record has a DOI; an empty file cannot be mapped
+        with mmap.mmap(fd, 0, access=mmap.ACCESS_READ) as index:
+            # lines starting before lo sort below the prefix; lines
+            # starting at or after hi do not. Both are line starts. An
+            # unterminated last line ends at the end of the file: `find`
+            # gives -1 there, and `% (size + 1)` turns that into `size`.
+            size = len(index)
+            lo, hi = 0, size
+            while lo < hi:
+                start = index.rfind(b"\n", 0, (lo + hi) // 2) + 1
+                end = index.find(b"\n", start) % (size + 1)
+                if index[start:end] < prefix:
+                    lo = end + 1
+                else:
+                    hi = start
+            hits = []
+            while index[lo:lo + len(prefix)] == prefix:
+                end = index.find(b"\n", lo) % (size + 1)
+                _, source, offset = json.loads(index[lo:end])
+                hits.append((source, offset))
+                lo = end + 1
+    finally:
+        os.close(fd)
+    return hits
+
+
+def classified_at(path: str, source: str, offset: int) -> ClassifiedRow:
+    """The row whose classified line starts at byte `offset` of `path`."""
+    with open(path, "rb") as fh:
+        fh.seek(offset)
+        return classified_from_line(fh.readline().decode("utf-8"), source)
 
 
 # --- tabular artifacts ------------------------------------------------------

@@ -286,12 +286,14 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     )
 
 
-def _classify_chunk(item: tuple[str, list[str]]) -> tuple[list[str], Counter]:
-    """The chunk's classified lines, and its records per unknown document class."""
+def _classify_chunk(item: tuple[str, list[str]]) -> tuple[list[str], list[str | None], Counter]:
+    """The chunk's classified lines, each line's DOI (or None), and its
+    records per unknown document class."""
     source, lines = item
     cfg, journals = _WORKER_CTX
     policy = cfg.policies[source]
     out = []
+    dois = []
     unknown: Counter = Counter()
     for line in lines:
         record = artifacts.ingest_from_line(line, source)
@@ -299,35 +301,41 @@ def _classify_chunk(item: tuple[str, list[str]]) -> tuple[list[str], Counter]:
         if classify.is_unknown_class(record, policy):
             unknown[record.document_class] += 1
         out.append(artifacts.classified_to_line(article))
-    return out, unknown
+        dois.append(record.doi)
+    return out, dois, unknown
 
 
 def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Apply all classification rules to every ingested record.
 
-    One line map covers every source; each result goes to its source's file.
+    One line map covers every source; each result goes to its source's
+    file, and each record with a DOI gets an entry in the DOI index.
     """
     journals = artifacts.read_journals(layout.journals)
     cfg = _classifier_config(config)
     outputs = [layout.classified(s.label) for s in config.sources]
     rows = {s.label: 0 for s in config.sources}
+    offsets = {s.label: 0 for s in config.sources}
     unknown = {s.label: Counter() for s in config.sources}
+    entries: list[str] = []
 
     with ExitStack() as stack:
         files = {
             source.label: stack.enter_context(artifacts.open_artifact(path))
             for source, path in zip(config.sources, outputs)
         }
+        index = stack.enter_context(artifacts.open_artifact(layout.doi_index))
         chunks = _source_chunks(
             config, lambda s: io.FileIO(layout.articles(s.label)), _classify_chunk, (cfg, journals)
         )
-        for label, _, _, (lines, classes) in chunks:
-            fh = files[label]
-            for line in lines:
-                fh.write(line)
-                fh.write("\n")
+        for label, _, _, (lines, dois, classes) in chunks:
+            files[label].write("".join(f"{line}\n" for line in lines))
+            offsets[label] = artifacts.doi_index_entries(
+                label, lines, dois, offsets[label], entries
+            )
             rows[label] += len(lines)
             unknown[label].update(classes)
+        artifacts.write_doi_index(index, entries)
 
     counters = {}
     for label, n in rows.items():
@@ -337,7 +345,7 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
             log.warning(
                 "unknown document class %r in source %s: %d records", doc_class, label, count
             )
-    return outputs, counters
+    return outputs + [layout.doi_index], counters
 
 
 # --- reconcile ----------------------------------------------------------------
@@ -519,25 +527,53 @@ STAGE_FUNCTIONS = {
 
 # --- explain ------------------------------------------------------------------
 
+# The attribution indexes `explain_doi` built last, keyed on the bytes of
+# the three files they come from: (key, indexes), or None. The key is the
+# content, not `os.stat`: a file republished at the same size within one
+# tick of the mtime clock, on a reused inode, would look unchanged.
+_explain_registry: tuple[list[bytes], tuple] | None = None
+
+
+def _registry_indexes(layout: Layout) -> tuple:
+    """`_attribution_indexes(layout)`, rebuilt only when one of its files'
+    bytes changed since the last call in this process."""
+    global _explain_registry
+    key = []
+    for path in (layout.agreements, layout.crosswalk, layout.institutions):
+        with open(path, "rb") as fh:
+            key.append(fh.read())
+    if _explain_registry is None or _explain_registry[0] != key:
+        _explain_registry = (key, _attribution_indexes(layout))
+    return _explain_registry[1]
+
+
 def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
-    """Human-readable attribution trace for one DOI across all sources."""
+    """Human-readable attribution trace for one DOI across all sources.
+
+    Finds the DOI's records through classify's DOI index and decodes only
+    their lines, in config source order, then file order.
+    """
     layout = Layout(config.out_dir)
-    _require(STAGE_INPUTS["attribute"](layout, config), "explain")
+    _require(STAGE_INPUTS["attribute"](layout, config) + [layout.doi_index], "explain")
     doi = normalize_doi(raw_doi)
     if doi is None:
         raise UnknownDoi(f"not a DOI: {raw_doi!r}")
 
-    hits = [
-        article
-        for source in config.sources
-        for article in artifacts.classified_with_doi(
-            layout.classified(source.label), source.label, doi
-        )
-    ]
+    order = {s.label: k for k, s in enumerate(config.sources)}
+    located = sorted(
+        (order[label], offset, label)
+        for label, offset in artifacts.doi_index_hits(layout.doi_index, doi)
+        if label in order
+    )
+    hits = []
+    for _, offset, label in located:
+        article = artifacts.classified_at(layout.classified(label), label, offset)
+        if article.doi == doi:
+            hits.append(article)
     if not hits:
         raise UnknownDoi(doi)
 
-    journal_agreements, crosswalk_inverse, inst_index = _attribution_indexes(layout)
+    journal_agreements, crosswalk_inverse, inst_index = _registry_indexes(layout)
     # the license verdicts need no source policy and no paratext pattern
     cls_cfg = classify.ClassifierConfig(
         policies={}, paratext_patterns=(), **_license_settings(config)

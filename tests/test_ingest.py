@@ -678,7 +678,8 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
         return
     ingest_line = dump_canonical(parse_article_line(text, source, ORACLE_LINKS))
     chunk = (source, [ingest_line + "\n"])
-    ((classified,), unknown), = pipeline._map_chunks(
+    ((classified,), (doi,), unknown), = pipeline._map_chunks(
         pipeline._classify_chunk, [chunk], (ORACLE_CFG, ORACLE_JOURNALS), 1
     )
     assert (ingest_line, classified, bool(unknown)) == expected
+    assert doi == json.loads(classified)["record"]["doi"]

@@ -1,11 +1,13 @@
 import csv
 import hashlib
+import io
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -184,6 +186,7 @@ d3907fee02f445d04c49d90b1a2620c7523da26eda039d5f17b170121a20ab9d  aggregate/indi
 800bfd756a9442378f9600a8e8ab129bd964ce11a479d4f1a131d9b7b4cfe31d  classify/articles_open.ndjson
 e6dbad361943d1e7481d9ca8c825d12268bda9f874b766691f4e3611b4feacef  classify/articles_srcA.ndjson
 8c919221d105204aee40311cc6f0d9b4a616da1457053a619493fdde8afe2471  classify/articles_srcB.ndjson
+0de0128c11f24144e38b39535b48b92383e59bd5202aa15864e73d58f27a02b5  classify/doi_index.ndjson
 cdc042361c6fcf1160869f209e272230cd6579c958252aa546581924c0a1450e  compare/correlations.csv
 f09bdd7ea1ea2172837bacc2159bb182201c6080edd3816a26ad77e023254b9d  compare/country_scatter.csv
 bdc38b82175099c5f3fc8ee8d96690f4c68d3da63b1c9663f2a1433bc832c5aa  compare/intersections.csv
@@ -199,7 +202,7 @@ f2621e6528275080ee5a31652741fbddb8bb5246d30150d84ac7ac518631e1fa  ingest/article
 2a18cdd87cff43c5b65c884abaa92bb2d8b2e8b273c1d247615b82ad4e8dbd52  ingest/journals.csv
 ab89d20508a1d5ae11fc545d9ac2da996457ae02da5180cc9079f4ff1ec1b1c6  manifests/aggregate.json
 f34b6e35e4c8380910e1932d6668ca45132564290222f40abf212196599fb924  manifests/attribute.json
-856e9954e298422fa911e6eb3235787bba8f5e6e06c54752eb7a7a8a8232ed8c  manifests/classify.json
+9c685a401640b8639d7f6c0f5d58827fe96a351dbd2bc792f0b33ef2da38d92b  manifests/classify.json
 07a4155af2c5ee4dcf70a519b3878648938d0abdd29ad3a5dee47f6f1f819060  manifests/compare.json
 aefa9914b8d54a477655c873c174a14505125dff25b0fcb4003a3a0af12d9821  manifests/ingest.json
 b5c9ba7166b8181268d54aa7d3cf790e61327964a2b45749adca906fbf2e681f  manifests/reconcile.json
@@ -1019,6 +1022,264 @@ def test_explain_decodes_only_the_lines_of_its_doi(full_tree, monkeypatch):
     with pytest.raises(UnknownDoi):
         pipeline.explain_doi(config, "10.9999/not-in-corpus")
     assert calls == []
+
+
+def rewrite_dois(corpus, edits):
+    """Give records new DOIs in the corpus itself: `edits` maps (source
+    label, DOI) to the DOI every record of that source holding it gets."""
+    for label in ("open", "srcA", "srcB"):
+        path = corpus / f"articles_{label}.ndjson"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for k, line in enumerate(lines):
+            obj = json.loads(line)
+            if (label, obj["doi"]) in edits:
+                obj["doi"] = edits[(label, obj["doi"])]
+                lines[k] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def classified_holders(layout, config):
+    """DOI -> (source, native_id) of each classified record holding it, in
+    config source order, then file order."""
+    holders: dict = {}
+    for source in config.sources:
+        with open(layout.classified(source.label), encoding="utf-8") as fh:
+            for line in fh:
+                record = json.loads(line)["record"]
+                if record["doi"]:
+                    holder = (source.label, record["native_id"])
+                    holders.setdefault(record["doi"], []).append(holder)
+    return holders
+
+
+def counting_decodes(monkeypatch):
+    """The source label of each classified line decoded from now on."""
+    decode = pipeline.artifacts.classified_from_line
+    calls = []
+
+    def counting(line, source):
+        calls.append(source)
+        return decode(line, source)
+
+    monkeypatch.setattr(pipeline.artifacts, "classified_from_line", counting)
+    return calls
+
+
+def test_explain_finds_escaped_prefix_and_repeated_dois(tmp_path, monkeypatch):
+    """DOIs that JSON escapes, a DOI that is a prefix of another, and a DOI
+    one source holds twice: each trace shows exactly the records holding
+    the DOI, and only their lines are decoded."""
+    corpus, config = small_corpus(tmp_path)
+    dois = {}
+    for label in ("open", "srcA", "srcB"):
+        with open(corpus / f"articles_{label}.ndjson", encoding="utf-8") as fh:
+            dois[label] = [json.loads(line)["doi"] for line in fh]
+    # DOIs all three sources hold, and one more of srcA's
+    shared = [d for d in dois["open"] if d and d in dois["srcA"] and d in dois["srcB"]][:8]
+    only_a = [d for d in dois["srcA"] if d and d not in shared][:1]
+    wanted = [
+        '10.5555/q"uote',
+        "10.5555/back\\slash",
+        "10.5555/tab\there",
+        "10.5555/ümläut-日本",
+        "10.5555/j00.0001",
+        "10.5555/j00.00012",
+        "10.5555/j00.000",
+        "10.5555/twice",
+    ]
+    edits = {
+        (label, old): new for old, new in zip(shared, wanted) for label in ("open", "srcA", "srcB")
+    }
+    edits[("srcA", only_a[0])] = "10.5555/twice"
+    rewrite_dois(corpus, edits)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    holders = classified_holders(layout, config)
+    assert [label for label, _ in holders["10.5555/twice"]].count("srcA") == 2
+    with open(layout.doi_index, encoding="ascii") as fh:
+        index = fh.read().splitlines()
+    assert index == sorted(index)
+    assert index == [artifacts.dump_canonical(json.loads(line)) for line in index]
+
+    calls = counting_decodes(monkeypatch)
+    for doi in wanted:
+        assert holders.get(doi), doi
+        calls.clear()
+        trace = pipeline.explain_doi(config, doi)
+        assert trace.splitlines()[0] == f"DOI {doi}"
+        shown = [tuple(block[0][1:].split("] native_id=")) for block in explain_blocks(trace)]
+        assert shown == holders[doi], doi
+        assert calls == [label for label, _ in holders[doi]], doi
+
+
+def test_explain_without_any_doi_in_the_corpus(tmp_path, monkeypatch):
+    """No record has a DOI, so the index is empty: every lookup is an
+    UnknownDoi, and nothing is decoded."""
+    corpus, config = small_corpus(tmp_path)
+    for label in ("open", "srcA", "srcB"):
+        path = corpus / f"articles_{label}.ndjson"
+        objs = [json.loads(line) for line in path.read_text(encoding="utf-8").splitlines()]
+        lines = [json.dumps({**obj, "doi": None}) for obj in objs]
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    assert os.path.getsize(layout.doi_index) == 0
+    calls = counting_decodes(monkeypatch)
+    for doi in ("10.5555/j00.000000", "10.9999/not-in-corpus"):
+        with pytest.raises(UnknownDoi):
+            pipeline.explain_doi(config, doi)
+    assert calls == []
+
+
+def test_explain_refuses_a_tree_without_its_doi_index(full_tree):
+    config = full_tree
+    layout = Layout(config.out_dir)
+    doi, _ = attributed_doi(layout)
+    raises_naming_each_missing([layout.doi_index], lambda: pipeline.explain_doi(config, doi))
+
+
+def traced_verdicts(trace):
+    """(source, native_id, role) -> the agreement IDs a trace shows it
+    TA-enabled by, or () for `not TA-enabled`."""
+    verdicts = {}
+    for block in explain_blocks(trace):
+        label, native_id = block[0][1:].split("] native_id=")
+        role = None
+        for line in block:
+            if line.startswith("  role "):
+                role = line.split()[1].rstrip(":")
+            elif line.startswith("    TA-enabled via "):
+                verdicts[(label, native_id, role)] = tuple(line[19:].split(", "))
+            elif line == "    not TA-enabled":
+                verdicts[(label, native_id, role)] = ()
+    return verdicts
+
+
+def assert_trace_agrees_with_attributions(trace, layout, config):
+    rows = {}
+    for role in config.roles:
+        with open(layout.attributions(role), encoding="utf-8") as fh:
+            for row in csv.DictReader(fh):
+                ids = tuple(row["agreement_ids"].split("|")) if row["ta_enabled"] == "true" else ()
+                rows[(row["source"], row["native_id"], role)] = ids
+    verdicts = traced_verdicts(trace)
+    assert verdicts
+    for key, ids in verdicts.items():
+        assert rows[key] == ids, key
+
+
+def rewrite_durations(path, windows):
+    """Set the window of each agreement ID in `windows` in a durations file."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    for row in rows[1:]:
+        row[1:3] = windows.get(row[0], row[1:3])
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerows(rows)
+
+
+def test_explain_never_serves_a_stale_registry(tmp_path, monkeypatch):
+    """`explain` builds the agreement, crosswalk and institution indexes
+    once per state of their files, and again whenever their bytes change,
+    also when a rewrite keeps every file's size."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    builds = []
+    build = pipeline._attribution_indexes
+
+    def counting(lay):
+        builds.append(lay)
+        return build(lay)
+
+    monkeypatch.setattr(pipeline, "_attribution_indexes", counting)
+    monkeypatch.setattr(pipeline, "_explain_registry", None)
+
+    def explain(dois):
+        """Each DOI's trace, and how often `explain` built the indexes."""
+        built = len(builds)
+        traces = {doi: pipeline.explain_doi(config, doi) for doi in dois}
+        return traces, len(builds) - built
+
+    doi, _ = attributed_doi(layout)
+    first, built = explain([doi, doi])
+    assert built == 1
+    before = first[doi]
+    enabled_by = {a for ids in traced_verdicts(before).values() for a in ids}
+    assert enabled_by
+
+    # every agreement that enabled the article now ends before it
+    rewrite_durations(config.durations, {a: ["2010-01-01", "2010-12-31"] for a in enabled_by})
+    pipeline.run(config, ["ingest", "classify", "reconcile", "attribute"])
+    after, built = explain([doi])
+    assert built == 1
+    assert "TA-enabled via" not in after[doi] and "    not TA-enabled" in after[doi]
+    assert_trace_agrees_with_attributions(after[doi], layout, config)
+
+    # two agreement IDs of one length swap windows: agreements.json keeps its size
+    with open(config.durations, encoding="utf-8", newline="") as fh:
+        windows = {row[0]: row[1:3] for row in list(csv.reader(fh))[1:]}
+    a, b = next(
+        (a, b) for a in sorted(windows) for b in sorted(windows)
+        if a < b and len(a) == len(b) and windows[a] != windows[b]
+    )
+    size = os.path.getsize(layout.agreements)
+    rewrite_durations(config.durations, {a: windows[b], b: windows[a]})
+    pipeline.run(config, ["ingest", "classify", "reconcile", "attribute"])
+    assert os.path.getsize(layout.agreements) == size
+    swapped, built = explain(sorted(classified_holders(layout, config)))
+    assert built == 1
+    monkeypatch.setattr(pipeline, "_explain_registry", None)
+    assert explain(swapped)[0] == swapped  # as a process that never explained before
+    naming = [trace for trace in swapped.values() if a in trace or b in trace]
+    assert naming
+    for trace in naming:
+        assert_trace_agrees_with_attributions(trace, layout, config)
+
+
+@pytest.mark.parametrize("works", [300, 1200])
+def test_explain_reads_only_its_hit_lines(tmp_path, monkeypatch, works):
+    """Per lookup, the bytes read from the classified files are the lines
+    of the DOI's records, plus at most one read buffer each, whatever the
+    size of the corpus."""
+    corpus = tmp_path / "corpus"
+    fixture.generate(fixture.FixtureParams(seed=3, n_articles=works), str(corpus))
+    config = replace(load_config(str(corpus / "config.json")), workers=1)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    classified = {layout.classified(s.label) for s in config.sources}
+    line_bytes = {}
+    for path in classified:
+        with open(path, "rb") as fh:
+            line_bytes[path] = {json.loads(line)["record"]["native_id"]: len(line) for line in fh}
+
+    read = Counter()
+
+    class CountingFileIO(io.FileIO):
+        def readinto(self, buffer):
+            n = super().readinto(buffer)
+            read[self.name] += n or 0
+            return n
+
+        def readall(self):
+            data = super().readall()
+            read[self.name] += len(data)
+            return data
+
+    def counting_open(path, mode="r", **kwargs):
+        if path not in classified:
+            return open(path, mode, **kwargs)
+        buffered = io.BufferedReader(CountingFileIO(path))
+        return buffered if mode == "rb" else io.TextIOWrapper(buffered, **kwargs)
+
+    monkeypatch.setattr(pipeline.artifacts, "open", counting_open, raising=False)
+    holders = classified_holders(layout, config)
+    for doi in sorted(holders)[:: max(1, len(holders) // 40)]:
+        read.clear()
+        pipeline.explain_doi(config, doi)
+        hits = holders[doi]
+        hit_bytes = sum(line_bytes[layout.classified(label)][nid] for label, nid in hits)
+        assert hit_bytes <= sum(read.values()) <= hit_bytes + len(hits) * io.DEFAULT_BUFFER_SIZE
 
 
 # --- CLI surface ------------------------------------------------------------------
