@@ -247,8 +247,8 @@ def open_artifact(path: str) -> Iterator[TextIO]:
         written[os.path.abspath(path)] = (raw.sha256.hexdigest(), raw.lines)
 
 
-def dump_canonical(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+# `json.dumps` with these options would build this encoder on every call.
+dump_canonical = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def format_share(value: float | None) -> str:
@@ -361,20 +361,22 @@ def _authorship(obj: dict) -> Authorship:
 
 
 class IngestRow:
-    """One decoded ingest line, as classify reads it.
+    """One ingest line, decoded, as classify reads it.
 
     The line is the record's canonical dict, written by ingest as
-    `ingest.parse_article_line` built it. What the classification rules
+    `ingest.parse_article_line` built it, and is kept: the classified
+    line copies the record's text from it. What the classification rules
     read is an attribute, the publication date a `date`; licenses are
     built only when asked for.
     """
 
     __slots__ = (
         "source", "native_id", "journal_issn_l", "pub_date", "document_class", "title",
-        "pagination", "article_number", "_record",
+        "pagination", "article_number", "line", "_record",
     )
 
-    def __init__(self, obj: dict, source: str):
+    def __init__(self, line: str, source: str):
+        obj = _decode_object(line)[0]
         self.source = source
         self.native_id = obj["native_id"]
         self.journal_issn_l = obj["issn"]
@@ -383,6 +385,7 @@ class IngestRow:
         self.title = obj["title"]
         self.pagination = obj["pagination"]
         self.article_number = obj["article_number"]
+        self.line = line
         self._record = obj
 
     @property
@@ -394,25 +397,44 @@ class IngestRow:
         return tuple(map(_license, self._record["licenses"]))
 
 
-# The record keys a classified line keeps: what reconcile, attribute,
-# aggregate, compare and explain read. The source is the file's label.
-_CLASSIFIED_RECORD_KEYS = ("authors", "doi", "issn", "licenses", "native_id", "pub_date")
+# A JSON string and a JSON boolean as `dump_canonical` writes them,
+# without the encoder's per-call set-up: classify writes one classified
+# line and one DOI index entry per record.
+_json_string = json.encoder.encode_basestring_ascii
+_JSON_BOOL = {False: "false", True: "true"}
 
 
 def classified_to_line(article: ClassifiedArticle) -> str:
-    record = article.record._record
-    return dump_canonical(
-        {
-            "record": {key: record[key] for key in _CLASSIFIED_RECORD_KEYS},
-            "year": article.year,
-            "is_original": article.is_original,
-            "is_paratext": article.is_paratext,
-            "in_regular_issue": article.in_regular_issue,
-            "is_hybrid_oa": article.is_hybrid_oa,
-            "countable": article.countable,
-            "journal_is_hybrid": article.journal_is_hybrid,
-            "publisher": article.publisher,
-        }
+    """The article's classified line: `dump_canonical` of its flags, year,
+    publisher and the record keys the later stages read (authors, doi,
+    issn, licenses, native_id, pub_date), without encoding the record again.
+
+    The record's text is copied from its ingest line, which is canonical
+    JSON: its top-level keys come in sorted order, and inside a string
+    every `"` is escaped, so `,"` followed by a key's name and `":` occurs
+    only where that key starts, unless a nested object has a key of that
+    name; no author or license has one. In that order (article_number,
+    authors, document_class, doi, issn, licenses, native_id, pagination,
+    pub_date, source, title) the kept keys are three runs.
+    """
+    line = article.record.line
+    authors = line.index(',"authors":')
+    document_class = line.index(',"document_class":', authors)
+    doi = line.index(',"doi":', document_class)
+    pagination = line.index(',"pagination":', doi)
+    pub_date = line.index(',"pub_date":', pagination)
+    source = line.index(',"source":', pub_date)
+    return (
+        f'{{"countable":{_JSON_BOOL[article.countable]}'
+        f',"in_regular_issue":{_JSON_BOOL[article.in_regular_issue]}'
+        f',"is_hybrid_oa":{_JSON_BOOL[article.is_hybrid_oa]}'
+        f',"is_original":{_JSON_BOOL[article.is_original]}'
+        f',"is_paratext":{_JSON_BOOL[article.is_paratext]}'
+        f',"journal_is_hybrid":{_JSON_BOOL[article.journal_is_hybrid]}'
+        f',"publisher":{_json_string(article.publisher)}'
+        f',"record":{{{line[authors + 1:document_class]}{line[doi:pagination]}'
+        f'{line[pub_date:source]}}}'
+        f',"year":{article.year}}}'
     )
 
 
@@ -486,7 +508,7 @@ _decode_object = json.JSONDecoder().raw_decode
 
 
 def ingest_from_line(line: str, source: str) -> IngestRow:
-    return IngestRow(_decode_object(line)[0], source)
+    return IngestRow(line, source)
 
 
 def classified_from_line(line: str, source: str) -> ClassifiedRow:
@@ -507,11 +529,6 @@ def iter_classified(path: str, source: str) -> Iterator[ClassifiedRow]:
 # DOI are adjacent and all start with `[`, the DOI's JSON string and `,`;
 # a DOI that is a prefix of another stops short of the other's closing
 # quote.
-
-# A JSON string as `dump_canonical` writes it, without the encoder's
-# per-call set-up: classify encodes one index entry per record.
-_json_string = json.encoder.encode_basestring_ascii
-
 
 def doi_index_entries(
     source: str, lines: list[str], dois: list[str | None], offset: int, entries: list[str]

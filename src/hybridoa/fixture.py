@@ -628,6 +628,15 @@ def _truth_tables(
         if source in work.presence
     )
 
+    # (agreement ID, journal indexes, institution indexes, start, end) of each agreement
+    specs = [
+        (
+            spec.agreement_id, {j.index for j in spec.journals},
+            {i.index for i in spec.institutions}, spec.start, spec.end,
+        )
+        for spec in agreements
+    ]
+
     def attributions():
         for work in works:
             for source in SOURCES:
@@ -641,12 +650,13 @@ def _truth_tables(
                     insts = _truth_role_insts(work, source, role)
                     if insts is None:
                         continue
+                    inst_indexes = {i.index for i in insts}
                     matched = sorted(
-                        spec.agreement_id
-                        for spec in agreements
-                        if work.journal.index in {j.index for j in spec.journals}
-                        and {i.index for i in insts} & {i.index for i in spec.institutions}
-                        and spec.start <= work.pub_date <= spec.end
+                        agreement_id
+                        for agreement_id, journal_indexes, member_indexes, start, end in specs
+                        if work.journal.index in journal_indexes
+                        and not inst_indexes.isdisjoint(member_indexes)
+                        and start <= work.pub_date <= end
                     )
                     yield (
                         source, _native_id(work, source), work.doi or "", role,

@@ -11,7 +11,6 @@ Canonical forms used throughout the engine:
 from __future__ import annotations
 
 import re
-from functools import lru_cache
 
 from .errors import ChecksumFailure, MalformedIssn
 
@@ -42,7 +41,6 @@ def issn_check_digit(body: str) -> str:
     return "X" if check == 10 else str(check)
 
 
-@lru_cache(maxsize=65536)
 def validate_issn(raw: str) -> str:
     """Validate an ISSN and return its canonical hyphenated form.
 

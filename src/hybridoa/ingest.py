@@ -27,12 +27,13 @@ import logging
 import os
 import sqlite3
 import tempfile
-from collections import Counter
+from collections import Counter, defaultdict
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from datetime import date
+from functools import partial
 from operator import itemgetter
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from . import artifacts
 from .errors import ChecksumFailure, MalformedIssn, MissingColumn, SchemaViolation
@@ -164,6 +165,76 @@ def _checked_issn(raw: str) -> str:
         raise SchemaViolation(REJECT_CHECKSUM, str(exc)) from None
 
 
+# Distinct texts one `TextChecks` memo holds; a full memo is emptied.
+MEMO_TEXTS = 1 << 16
+
+
+class _Rejected(NamedTuple):
+    """A memoized check's failure, raised again as a SchemaViolation on each hit."""
+
+    code: str
+    detail: str
+
+
+class TextChecks:
+    """The checks that ingest repeats on the same texts, each distinct text
+    checked once: ISSN validation with ISSN-L resolution, date parsing and
+    the org-ID shape.
+
+    A text's verdict, its value or the reject it raises, is kept in a memo
+    of at most MEMO_TEXTS texts. One instance lives for one ingest stage,
+    with the ISSN link table it resolves through; a worker process gets
+    its own copy.
+    """
+
+    def __init__(self, links: dict[str, str] | None = None):
+        self.links = links or {}
+        self._issns: dict[str, tuple[str, str] | _Rejected] = {}
+        self._dates: dict[str, date | _Rejected] = {}
+        self._orgs: dict[str, bool] = {}
+
+    def issn(self, raw: str) -> tuple[str, str]:
+        """(ISSN, ISSN-L) of a raw ISSN text; raises its reject."""
+        return _memoized(self._issns, self._resolve, raw)
+
+    def _resolve(self, raw: str) -> tuple[str, str]:
+        issn = _checked_issn(raw)
+        return issn, resolve_issn_l(issn, self.links)
+
+    def date(self, text) -> date:
+        """`parse_date_pinned(text)`; a date that is not a string is a bad_date."""
+        if type(text) is not str:
+            raise SchemaViolation(REJECT_BAD_DATE, repr(text))
+        return _memoized(self._dates, parse_date_pinned, text)
+
+    def org_id(self, text: str) -> bool:
+        """`is_org_id(text)`."""
+        return _memoized(self._orgs, is_org_id, text)
+
+
+def _memoized(memo: dict, check: Callable, text: str):
+    """check(text), looked up in `memo` first; a SchemaViolation it raises
+    is memoized too, and raised afresh on every hit."""
+    try:
+        verdict = memo[text]
+    except KeyError:
+        try:
+            verdict = check(text)
+        except SchemaViolation as exc:
+            verdict = _Rejected(exc.code, exc.detail)
+        if len(memo) >= MEMO_TEXTS:
+            memo.clear()
+        memo[text] = verdict
+    if type(verdict) is _Rejected:
+        raise SchemaViolation(verdict.code, verdict.detail)
+    return verdict
+
+
+def _text_checks(links: dict[str, str] | TextChecks | None) -> TextChecks:
+    """`links` when it is a TextChecks already, else a new one over the table."""
+    return links if isinstance(links, TextChecks) else TextChecks(links)
+
+
 def _is_utf8(text: str) -> bool:
     """False when `text` holds bytes that were not UTF-8, read as lone surrogates."""
     if text.isascii():
@@ -175,15 +246,18 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
-def _csv_rows(
-    path: str, columns: tuple[str, ...], rejects: RejectLog
-) -> Iterator[tuple[int, dict, str]]:
-    """(line number, row, reject text) of each data row of a CSV input.
+def _row_text(row: dict, columns: tuple[str, ...]) -> str:
+    """A CSV row's reject text: its `columns` comma-joined, a missing field as empty."""
+    return ",".join(row.get(c) or "" for c in columns)
 
-    The header must name every one of `columns`, else MissingColumn. The
-    reject text is those columns comma-joined, a missing field as empty.
-    A row that holds bytes that are not UTF-8 is rejected here, as a
-    schema violation, before any of its fields is checked.
+
+def _csv_rows(path: str, columns: tuple[str, ...], rejects: RejectLog) -> Iterator[tuple[int, dict]]:
+    """(line number, row) of each data row of a CSV input.
+
+    The header must name every one of `columns`, else MissingColumn. A
+    row that holds bytes that are not UTF-8 is rejected here, as a schema
+    violation, before any of its fields is checked. A loader rejects a
+    row with its `_row_text` over the same columns.
     """
     with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
         reader = csv.DictReader(fh)
@@ -193,13 +267,12 @@ def _csv_rows(
         if missing:
             raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
         for row in reader:
-            raw = ",".join(row.get(c) or "" for c in columns)
             # fields beyond the header sit in a list under the key None
             fields = [v for k, v in row.items() if k is not None and v] + row.get(None, [])
             if not _is_utf8("".join(fields)):
-                rejects.reject(reader.line_num, REJECT_SCHEMA, raw)
+                rejects.reject(reader.line_num, REJECT_SCHEMA, _row_text(row, columns))
                 continue
-            yield reader.line_num, row, raw
+            yield reader.line_num, row
 
 
 def load_issn_link_table(path: str, rejects: RejectLog | None = None) -> dict[str, str]:
@@ -210,15 +283,16 @@ def load_issn_link_table(path: str, rejects: RejectLog | None = None) -> dict[st
     """
     rejects = rejects or RejectLog(None)
     links: dict[str, str] = {}
-    for lineno, row, raw in _csv_rows(path, ("issn", "issn_l"), rejects):
+    columns = ("issn", "issn_l")
+    for lineno, row in _csv_rows(path, columns, rejects):
         try:
             issn = _checked_issn(row["issn"] or "")
             issn_l = _checked_issn(row["issn_l"] or "")
         except SchemaViolation as exc:
-            rejects.reject(lineno, exc.code, raw)
+            rejects.reject(lineno, exc.code, _row_text(row, columns))
             continue
         if issn in links and links[issn] != issn_l:
-            rejects.reject(lineno, REJECT_CONFLICTING_LINK, raw)
+            rejects.reject(lineno, REJECT_CONFLICTING_LINK, _row_text(row, columns))
             continue
         links[issn] = issn_l
     return links
@@ -266,7 +340,7 @@ class AgreementDump:
 
 def load_agreement_dump(
     path: str,
-    links: dict[str, str] | None = None,
+    links: dict[str, str] | TextChecks | None = None,
     aliases: dict[str, str] | None = None,
     rejects: RejectLog | None = None,
 ) -> AgreementDump:
@@ -274,46 +348,47 @@ def load_agreement_dump(
 
     Rows sharing an agreement_id merge into one undated Agreement with the
     union of journals (resolved to ISSN-L) and institutions. Validity
-    windows are attached later by `load_durations`.
+    windows are attached later by `load_durations`. `links` is the ISSN
+    link table, or a `TextChecks` over it whose memos the article parser
+    shares.
     """
     rejects = rejects or RejectLog(None)
-    links = links or {}
-    journals: dict[str, set[str]] = {}
-    orgs: dict[str, set[str]] = {}
-    publishers: dict[str, Counter] = {}
-    dump = AgreementDump()
+    checks = _text_checks(links)
+    names: dict[str, str] = {}  # publisher label -> normalized name
+    normalize = partial(normalize_publisher, aliases=aliases)
+    journals: defaultdict[str, set[str]] = defaultdict(set)
+    orgs: defaultdict[str, set[str]] = defaultdict(set)
+    publishers: defaultdict[str, Counter] = defaultdict(Counter)
+    votes: defaultdict[str, Counter] = defaultdict(Counter)
+    variants: defaultdict[str, set[str]] = defaultdict(set)
     columns = ("agreement_id", "issn", "org_id", "publisher")
-    for lineno, row, raw in _csv_rows(path, columns, rejects):
+    for lineno, row in _csv_rows(path, columns, rejects):
         agreement_id = (row["agreement_id"] or "").strip()
         org = (row["org_id"] or "").strip()
-        if not agreement_id or not is_org_id(org):
-            rejects.reject(lineno, REJECT_SCHEMA, raw)
+        if not agreement_id or not checks.org_id(org):
+            rejects.reject(lineno, REJECT_SCHEMA, _row_text(row, columns))
             continue
         try:
-            issn = _checked_issn(row["issn"] or "")
+            issn, issn_l = checks.issn(row["issn"] or "")
         except SchemaViolation as exc:
-            rejects.reject(lineno, exc.code, raw)
+            rejects.reject(lineno, exc.code, _row_text(row, columns))
             continue
-        issn_l = resolve_issn_l(issn, links)
-        publisher = normalize_publisher(row["publisher"] or "", aliases)
-        journals.setdefault(agreement_id, set()).add(issn_l)
-        orgs.setdefault(agreement_id, set()).add(org)
-        publishers.setdefault(agreement_id, Counter())[publisher] += 1
-        dump.publisher_votes.setdefault(issn_l, Counter())[publisher] += 1
-        dump.variants.setdefault(issn_l, set()).add(issn)
-    for agreement_id in journals:
-        if not journals[agreement_id] or not orgs[agreement_id]:
-            continue
-        publisher = majority_label(publishers[agreement_id])
-        dump.agreements.add(
-            Agreement(
-                agreement_id=agreement_id,
-                publisher=publisher,
-                journal_issn_ls=frozenset(journals[agreement_id]),
-                institution_ids=frozenset(orgs[agreement_id]),
-            )
+        publisher = _memoized(names, normalize, row["publisher"] or "")
+        journals[agreement_id].add(issn_l)
+        orgs[agreement_id].add(org)
+        publishers[agreement_id][publisher] += 1
+        votes[issn_l][publisher] += 1  # one vote per row
+        variants[issn_l].add(issn)
+    agreements = {
+        Agreement(
+            agreement_id=agreement_id,
+            publisher=majority_label(publishers[agreement_id]),
+            journal_issn_ls=frozenset(journals[agreement_id]),
+            institution_ids=frozenset(orgs[agreement_id]),
         )
-    return dump
+        for agreement_id in journals
+    }
+    return AgreementDump(agreements, dict(votes), dict(variants))
 
 
 def build_journals(
@@ -352,22 +427,23 @@ def load_durations(
     """
     rejects = rejects or RejectLog(None)
     windows: dict[str, tuple[date, date]] = {}
-    for lineno, row, raw in _csv_rows(path, ("agreement_id", "start_date", "end_date"), rejects):
+    columns = ("agreement_id", "start_date", "end_date")
+    for lineno, row in _csv_rows(path, columns, rejects):
         agreement_id = (row["agreement_id"] or "").strip()
         if not agreement_id:
-            rejects.reject(lineno, REJECT_SCHEMA, raw)
+            rejects.reject(lineno, REJECT_SCHEMA, _row_text(row, columns))
             continue
         try:
             start = parse_date_pinned(row["start_date"] or "")
             end = parse_date_pinned(row["end_date"] or "")
         except SchemaViolation:
-            rejects.reject(lineno, REJECT_BAD_DATE, raw)
+            rejects.reject(lineno, REJECT_BAD_DATE, _row_text(row, columns))
             continue
         if start > end:
-            rejects.reject(lineno, REJECT_INVERTED_WINDOW, raw)
+            rejects.reject(lineno, REJECT_INVERTED_WINDOW, _row_text(row, columns))
             continue
         if windows.setdefault(agreement_id, (start, end)) != (start, end):
-            rejects.reject(lineno, REJECT_CONFLICTING_WINDOW, raw)
+            rejects.reject(lineno, REJECT_CONFLICTING_WINDOW, _row_text(row, columns))
     dated: set[Agreement] = set()
     for agreement in agreements:
         window = windows.get(agreement.agreement_id)
@@ -394,11 +470,12 @@ def load_publisher_aliases(path: str, rejects: RejectLog | None = None) -> dict[
     """
     rejects = rejects or RejectLog(None)
     aliases: dict[str, str] = {}
-    for lineno, row, raw in _csv_rows(path, ("alias", "canonical"), rejects):
+    columns = ("alias", "canonical")
+    for lineno, row in _csv_rows(path, columns, rejects):
         alias = " ".join((row["alias"] or "").split()).casefold()
         canonical = " ".join((row["canonical"] or "").split())
         if not alias or not canonical:
-            rejects.reject(lineno, REJECT_SCHEMA, raw)
+            rejects.reject(lineno, REJECT_SCHEMA, _row_text(row, columns))
             continue
         aliases[alias] = canonical
     return aliases
@@ -412,16 +489,17 @@ def load_institutions(path: str, rejects: RejectLog | None = None) -> set[Instit
     """
     rejects = rejects or RejectLog(None)
     out: set[Institution] = set()
-    for lineno, row, raw in _csv_rows(path, ("org_id", "country", "associated_ids"), rejects):
+    columns = ("org_id", "country", "associated_ids")
+    for lineno, row in _csv_rows(path, columns, rejects):
         org = (row["org_id"] or "").strip()
         if not is_org_id(org):
-            rejects.reject(lineno, REJECT_SCHEMA, raw)
+            rejects.reject(lineno, REJECT_SCHEMA, _row_text(row, columns))
             continue
         associated = frozenset(
             a.strip() for a in (row["associated_ids"] or "").split("|") if a.strip()
         )
         if org in associated:
-            rejects.reject(lineno, REJECT_SELF_ASSOCIATION, raw)
+            rejects.reject(lineno, REJECT_SELF_ASSOCIATION, _row_text(row, columns))
             continue
         out.add(
             Institution(
@@ -452,18 +530,24 @@ def _list_field(obj: dict, name: str, code: str) -> list:
     return value
 
 
-def parse_article_line(text: str, source: str, links: dict[str, str] | None = None) -> dict:
+def parse_article_line(
+    text: str, source: str, links: dict[str, str] | TextChecks | None = None
+) -> dict:
     """Parse one interchange line into the object the ingest artifact holds.
 
     That object is the record's canonical form: the ISSN resolved to its
     ISSN-L, the DOI normalized, the earliest pinned publication date and
     each license start date as ISO text, authors in position order with
-    sorted, de-duplicated org IDs and country codes.
+    sorted, de-duplicated org IDs and country codes. Its keys, and those
+    of its licenses and authors, are built in sorted order.
+
+    `links` is the ISSN link table, or a `TextChecks` over it, which keeps
+    its verdicts on ISSNs, dates and org IDs from one line to the next.
 
     Raises SchemaViolation with a reason code on any deviation from the
     documented schema; callers turn that into a reject-log entry.
     """
-    links = links or {}
+    checks = _text_checks(links)
     if not _is_utf8(text):
         raise SchemaViolation("bad_json", "line is not UTF-8")
     try:
@@ -485,16 +569,15 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
         raise SchemaViolation("missing_field", "issn")
     if not isinstance(raw_issn, str):
         raise SchemaViolation(REJECT_MALFORMED_ISSN, repr(raw_issn))
-    issn = _checked_issn(raw_issn)
+    _, issn_l = checks.issn(raw_issn)
 
     raw_dates = obj.get("pub_date")
     if raw_dates is None or raw_dates == [] or raw_dates == "":
         raise SchemaViolation("missing_field", "pub_date")
-    if isinstance(raw_dates, str):
-        raw_dates = [raw_dates]
-    if not isinstance(raw_dates, list):
-        raise SchemaViolation("bad_date", repr(raw_dates))
-    pub_date = min(parse_date_pinned(str(d)) for d in raw_dates)
+    if isinstance(raw_dates, list):
+        pub_date = min(map(checks.date, raw_dates))
+    else:
+        pub_date = checks.date(raw_dates)
 
     document_class = obj.get("document_class")
     if not document_class or not isinstance(document_class, str):
@@ -515,12 +598,10 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
         if not isinstance(applies_to_vor, bool):
             raise SchemaViolation("bad_license", f"applies_to_vor {applies_to_vor!r}")
         start = lic.get("start_date")
+        if start is not None and start != "":
+            start = checks.date(start).isoformat()
         licenses.append(
-            {
-                "applies_to_vor": applies_to_vor,
-                "start_date": parse_date_pinned(str(start)).isoformat() if start else None,
-                "url": lic["url"],
-            }
+            {"applies_to_vor": applies_to_vor, "start_date": start or None, "url": lic["url"]}
         )
 
     authors = []
@@ -532,7 +613,7 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
             raise SchemaViolation("bad_author", f"position {position!r}")
         org_ids = _list_field(author, "org_ids", "bad_org_id")
         for org in org_ids:
-            if not isinstance(org, str) or not is_org_id(org):
+            if not isinstance(org, str) or not checks.org_id(org):
                 raise SchemaViolation("bad_org_id", repr(org))
         corresponding = author.get("corresponding")
         if corresponding is not None and not isinstance(corresponding, bool):
@@ -555,9 +636,9 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
     return {
         "article_number": str(article_number) if article_number else None,
         "authors": authors,
-        "doi": normalize_doi(obj.get("doi")),
         "document_class": document_class,
-        "issn": resolve_issn_l(issn, links),
+        "doi": normalize_doi(obj.get("doi")),
+        "issn": issn_l,
         "licenses": licenses,
         "native_id": native_id,
         "pagination": obj.get("pagination") or None,
@@ -568,14 +649,15 @@ def parse_article_line(text: str, source: str, links: dict[str, str] | None = No
 
 
 def article_outcomes(
-    lines: Iterable[str], source: str, links: dict[str, str] | None, encode=None
+    lines: Iterable[str], source: str, links: dict[str, str] | TextChecks | None, encode=None
 ) -> list:
     """Each line parsed: (native_id, record), or (native_id, encode(record))
     when `encode` is given; or the reject code of a line that fails."""
+    checks = _text_checks(links)
     out: list = []
     for line in lines:
         try:
-            record = parse_article_line(line, source, links)
+            record = parse_article_line(line, source, checks)
         except SchemaViolation as exc:
             out.append(exc.code)
             continue
@@ -633,10 +715,11 @@ def load_article_stream(
     """
     rejects = rejects or RejectLog(None)
     manifest = CorpusManifest()
+    checks = _text_checks(links)
 
     def generate() -> Iterator[dict]:
         with ArticleLedger(rejects, manifest) as ledger:
             for linenos, lines in artifacts.line_chunks(io.FileIO(path)):
-                yield from ledger.admit(linenos, lines, article_outcomes(lines, source, links))
+                yield from ledger.admit(linenos, lines, article_outcomes(lines, source, checks))
 
     return generate(), manifest

@@ -41,12 +41,15 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
     This is the one stage boundary: each stage's declared inputs are
     checked and hashed here, its body returns (outputs, counters), and its
     manifest is written here, from the digests its files got as written.
+    An input under out_dir must be the file its producer's manifest
+    recorded, written under this config (`_check_producers`).
     """
     wanted = set(stages) if stages else set(artifacts.STAGES)
     unknown = wanted - set(artifacts.STAGES)
     if unknown:
         raise DependencyError(f"unknown stage(s): {', '.join(sorted(unknown))}")
     layout = Layout(config.out_dir)
+    digest = config.digest()
     executed = []
     for stage in artifacts.STAGES:
         if stage not in wanted:
@@ -55,11 +58,10 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
         needed = STAGE_INPUTS[stage](layout, config)
         _require(needed, stage)
         inputs = [artifacts.describe_input(p) for p in needed]
+        _check_producers(layout, digest, inputs, stage)
         with artifacts.recording() as written:
             outputs, counters = STAGE_FUNCTIONS[stage](config, layout, inputs)
-        artifacts.write_manifest(
-            layout, stage, config.digest(), inputs, outputs, counters, written
-        )
+        artifacts.write_manifest(layout, stage, digest, inputs, outputs, counters, written)
         executed.append(stage)
     return executed
 
@@ -70,6 +72,41 @@ def _require(paths: Iterable[str], stage: str) -> None:
         raise DependencyError(
             f"stage {stage!r} needs artifacts that do not exist: {', '.join(missing)}"
         )
+
+
+def _check_producers(layout: Layout, digest: str, inputs: list[dict], stage: str) -> None:
+    """Raise DependencyError unless each input under `layout`'s stage
+    directories has the sha256 its producer's manifest recorded for it,
+    and that manifest has the config digest `digest`.
+
+    The producer of `<out_dir>/<stage>/...` is that stage; an input
+    elsewhere is external and is only hashed.
+    """
+    manifests: dict[str, dict] = {}
+    for entry in inputs:
+        path = os.path.relpath(entry["path"], layout.out_dir)
+        producer = path.split(os.sep, 1)[0]
+        if producer not in artifacts.STAGES:
+            continue
+        if producer not in manifests:
+            try:
+                manifest = artifacts.read_manifest(layout, producer)
+            except FileNotFoundError:
+                raise DependencyError(
+                    f"stage {stage!r} needs the manifest of stage {producer!r}, which does"
+                    f" not exist: {layout.manifest(producer)}"
+                ) from None
+            if manifest["config_digest"] != digest:
+                raise DependencyError(
+                    f"stage {stage!r}: {layout.manifest(producer)} was written under another"
+                    f" config; run stage {producer!r} again"
+                )
+            manifests[producer] = {e["path"]: e["sha256"] for e in manifest["outputs"]}
+        if manifests[producer].get(path) != entry["sha256"]:
+            raise DependencyError(
+                f"stage {stage!r}: {entry['path']} is not what stage {producer!r} recorded"
+                f" in {layout.manifest(producer)}; run stage {producer!r} again"
+            )
 
 
 def _classified(layout: Layout, config: PipelineConfig) -> list[str]:
@@ -119,8 +156,11 @@ def _map_chunks(
     global _WORKER_CTX
     if workers <= 1:
         _WORKER_CTX = ctx
-        for chunk in chunks:
-            yield fn(chunk)
+        try:
+            for chunk in chunks:
+                yield fn(chunk)
+        finally:
+            _WORKER_CTX = None  # the context, memos included, ends with the map
         return
     ctx_bytes = pickle.dumps(ctx)
     with ProcessPoolExecutor(
@@ -194,11 +234,14 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
         return loaded
 
     links = load("issn_links", ingest.load_issn_link_table, config.issn_links)
+    # the stage's memos of ISSN, date and org-ID verdicts, for the dump
+    # and every article line
+    checks = ingest.TextChecks(links)
     fully_oa = load("fully_oa", ingest.load_fully_oa_lists, config.fully_oa_lists, links)
     aliases = None
     if config.publisher_aliases:
         aliases = load("publisher_aliases", ingest.load_publisher_aliases, config.publisher_aliases)
-    dump = load("agreement_dump", ingest.load_agreement_dump, config.agreement_dump, links, aliases)
+    dump = load("agreement_dump", ingest.load_agreement_dump, config.agreement_dump, checks, aliases)
     agreements = load("durations", ingest.load_durations, config.durations, dump.agreements)
     institutions = load("institutions", ingest.load_institutions, config.institutions)
     journals = ingest.build_journals(dump.publisher_votes, dump.variants, fully_oa)
@@ -233,7 +276,7 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
                 ingest.ArticleLedger(rejects, ingest.CorpusManifest())
             )
         for label, linenos, lines, outcomes in _source_chunks(
-            config, open_raw, _ingest_chunk, links
+            config, open_raw, _ingest_chunk, checks
         ):
             fh = files[label]
             for text in ledgers[label].admit(linenos, lines, outcomes):

@@ -82,6 +82,13 @@ def _oracle_list(value, code, what):
     return value
 
 
+def _oracle_date_text(value):
+    """A date is a JSON string, in every position; anything else is a bad date."""
+    if not isinstance(value, str):
+        raise SchemaViolation("bad_date", repr(value))
+    return value
+
+
 def oracle_parse_article_line(text, source, links=None):
     """The interchange line as an ArticleRecord tree, every field checked
     as the interchange schema says; raises SchemaViolation with the reject
@@ -106,11 +113,9 @@ def oracle_parse_article_line(text, source, links=None):
     raw_dates = obj.get("pub_date")
     if raw_dates is None or raw_dates == [] or raw_dates == "":
         raise SchemaViolation("missing_field", "pub_date")
-    if isinstance(raw_dates, str):
-        raw_dates = [raw_dates]
     if not isinstance(raw_dates, list):
-        raise SchemaViolation("bad_date", repr(raw_dates))
-    pub_date = min(parse_date_pinned(str(d)) for d in raw_dates)
+        raw_dates = [raw_dates]
+    pub_date = min(parse_date_pinned(_oracle_date_text(d)) for d in raw_dates)
     document_class = obj.get("document_class")
     if not document_class or not isinstance(document_class, str):
         raise SchemaViolation("missing_field", "document_class")
@@ -132,7 +137,9 @@ def oracle_parse_article_line(text, source, links=None):
             LicenseStatement(
                 url=lic["url"],
                 applies_to_vor=lic.get("applies_to_vor", False),
-                start_date=parse_date_pinned(str(start)) if start else None,
+                start_date=None if start in (None, "") else parse_date_pinned(
+                    _oracle_date_text(start)
+                ),
             )
         )
 
@@ -248,7 +255,13 @@ def record_from_dict(obj, source):
 
 def oracle_classified_line(article):
     """The classified line of an article whose record is a record tree."""
-    record = record_to_dict(article.record)
+    return encoded_classified_line(article, record_to_dict(article.record))
+
+
+def encoded_classified_line(article, record):
+    """The classified line encoded whole: `dump_canonical` of the dict of
+    the article's flags, year and publisher, and the keys of the ingest
+    object `record` that the later stages read."""
     keys = ("authors", "doi", "issn", "licenses", "native_id", "pub_date")
     return dump_canonical(
         {
@@ -310,9 +323,10 @@ def oracle_has_corresponding_data(record):
 
 def written_line(article):
     """The engine's classified line for an article whose record is a
-    record tree, passed to the writer as the ingest row that holds it."""
-    row = IngestRow(record_to_dict(article.record), article.record.source)
-    return classified_to_line(replace(article, record=row))
+    record tree, passed to the writer as the row of the ingest line that
+    ingest's writer makes of the record's dict."""
+    line = dump_canonical(record_to_dict(article.record))
+    return classified_to_line(replace(article, record=IngestRow(line, article.record.source)))
 
 
 def as_row(article):

@@ -1,23 +1,27 @@
 import csv
 import json
 import random
+from collections import Counter
 from datetime import date
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridoa import pipeline
-from hybridoa.artifacts import dump_canonical
+from hybridoa import ingest, pipeline
+from hybridoa.artifacts import classified_to_line, dump_canonical, ingest_from_line
 from hybridoa.classify import (
     DOC_MODE_HEURISTIC,
     ClassifierConfig,
     SourcePolicy,
+    classify_article,
     load_paratext_patterns,
 )
 from hybridoa.errors import MissingColumn, SchemaViolation
 from hybridoa.ingest import (
     RejectLog,
+    TextChecks,
+    article_outcomes,
     institution_index,
     load_agreement_dump,
     load_article_stream,
@@ -31,7 +35,7 @@ from hybridoa.ingest import (
 from hybridoa.model import Agreement, Journal
 
 from conftest import article_line, write_lines
-from oracles import oracle_ingest_and_classify
+from oracles import encoded_classified_line, oracle_ingest_and_classify
 
 ISSN_A = "0378-5955"
 ISSN_B = "0024-9319"  # valid: 0*8+0*7+2*6+4*5+9*4+3*3+1*2 = 79, 11-(79%11)=9
@@ -453,6 +457,112 @@ def test_date_outside_the_grammar_is_a_bad_date_reject(tmp_path, text):
     assert [reason for reason, _ in logged_rejects(tmp_path / "rej.csv")] == ["bad_date"]
 
 
+@pytest.mark.parametrize("value", [2021, 20210304, 0, 2021.5, True, False, {"year": 2021}])
+def test_date_that_is_not_a_string_is_a_bad_date_everywhere(value):
+    """As the publication date, inside a list of publication dates, and as a
+    license start date."""
+    lines = [
+        article_line(pub_date=value),
+        article_line(pub_date=["2021-03-04", value]),
+        article_line(pub_date=[value]),
+        article_line(licenses=[{"url": CC_BY, "applies_to_vor": True, "start_date": value}]),
+    ]
+    for line in lines:
+        with pytest.raises(SchemaViolation) as excinfo:
+            parse_article_line(line, "open")
+        assert excinfo.value.code == "bad_date", line
+
+
+def test_absent_null_or_empty_license_start_date_is_none():
+    for start in ({}, {"start_date": None}, {"start_date": ""}):
+        lic = {"url": CC_BY, **start}
+        record = parse_article_line(article_line(licenses=[lic]), "open")
+        assert record["licenses"][0]["start_date"] is None
+
+
+# --- memoized checks ----------------------------------------------------------------
+
+@pytest.fixture
+def check_calls(monkeypatch):
+    """(check, text) -> calls of the ISSN, date and org-ID checks ingest makes."""
+    calls = Counter()
+    for name in ("validate_issn", "parse_date_pinned", "is_org_id"):
+        def counted(text, check=getattr(ingest, name), name=name):
+            calls[name, text] += 1
+            return check(text)
+
+        monkeypatch.setattr(ingest, name, counted)
+    return calls
+
+
+def test_each_distinct_issn_date_and_org_id_text_is_checked_once(tmp_path, check_calls):
+    """One `TextChecks` serves the dump and every article line; whatever a
+    text's verdict, and however often the text recurs, it is checked once."""
+    issns = [ISSN_A, "03785955", ISSN_B, ISSN_BAD, "1234"]
+    dates = ["2021", ["2021-03-04", "2020"], "2021-03-04", "2021-13", [" 2020 ", "2021"]]
+    orgs = [["ror:r1"], ["ror:r1", "srcA:p1"], ["untagged"], []]
+    lines = [
+        article_line(
+            native_id=f"W{i}", issn=issns[i % 5], pub_date=dates[i % 7 % 5],
+            authors=[{"position": 1, "org_ids": orgs[i % 4]}],
+            licenses=[{"url": CC_BY, "applies_to_vor": True, "start_date": ["2021-04", None][i % 2]}],
+        )
+        for i in range(140)
+    ]
+    dump = dump_file(tmp_path, [
+        f"ta-{i % 3},{issns[i % 5]},{['ror:r1', 'ror:r2', 'bad'][i % 3]},Pub" for i in range(30)
+    ])
+    checks = TextChecks({ISSN_B: ISSN_A})
+    load_agreement_dump(dump, checks)
+    outcomes = article_outcomes(lines, "open", checks)
+    assert set(check_calls.values()) == {1}
+    assert {text for name, text in check_calls if name == "validate_issn"} == set(issns)
+    assert {text for name, text in check_calls if name == "is_org_id"} == {
+        "ror:r1", "ror:r2", "bad", "srcA:p1", "untagged"
+    }
+    assert {text for name, text in check_calls if name == "parse_date_pinned"} == {
+        "2021", "2021-03-04", "2020", "2021-13", " 2020 ", "2021-04"
+    }
+    # the memos change no verdict
+    assert outcomes == article_outcomes(lines, "open", {ISSN_B: ISSN_A})
+
+
+def test_a_memoized_failure_rejects_every_line_that_carries_it(tmp_path, check_calls):
+    """Each line or row that carries a text whose failure is memoized is
+    rejected with the code and raw text of its own."""
+    lines, expected = [], []
+    for i in range(9):
+        bad = [
+            ("checksum_failure", {"issn": "0378-5954"}),
+            ("malformed_issn", {"issn": "1234"}),
+            ("bad_date", {"pub_date": ["2021", "2021-13"]}),
+        ][i % 3]
+        lines.append(article_line(native_id=f"B{i}", title=f"Bad {i}", **bad[1]))
+        expected.append((str(len(lines)), bad[0], lines[-1]))
+        lines.append(article_line(native_id=f"G{i}"))
+    path = write_lines(tmp_path / "a.ndjson", lines)
+    with RejectLog(str(tmp_path / "rej.csv")) as rejects:
+        records, manifest = consume(path, "open", None, rejects)
+    assert [r["native_id"] for r in records] == [f"G{i}" for i in range(9)]
+    assert manifest.reject_count == 9
+    with open(tmp_path / "rej.csv", encoding="utf-8", newline="") as fh:
+        assert [tuple(row) for row in csv.reader(fh)][1:] == expected
+    assert check_calls["validate_issn", "0378-5954"] == 1
+    assert check_calls["validate_issn", "1234"] == 1
+    assert check_calls["parse_date_pinned", "2021-13"] == 1
+
+    rows = [
+        f"ta-1,{['0378-5954', ISSN_A][i % 2]},{['ror:r1', 'nope'][i // 2 % 2]},Pub{i}"
+        for i in range(8)
+    ]
+    with RejectLog(str(tmp_path / "dump_rej.csv")) as rejects:
+        load_agreement_dump(dump_file(tmp_path, rows), None, None, rejects)
+    assert logged_rejects(tmp_path / "dump_rej.csv") == [
+        ("checksum_failure" if i % 4 == 0 else "schema_violation", rows[i])
+        for i in range(8) if i % 4 != 1
+    ]
+
+
 @pytest.mark.parametrize(
     "overrides, code",
     [
@@ -683,3 +793,56 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
     )
     assert (ingest_line, classified, bool(unknown)) == expected
     assert doi == json.loads(classified)["record"]["doi"]
+
+
+# Pieces of text that look like the ingest line's structure once encoded:
+# key boundaries, quotes, backslashes, control characters, non-ASCII text.
+TRICKY_PIECES = [
+    ',"doi":', '","pagination":', ',"pub_date":', ',"source":', ',"authors":',
+    ',"document_class":', '"', "\\", "\\u0022", "\x00", "\x1f", "\n", "\t", "\u2028", "é",
+    "中", "\U0001F600", "x", "7", " ", "-",
+]
+tricky = st.lists(st.sampled_from(TRICKY_PIECES), max_size=6).map("".join)
+
+
+@st.composite
+def tricky_lines(draw):
+    """(source, interchange line, publisher) whose free-text fields hold `tricky` text."""
+    source = draw(st.sampled_from(["open", "srcA", "srcB"]))
+    obj = json.loads(article_line(source=source))
+    obj.update(
+        title=draw(tricky),
+        pagination=draw(st.one_of(st.none(), tricky, tricky.map(lambda t: "12" + t))),
+        doi=draw(st.one_of(st.none(), tricky.map(lambda t: "10.5555/" + t))),
+        article_number=draw(st.one_of(st.none(), tricky, st.integers(0, 10**6))),
+        issn=draw(st.sampled_from([ISSN_A, ISSN_B, ISSN_C])),
+        document_class=draw(st.sampled_from(["journal-article", "Article", "x" + '","doi":'])),
+        licenses=[{"url": CC_BY + draw(tricky), "applies_to_vor": True, "start_date": "2021-03"}],
+        authors=[{
+            "position": 1,
+            "org_ids": ["ror:" + draw(tricky) + "x"],
+            "countries": [draw(tricky)],
+            "corresponding": draw(st.sampled_from([None, True, False])),
+        }],
+    )
+    ensure_ascii = draw(st.booleans())
+    return source, json.dumps(obj, ensure_ascii=ensure_ascii), draw(tricky)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tricky_lines())
+@example(
+    ("open", article_line(title=',"doi":"10.1/x","pagination":"1"', doi='10.1/","doi":'), "P")
+)
+def test_classified_line_equals_the_encoded_classified_dict(case):
+    """The classified line, cut from the ingest line, has the bytes of the
+    whole classified dict encoded with `dump_canonical`."""
+    source, text, publisher = case
+    ingest_line = dump_canonical(parse_article_line(text, source, ORACLE_LINKS))
+    row = ingest_from_line(ingest_line + "\n", source)
+    for hybrid in (True, False):
+        journal = Journal(issn_l=row.journal_issn_l, publisher=publisher, is_hybrid=hybrid)
+        for journals in ({}, {row.journal_issn_l: journal}):
+            article = classify_article(row, journals.get(row.journal_issn_l), ORACLE_CFG)
+            line = classified_to_line(article)
+            assert line == encoded_classified_line(article, json.loads(ingest_line))

@@ -111,12 +111,16 @@ def test_stage_boundary_checks_and_records_declared_inputs(full_tree):
         recorded = [e["path"] for e in read_manifest(layout, stage)["inputs"]]
         assert recorded == sorted(os.path.relpath(p, config.out_dir) for p in declared), stage
         raises_naming_each_missing(declared, lambda: pipeline.run(config, [stage]))
-    # the declared inputs suffice: a tree holding only them reproduces the
-    # stage's outputs and manifest; it sits beside out_dir, so the external
-    # inputs keep their out_dir-relative paths
+    # the declared inputs suffice: a tree holding only them and their
+    # producers' manifests reproduces the stage's outputs and manifest; it
+    # sits beside out_dir, so the external inputs keep their out_dir-relative
+    # paths
     for stage in pipeline.artifacts.STAGES:
         alone = replace(config, out_dir=os.path.join(os.path.dirname(config.out_dir), stage))
-        for path in pipeline.STAGE_INPUTS[stage](layout, config):
+        declared = pipeline.STAGE_INPUTS[stage](layout, config)
+        producers = {os.path.relpath(p, config.out_dir).split(os.sep)[0] for p in declared}
+        producers &= set(pipeline.artifacts.STAGES)
+        for path in declared + [layout.manifest(p) for p in producers]:
             copy = os.path.join(alone.out_dir, os.path.relpath(path, config.out_dir))
             os.makedirs(os.path.dirname(copy), exist_ok=True)
             shutil.copyfile(path, copy)
@@ -126,6 +130,76 @@ def test_stage_boundary_checks_and_records_declared_inputs(full_tree):
         for entry in manifest["outputs"]:
             with open(os.path.join(alone.out_dir, entry["path"]), "rb") as fh:
                 assert hashlib.sha256(fh.read()).hexdigest() == entry["sha256"], entry["path"]
+
+
+def test_stage_refuses_inputs_their_producer_did_not_record(tmp_path):
+    """A stage runs only on inputs that match their producer's manifest,
+    written under the same config: a config change, an edited input and a
+    missing manifest each raise DependencyError, and the tree is left as
+    it was."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    before = files_under(config.out_dir)
+
+    with pytest.raises(DependencyError, match="another config"):
+        pipeline.run(replace(config, correlation_min_articles=5), ["aggregate"])
+    assert files_under(config.out_dir) == before
+
+    articles = layout.articles("open")
+    with open(articles, "a", encoding="utf-8") as fh:
+        fh.write(before[os.path.relpath(articles, config.out_dir)].decode().splitlines()[0] + "\n")
+    with pytest.raises(DependencyError, match=re.escape(articles)):
+        pipeline.run(config, ["classify"])
+    with open(articles, "wb") as fh:
+        fh.write(before[os.path.relpath(articles, config.out_dir)])
+    assert files_under(config.out_dir) == before
+
+    manifest = layout.manifest("reconcile")
+    os.rename(manifest, manifest + ".aside")
+    with pytest.raises(DependencyError, match=re.escape(manifest)):
+        pipeline.run(config, ["attribute"])
+    os.rename(manifest + ".aside", manifest)
+    assert files_under(config.out_dir) == before
+
+    # the same refusals through the command line, which exits with status 2
+    from hybridoa.cli import main
+
+    argv = ["run", "--config", str(corpus / "config.json"), "--workers", "1"]
+    assert main(argv + ["--stages", "aggregate", "--seed", "5"]) == 2
+    assert main(argv + ["--stages", "aggregate"]) == 0
+
+
+def test_ingest_checks_each_distinct_text_once_per_stage(tmp_path, monkeypatch):
+    """Ingest at workers=1 makes the same ISSN, date and org-ID checks when
+    every article line and agreement-dump row comes twice: each distinct
+    text is checked once per stage, not once per line."""
+    calls = Counter()
+    for name in ("validate_issn", "parse_date_pinned", "is_org_id"):
+        def counted(text, check=getattr(pipeline.ingest, name), name=name):
+            calls[name, text] += 1
+            return check(text)
+
+        monkeypatch.setattr(pipeline.ingest, name, counted)
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config, ["ingest"])
+    assert pipeline._WORKER_CTX is None  # the memos ended with the stage
+    once = Counter(calls)
+    calls.clear()
+    for path in [config.agreement_dump] + [s.articles for s in config.sources]:
+        with open(path, encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        body = lines[1:] if path.endswith(".csv") else lines
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines + body) + "\n")
+    pipeline.run(replace(config, out_dir=str(tmp_path / "twice")), ["ingest"])
+    assert calls == once
+    first = read_manifest(Layout(config.out_dir), "ingest")["counters"]
+    second = read_manifest(Layout(str(tmp_path / "twice")), "ingest")["counters"]
+    for source in config.sources:  # every second copy was parsed, then a duplicate
+        label = source.label
+        assert second[f"records_{label}"] == first[f"records_{label}"]
+        assert second[f"rejects_{label}"] == 2 * first[f"rejects_{label}"] + first[f"records_{label}"]
 
 
 def test_explain_checks_attribute_inputs_and_hashes_nothing(full_tree, monkeypatch):
@@ -306,6 +380,19 @@ def unresolved_counters(layout):
     return {k: v for k, v in counters.items() if k.startswith("unresolved")}
 
 
+def record_edit(layout, stage, path):
+    """Record a hand-edited artifact's new sha256 in its producer's manifest,
+    as if `stage` had written it so."""
+    manifest = read_manifest(layout, stage)
+    with open(path, "rb") as fh:
+        digest = hashlib.sha256(fh.read()).hexdigest()
+    for entry in manifest["outputs"]:
+        if entry["path"] == os.path.relpath(path, layout.out_dir):
+            entry["sha256"] = digest
+    with open(layout.manifest(stage), "w", encoding="utf-8") as fh:
+        fh.write(artifacts.dump_canonical(manifest) + "\n")
+
+
 def test_attribute_counts_unresolved_org_ids(tmp_path):
     """`unresolved_org_ids_<role>` counts the proprietary IDs of role authors
     on attributable articles in agreement journals that the crosswalk lacks,
@@ -317,6 +404,7 @@ def test_attribute_counts_unresolved_org_ids(tmp_path):
         lines = fh.readlines()
     with open(layout.crosswalk, "w", encoding="utf-8") as fh:
         fh.writelines(lines[: len(lines) // 2])  # header and the first half
+    record_edit(layout, "reconcile", layout.crosswalk)
     expected = recount_unresolved(layout, config)
     assert all(expected.values())
     for workers in (1, 2):
