@@ -21,6 +21,7 @@ from contextvars import ContextVar
 from datetime import date
 from typing import Iterable, Iterator, Sequence, TextIO
 
+from .errors import DependencyError
 from .identifiers import ROR_SCHEME, make_org_id, org_value
 from .model import (
     GROUP_GLOBAL,
@@ -132,11 +133,13 @@ def sha256_file(path: str) -> str:
 
 
 class HashedFile(io.RawIOBase):
-    """A file opened for reading or writing whose bytes are hashed, and
-    their lines counted, as they pass; so no second read is needed."""
+    """A file opened for reading or writing whose bytes are hashed as they
+    pass, so no second read is needed. Written lines are counted; a file
+    read to its end reports its digest to the enclosing `reading` block."""
 
     def __init__(self, path: str, mode: str):
         self._file = io.FileIO(path, mode)
+        self.path = os.path.abspath(path)
         self.sha256 = hashlib.sha256()
         self._lines = 0
         self._last = b"\n"
@@ -149,7 +152,10 @@ class HashedFile(io.RawIOBase):
 
     def readinto(self, buffer) -> int:
         n = self._file.readinto(buffer)
-        self._count(bytes(memoryview(buffer)[:n]))
+        if n:
+            self.sha256.update(memoryview(buffer)[:n])
+        elif len(buffer):
+            note_reads({self.path: self.sha256.hexdigest()})
         return n
 
     def write(self, data) -> int:
@@ -170,8 +176,51 @@ class HashedFile(io.RawIOBase):
 
     @property
     def lines(self) -> int:
-        """Lines passed so far; an unterminated last line counts."""
+        """Lines written so far; an unterminated last line counts."""
         return self._lines + (self._last != b"\n")
+
+
+# Absolute path -> sha256 of each file `open_input` read to its end inside
+# a `reading` block; None outside one.
+_read: ContextVar[dict[str, str] | None] = ContextVar("read", default=None)
+
+
+@contextmanager
+def reading() -> Iterator[dict[str, str]]:
+    """Absolute path -> sha256 of each file read to its end in the block,
+    through `open_input`, or in a worker whose record `note_reads` added."""
+    read: dict[str, str] = {}
+    token = _read.set(read)
+    try:
+        yield read
+    finally:
+        _read.reset(token)
+
+
+def note_reads(digests: dict[str, str]) -> None:
+    """Add the digests of files read to their end, here or in a worker, to
+    the enclosing `reading` block's record."""
+    read = _read.get()
+    if read is None:
+        return
+    for path, digest in digests.items():
+        if read.setdefault(path, digest) != digest:
+            raise DependencyError(f"{path} changed between two reads of it in one stage")
+
+
+def open_input(path: str) -> io.RawIOBase:
+    """A stage input opened as a raw binary file; inside a `reading` block
+    its bytes are hashed as they are read, and nowhere else."""
+    if _read.get() is None:
+        return io.FileIO(path)
+    return HashedFile(path, "r")
+
+
+def open_input_text(path: str, errors: str = "strict", newline: str | None = None) -> TextIO:
+    """`open_input(path)` as UTF-8 text, with `open`'s `errors` and `newline`."""
+    return io.TextIOWrapper(
+        io.BufferedReader(open_input(path)), encoding="utf-8", errors=errors, newline=newline
+    )
 
 
 # Non-blank lines per chunk of a line-mapped stage. The reader keeps the
@@ -179,17 +228,16 @@ class HashedFile(io.RawIOBase):
 CHUNK_LINES = 500
 
 
-def line_chunks(raw: io.RawIOBase) -> Iterator[tuple[list[int], list[str]]]:
-    """(line numbers, lines) of the non-blank lines of the file opened as
-    `raw`, CHUNK_LINES at a time; closes `raw` at the end.
+def line_chunks(path: str) -> Iterator[tuple[list[int], list[str]]]:
+    """(line numbers, lines) of the non-blank lines of the input `path`,
+    CHUNK_LINES at a time.
 
     Bytes that are not UTF-8 reach their line as lone surrogates, for the
     line's parser to reject.
     """
     linenos: list[int] = []
     lines: list[str] = []
-    text = io.TextIOWrapper(io.BufferedReader(raw), encoding="utf-8", errors="surrogateescape")
-    with text:
+    with open_input_text(path, errors="surrogateescape") as text:
         for lineno, line in enumerate(text, 1):
             if not line.strip():
                 continue
@@ -202,20 +250,36 @@ def line_chunks(raw: io.RawIOBase) -> Iterator[tuple[list[int], list[str]]]:
         yield linenos, lines
 
 
-# Absolute path -> (sha256, lines) of each file `open_artifact` publishes
-# inside a `recording` block; None outside one.
-_recorded: ContextVar[dict[str, tuple[str, int]] | None] = ContextVar("recorded", default=None)
+# Inside a `recording` block: absolute path -> (sha256, lines) of each file
+# `open_artifact` wrote, and target -> temp file of each file waiting to be
+# published. None outside one.
+_recorded: ContextVar[tuple[dict[str, tuple[str, int]], dict[str, str]] | None] = ContextVar(
+    "recorded", default=None
+)
 
 
 @contextmanager
 def recording() -> Iterator[dict[str, tuple[str, int]]]:
-    """Absolute path -> (sha256, lines) of each file published in the block."""
+    """Absolute path -> (sha256, lines) of each file written in the block.
+
+    The files stay temp files until the block exits: cleanly, and each
+    replaces its target, in the order they were finished; by an
+    exception, and every one is deleted, so the targets keep what they
+    held before the block.
+    """
     written: dict[str, tuple[str, int]] = {}
-    token = _recorded.set(written)
+    pending: dict[str, str] = {}
+    token = _recorded.set((written, pending))
     try:
         yield written
+    except BaseException:
+        for tmp in pending.values():
+            os.unlink(tmp)
+        raise
     finally:
         _recorded.reset(token)
+    for path, tmp in pending.items():
+        os.replace(tmp, path)
 
 
 @contextmanager
@@ -224,14 +288,15 @@ def open_artifact(path: str) -> Iterator[TextIO]:
 
     Creates the parent directory when it is missing. The text goes to a
     temp file beside `path` that replaces `path` when the block exits
-    cleanly; on an exception the temp file is deleted and whatever was at
-    `path` stays. Inside a `recording` block the bytes are hashed and
-    their lines counted as they are written, for the stage manifest.
+    cleanly, or inside a `recording` block when that block does; on an
+    exception the temp file is deleted and whatever was at `path` stays.
+    Inside a `recording` block the bytes are hashed and their lines
+    counted as they are written, for the stage manifest.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"
-    written = _recorded.get()
-    if written is None:
+    recorded = _recorded.get()
+    if recorded is None:
         fh = open(tmp, "w", encoding="utf-8", newline="")
     else:
         raw = HashedFile(tmp, "w")
@@ -239,12 +304,15 @@ def open_artifact(path: str) -> Iterator[TextIO]:
     try:
         with fh:
             yield fh
-        os.replace(tmp, path)
     except BaseException:
         os.unlink(tmp)
         raise
-    if written is not None:
-        written[os.path.abspath(path)] = (raw.sha256.hexdigest(), raw.lines)
+    if recorded is None:
+        os.replace(tmp, path)
+        return
+    written, pending = recorded
+    written[os.path.abspath(path)] = (raw.sha256.hexdigest(), raw.lines)
+    pending[path] = tmp
 
 
 # `json.dumps` with these options would build this encoder on every call.
@@ -310,14 +378,6 @@ def write_manifest(
         "counters": dict(sorted(counters.items())),
     }
     write_ndjson(layout.manifest(stage), [payload])
-
-
-def describe_input(path: str, rows: int | None = None, sha256: str | None = None) -> dict:
-    """An input's manifest entry; `sha256` is its digest when already taken."""
-    entry = {"path": path, "sha256": sha256 or sha256_file(path)}
-    if rows is not None:
-        entry["rows"] = rows
-    return entry
 
 
 def read_manifest(layout: Layout, stage: str) -> dict:
@@ -516,7 +576,7 @@ def classified_from_line(line: str, source: str) -> ClassifiedRow:
 
 
 def iter_classified(path: str, source: str) -> Iterator[ClassifiedRow]:
-    with open(path, encoding="utf-8") as fh:
+    with open_input_text(path) as fh:
         for line in fh:
             if line.strip():
                 yield classified_from_line(line, source)
@@ -548,9 +608,12 @@ def doi_index_entries(
 
 
 def write_doi_index(fh: TextIO, entries: list[str]) -> None:
-    """Sort `doi_index_entries` lines as text, in place, and write them to `fh`."""
+    """Sort `doi_index_entries` lines as text, in place, and write them to
+    `fh`; no entries write nothing."""
     entries.sort()
-    fh.write("".join(f"{entry}\n" for entry in entries))
+    if entries:
+        fh.write("\n".join(entries))
+        fh.write("\n")
 
 
 def doi_index_hits(path: str, doi: str) -> list[tuple[str, int]]:
@@ -615,7 +678,7 @@ def write_agreements(path: str, agreements: Iterable[Agreement]) -> None:
 
 def read_agreements(path: str) -> list[Agreement]:
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with open_input_text(path) as fh:
         for line in fh:
             if not line.strip():
                 continue
@@ -642,7 +705,7 @@ def write_journals(path: str, journals: Iterable[Journal]) -> None:
 
 
 def read_journals(path: str) -> dict[str, Journal]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_input_text(path, newline="") as fh:
         return {
             row["issn_l"]: Journal(
                 issn_l=row["issn_l"],
@@ -664,7 +727,7 @@ def write_institutions(path: str, institutions: Iterable[Institution]) -> None:
 
 def read_institutions(path: str) -> list[Institution]:
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_input_text(path, newline="") as fh:
         for row in csv.DictReader(fh):
             out.append(
                 Institution(
@@ -701,7 +764,7 @@ def write_audit(path: str, sample: Iterable[CrosswalkEntry], examples: dict) -> 
 
 def read_crosswalk(path: str) -> list[CrosswalkEntry]:
     out = []
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_input_text(path, newline="") as fh:
         for row in csv.DictReader(fh):
             out.append(
                 CrosswalkEntry(
@@ -738,7 +801,7 @@ def write_attributions(path: str, rows: Iterable[tuple]) -> int:
 
 def read_ta_keys(path: str) -> set[tuple[str, str]]:
     """(source, native_id) of every TA-enabled attribution row."""
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_input_text(path, newline="") as fh:
         return {
             (row["source"], row["native_id"])
             for row in csv.DictReader(fh)
@@ -766,7 +829,7 @@ def write_indicators(path: str, rows: Iterable[IndicatorRow]) -> int:
 
 
 def read_indicators(path: str) -> list[IndicatorRow]:
-    with open(path, encoding="utf-8", newline="") as fh:
+    with open_input_text(path, newline="") as fh:
         return [
             IndicatorRow(
                 year=int(row["year"]),

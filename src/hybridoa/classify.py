@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from datetime import timedelta
 from importlib import resources
 
+from . import artifacts
 from .errors import NoDate
 from .artifacts import ClassifiedRow, IngestRow
 from .model import ClassifiedArticle, Journal, LicenseStatement
@@ -67,7 +68,7 @@ def load_paratext_patterns(path: str | None = None) -> tuple[re.Pattern, ...]:
             resources.files("hybridoa").joinpath("data/paratext_patterns.txt").read_text("utf-8")
         )
     else:
-        with open(path, encoding="utf-8") as fh:
+        with artifacts.open_input_text(path) as fh:
             text = fh.read()
     patterns = []
     for line in text.splitlines():

@@ -21,7 +21,6 @@ native_id) uses a disk-backed index.
 from __future__ import annotations
 
 import csv
-import io
 import json
 import logging
 import os
@@ -246,33 +245,39 @@ def _is_utf8(text: str) -> bool:
     return True
 
 
-def _row_text(row: dict, columns: tuple[str, ...]) -> str:
-    """A CSV row's reject text: its `columns` comma-joined, a missing field as empty."""
-    return ",".join(row.get(c) or "" for c in columns)
+def _csv_rows(
+    path: str, columns: tuple[str, ...], rejects: RejectLog
+) -> Iterator[tuple[int, tuple[str, ...]]]:
+    """(line number, its `columns`' values) of each data row of a CSV input,
+    a field the row lacks as "".
 
-
-def _csv_rows(path: str, columns: tuple[str, ...], rejects: RejectLog) -> Iterator[tuple[int, dict]]:
-    """(line number, row) of each data row of a CSV input.
-
-    The header must name every one of `columns`, else MissingColumn. A
-    row that holds bytes that are not UTF-8 is rejected here, as a schema
-    violation, before any of its fields is checked. A loader rejects a
-    row with its `_row_text` over the same columns.
+    The header must name every one of `columns`, else MissingColumn; a
+    column named twice is read from its last place. Blank lines are
+    skipped. A row that holds bytes that are not UTF-8, in any field,
+    extra fields included, is rejected here, as a schema violation, before
+    any of its fields is checked. A row's reject text is its values
+    comma-joined.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames is None:
+    with artifacts.open_input_text(path, errors="surrogateescape", newline="") as fh:
+        reader = csv.reader(fh)
+        header = next(reader, None)
+        if header is None:
             raise MissingColumn(f"{path}: empty file, header row required")
-        missing = [c for c in columns if c not in reader.fieldnames]
+        missing = [c for c in columns if c not in header]
         if missing:
             raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
+        place = {name: k for k, name in enumerate(header)}
+        pick = itemgetter(*(place[c] for c in columns))
+        width = max(place[c] for c in columns) + 1
         for row in reader:
-            # fields beyond the header sit in a list under the key None
-            fields = [v for k, v in row.items() if k is not None and v] + row.get(None, [])
-            if not _is_utf8("".join(fields)):
-                rejects.reject(reader.line_num, REJECT_SCHEMA, _row_text(row, columns))
+            if not row:
                 continue
-            yield reader.line_num, row
+            if len(row) < width:
+                row += [""] * (width - len(row))
+            if not _is_utf8("".join(row)):
+                rejects.reject(reader.line_num, REJECT_SCHEMA, ",".join(pick(row)))
+                continue
+            yield reader.line_num, pick(row)
 
 
 def load_issn_link_table(path: str, rejects: RejectLog | None = None) -> dict[str, str]:
@@ -283,16 +288,15 @@ def load_issn_link_table(path: str, rejects: RejectLog | None = None) -> dict[st
     """
     rejects = rejects or RejectLog(None)
     links: dict[str, str] = {}
-    columns = ("issn", "issn_l")
-    for lineno, row in _csv_rows(path, columns, rejects):
+    for lineno, row in _csv_rows(path, ("issn", "issn_l"), rejects):
         try:
-            issn = _checked_issn(row["issn"] or "")
-            issn_l = _checked_issn(row["issn_l"] or "")
+            issn = _checked_issn(row[0])
+            issn_l = _checked_issn(row[1])
         except SchemaViolation as exc:
-            rejects.reject(lineno, exc.code, _row_text(row, columns))
+            rejects.reject(lineno, exc.code, ",".join(row))
             continue
         if issn in links and links[issn] != issn_l:
-            rejects.reject(lineno, REJECT_CONFLICTING_LINK, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_CONFLICTING_LINK, ",".join(row))
             continue
         links[issn] = issn_l
     return links
@@ -311,7 +315,7 @@ def load_fully_oa_lists(
     links = links or {}
     out: set[str] = set()
     for path in paths:
-        with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        with artifacts.open_input_text(path, errors="surrogateescape") as fh:
             for lineno, line in enumerate(fh, 1):
                 text = line.split("#", 1)[0].strip()
                 if not text:
@@ -363,17 +367,18 @@ def load_agreement_dump(
     variants: defaultdict[str, set[str]] = defaultdict(set)
     columns = ("agreement_id", "issn", "org_id", "publisher")
     for lineno, row in _csv_rows(path, columns, rejects):
-        agreement_id = (row["agreement_id"] or "").strip()
-        org = (row["org_id"] or "").strip()
+        raw_agreement_id, raw_issn, raw_org, raw_publisher = row
+        agreement_id = raw_agreement_id.strip()
+        org = raw_org.strip()
         if not agreement_id or not checks.org_id(org):
-            rejects.reject(lineno, REJECT_SCHEMA, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_SCHEMA, ",".join(row))
             continue
         try:
-            issn, issn_l = checks.issn(row["issn"] or "")
+            issn, issn_l = checks.issn(raw_issn)
         except SchemaViolation as exc:
-            rejects.reject(lineno, exc.code, _row_text(row, columns))
+            rejects.reject(lineno, exc.code, ",".join(row))
             continue
-        publisher = _memoized(names, normalize, row["publisher"] or "")
+        publisher = _memoized(names, normalize, raw_publisher)
         journals[agreement_id].add(issn_l)
         orgs[agreement_id].add(org)
         publishers[agreement_id][publisher] += 1
@@ -427,23 +432,22 @@ def load_durations(
     """
     rejects = rejects or RejectLog(None)
     windows: dict[str, tuple[date, date]] = {}
-    columns = ("agreement_id", "start_date", "end_date")
-    for lineno, row in _csv_rows(path, columns, rejects):
-        agreement_id = (row["agreement_id"] or "").strip()
+    for lineno, row in _csv_rows(path, ("agreement_id", "start_date", "end_date"), rejects):
+        agreement_id = row[0].strip()
         if not agreement_id:
-            rejects.reject(lineno, REJECT_SCHEMA, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_SCHEMA, ",".join(row))
             continue
         try:
-            start = parse_date_pinned(row["start_date"] or "")
-            end = parse_date_pinned(row["end_date"] or "")
+            start = parse_date_pinned(row[1])
+            end = parse_date_pinned(row[2])
         except SchemaViolation:
-            rejects.reject(lineno, REJECT_BAD_DATE, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_BAD_DATE, ",".join(row))
             continue
         if start > end:
-            rejects.reject(lineno, REJECT_INVERTED_WINDOW, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_INVERTED_WINDOW, ",".join(row))
             continue
         if windows.setdefault(agreement_id, (start, end)) != (start, end):
-            rejects.reject(lineno, REJECT_CONFLICTING_WINDOW, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_CONFLICTING_WINDOW, ",".join(row))
     dated: set[Agreement] = set()
     for agreement in agreements:
         window = windows.get(agreement.agreement_id)
@@ -470,12 +474,11 @@ def load_publisher_aliases(path: str, rejects: RejectLog | None = None) -> dict[
     """
     rejects = rejects or RejectLog(None)
     aliases: dict[str, str] = {}
-    columns = ("alias", "canonical")
-    for lineno, row in _csv_rows(path, columns, rejects):
-        alias = " ".join((row["alias"] or "").split()).casefold()
-        canonical = " ".join((row["canonical"] or "").split())
+    for lineno, row in _csv_rows(path, ("alias", "canonical"), rejects):
+        alias = " ".join(row[0].split()).casefold()
+        canonical = " ".join(row[1].split())
         if not alias or not canonical:
-            rejects.reject(lineno, REJECT_SCHEMA, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_SCHEMA, ",".join(row))
             continue
         aliases[alias] = canonical
     return aliases
@@ -489,22 +492,20 @@ def load_institutions(path: str, rejects: RejectLog | None = None) -> set[Instit
     """
     rejects = rejects or RejectLog(None)
     out: set[Institution] = set()
-    columns = ("org_id", "country", "associated_ids")
-    for lineno, row in _csv_rows(path, columns, rejects):
-        org = (row["org_id"] or "").strip()
+    for lineno, row in _csv_rows(path, ("org_id", "country", "associated_ids"), rejects):
+        raw_org, country, raw_associated = row
+        org = raw_org.strip()
         if not is_org_id(org):
-            rejects.reject(lineno, REJECT_SCHEMA, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_SCHEMA, ",".join(row))
             continue
-        associated = frozenset(
-            a.strip() for a in (row["associated_ids"] or "").split("|") if a.strip()
-        )
+        associated = frozenset(a.strip() for a in raw_associated.split("|") if a.strip())
         if org in associated:
-            rejects.reject(lineno, REJECT_SELF_ASSOCIATION, _row_text(row, columns))
+            rejects.reject(lineno, REJECT_SELF_ASSOCIATION, ",".join(row))
             continue
         out.add(
             Institution(
                 org_id=org,
-                country=(row["country"] or "").strip().upper(),
+                country=country.strip().upper(),
                 associated_ids=associated,
             )
         )
@@ -719,7 +720,7 @@ def load_article_stream(
 
     def generate() -> Iterator[dict]:
         with ArticleLedger(rejects, manifest) as ledger:
-            for linenos, lines in artifacts.line_chunks(io.FileIO(path)):
+            for linenos, lines in artifacts.line_chunks(path):
                 yield from ledger.admit(linenos, lines, article_outcomes(lines, source, checks))
 
     return generate(), manifest

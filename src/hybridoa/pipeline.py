@@ -2,8 +2,8 @@
 aggregate -> compare.
 
 Each stage reads the previous stage's artifacts, writes its own, and
-never mutates inputs; `run` checks and hashes a stage's declared inputs
-and writes its manifest. A stage has one of two shapes: ingest and
+never mutates inputs; `run` checks a stage's declared inputs against the
+bytes the stage read, and publishes its outputs and manifest together. A stage has one of two shapes: ingest and
 classify map a pure function over chunks of every source's lines
 (`_source_chunks`), and reconcile, attribute and aggregate fold each
 source's classified file in a task of its own (`_source_folds`). Either
@@ -12,7 +12,6 @@ way a worker pool changes wall time but never output bytes.
 
 from __future__ import annotations
 
-import io
 import logging
 import os
 import pickle
@@ -38,11 +37,15 @@ StageResult = tuple[list[str], dict]
 def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str]:
     """Run the requested stages in dependency order; returns what ran.
 
-    This is the one stage boundary: each stage's declared inputs are
-    checked and hashed here, its body returns (outputs, counters), and its
-    manifest is written here, from the digests its files got as written.
-    An input under out_dir must be the file its producer's manifest
-    recorded, written under this config (`_check_producers`).
+    This is the one stage boundary. Before a stage's body runs, its
+    declared inputs must exist, and the manifest of each input's producer
+    must exist and carry this config's digest. The body returns (outputs,
+    counters). Each input is hashed from the bytes the body read
+    (`artifacts.reading`); only one it did not read to the end is hashed
+    here. Then each input under out_dir must have the sha256 its
+    producer's manifest recorded (`_check_producers`). Only then are the
+    stage's outputs, and after them its manifest, published together
+    (`artifacts.recording`); a mismatch or an exception publishes none.
     """
     wanted = set(stages) if stages else set(artifacts.STAGES)
     unknown = wanted - set(artifacts.STAGES)
@@ -57,11 +60,20 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
         log.info("stage %s", stage)
         needed = STAGE_INPUTS[stage](layout, config)
         _require(needed, stage)
-        inputs = [artifacts.describe_input(p) for p in needed]
-        _check_producers(layout, digest, inputs, stage)
-        with artifacts.recording() as written:
-            outputs, counters = STAGE_FUNCTIONS[stage](config, layout, inputs)
-        artifacts.write_manifest(layout, stage, digest, inputs, outputs, counters, written)
+        recorded = _producer_records(layout, digest, needed, stage)
+        inputs = [{"path": p} for p in needed]
+        with artifacts.reading() as read, artifacts.recording() as written:
+            try:
+                outputs, counters = STAGE_FUNCTIONS[stage](config, layout, inputs)
+            except Exception:
+                # an input that is not what its producer recorded may be
+                # what broke the body: name it
+                _check_producers(layout, recorded, read, stage)
+                raise
+            _check_producers(layout, recorded, read, stage)
+            for entry in inputs:
+                entry["sha256"] = _digest(entry["path"], read)
+            artifacts.write_manifest(layout, stage, digest, inputs, outputs, counters, written)
         executed.append(stage)
     return executed
 
@@ -74,18 +86,22 @@ def _require(paths: Iterable[str], stage: str) -> None:
         )
 
 
-def _check_producers(layout: Layout, digest: str, inputs: list[dict], stage: str) -> None:
-    """Raise DependencyError unless each input under `layout`'s stage
-    directories has the sha256 its producer's manifest recorded for it,
-    and that manifest has the config digest `digest`.
+def _producer_records(
+    layout: Layout, digest: str, paths: Iterable[str], stage: str
+) -> dict[str, tuple[str, str | None]]:
+    """Path -> (producer, the sha256 its manifest records for the path) of
+    each of `paths` under `layout`'s stage directories.
 
     The producer of `<out_dir>/<stage>/...` is that stage; an input
-    elsewhere is external and is only hashed.
+    elsewhere is external and has no record. Raises DependencyError when
+    a producer's manifest is missing or has another config digest than
+    `digest`.
     """
     manifests: dict[str, dict] = {}
-    for entry in inputs:
-        path = os.path.relpath(entry["path"], layout.out_dir)
-        producer = path.split(os.sep, 1)[0]
+    recorded = {}
+    for path in paths:
+        relative = os.path.relpath(path, layout.out_dir)
+        producer = relative.split(os.sep, 1)[0]
         if producer not in artifacts.STAGES:
             continue
         if producer not in manifests:
@@ -102,9 +118,28 @@ def _check_producers(layout: Layout, digest: str, inputs: list[dict], stage: str
                     f" config; run stage {producer!r} again"
                 )
             manifests[producer] = {e["path"]: e["sha256"] for e in manifest["outputs"]}
-        if manifests[producer].get(path) != entry["sha256"]:
+        recorded[path] = (producer, manifests[producer].get(relative))
+    return recorded
+
+
+def _digest(path: str, read: dict[str, str]) -> str:
+    """The sha256 of the bytes a stage read of `path`; of the file now,
+    kept in `read`, when the stage did not read it to the end."""
+    key = os.path.abspath(path)
+    if key not in read:
+        read[key] = artifacts.sha256_file(path)
+    return read[key]
+
+
+def _check_producers(
+    layout: Layout, recorded: dict[str, tuple[str, str | None]], read: dict[str, str], stage: str
+) -> None:
+    """Raise DependencyError unless each input that `_producer_records`
+    gave a record has the sha256 its producer recorded (`_digest`)."""
+    for path, (producer, sha256) in recorded.items():
+        if _digest(path, read) != sha256:
             raise DependencyError(
-                f"stage {stage!r}: {entry['path']} is not what stage {producer!r} recorded"
+                f"stage {stage!r}: {path} is not what stage {producer!r} recorded"
                 f" in {layout.manifest(producer)}; run stage {producer!r} again"
             )
 
@@ -183,20 +218,21 @@ def _effective_workers(config: PipelineConfig) -> int:
 
 
 def _source_chunks(
-    config: PipelineConfig, open_raw: Callable, fn: Callable, ctx
+    config: PipelineConfig, path_of: Callable, fn: Callable, ctx
 ) -> Iterator[tuple[str, list[int], list[str], object]]:
     """The line map: (source label, line numbers, lines, fn's result) of
     every chunk of every source's file, in config order.
 
-    `open_raw(source)` opens a source's file as a raw binary file; `fn`
-    gets (source label, lines) on the pool. This process keeps each
-    chunk's line numbers and lines until its result comes back.
+    `path_of(source)` is a source's file, read here through
+    `artifacts.line_chunks`; `fn` gets (source label, lines) on the pool.
+    This process keeps each chunk's line numbers and lines until its
+    result comes back.
     """
     in_flight: deque = deque()
 
     def chunks() -> Iterator[tuple[str, list[str]]]:
         for source in config.sources:
-            for linenos, lines in artifacts.line_chunks(open_raw(source)):
+            for linenos, lines in artifacts.line_chunks(path_of(source)):
                 in_flight.append((source.label, linenos, lines))
                 yield source.label, lines
 
@@ -209,10 +245,20 @@ def _source_folds(
 ) -> Iterator:
     """The per-source fold: fn's result for each source's classified file,
     one task of (path, label) per source, in `labels` order (default:
-    config order)."""
+    config order). The digests of the files each task read come back with
+    its result and join this process's `artifacts.reading` record."""
     labels = labels or [s.label for s in config.sources]
-    tasks = [(layout.classified(label), label) for label in labels]
-    return _map_chunks(fn, tasks, ctx, _effective_workers(config))
+    tasks = [(fn, layout.classified(label), label) for label in labels]
+    for result, read in _map_chunks(_fold_task, tasks, ctx, _effective_workers(config)):
+        artifacts.note_reads(read)
+        yield result
+
+
+def _fold_task(task: tuple[Callable, str, str]) -> tuple[object, dict[str, str]]:
+    """fn((path, label)), and the digests of the files it read to the end."""
+    fn, path, label = task
+    with artifacts.reading() as read:
+        return fn((path, label)), read
 
 
 # --- ingest ------------------------------------------------------------------
@@ -220,7 +266,8 @@ def _source_folds(
 def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Parse all inputs into normalized artifacts with reject sidecars.
 
-    Appends a description of every external input it reads to `inputs`.
+    Appends the path of every external input it reads to `inputs`, with
+    the number of countable lines of each article file.
     """
     counters: dict = {}
 
@@ -230,7 +277,7 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
             loaded = loader(path, *args, rej)
         counters[f"{stem}_rejects"] = rej.count
         paths = (path,) if isinstance(path, str) else path
-        inputs.extend(artifacts.describe_input(p) for p in paths)
+        inputs.extend({"path": p} for p in paths)
         return loaded
 
     links = load("issn_links", ingest.load_issn_link_table, config.issn_links)
@@ -258,14 +305,7 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
     artifacts.write_institutions(layout.institutions, institutions)
     outputs = [layout.agreements, layout.journals, layout.institutions]
 
-    # each interchange file is read once, hashed as it is read; the
-    # ledgers dedupe and write in input order
-    raws: dict[str, artifacts.HashedFile] = {}
-
-    def open_raw(source) -> artifacts.HashedFile:
-        raws[source.label] = artifacts.HashedFile(source.articles, "r")
-        return raws[source.label]
-
+    # the ledgers dedupe and write in input order
     with ExitStack() as stack:
         files, ledgers = {}, {}
         for source in config.sources:
@@ -276,7 +316,7 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
                 ingest.ArticleLedger(rejects, ingest.CorpusManifest())
             )
         for label, linenos, lines, outcomes in _source_chunks(
-            config, open_raw, _ingest_chunk, checks
+            config, lambda s: s.articles, _ingest_chunk, checks
         ):
             fh = files[label]
             for text in ledgers[label].admit(linenos, lines, outcomes):
@@ -285,8 +325,7 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
 
     for source in config.sources:
         manifest = ledgers[source.label].manifest
-        digest = raws[source.label].sha256.hexdigest()
-        inputs.append(artifacts.describe_input(source.articles, manifest.total_lines, digest))
+        inputs.append({"path": source.articles, "rows": manifest.total_lines})
         counters[f"records_{source.label}"] = manifest.record_count
         counters[f"rejects_{source.label}"] = manifest.reject_count
         outputs.append(layout.articles(source.label))
@@ -369,7 +408,7 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
         }
         index = stack.enter_context(artifacts.open_artifact(layout.doi_index))
         chunks = _source_chunks(
-            config, lambda s: io.FileIO(layout.articles(s.label)), _classify_chunk, (cfg, journals)
+            config, lambda s: layout.articles(s.label), _classify_chunk, (cfg, journals)
         )
         for label, _, _, (lines, dois, classes) in chunks:
             files[label].write("".join(f"{line}\n" for line in lines))
@@ -450,7 +489,7 @@ def _attribute_source(item: tuple[str, str]) -> tuple[dict[str, list[tuple]], di
     roles, journal_agreements, crosswalk_inverse, inst_index = _WORKER_CTX
     rows: dict[str, list[tuple]] = {role: [] for role in roles}
     diagnostics: dict[str, dict] = {role: {} for role in roles}
-    with open(path, encoding="utf-8") as fh:
+    with artifacts.open_input_text(path) as fh:
         for line in fh:
             if not artifacts.is_attributable(line):
                 continue

@@ -5,6 +5,7 @@ plain set algebra) without touching the engine's indexes, so they stay
 independent of the implementation paths they check.
 """
 
+import csv
 import json
 import math
 import os
@@ -29,7 +30,7 @@ from hybridoa.classify import (
     is_unknown_class,
 )
 from hybridoa.config import PipelineConfig, SourceConfig
-from hybridoa.errors import SchemaViolation
+from hybridoa.errors import MissingColumn, SchemaViolation
 from hybridoa.identifiers import is_org_id, normalize_doi
 from hybridoa.ingest import _checked_issn, resolve_issn_l
 from hybridoa.model import (
@@ -852,3 +853,29 @@ def oracle_load_config(path):
         workers=raw.get("workers"),
         out_dir=resolve(raw.get("out_dir", "out")),
     )
+
+
+# --- tabular inputs, as csv.DictReader reads them ------------------------------------
+
+def dictreader_csv_rows(path, columns, rejects):
+    """`ingest._csv_rows` through `csv.DictReader`: a dict per row, a field
+    the row lacks as None, fields beyond the header in a list under the key
+    None. A row holding bytes that are not UTF-8 in any of its values is a
+    schema violation; every other row goes on as its `columns`' values, a
+    missing one as ""."""
+    with open(path, encoding="utf-8", errors="surrogateescape", newline="") as fh:
+        reader = csv.DictReader(fh)
+        if reader.fieldnames is None:
+            raise MissingColumn(f"{path}: empty file, header row required")
+        missing = [c for c in columns if c not in reader.fieldnames]
+        if missing:
+            raise MissingColumn(f"{path}: missing column(s) {', '.join(missing)}")
+        for row in reader:
+            values = tuple(row.get(c) or "" for c in columns)
+            fields = [v for k, v in row.items() if k is not None and v] + row.get(None, [])
+            try:
+                "".join(fields).encode("utf-8")
+            except UnicodeEncodeError:
+                rejects.reject(reader.line_num, "schema_violation", ",".join(values))
+                continue
+            yield reader.line_num, values

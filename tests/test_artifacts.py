@@ -11,12 +11,15 @@ from hybridoa.artifacts import (
     ingest_from_line,
     is_attributable,
     open_artifact,
+    open_input_text,
     read_manifest,
+    reading,
     recording,
     sha256_file,
     write_manifest,
 )
 from hybridoa.attribute import role_author
+from hybridoa.errors import DependencyError
 from hybridoa.model import (
     Authorship,
     ClassifiedArticle,
@@ -160,3 +163,50 @@ def test_manifest_digest_and_rows_are_taken_while_writing(tmp_path):
     assert entry == {
         "path": os.path.join("stage", "table.ndjson"), "sha256": sha256_file(path), "rows": 2
     }
+
+
+def test_reading_keeps_the_digest_of_each_input_read_to_its_end(tmp_path):
+    """A file read to its end has the sha256 of the bytes read; one read in
+    part has none; a second read that finds other bytes raises."""
+    whole, part = tmp_path / "whole.csv", tmp_path / "part.csv"
+    whole.write_bytes(b"a,b\n\xc3\xa9,2\n" * 5000)
+    part.write_bytes(b"a,b\n" * 5000)
+    with reading() as read:
+        with open_input_text(str(whole)) as fh:
+            assert sum(1 for _ in fh) == 10000
+        with open_input_text(str(part)) as fh:
+            fh.readline()
+    assert read == {str(whole): sha256_file(str(whole))}
+
+    with reading() as read:
+        with open_input_text(str(whole)) as fh:
+            fh.read()
+        with open(whole, "ab") as fh:
+            fh.write(b"c,3\n")
+        with pytest.raises(DependencyError, match="changed between two reads"):
+            with open_input_text(str(whole)) as fh:
+                fh.read()
+
+
+def test_recording_publishes_every_file_only_when_the_block_succeeds(tmp_path):
+    """Files written in a `recording` block replace their targets when the
+    block exits cleanly; when it raises, none does and no temp file stays."""
+    first, second = tmp_path / "first.csv", tmp_path / "second.csv"
+    for path in (first, second):
+        with open_artifact(str(path)) as fh:
+            fh.write("old\n")
+    with pytest.raises(RuntimeError):
+        with recording():
+            with open_artifact(str(first)) as fh:
+                fh.write("new\n")
+            assert first.read_text(encoding="utf-8") == "old\n"  # not yet published
+            raise RuntimeError("the stage failed after its first file")
+    assert sorted(os.listdir(tmp_path)) == ["first.csv", "second.csv"]
+    assert first.read_text(encoding="utf-8") == "old\n"
+    with recording() as written:
+        for path in (first, second):
+            with open_artifact(str(path)) as fh:
+                fh.write("new\n")
+    assert sorted(written) == [str(first), str(second)]
+    assert sorted(os.listdir(tmp_path)) == ["first.csv", "second.csv"]
+    assert {p.read_text(encoding="utf-8") for p in (first, second)} == {"new\n"}

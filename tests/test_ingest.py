@@ -35,7 +35,7 @@ from hybridoa.ingest import (
 from hybridoa.model import Agreement, Journal
 
 from conftest import article_line, write_lines
-from oracles import encoded_classified_line, oracle_ingest_and_classify
+from oracles import dictreader_csv_rows, encoded_classified_line, oracle_ingest_and_classify
 
 ISSN_A = "0378-5955"
 ISSN_B = "0024-9319"  # valid: 0*8+0*7+2*6+4*5+9*4+3*3+1*2 = 79, 11-(79%11)=9
@@ -327,6 +327,78 @@ def test_row_that_is_not_utf8_is_a_schema_violation(tmp_path, name):
         loaded = loader(str(path), rejects)
     assert loaded == loader(str(clean), RejectLog(None))
     assert logged_rejects(tmp_path / "rej.csv") == [("schema_violation", logged)]
+
+
+# (loader, CSV bytes) of each tabular loader: quoted commas, empty fields,
+# a blank line, short rows, extra fields, and bytes that are not UTF-8 in an
+# extra field
+TABULAR_INPUTS = {
+    "links": (
+        load_issn_link_table,
+        b'issn,issn_l\n"0378-5955","0378-5955"\n"0024-9319, x",0378-5955\n0024-9319,\n\n'
+        b"0024-9319\n0024-9319,0378-5955,extra,\"x,y\"\n1234-5679,0378-5955,\xff\n",
+    ),
+    "dump": (
+        lambda path, rejects: load_agreement_dump(path, rejects=rejects),
+        b'agreement_id,issn,org_id,publisher\na1,0378-5955,ror:r1,"Pub, Inc."\n'
+        b"a2,0378-5955,ror:r1,\n,0378-5955,ror:r1,Pub\na3,0378-5955\n\n"
+        b"a4,0024-9319,ror:r2,Pub,extra\na5,0378-5955,ror:r3,Pub,\xff\n",
+    ),
+    "dump_reordered": (
+        lambda path, rejects: load_agreement_dump(path, rejects=rejects),
+        b'publisher,note,org_id,issn,agreement_id\n"Pub, Inc.",n,ror:r1,0378-5955,a1\n'
+        b"Pub,,ror:r2,0024-9319\nPub,n,ror:r3,0378-5955,a2,\xff\nPub\n",
+    ),
+    "durations": (
+        lambda path, rejects: load_durations(
+            path, {undated(f"a{k}") for k in range(1, 6)}, rejects
+        ),
+        b'agreement_id,start_date,end_date\n"a1",2019-01-01,2020-12-31\na2,,2020-01-01\n'
+        b"a3,2019-01-01\n\na1,2019-01-01,2020-12-31,extra\na4,2019-01-01,2020-12-31,\xff\n"
+        b'"a5, x",2019-01-01,2020-12-31\n',
+    ),
+    "aliases": (
+        load_publisher_aliases,
+        b'alias,canonical\n"Imprint, Ltd",Parent\nEmpty,\nShort\n\nA,B,extra\nC,D,\xff\n',
+    ),
+    "institutions": (
+        load_institutions,
+        b'org_id,country,associated_ids\nror:p1,DE,"ror:c1|ror:c2"\nror:p2,,\nror:p3\n\n'
+        b'ror:p4,FR,,extra\nror:p5,FR,,\xff\n"ror:p6, x",DE,\nror:p7,de,ror:p7\n',
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TABULAR_INPUTS))
+def test_tabular_loaders_equal_the_dictreader_oracle(tmp_path, monkeypatch, name):
+    """Each tabular loader reads its rows with `csv.reader`, not a dict per
+    row: what it loads and its reject log's bytes are those of the
+    `csv.DictReader` reading, on every kind of row, and so are the
+    MissingColumn errors of a header-only, an empty and a short header."""
+    loader, data = TABULAR_INPUTS[name]
+    inputs = {"rows": data, "header_only": data.split(b"\n", 1)[0] + b"\n"}
+    inputs.update(empty=b"", short_header=b"issn\n0378-5955\n")
+
+    def load_each(tag):
+        out = {}
+        for case, content in inputs.items():
+            path = tmp_path / case
+            path.write_bytes(content)
+            log = tmp_path / f"{tag}_{case}.csv"
+            try:
+                with RejectLog(str(log)) as rejects:
+                    loaded = loader(str(path), rejects)
+            except MissingColumn as exc:
+                out[case] = ("MissingColumn", str(exc))
+            else:
+                out[case] = (loaded, log.read_bytes())
+        return out
+
+    engine = load_each("engine")
+    assert engine["rows"][1].count(b"\n") > 2  # the rows hold rejects
+    assert engine["empty"][0] == engine["short_header"][0] == "MissingColumn"
+    monkeypatch.setattr(ingest, "_csv_rows", dictreader_csv_rows)
+    assert load_each("oracle") == engine
 
 
 # --- article stream ----------------------------------------------------------------

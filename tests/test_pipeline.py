@@ -170,6 +170,167 @@ def test_stage_refuses_inputs_their_producer_did_not_record(tmp_path):
     assert main(argv + ["--stages", "aggregate"]) == 0
 
 
+def read_bytes_of_this_process():
+    with open("/proc/self/io", encoding="ascii") as fh:
+        return int(next(line for line in fh if line.startswith("rchar:")).split()[1])
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/io"), reason="needs /proc/self/io")
+def test_each_stage_reads_its_inputs_once(tmp_path):
+    """At workers=1 a stage after ingest reads its declared inputs once and
+    its producers' manifests: they are hashed from the bytes the stage
+    consumes, not read again to be hashed."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)  # the imports and caches of every stage, warmed
+    layout = Layout(config.out_dir)
+    for stage in pipeline.artifacts.STAGES[1:]:
+        declared = pipeline.STAGE_INPUTS[stage](layout, config)
+        producers = {os.path.relpath(p, config.out_dir).split(os.sep)[0] for p in declared}
+        manifests = [layout.manifest(p) for p in producers & set(pipeline.artifacts.STAGES)]
+        bound = sum(map(os.path.getsize, declared + manifests)) + (64 << 10)
+        before = read_bytes_of_this_process()
+        pipeline.run(config, [stage])
+        read = read_bytes_of_this_process() - before
+        assert sum(map(os.path.getsize, declared)) <= read <= bound, stage
+
+
+class RewritingFile(artifacts.HashedFile):
+    """An input that `edit` rewrites right after the stage's first read of it."""
+
+    edit = None
+
+    def readinto(self, buffer):
+        n = super().readinto(buffer)
+        edit, RewritingFile.edit = RewritingFile.edit, None
+        if edit is not None:
+            edit(self.path)
+        return n
+
+
+def append_first_line(path):
+    with open(path, "rb") as fh:
+        first = fh.readline()
+    with open(path, "ab") as fh:
+        fh.write(first)
+
+
+def cut_last_line_in_half(path):
+    size = os.path.getsize(path)
+    with open(path, "rb") as fh:
+        last = fh.read().rstrip(b"\n").rsplit(b"\n", 1)[-1]
+    os.truncate(path, size - len(last) // 2)
+
+
+@pytest.mark.parametrize("edit", [append_first_line, cut_last_line_in_half])
+def test_an_input_rewritten_while_read_is_refused(tmp_path, monkeypatch, edit):
+    """An ingest or classified file that changes after its stage began
+    reading it raises DependencyError naming it, whether the stage then
+    completes (a line appended) or breaks on it (a line cut in half), and
+    the stage publishes nothing."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    before = files_under(config.out_dir)
+    monkeypatch.setattr(artifacts, "CHUNK_LINES", 20)  # classify's reads span chunks
+    reads = {
+        "classify": layout.articles("open"),
+        "reconcile": layout.classified("srcA"),
+        "attribute": layout.classified("open"),
+        "aggregate": layout.classified("srcB"),
+        "compare": layout.classified("open"),
+    }
+    for stage, target in reads.items():
+        def open_input(path, target=target):
+            if os.path.abspath(path) != os.path.abspath(target):
+                return artifacts.HashedFile(path, "r")
+            RewritingFile.edit = edit
+            return RewritingFile(path, "r")
+
+        monkeypatch.setattr(artifacts, "open_input", open_input)
+        with pytest.raises(DependencyError, match=re.escape(target)):
+            pipeline.run(config, [stage])
+        assert RewritingFile.edit is None, stage  # the edit was made
+        with open(target, "wb") as fh:
+            fh.write(before[os.path.relpath(target, config.out_dir)])
+        assert files_under(config.out_dir) == before, stage
+
+
+def test_a_failed_stage_publishes_none_of_its_outputs(tmp_path, monkeypatch):
+    """Attribute fails after writing its first file: neither file nor its
+    manifest changes, and no temp file is left."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)
+    before = files_under(config.out_dir)
+    write_attributions = artifacts.write_attributions
+    written = []
+
+    def second_fails(path, rows):
+        written.append(path)
+        if len(written) == 2:
+            raise RuntimeError("attribute failed")
+        return write_attributions(path, rows[:1])  # not the file that is there
+
+    monkeypatch.setattr(artifacts, "write_attributions", second_fails)
+    with pytest.raises(RuntimeError, match="attribute failed"):
+        pipeline.run(config, ["attribute"])
+    assert len(written) == 2
+    assert files_under(config.out_dir) == before
+
+
+def test_an_input_not_read_to_its_end_is_hashed_whole(tmp_path, monkeypatch):
+    """A declared input the stage stops reading early is hashed in full
+    from the file, and only such an input: the manifest is as before."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    before = files_under(config.out_dir)
+    read_ta_keys = artifacts.read_ta_keys
+
+    def first_line_only(path):
+        with artifacts.reading():  # this read is kept from the stage's record
+            keys = read_ta_keys(path)
+        with artifacts.open_input_text(path) as fh:
+            fh.readline()
+        return keys
+
+    hashed = []
+    sha256_file = artifacts.sha256_file
+
+    def counting(path):
+        hashed.append(path)
+        return sha256_file(path)
+
+    monkeypatch.setattr(artifacts, "read_ta_keys", first_line_only)
+    monkeypatch.setattr(artifacts, "sha256_file", counting)
+    pipeline.run(config, ["aggregate"])
+    assert sorted(hashed) == sorted(layout.attributions(role) for role in config.roles)
+    assert files_under(config.out_dir) == before
+
+
+def test_fold_stages_record_the_same_digests_at_every_worker_count(tmp_path, monkeypatch):
+    """At workers=2 the per-source folds read the classified files in
+    workers, and the digests come back with their results: no input of any
+    stage is hashed apart from its read, and every manifest, input digests
+    included, is as at workers=1."""
+    corpus, config = small_corpus(tmp_path)
+
+    def no_hash(path):
+        raise AssertionError(f"{path} was hashed apart from its read")
+
+    monkeypatch.setattr(artifacts, "sha256_file", no_hash)
+    manifests = []
+    for workers in (1, 2):
+        out_dir = str(tmp_path / f"w{workers}")
+        pipeline.run(replace(config, workers=workers, out_dir=out_dir))
+        manifests.append({stage: read_manifest(Layout(out_dir), stage) for stage in artifacts.STAGES})
+    assert manifests[0] == manifests[1]
+    layout = Layout(str(tmp_path / "w2"))
+    for stage in ("reconcile", "attribute", "aggregate"):
+        for entry in manifests[1][stage]["inputs"]:
+            with open(os.path.join(layout.out_dir, entry["path"]), "rb") as fh:
+                assert entry["sha256"] == hashlib.sha256(fh.read()).hexdigest(), entry["path"]
+
+
 def test_ingest_checks_each_distinct_text_once_per_stage(tmp_path, monkeypatch):
     """Ingest at workers=1 makes the same ISSN, date and org-ID checks when
     every article line and agreement-dump row comes twice: each distinct
