@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Callable, Container, Iterable, Mapping
 
 from .artifacts import ClassifiedRow
 from .attribute import role_author
@@ -231,6 +231,7 @@ def aggregate(
     articles: Iterable[ClassifiedRow],
     ta_keys: Mapping[str, Container[tuple[str, str]]],
     years: tuple[int, int],
+    has_corresponding_data: Callable[[], bool],
 ) -> SourceFold:
     """Fold one source's classified articles into indicators and coverage.
 
@@ -238,20 +239,21 @@ def aggregate(
     to an agreement for it. Each article is read once and feeds every
     (role, group kind) cell and the coverage tallies. Articles in
     non-hybrid or unknown journals, or outside the window, are out of
-    scope. COUNTRY cells count once per distinct country of the role
-    author, so one multi-country article adds a full count to several
-    countries. A role other than FIRST is skipped, with no rows, when no
-    record of the source carries corresponding-author data: no silent
-    substitution of the first author.
+    scope, so `articles` may leave those in non-hybrid journals out.
+    COUNTRY cells count once per distinct country of the role author, so
+    one multi-country article adds a full count to several countries.
+
+    A role other than FIRST is skipped, with no rows, when no record of
+    the source carries corresponding-author data: no silent substitution
+    of the first author. `has_corresponding_data()` says whether one does,
+    in or out of scope; it is called once `articles` is exhausted, so the
+    stream may answer it from the records it read and left out.
     """
     counts: dict[tuple[str, str, int, str], list[int]] = defaultdict(lambda: [0, 0, 0, 0])
     journals = {measure: set() for measure in _JOURNAL_MEASURES}
     totals = dict.fromkeys(_ARTICLE_MEASURES, 0)
-    has_corresponding_data = False
 
     for article in articles:
-        if not has_corresponding_data:
-            has_corresponding_data = article.has_corresponding_data()
         if not article.journal_is_hybrid or not in_window(article.year, years):
             continue
         authors = {role: role_author(article, role) for role in ROLES}
@@ -271,9 +273,8 @@ def aggregate(
                             if ta_enabled:
                                 cell[3] += 1
 
-    skipped = tuple(
-        role for role in ta_keys if role != ROLE_FIRST and not has_corresponding_data
-    )
+    flagged = has_corresponding_data()
+    skipped = tuple(role for role in ta_keys if role != ROLE_FIRST and not flagged)
     rows = [
         IndicatorRow(
             year=year,

@@ -423,8 +423,8 @@ def _authorship(obj: dict) -> Authorship:
 class IngestRow:
     """One ingest line, decoded, as classify reads it.
 
-    The line is the record's canonical dict, written by ingest as
-    `ingest.parse_article_line` built it, and is kept: the classified
+    The line is the record's canonical JSON, as
+    `ingest.parse_article_line` wrote it, and is kept: the classified
     line copies the record's text from it. What the classification rules
     read is an attribute, the publication date a `date`; licenses are
     built only when asked for.
@@ -457,11 +457,11 @@ class IngestRow:
         return tuple(map(_license, self._record["licenses"]))
 
 
-# A JSON string and a JSON boolean as `dump_canonical` writes them,
-# without the encoder's per-call set-up: classify writes one classified
-# line and one DOI index entry per record.
-_json_string = json.encoder.encode_basestring_ascii
-_JSON_BOOL = {False: "false", True: "true"}
+# A JSON string, and null, false or true, as `dump_canonical` writes them,
+# without the encoder's per-call set-up: ingest writes one line, and
+# classify one classified line and one DOI index entry, per record.
+json_string = json.encoder.encode_basestring_ascii
+JSON_LITERAL = {None: "null", False: "false", True: "true"}
 
 
 def classified_to_line(article: ClassifiedArticle) -> str:
@@ -485,13 +485,13 @@ def classified_to_line(article: ClassifiedArticle) -> str:
     pub_date = line.index(',"pub_date":', pagination)
     source = line.index(',"source":', pub_date)
     return (
-        f'{{"countable":{_JSON_BOOL[article.countable]}'
-        f',"in_regular_issue":{_JSON_BOOL[article.in_regular_issue]}'
-        f',"is_hybrid_oa":{_JSON_BOOL[article.is_hybrid_oa]}'
-        f',"is_original":{_JSON_BOOL[article.is_original]}'
-        f',"is_paratext":{_JSON_BOOL[article.is_paratext]}'
-        f',"journal_is_hybrid":{_JSON_BOOL[article.journal_is_hybrid]}'
-        f',"publisher":{_json_string(article.publisher)}'
+        f'{{"countable":{JSON_LITERAL[article.countable]}'
+        f',"in_regular_issue":{JSON_LITERAL[article.in_regular_issue]}'
+        f',"is_hybrid_oa":{JSON_LITERAL[article.is_hybrid_oa]}'
+        f',"is_original":{JSON_LITERAL[article.is_original]}'
+        f',"is_paratext":{JSON_LITERAL[article.is_paratext]}'
+        f',"journal_is_hybrid":{JSON_LITERAL[article.journal_is_hybrid]}'
+        f',"publisher":{json_string(article.publisher)}'
         f',"record":{{{line[authors + 1:document_class]}{line[doi:pagination]}'
         f'{line[pub_date:source]}}}'
         f',"year":{article.year}}}'
@@ -509,12 +509,27 @@ def is_attributable(line: str) -> bool:
     return line.startswith(_ATTRIBUTABLE_PREFIX)
 
 
+# Inside a JSON string every `"` is escaped, so a key's name between quotes
+# and its `:` occur only where that key is written. Only the classified
+# object has a journal_is_hybrid key, and only an author a corresponding key.
+
+def in_hybrid_journal(line: str) -> bool:
+    """Whether a classified line's journal is hybrid, told without decoding it."""
+    return ',"journal_is_hybrid":true,' in line
+
+
+def has_corresponding_data(line: str) -> bool:
+    """Whether any author of a classified line carries a corresponding
+    flag, true or false; told without decoding the line."""
+    return '"corresponding":true' in line or '"corresponding":false' in line
+
+
 class ClassifiedRow:
     """One decoded classified line, as the stages after classify read it.
 
     The flags, year, publisher and the record's keys are attributes; the
     publication date, licenses and authors are built only when asked for.
-    The first-author and has-corresponding-data rules are written here.
+    The first-author rule is written here.
     """
 
     __slots__ = (
@@ -557,10 +572,6 @@ class ClassifiedRow:
     def corresponding_authors(self) -> tuple[Authorship, ...]:
         return tuple(_authorship(a) for a in self._record["authors"] if a["corresponding"] is True)
 
-    def has_corresponding_data(self) -> bool:
-        """Whether any author carries a corresponding flag, true or false."""
-        return any(a["corresponding"] is not None for a in self._record["authors"])
-
 
 # Ingest and classified lines are each one canonical JSON object: decoded
 # without the whitespace checks of json.loads.
@@ -599,10 +610,10 @@ def doi_index_entries(
 
     Classified lines are ASCII, so a line's bytes are its characters.
     """
-    label = _json_string(source)
+    label = json_string(source)
     for line, doi in zip(lines, dois):
         if doi:
-            entries.append(f"[{_json_string(doi)},{label},{offset}]")
+            entries.append(f"[{json_string(doi)},{label},{offset}]")
         offset += len(line) + 1
     return offset
 
@@ -622,7 +633,7 @@ def doi_index_hits(path: str, doi: str) -> list[tuple[str, int]]:
     Bisects the index for its first line not below the DOI's prefix, then
     reads on while lines hold that prefix: O(log n) lines read, not n.
     """
-    prefix = f"[{_json_string(doi)},".encode("ascii")
+    prefix = f"[{json_string(doi)},".encode("ascii")
     fd = os.open(path, os.O_RDONLY)
     try:
         if os.fstat(fd).st_size == 0:

@@ -62,6 +62,12 @@ def load_paratext_patterns(path: str | None = None) -> tuple[re.Pattern, ...]:
 
     Each non-comment line is a regex fragment matched against the whole
     normalized title, with optional trailing issue/volume designations.
+    The fragments without groups are joined into one alternation, first
+    in the tuple, so a title is matched once for all of them. A fragment
+    with groups keeps a pattern of its own, since joined its groups would
+    be renumbered and its names merged; so does one with global inline
+    flags, which would apply to every fragment, and one that is no regex
+    on its own.
     """
     if path is None:
         text = (
@@ -70,13 +76,22 @@ def load_paratext_patterns(path: str | None = None) -> tuple[re.Pattern, ...]:
     else:
         with artifacts.open_input_text(path) as fh:
             text = fh.read()
-    patterns = []
+    joined, alone = [], []
     for line in text.splitlines():
         fragment = line.split("#", 1)[0].strip()
-        if not fragment:
-            continue
-        patterns.append(re.compile(rf"^(?:{fragment}){_SUFFIX}$", re.IGNORECASE))
-    return tuple(patterns)
+        if fragment:
+            (joined if _joinable(fragment) else alone).append(fragment)
+    if joined:
+        alone.insert(0, "|".join(f"(?:{fragment})" for fragment in joined))
+    return tuple(re.compile(rf"^(?:{f}){_SUFFIX}$", re.IGNORECASE) for f in alone)
+
+
+def _joinable(fragment: str) -> bool:
+    try:
+        pattern = re.compile(fragment)
+    except re.error:
+        return False
+    return pattern.groups == 0 and pattern.flags == re.UNICODE
 
 
 @dataclass(frozen=True)
@@ -125,18 +140,23 @@ def detect_paratext(title: str, patterns: tuple[re.Pattern, ...]) -> bool:
     return any(p.match(normalized) for p in patterns)
 
 
+# Numerical pagination: its first character that is not a separator is
+# an ASCII digit. A regular-issue article number is ASCII digits only.
+_NUMERICAL_PAGINATION = re.compile(r"[\s,;\-–]*[0-9]")
+_NUMERICAL_ARTICLE_NUMBER = re.compile(r"\s*[0-9]+\s*")
+
+
 def in_regular_issue(record: IngestRow) -> bool:
     """Numerical pagination, or an all-digit article number when unpaginated.
 
     Alphabetic page prefixes (S12, e103) signal supplements or special
     content; electronic article numbers count as numerical pagination.
+    Digits are ASCII: "②-5", "²" or "١٢٣" is not numerical.
     """
     if record.pagination:
-        first = re.split(r"[\s,;\-–]+", record.pagination.strip())
-        token = next((t for t in first if t), "")
-        return bool(token) and token[0].isdigit()
+        return _NUMERICAL_PAGINATION.match(record.pagination) is not None
     if record.article_number:
-        return record.article_number.strip().isdigit()
+        return _NUMERICAL_ARTICLE_NUMBER.fullmatch(record.article_number) is not None
     return False
 
 

@@ -67,7 +67,8 @@ def normalize_doi(raw: str | None) -> str | None:
     if not raw:
         return None
     doi = raw.strip()
-    stripped = True
+    # no resolver prefix starts with a digit: a bare DOI has none to strip
+    stripped = not doi.startswith("10.")
     while stripped:
         stripped = False
         low = doi.lower()

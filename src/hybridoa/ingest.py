@@ -6,16 +6,17 @@ offending row into a sidecar log and never abort the run. Reject logs
 carry line number, reason code, and the raw text so every dropped row is
 auditable.
 
-An article line is validated straight into the dict that its ingest
-artifact line holds (`parse_article_line`), and that dict is written as
-it is. A list field (licenses, authors, an author's org IDs or
-countries) that holds anything but a list is rejected like any other
-mistyped field, and so is a line that is not UTF-8. Article streams are
-read in chunks of non-blank lines (`artifacts.line_chunks`); the lines of
-a chunk can be parsed anywhere (`article_outcomes`), and an
-`ArticleLedger` takes the outcomes back in input order. Memory stays
-constant in file length: exact duplicate detection over (source,
-native_id) uses a disk-backed index.
+An article line is validated straight into the text of its ingest
+artifact line (`parse_article_line`): each field is written as canonical
+JSON as it is checked, with no record dict built and no JSON encoder run.
+A list field (licenses, authors, an author's org IDs or countries) that
+holds anything but a list is rejected like any other mistyped field, and
+so is a line that is not UTF-8. Article streams are read in chunks of
+non-blank lines (`artifacts.line_chunks`); the lines of a chunk can be
+parsed anywhere (`article_outcomes`), and an `ArticleLedger` takes the
+outcomes back in input order. Memory stays constant in file length:
+exact duplicate detection over (source, native_id) uses a disk-backed
+index.
 """
 
 from __future__ import annotations
@@ -531,16 +532,27 @@ def _list_field(obj: dict, name: str, code: str) -> list:
     return value
 
 
+# The ingest line's values, written as `artifacts.dump_canonical` writes them.
+_string = artifacts.json_string
+_JSON = artifacts.JSON_LITERAL
+
+
+def _optional(text: str | None) -> str:
+    """A JSON string, or null for None."""
+    return "null" if text is None else _string(text)
+
+
 def parse_article_line(
     text: str, source: str, links: dict[str, str] | TextChecks | None = None
-) -> dict:
-    """Parse one interchange line into the object the ingest artifact holds.
+) -> tuple[str, str]:
+    """Parse one interchange line into (native ID, the ingest artifact's line).
 
-    That object is the record's canonical form: the ISSN resolved to its
+    The line is the record's canonical form: the ISSN resolved to its
     ISSN-L, the DOI normalized, the earliest pinned publication date and
     each license start date as ISO text, authors in position order with
-    sorted, de-duplicated org IDs and country codes. Its keys, and those
-    of its licenses and authors, are built in sorted order.
+    sorted, de-duplicated org IDs and country codes. Each field is written
+    to text as it is checked, keys in sorted order, giving the bytes
+    `artifacts.dump_canonical` would make of the record's dict.
 
     `links` is the ISSN link table, or a `TextChecks` over it, which keeps
     its verdicts on ISSNs, dates and org IDs from one line to the next.
@@ -599,10 +611,10 @@ def parse_article_line(
         if not isinstance(applies_to_vor, bool):
             raise SchemaViolation("bad_license", f"applies_to_vor {applies_to_vor!r}")
         start = lic.get("start_date")
-        if start is not None and start != "":
-            start = checks.date(start).isoformat()
+        start = "null" if start is None or start == "" else f'"{checks.date(start).isoformat()}"'
         licenses.append(
-            {"applies_to_vor": applies_to_vor, "start_date": start or None, "url": lic["url"]}
+            f'{{"applies_to_vor":{_JSON[applies_to_vor]},"start_date":{start}'
+            f',"url":{_string(lic["url"])}}}'
         )
 
     authors = []
@@ -624,45 +636,42 @@ def parse_article_line(
             codes = {c.strip().upper() for c in countries if c.strip()}
         except AttributeError:  # an element that is not a string
             raise SchemaViolation("bad_author", f"countries {countries!r}") from None
-        authors.append(
-            {
-                "corresponding": corresponding,
-                "countries": sorted(codes),
-                "org_ids": sorted(set(org_ids)),
-                "position": position,
-            }
-        )
-    authors.sort(key=itemgetter("position"))
+        authors.append((
+            position,
+            f'{{"corresponding":{_JSON[corresponding]}'
+            f',"countries":[{",".join(map(_string, sorted(codes)))}]'
+            f',"org_ids":[{",".join(map(_string, sorted(set(org_ids))))}]'
+            f',"position":{position}}}',
+        ))
+    authors.sort(key=itemgetter(0))  # stable: authors sharing a position keep their order
 
-    return {
-        "article_number": str(article_number) if article_number else None,
-        "authors": authors,
-        "document_class": document_class,
-        "doi": normalize_doi(obj.get("doi")),
-        "issn": issn_l,
-        "licenses": licenses,
-        "native_id": native_id,
-        "pagination": obj.get("pagination") or None,
-        "pub_date": pub_date.isoformat(),
-        "source": source,
-        "title": obj.get("title") or "",
-    }
+    return native_id, (
+        f'{{"article_number":{_optional(str(article_number) if article_number else None)}'
+        f',"authors":[{",".join(author for _, author in authors)}]'
+        f',"document_class":{_string(document_class)}'
+        f',"doi":{_optional(normalize_doi(obj.get("doi")))}'
+        f',"issn":{_string(issn_l)}'
+        f',"licenses":[{",".join(licenses)}]'
+        f',"native_id":{_string(native_id)}'
+        f',"pagination":{_optional(obj.get("pagination") or None)}'
+        f',"pub_date":"{pub_date.isoformat()}"'
+        f',"source":{_string(source)}'
+        f',"title":{_string(obj.get("title") or "")}}}'
+    )
 
 
 def article_outcomes(
-    lines: Iterable[str], source: str, links: dict[str, str] | TextChecks | None, encode=None
+    lines: Iterable[str], source: str, links: dict[str, str] | TextChecks | None
 ) -> list:
-    """Each line parsed: (native_id, record), or (native_id, encode(record))
-    when `encode` is given; or the reject code of a line that fails."""
+    """Each line parsed: (native_id, ingest line), or the reject code of a
+    line that fails."""
     checks = _text_checks(links)
     out: list = []
     for line in lines:
         try:
-            record = parse_article_line(line, source, checks)
+            out.append(parse_article_line(line, source, checks))
         except SchemaViolation as exc:
             out.append(exc.code)
-            continue
-        out.append((record["native_id"], encode(record) if encode else record))
     return out
 
 
@@ -680,8 +689,8 @@ class ArticleLedger:
         self.manifest = manifest
         self._seen = DedupeIndex()
 
-    def admit(self, linenos: list[int], lines: list[str], outcomes: list) -> Iterator:
-        """What `article_outcomes` made of each passing record, in input order."""
+    def admit(self, linenos: list[int], lines: list[str], outcomes: list) -> Iterator[str]:
+        """The ingest line of each passing record, in input order."""
         for lineno, line, outcome in zip(linenos, lines, outcomes):
             if isinstance(outcome, str):
                 code = outcome
@@ -707,8 +716,8 @@ def load_article_stream(
     links: dict[str, str] | None = None,
     rejects: RejectLog | None = None,
 ) -> tuple[Iterator[dict], CorpusManifest]:
-    """Stream parsed records (see `parse_article_line`) from a
-    newline-delimited interchange file.
+    """Stream parsed records from a newline-delimited interchange file,
+    each the decoded object of its ingest line (see `parse_article_line`).
 
     Malformed lines and duplicate (source, native_id) keys are rejected
     and the stream continues. Memory stays constant in file length; the
@@ -721,6 +730,7 @@ def load_article_stream(
     def generate() -> Iterator[dict]:
         with ArticleLedger(rejects, manifest) as ledger:
             for linenos, lines in artifacts.line_chunks(path):
-                yield from ledger.admit(linenos, lines, article_outcomes(lines, source, checks))
+                outcomes = article_outcomes(lines, source, checks)
+                yield from map(json.loads, ledger.admit(linenos, lines, outcomes))
 
     return generate(), manifest

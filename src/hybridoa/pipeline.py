@@ -318,10 +318,8 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
         for label, linenos, lines, outcomes in _source_chunks(
             config, lambda s: s.articles, _ingest_chunk, checks
         ):
-            fh = files[label]
-            for text in ledgers[label].admit(linenos, lines, outcomes):
-                fh.write(text)
-                fh.write("\n")
+            admitted = ledgers[label].admit(linenos, lines, outcomes)
+            files[label].write("".join(f"{line}\n" for line in admitted))
 
     for source in config.sources:
         manifest = ledgers[source.label].manifest
@@ -333,9 +331,9 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
 
 
 def _ingest_chunk(item: tuple[str, list[str]]) -> list:
-    """Each line of one chunk as (native_id, ingest line text), or its reject code."""
+    """Each line of one chunk as (native_id, ingest line), or its reject code."""
     source, lines = item
-    return ingest.article_outcomes(lines, source, _WORKER_CTX, artifacts.dump_canonical)
+    return ingest.article_outcomes(lines, source, _WORKER_CTX)
 
 
 # --- classify ----------------------------------------------------------------
@@ -531,18 +529,31 @@ def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
 # --- aggregate ----------------------------------------------------------------
 
 def _aggregate_source(item: tuple[str, str]) -> analytics.SourceFold:
-    """One source's fold, read from its classified file."""
+    """One source's fold, read from its classified file. Only the lines in
+    hybrid journals are decoded; whether the source carries
+    corresponding-author data is told from the text of every line."""
     path, label = item
     ta_keys, years = _WORKER_CTX
-    return analytics.aggregate(label, artifacts.iter_classified(path, label), ta_keys, years)
+    flagged = False
+
+    def hybrid_rows() -> Iterator[artifacts.ClassifiedRow]:
+        nonlocal flagged
+        with artifacts.open_input_text(path) as fh:
+            for line in fh:
+                flagged = flagged or artifacts.has_corresponding_data(line)
+                if artifacts.in_hybrid_journal(line):
+                    yield artifacts.classified_from_line(line, label)
+
+    return analytics.aggregate(label, hybrid_rows(), ta_keys, years, lambda: flagged)
 
 
 def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Turn classified and attributed articles into indicator tables.
 
-    One per-source fold: each classified record is decoded once and feeds
-    every (role, group kind) indicator cell and the coverage tallies. The
-    folds come back in config order.
+    One per-source fold: each classified record in a hybrid journal is
+    decoded once and feeds every (role, group kind) indicator cell and the
+    coverage tallies; the others are not decoded. The folds come back in
+    config order.
     """
     ta_keys = {role: artifacts.read_ta_keys(layout.attributions(role)) for role in config.roles}
     folds = list(_source_folds(config, layout, _aggregate_source, (ta_keys, config.years)))

@@ -10,6 +10,7 @@ import json
 import math
 import os
 import random
+import re
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -26,6 +27,7 @@ from hybridoa.classify import (
     DEFAULT_JOURNAL_ARTICLE_CLASSES,
     DEFAULT_USER_LICENSE_PATTERN,
     DOC_MODE_ALLOWLIST,
+    _SUFFIX,
     classify_article,
     is_unknown_class,
 )
@@ -879,3 +881,41 @@ def dictreader_csv_rows(path, columns, rejects):
                 rejects.reject(reader.line_num, "schema_violation", ",".join(values))
                 continue
             yield reader.line_num, values
+
+
+# --- identifiers and titles, one rule at a time ------------------------------------
+
+ORACLE_DOI_PREFIXES = (
+    "https://doi.org/", "http://doi.org/", "https://dx.doi.org/", "http://dx.doi.org/",
+    "https://www.doi.org/", "doi.org/", "dx.doi.org/", "doi:", "info:doi/",
+)
+
+
+def oracle_normalize_doi(raw):
+    """A DOI with every resolver prefix stripped, each time one is found,
+    and lowercased; None unless it starts with "10." and has a suffix."""
+    if not raw:
+        return None
+    doi = raw.strip()
+    found = True
+    while found:
+        found = False
+        for prefix in ORACLE_DOI_PREFIXES:
+            if doi.lower().startswith(prefix):
+                doi = doi[len(prefix):].lstrip()
+                found = True
+                break
+    doi = doi.lower()
+    return doi if doi.startswith("10.") and len(doi) > 3 else None
+
+
+def oracle_paratext_patterns(text):
+    """Each fragment of a paratext pattern file as a pattern of its own."""
+    fragments = (line.split("#", 1)[0].strip() for line in text.splitlines())
+    return [re.compile(rf"^(?:{f}){_SUFFIX}$", re.IGNORECASE) for f in fragments if f]
+
+
+def oracle_detect_paratext(title, patterns):
+    """Whether any one fragment's pattern matches the whole normalized title."""
+    normalized = " ".join(title.split())
+    return bool(normalized) and any(p.match(normalized) for p in patterns)

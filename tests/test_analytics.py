@@ -18,6 +18,7 @@ from hybridoa.analytics import (
     spearman,
     upset_sets,
 )
+from hybridoa.artifacts import classified_from_line, has_corresponding_data
 from hybridoa.errors import InsufficientPairs
 from hybridoa.model import (
     Authorship,
@@ -39,6 +40,7 @@ from oracles import (
     oracle_journal_index,
     oracle_journal_volumes,
     oracle_upset,
+    written_line,
 )
 
 YEARS = (2019, 2023)
@@ -47,6 +49,16 @@ YEARS = (2019, 2023)
 def rows_of(corpora):
     """Source -> the classified rows of its articles."""
     return {source: [as_row(a) for a in articles] for source, articles in corpora.items()}
+
+
+def fold_of(source, articles, ta_keys):
+    """`aggregate` over the rows of the articles' classified lines, told
+    from the text of those lines whether any carries corresponding-author
+    data."""
+    lines = [written_line(a) for a in articles]
+    flagged = any(map(has_corresponding_data, lines))
+    rows = [classified_from_line(line, source) for line in lines]
+    return aggregate(source, rows, ta_keys, YEARS, lambda: flagged)
 
 
 def cls(
@@ -173,7 +185,7 @@ def indicator_rows(stream, kind, role=ROLE_FIRST, source="open"):
     """Rows of one group kind from (article, ta_enabled) pairs via the one-pass fold."""
     stream = list(stream)
     enabled = {(a.record.source, a.record.native_id) for a, ta in stream if ta}
-    fold = aggregate(source, [as_row(a) for a, _ in stream], {role: enabled}, YEARS)
+    fold = fold_of(source, [a for a, _ in stream], {role: enabled})
     return [r for r in fold.rows if r.group_kind == kind]
 
 
@@ -241,7 +253,7 @@ def test_coverage_summary_totals():
     corpora = {
         "open": [cls(native_id="W1", oa=True), cls(native_id="W2", countable=False)],
     }
-    folds = [aggregate(s, rows, {ROLE_FIRST: set()}, YEARS) for s, rows in rows_of(corpora).items()]
+    folds = [fold_of(s, articles, {ROLE_FIRST: set()}) for s, articles in corpora.items()]
     rows = dict(((s, m), v) for s, m, v in coverage_summary(folds))
     assert rows[("open", "articles_total")] == 2
     assert rows[("open", "articles_original")] == 1
@@ -322,9 +334,7 @@ def test_fold_equals_per_kind_oracle(seed):
         role: {k for k in keys if rng.random() < 0.5} for role in (ROLE_FIRST, ROLE_CORRESPONDING)
     }
 
-    folds = [
-        aggregate(source, articles, ta_keys, YEARS) for source, articles in rows_of(corpora).items()
-    ]
+    folds = [fold_of(source, articles, ta_keys) for source, articles in corpora.items()]
     rows = sorted(
         (r for fold in folds for r in fold.rows),
         key=lambda r: (r.role, r.group_kind, r.source, r.year, r.group_key),

@@ -1,5 +1,6 @@
 import json
 import os
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -8,6 +9,8 @@ from hypothesis import strategies as st
 
 from hybridoa.artifacts import (
     Layout,
+    has_corresponding_data,
+    in_hybrid_journal,
     ingest_from_line,
     is_attributable,
     open_artifact,
@@ -122,7 +125,7 @@ def test_row_equals_full_record_path(full):
     assert row.first_author() == oracle_first_author(record)
     for role in ROLES:
         assert role_author(row, role) == oracle_role_author(record, role)
-    assert row.has_corresponding_data() == oracle_has_corresponding_data(record)
+    assert has_corresponding_data(line) == oracle_has_corresponding_data(record)
     assert row.pub_date == record.pub_date
     assert row.licenses == record.licenses
     assert (row.source, row.native_id, row.doi, row.journal_issn_l) == (
@@ -134,7 +137,42 @@ def test_row_equals_full_record_path(full):
     )
     assert [getattr(row, f) for f in flags] == [getattr(full, f) for f in flags]
     assert is_attributable(line) == (full.countable and full.is_hybrid_oa)
+    assert in_hybrid_journal(line) == full.journal_is_hybrid
     assert "title" not in line and "pagination" not in line
+
+
+# Text that spells, once its quotes are escaped, the keys the text predicates look for.
+KEY_TEXTS = st.sampled_from([
+    '"corresponding":true', '"corresponding":false', ',"journal_is_hybrid":true,',
+    '\\"corresponding\\":true', "corresponding", "x",
+])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    authors_strategy, st.booleans(), KEY_TEXTS, KEY_TEXTS, KEY_TEXTS, KEY_TEXTS,
+    st.lists(KEY_TEXTS, max_size=2),
+)
+def test_text_predicates_equal_the_decoded_line(authors, hybrid, publisher, doi, org, url, extra):
+    """`in_hybrid_journal` and `has_corresponding_data` tell from the text
+    what the decoded line says, whatever the line's strings spell."""
+    full = article(
+        tuple(replace(a, org_ids=a.org_ids | {f"ror:{org}"}) for a in authors),
+        date(2021, 1, 1),
+        (LicenseStatement(url=f"https://{url}", applies_to_vor=True),),
+    )
+    full = replace(
+        full,
+        record=replace(full.record, doi=f"10.1/{doi}", native_id="".join(extra) or "A1"),
+        journal_is_hybrid=hybrid,
+        publisher=publisher,
+    )
+    line = written_line(full)
+    obj = json.loads(line)
+    assert in_hybrid_journal(line) == obj["journal_is_hybrid"]
+    assert has_corresponding_data(line) == any(
+        a["corresponding"] is not None for a in obj["record"]["authors"]
+    )
 
 
 @pytest.mark.parametrize(

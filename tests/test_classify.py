@@ -1,8 +1,12 @@
+import functools
+import os
+import tempfile
 from collections import Counter
 from datetime import date
+from importlib import resources
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridoa.classify import (
@@ -22,7 +26,7 @@ from hybridoa.classify import (
 from hybridoa.errors import NoDate
 from hybridoa.ingest import build_journals
 from hybridoa.model import Authorship, Journal, LicenseStatement
-from oracles import ArticleRecord
+from oracles import ArticleRecord, oracle_detect_paratext, oracle_paratext_patterns
 
 PATTERNS = load_paratext_patterns()
 
@@ -145,6 +149,66 @@ def test_paratext_pattern_file_override(tmp_path):
     assert not detect_paratext("Editorial Board", patterns)
 
 
+def test_packaged_fragments_without_groups_are_one_pattern():
+    (pattern,) = PATTERNS
+    assert pattern.groups == 0
+
+
+PACKAGED_TEXT = resources.files("hybridoa").joinpath("data/paratext_patterns.txt").read_text(
+    "utf-8"
+)
+# Fragments that must keep patterns of their own: groups (plain, with a
+# backreference, named), and one that is a regex only inside the wrapper.
+CONFIGURED_TEXT = (
+    "announcements?\nerrat(a|um)\n(\\w+) \\1\n(?P<w>[a-z]+)-(?P=w)  # named\n"
+    "cover\na)|(b\n"
+)
+TITLE_PIECES = [
+    "Editorial", "Board", "issue information", "cover", "Index", "announcement", "erratum",
+    "errata", "word", "Word", "x-x", "a", "b", "ab", ",", " ", "-", ":", "Vol.", "12", "iii",
+    "(", ")", "toc", "No. 3", "é",
+]
+
+
+@functools.cache
+def patterns_from_text(text):
+    """`load_paratext_patterns` of a file holding `text`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "patterns.txt")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        return load_paratext_patterns(path)
+
+
+titles = st.lists(st.sampled_from(TITLE_PIECES), max_size=6).map(" ".join) | st.lists(
+    st.sampled_from(TITLE_PIECES), max_size=6
+).map("".join)
+
+
+@settings(max_examples=500, deadline=None)
+@given(titles)
+@example("word word, Vol. 12")
+@example("x-x")
+@example("Errata (iii)")
+@example("a, 12")
+@example("b")
+@example("a word")
+def test_detect_paratext_equals_one_pattern_per_fragment(title):
+    """On the packaged file and on one with fragments that cannot be joined."""
+    for text in (PACKAGED_TEXT, CONFIGURED_TEXT):
+        patterns = patterns_from_text(text)
+        expected = oracle_detect_paratext(title, oracle_paratext_patterns(text))
+        assert detect_paratext(title, patterns) == expected, (text, title)
+
+
+def test_configured_fragments_with_groups_keep_patterns_of_their_own():
+    patterns = patterns_from_text(CONFIGURED_TEXT)
+    assert len(patterns) == 5  # announcements? and cover joined, four alone
+    assert detect_paratext("word word", patterns)
+    assert detect_paratext("Errata", patterns)
+    assert not detect_paratext("word other", patterns)
+
+
 # --- regular issues -----------------------------------------------------------------
 
 def test_numeric_pagination_is_regular():
@@ -165,6 +229,23 @@ def test_no_pagination_no_number_not_regular():
 
 def test_alphanumeric_article_number_not_regular():
     assert not in_regular_issue(record(pagination=None, article_number="e104832"))
+
+
+@pytest.mark.parametrize(
+    "pagination, article_number, regular",
+    [
+        # digits that are not ASCII are not numerical
+        *((text, None, False) for text in ("②-5", "²", "١٢٣", " ٣-9")),
+        *((None, text, False) for text in ("②-5", "²", "١٢٣", " ٣-9")),
+        # pagination: its first character that is not a separator is a digit
+        ("12", None, True), (" 12-19", None, True), ("-12", None, True), (";, 7", None, True),
+        ("– 3", None, True),
+        # an article number: digits only, once stripped
+        (None, " 104832 ", True), (None, "1 2", False), (None, " ", False),
+    ],
+)
+def test_regular_issue_digits_are_ascii(pagination, article_number, regular):
+    assert in_regular_issue(record(pagination=pagination, article_number=article_number)) == regular
 
 
 # --- original decision ---------------------------------------------------------------

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from hybridoa.errors import ChecksumFailure, MalformedIssn
@@ -11,6 +11,7 @@ from hybridoa.identifiers import (
     org_value,
     validate_issn,
 )
+from oracles import oracle_normalize_doi
 
 
 def oracle_check_digit(body):
@@ -115,6 +116,24 @@ def test_doi_idempotent(raw):
 def test_doi_accepts_plain_handles(handle):
     assert normalize_doi(handle) == handle
     assert normalize_doi(f"https://doi.org/{handle}") == handle
+
+
+DOI_PIECES = [
+    "10.", "10.1/", "10", ".", "/", "doi:", "DOI:", "https://doi.org/", "HTTPS://DOI.ORG/",
+    "dx.doi.org/", "info:doi/", "Doi.Org/", " ", "\t", "\n", "x", "ABC", "1", "é",
+]
+
+
+@given(st.lists(st.sampled_from(DOI_PIECES), max_size=6).map("".join))
+@example("  10.5555/ABC ")
+@example("10.5555/MiXeD.Case")
+@example("doi:https://doi.org/10.1/X")
+@example(" \tDOI: https://DX.DOI.ORG/ 10.1/x\n")
+@example("10.")
+@example(" 10.1/doi:x ")
+def test_normalize_doi_equals_the_prefix_loop_oracle(raw):
+    """The fast path for text that already starts with "10." changes no result."""
+    assert normalize_doi(raw) == oracle_normalize_doi(raw)
 
 
 def test_org_id_helpers():

@@ -42,6 +42,11 @@ ISSN_B = "0024-9319"  # valid: 0*8+0*7+2*6+4*5+9*4+3*3+1*2 = 79, 11-(79%11)=9
 ISSN_BAD = "0000-0001"
 
 
+def parsed(text, source, links=None):
+    """The object of the ingest line `parse_article_line` makes of `text`."""
+    return json.loads(parse_article_line(text, source, links)[1])
+
+
 def test_issn_b_is_valid_per_oracle():
     total = sum(int(d) * w for d, w in zip("0024931", (8, 7, 6, 5, 4, 3, 2)))
     assert (11 - total % 11) % 11 == 9
@@ -207,7 +212,7 @@ def test_link_table_short_row_logs_missing_field_as_empty(tmp_path):
 def test_unknown_issn_falls_back_to_itself(tmp_path):
     path = write_lines(tmp_path / "l.csv", ["issn,issn_l"])
     links = load_issn_link_table(path)
-    record = parse_article_line(article_line(issn=ISSN_A), "open", links)
+    record = parsed(article_line(issn=ISSN_A), "open", links)
     assert record["issn"] == ISSN_A
 
 
@@ -460,19 +465,19 @@ def test_stream_blank_lines_not_counted(tmp_path):
 
 
 def test_parse_multiple_dates_takes_minimum():
-    record = parse_article_line(
+    record = parsed(
         article_line(pub_date=["2022-01-02", "2021-12-30"]), "open"
     )
     assert record["pub_date"] == "2021-12-30"
 
 
 def test_parse_truncated_date_pinned():
-    record = parse_article_line(article_line(pub_date="2019"), "open")
+    record = parsed(article_line(pub_date="2019"), "open")
     assert record["pub_date"] == "2019-01-01"
 
 
 def test_parse_normalizes_doi_and_issn():
-    record = parse_article_line(
+    record = parsed(
         article_line(doi="https://doi.org/10.5555/UP", issn="03785955"), "open"
     )
     assert record["doi"] == "10.5555/up"
@@ -492,7 +497,7 @@ def test_parse_licenses():
              "start_date": "2021-03"},
         ]
     )
-    record = parse_article_line(line, "open")
+    record = parsed(line, "open")
     assert record["licenses"][0]["applies_to_vor"]
     assert record["licenses"][0]["start_date"] == "2021-03-01"
 
@@ -548,7 +553,7 @@ def test_date_that_is_not_a_string_is_a_bad_date_everywhere(value):
 def test_absent_null_or_empty_license_start_date_is_none():
     for start in ({}, {"start_date": None}, {"start_date": ""}):
         lic = {"url": CC_BY, **start}
-        record = parse_article_line(article_line(licenses=[lic]), "open")
+        record = parsed(article_line(licenses=[lic]), "open")
         assert record["licenses"][0]["start_date"] is None
 
 
@@ -664,7 +669,7 @@ def test_parse_rejects_mistyped_field(overrides, code):
 
 def test_parse_article_number_string_or_integer():
     for value in ("e1234", 1234):
-        record = parse_article_line(article_line(article_number=value), "open")
+        record = parsed(article_line(article_number=value), "open")
         assert record["article_number"] == str(value)
 
 
@@ -731,9 +736,28 @@ ORACLE_CFG = ClassifierConfig(
 )
 
 DATE_TEXTS = ("2021", "2021-03", "2021-03-04", " 2021-12-30 ", "2022-01-02", 2020)
+# Text that JSON must escape or that is not ASCII: quotes, backslashes,
+# control characters, a lone surrogate (a `\ud800` escape in the line), and
+# characters in and beyond the BMP.
+ESCAPED_PIECES = [
+    '"', "\\", "\x00", "\x1f", "\n", "\ud800", "\u2028", "é", "中", "\U0001F600", "x", " ",
+]
+escaped = st.lists(st.sampled_from(ESCAPED_PIECES), max_size=5).map("".join)
+
+
+def texts(*samples):
+    """One of `samples`, or text that must be escaped."""
+    return st.one_of(st.sampled_from(samples), escaped)
+
+
 valid_licenses = st.lists(
     st.fixed_dictionaries(
-        {"url": st.sampled_from([CC_BY, USER_LICENSE, "https://publisher.example/terms"])},
+        {
+            "url": st.one_of(
+                st.sampled_from([CC_BY, USER_LICENSE, "https://publisher.example/terms"]),
+                escaped.map(lambda t: CC_BY + t),
+            ),
+        },
         optional={
             "applies_to_vor": st.booleans(),
             "start_date": st.sampled_from([None, "", "2021-04", "2021-04-20", "2023-01-01"]),
@@ -748,10 +772,16 @@ valid_authors = st.lists(
             "corresponding": st.sampled_from([None, True, False]),
             "org_ids": st.one_of(
                 st.none(),
-                st.lists(st.sampled_from(["ror:r1", "ror:r2", "srcA:p1", "srcB:q1"]), max_size=4),
+                st.lists(
+                    st.one_of(
+                        st.sampled_from(["ror:r1", "ror:r2", "srcA:p1", "srcB:q1"]),
+                        escaped.map(lambda t: f"ror:{t}x"),
+                    ),
+                    max_size=4,
+                ),
             ),
             "countries": st.one_of(
-                st.none(), st.lists(st.sampled_from(["DE", "de", " nl ", "", "CH"]), max_size=3)
+                st.none(), st.lists(texts("DE", "de", " nl ", "", "CH"), max_size=3)
             ),
         },
     ),
@@ -760,26 +790,40 @@ valid_authors = st.lists(
 valid_objects = st.fixed_dictionaries(
     {
         "source": st.sampled_from(["open", "srcA", "srcB"]),
-        "native_id": st.sampled_from(["W1", "A-2"]),
+        "native_id": st.one_of(st.sampled_from(["W1", "A-2"]), escaped.map(lambda t: "W" + t)),
         "issn": st.sampled_from([ISSN_A, "03785955", ISSN_B, ISSN_C, ISSN_D]),
         "pub_date": st.one_of(
             st.sampled_from(DATE_TEXTS), st.lists(st.sampled_from(DATE_TEXTS), min_size=1)
         ),
-        "document_class": st.sampled_from(
-            ["journal-article", "Article", "review", "editorial", "Data Paper", "posted-content"]
+        "document_class": st.one_of(
+            st.sampled_from(
+                ["journal-article", "Article", "review", "editorial", "Data Paper", "posted-content"]
+            ),
+            escaped.map(lambda t: "Article" + t),
         ),
     },
     optional={
-        "doi": st.sampled_from([None, "10.5555/x1", " https://doi.org/10.5555/UP ", "doi:10.1/a"]),
-        "title": st.sampled_from(
-            [None, "", "A study", "Editorial Board", "Issue Information, Vol. 3"]
+        "doi": st.one_of(
+            st.sampled_from([None, "10.5555/x1", " https://doi.org/10.5555/UP ", "doi:10.1/a"]),
+            escaped.map(lambda t: "10.5555/" + t),
+            escaped,
         ),
-        "pagination": st.sampled_from([None, "", "10-19", " 12 ", "S1-S9", "e12"]),
-        "article_number": st.sampled_from([None, "", 0, 1234, "e1234", "12"]),
+        "title": texts(None, "", "A study", "Editorial Board", "Issue Information, Vol. 3"),
+        "pagination": texts(None, "", "10-19", " 12 ", "S1-S9", "e12"),
+        "article_number": texts(None, "", 0, 1234, "e1234", "12"),
         "licenses": st.one_of(st.none(), valid_licenses),
         "authors": st.one_of(st.none(), valid_authors),
     },
 )
+
+
+def interchange_text(obj, ensure_ascii):
+    """`obj` as an interchange line, its non-ASCII text written raw unless
+    `ensure_ascii`; a lone surrogate, which UTF-8 cannot carry, always as a
+    `\\u` escape."""
+    text = json.dumps(obj, ensure_ascii=ensure_ascii)
+    return json.dumps(obj) if "\ud800" in text else text
+
 
 # (field, value): one field of the line, or of its first license or author, set
 # to a value of the wrong shape or type
@@ -820,10 +864,13 @@ def mistype(obj, field_value):
     return obj
 
 
-interchange_lines = st.one_of(
-    valid_objects,
-    st.builds(mistype, valid_objects, st.sampled_from(MISTYPINGS)),
-).map(lambda obj: (obj["source"] if obj["source"] != "other" else "open", json.dumps(obj)))
+interchange_lines = st.builds(
+    lambda obj, ensure_ascii: (
+        obj["source"] if obj["source"] != "other" else "open", interchange_text(obj, ensure_ascii)
+    ),
+    st.one_of(valid_objects, st.builds(mistype, valid_objects, st.sampled_from(MISTYPINGS))),
+    st.booleans(),
+)
 
 
 @settings(max_examples=500, deadline=None)
@@ -844,10 +891,18 @@ interchange_lines = st.one_of(
 @example(("open", article_line(licenses=[{"url": CC_BY, "applies_to_vor": True}])))
 @example(("open", "{not json"))
 @example(("open", "[1, 2]"))
+@example(("srcA", article_line(source="srcA", authors=[
+    {"position": 2, "corresponding": True, "countries": ["NL"]}, {"position": 1},
+    {"position": 2, "org_ids": ["srcA:p2"]}, {"position": 1, "corresponding": False}])))
+@example(("open", article_line(pagination=None, article_number=0)))
+@example(("open", article_line(
+    title='"\\\x00\x1f\ud800é中\U0001F600', doi='10.1/"\\é', native_id="W\ud800",
+    authors=[{"position": 1, "org_ids": ['ror:"é'], "countries": ["é\\"]}])))
 def test_ingest_and_classify_equal_the_record_tree_oracle(case):
-    """Ingest's dict and classify's row give the bytes of the path through
-    record trees: the same reject code, else the same ingest line, the same
-    classified line and the same unknown-class verdict."""
+    """Ingest's line and classify's row give the bytes of the path through
+    record trees: the same reject code, else the same ingest line (the
+    canonical encoding of the oracle's record dict), the same classified
+    line and the same unknown-class verdict."""
     source, text = case
     try:
         expected = oracle_ingest_and_classify(
@@ -858,7 +913,7 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
             parse_article_line(text, source, ORACLE_LINKS)
         assert excinfo.value.code == exc.code
         return
-    ingest_line = dump_canonical(parse_article_line(text, source, ORACLE_LINKS))
+    _, ingest_line = parse_article_line(text, source, ORACLE_LINKS)
     chunk = (source, [ingest_line + "\n"])
     ((classified,), (doi,), unknown), = pipeline._map_chunks(
         pipeline._classify_chunk, [chunk], (ORACLE_CFG, ORACLE_JOURNALS), 1
@@ -910,7 +965,7 @@ def test_classified_line_equals_the_encoded_classified_dict(case):
     """The classified line, cut from the ingest line, has the bytes of the
     whole classified dict encoded with `dump_canonical`."""
     source, text, publisher = case
-    ingest_line = dump_canonical(parse_article_line(text, source, ORACLE_LINKS))
+    _, ingest_line = parse_article_line(text, source, ORACLE_LINKS)
     row = ingest_from_line(ingest_line + "\n", source)
     for hybrid in (True, False):
         journal = Journal(issn_l=row.journal_issn_l, publisher=publisher, is_hybrid=hybrid)

@@ -3,12 +3,14 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shutil
 import subprocess
 import sys
 from collections import Counter
 from dataclasses import replace
+from datetime import date
 
 import pytest
 
@@ -17,6 +19,8 @@ from hybridoa.artifacts import Layout, read_manifest
 from hybridoa.classify import KNOWN_NOT_ORIGINAL
 from hybridoa.config import apply_overrides, load_config
 from hybridoa.errors import ConfigError, DependencyError, UnknownDoi
+from hybridoa.model import Authorship, ClassifiedArticle
+from oracles import ArticleRecord, oracle_coverage_summary, oracle_indicators, written_line
 
 
 def tree_digest(root):
@@ -1098,19 +1102,21 @@ def test_country_full_counting_at_least_global(pipeline_run):
 
 
 def test_attribute_and_aggregate_decode_each_record_once(tmp_path, monkeypatch):
-    """Reconcile, aggregate and compare decode each classified line once;
-    attribute decodes only the countable hybrid OA lines."""
+    """Reconcile and compare decode each classified line once; attribute
+    decodes only the countable hybrid OA lines, and aggregate only the
+    lines in hybrid journals."""
     corpus, config = small_corpus(tmp_path)
     pipeline.run(config, ["ingest", "classify"])
     layout = Layout(config.out_dir)
-    records = attributable = 0
+    records = attributable = hybrid = 0
     for source in config.sources:
         with open(layout.classified(source.label), encoding="utf-8") as fh:
             for line in fh:
                 obj = json.loads(line)
                 records += 1
                 attributable += obj["countable"] and obj["is_hybrid_oa"]
-    assert 0 < attributable < records
+                hybrid += obj["journal_is_hybrid"]
+    assert 0 < attributable < hybrid < records
 
     decode = pipeline.artifacts.classified_from_line
     calls = []
@@ -1121,12 +1127,84 @@ def test_attribute_and_aggregate_decode_each_record_once(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline.artifacts, "classified_from_line", counting)
     expected = {
-        "reconcile": records, "attribute": attributable, "aggregate": records, "compare": records,
+        "reconcile": records, "attribute": attributable, "aggregate": hybrid, "compare": records,
     }
     for stage, decodes in expected.items():
         calls.clear()
         pipeline.run(config, [stage])
         assert len(calls) == decodes, stage
+
+
+def aggregate_corpus(rng, source, flags):
+    """A source's classified articles, in and out of hybrid journals and of
+    the window. `flags` says where corresponding flags sit: "none" on no
+    author, "non_hybrid" only on one author of a non-hybrid-journal
+    article, "any" on authors anywhere."""
+    articles = []
+    for i in range(60):
+        hybrid = i % 4 != 0
+        countable = hybrid and rng.random() < 0.8
+        year = rng.randint(2017, 2025)
+        authors = tuple(
+            Authorship(
+                position=position,
+                is_corresponding=rng.choice([None, True, False]) if flags == "any" else None,
+                org_ids=frozenset(rng.sample(["ror:r1", "srcA:p1"], rng.randint(0, 2))),
+                countries=frozenset(rng.sample(["DE", "CH", "NL"], rng.randint(0, 2))),
+            )
+            for position in range(1, rng.randint(1, 3) + 1)
+        )
+        if flags == "non_hybrid" and i == 8:
+            authors = (replace(authors[0], is_corresponding=False),) + authors[1:]
+        record = ArticleRecord(
+            source=source, native_id=f"{source}{i}", journal_issn_l=rng.choice(["j1", "j2"]),
+            pub_date=date(year, 3, 1), document_class="Article",
+            doi=f"10.1/{source}{i}" if rng.random() < 0.8 else None, authors=authors,
+        )
+        articles.append(ClassifiedArticle(
+            record=record, year=year, is_original=countable, is_paratext=False,
+            in_regular_issue=countable, is_hybrid_oa=countable and rng.random() < 0.5,
+            countable=countable, journal_is_hybrid=hybrid, publisher=rng.choice(["P1", "P2"]),
+        ))
+    return articles
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_aggregate_equals_the_full_decode_oracle(tmp_path, seed):
+    """Aggregate decodes only hybrid-journal lines, yet writes the bytes of
+    a fold over every record: for a source with no corresponding flag, one
+    whose only flag sits on a non-hybrid-journal line, and one with flags
+    anywhere."""
+    rng = random.Random(seed)
+    corpus, config = small_corpus(tmp_path)
+    layout = Layout(str(tmp_path / "out"))
+    config = replace(config, out_dir=layout.out_dir)
+    corpora = {
+        label: aggregate_corpus(rng, label, flags)
+        for label, flags in zip(("open", "srcA", "srcB"), ("none", "non_hybrid", "any"))
+    }
+    assert [s.label for s in config.sources] == list(corpora)
+    keys = [(a.record.source, a.record.native_id) for arts in corpora.values() for a in arts]
+    ta_keys = {role: {k for k in keys if rng.random() < 0.5} for role in config.roles}
+    for label, articles in corpora.items():
+        with artifacts.open_artifact(layout.classified(label)) as fh:
+            fh.writelines(f"{written_line(a)}\n" for a in articles)
+    for role, enabled in ta_keys.items():
+        rows = [(*key, "", 2021, role, "true", "ag", "ror:r1") for key in sorted(enabled)]
+        artifacts.write_csv(layout.attributions(role), artifacts.ATTRIBUTION_HEADER, rows)
+
+    _, counters = pipeline.run_aggregate(config, layout, [])
+
+    rows, skipped = oracle_indicators(corpora, ta_keys, config.years)
+    assert {k for k in counters if k.startswith("skipped_")} == {
+        f"skipped_{source}_{role}" for source, role in skipped
+    } == {"skipped_open_corresponding"}
+    expected = Layout(str(tmp_path / "expected"))
+    artifacts.write_indicators(expected.indicators, rows)
+    artifacts.write_table(expected.coverage, oracle_coverage_summary(corpora, config.years))
+    for path in ("indicators", "coverage"):
+        with open(getattr(layout, path), "rb") as got, open(getattr(expected, path), "rb") as want:
+            assert got.read() == want.read(), path
 
 
 # --- explain ---------------------------------------------------------------------
