@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from typing import Callable, Container, Iterable, Mapping
 
-from .artifacts import ClassifiedRow
+from .artifacts import ClassifiedRow, HeadRow
 from .attribute import role_author
 from .errors import InsufficientPairs
 from .model import (
@@ -58,10 +58,11 @@ class JournalIndex:
 
 
 def journal_index(
-    corpora: Mapping[str, Iterable[ClassifiedRow]],
+    corpora: Mapping[str, Iterable[HeadRow]],
     years: tuple[int, int],
 ) -> JournalIndex:
-    """Build the journal index in one pass over each source's articles."""
+    """Build the journal index in one pass over each source's articles,
+    read as `artifacts.head_row` reads them."""
     membership: dict[str, set[str]] = defaultdict(set)
     doi_sets: dict[tuple[str, str], set[str]] = defaultdict(set)
     publishers: dict[str, str] = {}

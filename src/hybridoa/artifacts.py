@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import io
+import itertools
 import json
 import mmap
 import os
@@ -19,7 +20,7 @@ import re
 from contextlib import contextmanager
 from contextvars import ContextVar
 from datetime import date
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
 
 from .errors import DependencyError
 from .identifiers import ROR_SCHEME, make_org_id, org_value
@@ -427,7 +428,8 @@ class IngestRow:
     `ingest.parse_article_line` wrote it, and is kept: the classified
     line copies the record's text from it. What the classification rules
     read is an attribute, the publication date a `date`; licenses are
-    built only when asked for.
+    built only when asked for. No rule reads the authors, so their run of
+    the line is cut out before it is decoded.
     """
 
     __slots__ = (
@@ -436,7 +438,10 @@ class IngestRow:
     )
 
     def __init__(self, line: str, source: str):
-        obj = _decode_object(line)[0]
+        # canonical key order puts authors between article_number and
+        # document_class, and `,"` and a key's name start only that key
+        authors = line.index(',"authors":')
+        obj = _decode_object(line[:authors] + line[line.index(',"document_class":', authors):])[0]
         self.source = source
         self.native_id = obj["native_id"]
         self.journal_issn_l = obj["issn"]
@@ -524,12 +529,93 @@ def has_corresponding_data(line: str) -> bool:
     return '"corresponding":true' in line or '"corresponding":false' in line
 
 
+def _first_author(first: dict | None) -> dict | None:
+    """The first author of a record, given the first object of its
+    authors: that object when its position is 1, else None. Ingest sorts
+    authors by position, and a position is at least 1, so no later
+    author can be at position 1 when the first one is not."""
+    return first if first is not None and first["position"] == 1 else None
+
+
+# Readers of the few fields a stage reads of a classified line, read from
+# its text: the record's keys come in canonical order (authors, doi, issn,
+# licenses, native_id, pub_date), and `,"` followed by a key's name and `":`
+# starts only that key, since no author or license has a doi or issn key.
+# A string is decoded by `JSONDecoder`'s own routine, so its escapes read
+# as `classified_from_line` reads them.
+_scan_string = json.decoder.scanstring
+_RECORD_AUTHORS = ',"record":{"authors":['
+_DOI = ',"doi":'
+_ISSN = ',"issn":"'
+_YEAR = ',"year":'
+
+
+def _doi_at(line: str, start: int) -> tuple[str | None, int]:
+    """The record's DOI, searched for from `start`, and the index after it."""
+    at = line.index(_DOI, start) + len(_DOI)
+    if line.startswith("null", at):
+        return None, at + 4
+    return _scan_string(line, at + 1)
+
+
+def bridge_row(line: str) -> tuple[str | None, list[str]]:
+    """(DOI, first-author org IDs) of a classified line, as reconcile reads
+    it: only the first object of the authors is decoded, and no
+    `ClassifiedRow` is built. No first author gives no org IDs."""
+    at = line.index(_RECORD_AUTHORS) + len(_RECORD_AUTHORS)
+    first = None
+    if line[at] != "]":
+        first, at = _decode_object(line, at)
+    author = _first_author(first)
+    return _doi_at(line, at)[0], author["org_ids"] if author is not None else []
+
+
+class HeadRow(NamedTuple):
+    """The head of a classified line, as compare reads it: the flags,
+    publisher, DOI, ISSN-L and year, named as `ClassifiedRow` names them."""
+
+    countable: bool
+    in_regular_issue: bool
+    is_hybrid_oa: bool
+    is_original: bool
+    is_paratext: bool
+    journal_is_hybrid: bool
+    publisher: str
+    doi: str | None
+    journal_issn_l: str
+    year: int
+
+
+# Canonical key order puts the six flags first, then the publisher, and
+# the record's issn right after its doi. The text up to the publisher's
+# value is one of 64, each mapped to its flags.
+_PUBLISHER = ',"publisher":"'
+_HEADS = {
+    "{"
+    + ",".join(f'"{key}":{JSON_LITERAL[flag]}' for key, flag in zip(HeadRow._fields, flags))
+    + _PUBLISHER: flags
+    for flags in itertools.product((False, True), repeat=6)
+}
+
+
+def head_row(line: str) -> HeadRow:
+    """A classified line's `HeadRow`, read from its text: no authors and
+    no licenses are built."""
+    at = line.index(_PUBLISHER) + len(_PUBLISHER)
+    flags = _HEADS[line[:at]]
+    publisher, end = _scan_string(line, at)
+    doi, end = _doi_at(line, end)
+    issn_l = _scan_string(line, end + len(_ISSN))[0]
+    year = line.rindex(_YEAR) + len(_YEAR)
+    return HeadRow(*flags, publisher, doi, issn_l, int(line[year:line.index("}", year)]))
+
+
 class ClassifiedRow:
     """One decoded classified line, as the stages after classify read it.
 
     The flags, year, publisher and the record's keys are attributes; the
     publication date, licenses and authors are built only when asked for.
-    The first-author rule is written here.
+    The first-author rule is `_first_author`.
     """
 
     __slots__ = (
@@ -563,11 +649,10 @@ class ClassifiedRow:
         return tuple(map(_license, self._record["licenses"]))
 
     def first_author(self) -> Authorship | None:
-        """The author at position 1, wherever it sits in the list."""
-        for author in self._record["authors"]:
-            if author["position"] == 1:
-                return _authorship(author)
-        return None
+        """The first author (`_first_author`), or None."""
+        authors = self._record["authors"]
+        author = _first_author(authors[0] if authors else None)
+        return _authorship(author) if author is not None else None
 
     def corresponding_authors(self) -> tuple[Authorship, ...]:
         return tuple(_authorship(a) for a in self._record["authors"] if a["corresponding"] is True)
@@ -584,13 +669,6 @@ def ingest_from_line(line: str, source: str) -> IngestRow:
 
 def classified_from_line(line: str, source: str) -> ClassifiedRow:
     return ClassifiedRow(_decode_object(line)[0], source)
-
-
-def iter_classified(path: str, source: str) -> Iterator[ClassifiedRow]:
-    with open_input_text(path) as fh:
-        for line in fh:
-            if line.strip():
-                yield classified_from_line(line, source)
 
 
 # --- DOI index ----------------------------------------------------------------

@@ -60,8 +60,11 @@ _SUFFIX = rf"(?:[\s\-–—:,.;()]+{_SUFFIX_TOKEN})*[\s\-–—:,.;()]*"
 def load_paratext_patterns(path: str | None = None) -> tuple[re.Pattern, ...]:
     """Compile the paratext pattern file (default: the packaged one).
 
-    Each non-comment line is a regex fragment matched against the whole
-    normalized title, with optional trailing issue/volume designations.
+    Each line is a regex fragment matched against the whole normalized
+    title, with optional trailing issue/volume designations. A blank line
+    is skipped, and so is a comment: a line whose first non-blank
+    character is `#`, as in `.gitignore`. A `#` later in a line is part of
+    its fragment; a fragment that starts with one is written `\\#`.
     The fragments without groups are joined into one alternation, first
     in the tuple, so a title is matched once for all of them. A fragment
     with groups keeps a pattern of its own, since joined its groups would
@@ -78,8 +81,8 @@ def load_paratext_patterns(path: str | None = None) -> tuple[re.Pattern, ...]:
             text = fh.read()
     joined, alone = [], []
     for line in text.splitlines():
-        fragment = line.split("#", 1)[0].strip()
-        if fragment:
+        fragment = line.strip()
+        if fragment and not fragment.startswith("#"):
             (joined if _joinable(fragment) else alone).append(fragment)
     if joined:
         alone.insert(0, "|".join(f"(?:{fragment})" for fragment in joined))

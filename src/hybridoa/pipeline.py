@@ -431,10 +431,12 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
 # --- reconcile ----------------------------------------------------------------
 
 def _project_source(item: tuple[str, str]) -> reconcile.Projection:
-    """One source's first-author projection, read from its classified file;
-    the pool context is the open source's label."""
+    """One source's first-author projection, read from the text of its
+    classified file (`artifacts.bridge_row`); the pool context is the open
+    source's label."""
     path, label = item
-    return reconcile.first_author_ids(artifacts.iter_classified(path, label), label == _WORKER_CTX)
+    with artifacts.open_input_text(path) as fh:
+        return reconcile.first_author_ids(map(artifacts.bridge_row, fh), label == _WORKER_CTX)
 
 
 def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
@@ -570,16 +572,20 @@ def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
 
 # --- compare ------------------------------------------------------------------
 
+def _head_rows(path: str) -> Iterator[artifacts.HeadRow]:
+    """The `artifacts.head_row` of each line of a classified file."""
+    with artifacts.open_input_text(path) as fh:
+        yield from map(artifacts.head_row, fh)
+
+
 def run_compare(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Coverage intersections, per-figure plot series, and rank correlations.
 
-    Each classified file is read once, as a stream, into the journal index.
+    Each classified file is read once, as a stream of `artifacts.head_row`
+    rows, into the journal index.
     """
     open_label = config.open_source
-    corpora = {
-        s.label: artifacts.iter_classified(layout.classified(s.label), s.label)
-        for s in config.sources
-    }
+    corpora = {s.label: _head_rows(layout.classified(s.label)) for s in config.sources}
     index = analytics.journal_index(corpora, config.years)
     overlaps = analytics.journal_overlaps(index.universe, index.doi_sets, open_label)
     sets = analytics.upset_sets(index.universe, overlaps)

@@ -17,7 +17,6 @@ from collections import Counter
 from typing import Iterable, Mapping
 
 from .errors import SampleTooLarge
-from .artifacts import ClassifiedRow
 from .identifiers import ROR_SCHEME, org_scheme
 from .model import CrosswalkEntry, majority_label
 
@@ -27,25 +26,26 @@ Projection = dict[str, tuple[str, ...]]
 Pair = tuple[str, str]
 
 
-def first_author_ids(corpus: Iterable[ClassifiedRow], open_side: bool) -> Projection:
+def first_author_ids(
+    corpus: Iterable[tuple[str | None, Iterable[str]]], open_side: bool
+) -> Projection:
     """DOI -> sorted first-author org IDs of one side, for unambiguous DOIs.
 
-    Records without a DOI are skipped; DOIs that repeat within the corpus
-    are logged and dropped. A DOI whose first author is missing or has no
-    IDs of the side maps to an empty tuple: it bridges but adds no pair.
+    `corpus` holds each record's (DOI, first-author org IDs), as
+    `artifacts.bridge_row` reads them. Records without a DOI are skipped;
+    DOIs that repeat within the corpus are logged and dropped. A DOI whose
+    first author is missing or has no IDs of the side maps to an empty
+    tuple: it bridges but adds no pair.
     """
     projection: Projection = {}
     ambiguous: set[str] = set()
-    for row in corpus:
-        doi = row.doi
+    for doi, org_ids in corpus:
         if doi is None or doi in ambiguous:
             continue
         if doi in projection:
             ambiguous.add(doi)
             del projection[doi]
             continue
-        first = row.first_author()
-        org_ids = first.org_ids if first is not None else ()
         projection[doi] = tuple(
             sorted(o for o in org_ids if (org_scheme(o) == ROR_SCHEME) == open_side)
         )

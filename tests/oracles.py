@@ -60,7 +60,9 @@ class ArticleRecord:
     """One article as reported by one source, as a tree of values.
 
     `pub_date` is the earliest known publication date; when the input
-    carries several dates the minimum (after pinning) is kept.
+    carries several dates the minimum (after pinning) is kept. Authors are
+    kept in position order, as ingest writes them: authors sharing a
+    position keep the order they were given in.
     """
 
     source: str
@@ -74,6 +76,11 @@ class ArticleRecord:
     title: str = ""
     licenses: tuple[LicenseStatement, ...] = ()
     authors: tuple[Authorship, ...] = ()
+
+    def __post_init__(self):
+        object.__setattr__(
+            self, "authors", tuple(sorted(self.authors, key=lambda a: a.position))
+        )
 
 
 def _oracle_list(value, code, what):
@@ -337,20 +344,24 @@ def as_row(article):
     return classified_from_line(written_line(article), article.record.source)
 
 
-def record_row(record):
-    """A bare record as a row; every flag false, year from the publication date."""
-    return as_row(
-        ClassifiedArticle(
-            record=record,
-            year=record.pub_date.year,
-            is_original=False,
-            is_paratext=False,
-            in_regular_issue=False,
-            is_hybrid_oa=False,
-            countable=False,
-            journal_is_hybrid=False,
-        )
+def bare_article(record):
+    """A bare record as a classified article; every flag false, year from
+    the publication date."""
+    return ClassifiedArticle(
+        record=record,
+        year=record.pub_date.year,
+        is_original=False,
+        is_paratext=False,
+        in_regular_issue=False,
+        is_hybrid_oa=False,
+        countable=False,
+        journal_is_hybrid=False,
     )
+
+
+def record_row(record):
+    """A bare record as a row (`bare_article`)."""
+    return as_row(bare_article(record))
 
 
 def oracle_match(article, role, agreements, inverse, index):
@@ -910,9 +921,14 @@ def oracle_normalize_doi(raw):
 
 
 def oracle_paratext_patterns(text):
-    """Each fragment of a paratext pattern file as a pattern of its own."""
-    fragments = (line.split("#", 1)[0].strip() for line in text.splitlines())
-    return [re.compile(rf"^(?:{f}){_SUFFIX}$", re.IGNORECASE) for f in fragments if f]
+    """Each fragment of a paratext pattern file as a pattern of its own; a
+    line whose first non-blank character is `#` is a comment."""
+    fragments = (line.strip() for line in text.splitlines())
+    return [
+        re.compile(rf"^(?:{f}){_SUFFIX}$", re.IGNORECASE)
+        for f in fragments
+        if f and not f.startswith("#")
+    ]
 
 
 def oracle_detect_paratext(title, patterns):

@@ -18,7 +18,7 @@ from hybridoa.analytics import (
     spearman,
     upset_sets,
 )
-from hybridoa.artifacts import classified_from_line, has_corresponding_data
+from hybridoa.artifacts import classified_from_line, has_corresponding_data, head_row
 from hybridoa.errors import InsufficientPairs
 from hybridoa.model import (
     Authorship,
@@ -33,7 +33,6 @@ from hybridoa.model import (
 
 from oracles import (
     ArticleRecord,
-    as_row,
     oracle_country_correlations,
     oracle_coverage_summary,
     oracle_indicators,
@@ -47,8 +46,12 @@ YEARS = (2019, 2023)
 
 
 def rows_of(corpora):
-    """Source -> the classified rows of its articles."""
-    return {source: [as_row(a) for a in articles] for source, articles in corpora.items()}
+    """Source -> the rows of its articles' classified lines, as compare
+    reads them (`head_row`)."""
+    return {
+        source: [head_row(written_line(a)) for a in articles]
+        for source, articles in corpora.items()
+    }
 
 
 def fold_of(source, articles, ta_keys):

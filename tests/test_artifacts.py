@@ -8,8 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridoa.artifacts import (
+    HeadRow,
     Layout,
+    bridge_row,
+    classified_from_line,
+    dump_canonical,
     has_corresponding_data,
+    head_row,
     in_hybrid_journal,
     ingest_from_line,
     is_attributable,
@@ -175,6 +180,99 @@ def test_text_predicates_equal_the_decoded_line(authors, hybrid, publisher, doi,
     )
 
 
+# Text that spells the keys and ends the text readers look for, plus
+# quotes, backslashes and non-ASCII text.
+READER_PIECES = [
+    ',"doi":', ',"issn":', '"position":1}', ',"year":', ',"record":{"authors":[',
+    '"publisher":"', "null", '"', "\\", "\\u0022", "é", "中", "\U0001F600", "x", ":",
+]
+reader_text = st.lists(st.sampled_from(READER_PIECES), max_size=5).map("".join)
+reader_org_ids = st.lists(
+    st.tuples(st.sampled_from(["ror", "srcA", "srcB"]), reader_text).map(":".join),
+    max_size=3, unique=True,
+).map(sorted)
+
+
+def classified_object(authors, doi, issn, publisher, urls, flags, year):
+    """A classified line's object; `authors` holds (position, org IDs,
+    countries) and is written in position order, as ingest writes it."""
+    return {
+        "countable": flags[0], "in_regular_issue": flags[1], "is_hybrid_oa": flags[2],
+        "is_original": flags[3], "is_paratext": flags[4], "journal_is_hybrid": flags[5],
+        "publisher": publisher,
+        "record": {
+            "authors": [
+                {"corresponding": None, "countries": countries, "org_ids": org_ids,
+                 "position": position}
+                for position, org_ids, countries in sorted(authors, key=lambda a: a[0])
+            ],
+            "doi": doi, "issn": issn,
+            "licenses": [
+                {"applies_to_vor": True, "start_date": None, "url": url} for url in urls
+            ],
+            "native_id": "A1", "pub_date": "2021-03-04",
+        },
+        "year": year,
+    }
+
+
+SPELLED = ',"doi":"10.1/x","issn":"x"' + '"position":1}'
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    st.builds(
+        classified_object,
+        st.lists(
+            st.tuples(st.integers(1, 3), reader_org_ids, st.lists(reader_text, max_size=2)),
+            max_size=3,
+        ),
+        st.none() | reader_text.map(lambda t: "10.1/" + t),
+        reader_text,
+        reader_text,
+        st.lists(reader_text.map(lambda t: "https://" + t), max_size=2),
+        st.lists(st.booleans(), min_size=6, max_size=6),
+        st.integers(1900, 2100),
+    )
+)
+@example(classified_object([], None, "0378-5955", "", [], [False] * 6, 2021))  # no DOI, no authors
+@example(classified_object(  # a DOI holding a quote, a backslash and non-ASCII text
+    [(1, ["ror:r1"], ["DE"])], '10.1/"a\\b"é中', "0378-5955", "P", [], [True] * 6, 2021
+))
+@example(classified_object(  # no author at position 1
+    [(2, ["ror:r2", "srcA:p2"], ["DE"]), (3, ["ror:r3"], [])], "10.1/a", "x", "P", [],
+    [True] * 6, 2021,
+))
+@example(classified_object(  # two authors at position 1: the first is the first author
+    [(1, ["ror:r1", "srcB:q1"], []), (1, ["ror:r2"], [])], "10.1/a", "x", "P", [], [True] * 6,
+    2021,
+))
+@example(classified_object(  # keys spelled inside every string before and after them
+    [(2, ["ror:" + SPELLED], [SPELLED]), (2, ["srcA:" + SPELLED], [])], "10.1/" + SPELLED,
+    SPELLED, SPELLED, ["https://" + SPELLED], [False, True] * 3, 2019,
+))
+def test_text_readers_equal_the_decoded_line(obj):
+    """`bridge_row` and `head_row` read from the text what
+    `classified_from_line` and a full decode of the line say."""
+    line = dump_canonical(obj)
+    record = obj["record"]
+    firsts = [a for a in record["authors"] if a["position"] == 1]
+    first_ids = sorted(firsts[0]["org_ids"]) if firsts else []
+    for text in (line, line + "\n"):
+        row = classified_from_line(text, "srcA")
+        doi, org_ids = bridge_row(text)
+        assert (doi, sorted(org_ids)) == (record["doi"], first_ids)
+        first = row.first_author()
+        assert (row.doi, sorted(first.org_ids) if first else []) == (doi, first_ids)
+        head = head_row(text)
+        assert head == tuple(getattr(row, field) for field in HeadRow._fields)
+        assert head == (
+            obj["countable"], obj["in_regular_issue"], obj["is_hybrid_oa"], obj["is_original"],
+            obj["is_paratext"], obj["journal_is_hybrid"], obj["publisher"], record["doi"],
+            record["issn"], obj["year"],
+        )
+
+
 @pytest.mark.parametrize(
     "text", ["20210304", "2021-W09-4", "2021-03", "٢٠٢١-٠٣-٠٤", "2021-03-04T00"]
 )
@@ -183,11 +281,11 @@ def test_artifact_dates_are_yyyy_mm_dd_only(text):
     obj = {
         "native_id": "W1", "issn": "0378-5955", "pub_date": "2021-03-04",
         "document_class": "journal-article", "title": "", "pagination": None,
-        "article_number": None,
+        "article_number": None, "authors": [],
     }
-    assert ingest_from_line(json.dumps(obj), "open").pub_date == date(2021, 3, 4)
+    assert ingest_from_line(dump_canonical(obj), "open").pub_date == date(2021, 3, 4)
     with pytest.raises(ValueError):
-        ingest_from_line(json.dumps({**obj, "pub_date": text}), "open")
+        ingest_from_line(dump_canonical({**obj, "pub_date": text}), "open")
 
 
 def test_manifest_digest_and_rows_are_taken_while_writing(tmp_path):

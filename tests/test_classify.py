@@ -160,7 +160,7 @@ PACKAGED_TEXT = resources.files("hybridoa").joinpath("data/paratext_patterns.txt
 # Fragments that must keep patterns of their own: groups (plain, with a
 # backreference, named), and one that is a regex only inside the wrapper.
 CONFIGURED_TEXT = (
-    "announcements?\nerrat(a|um)\n(\\w+) \\1\n(?P<w>[a-z]+)-(?P=w)  # named\n"
+    "announcements?\nerrat(a|um)\n(\\w+) \\1\n  # named\n(?P<w>[a-z]+)-(?P=w)\n"
     "cover\na)|(b\n"
 )
 TITLE_PIECES = [
@@ -199,6 +199,17 @@ def test_detect_paratext_equals_one_pattern_per_fragment(title):
         patterns = patterns_from_text(text)
         expected = oracle_detect_paratext(title, oracle_paratext_patterns(text))
         assert detect_paratext(title, patterns) == expected, (text, title)
+
+
+def test_only_a_line_starting_with_a_hash_is_a_comment():
+    """A `#` after a line's first non-blank character belongs to its fragment."""
+    patterns = patterns_from_text("# comment\n   # indented comment\nissue #[0-9]+\n")
+    assert len(patterns) == 1
+    assert detect_paratext("Issue #12", patterns)
+    assert not detect_paratext("Issue", patterns)
+    # the packaged file's three comment lines are no fragments
+    assert len(oracle_paratext_patterns(PACKAGED_TEXT)) == 10
+    assert len(load_paratext_patterns()) == 1
 
 
 def test_configured_fragments_with_groups_keep_patterns_of_their_own():

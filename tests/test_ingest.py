@@ -32,7 +32,7 @@ from hybridoa.ingest import (
     load_publisher_aliases,
     parse_article_line,
 )
-from hybridoa.model import Agreement, Journal
+from hybridoa.model import Agreement, Journal, LicenseStatement
 
 from conftest import article_line, write_lines
 from oracles import dictreader_csv_rows, encoded_classified_line, oracle_ingest_and_classify
@@ -973,3 +973,32 @@ def test_classified_line_equals_the_encoded_classified_dict(case):
             article = classify_article(row, journals.get(row.journal_issn_l), ORACLE_CFG)
             line = classified_to_line(article)
             assert line == encoded_classified_line(article, json.loads(ingest_line))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tricky_lines())
+@example(("srcA", article_line(source="srcA", doi="10.1/x", authors=[
+    {"position": 1, "org_ids": ['srcA:,"document_class":"x"'], "countries": [',"doi":']},
+    {"position": 2, "org_ids": ["srcA:p2"]}]), "P"))
+def test_ingest_row_equals_the_full_decode(case):
+    """`IngestRow` decodes its line with the authors cut out; its
+    attributes, DOI and licenses are the fully decoded line's."""
+    source, text, _ = case
+    _, ingest_line = parse_article_line(text, source, ORACLE_LINKS)
+    obj = json.loads(ingest_line)
+    row = ingest_from_line(ingest_line + "\n", source)
+    assert (
+        row.source, row.native_id, row.journal_issn_l, row.pub_date, row.document_class,
+        row.title, row.pagination, row.article_number, row.doi, row.line,
+    ) == (
+        source, obj["native_id"], obj["issn"], date.fromisoformat(obj["pub_date"]),
+        obj["document_class"], obj["title"], obj["pagination"], obj["article_number"],
+        obj["doi"], ingest_line + "\n",
+    )
+    assert row.licenses == tuple(
+        LicenseStatement(
+            lic["url"], lic["applies_to_vor"],
+            date.fromisoformat(lic["start_date"]) if lic["start_date"] else None,
+        )
+        for lic in obj["licenses"]
+    )

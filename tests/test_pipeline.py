@@ -1101,10 +1101,33 @@ def test_country_full_counting_at_least_global(pipeline_run):
         assert country_totals.get(key, 0) >= total
 
 
+def counted_decodes(monkeypatch) -> list:
+    """The source of each `artifacts.classified_from_line` call from now on."""
+    decode = pipeline.artifacts.classified_from_line
+    calls = []
+
+    def counting(line, source):
+        calls.append(source)
+        return decode(line, source)
+
+    monkeypatch.setattr(pipeline.artifacts, "classified_from_line", counting)
+    return calls
+
+
+def test_reconcile_and_compare_decode_no_classified_line(tmp_path, monkeypatch):
+    """Reconcile and compare read the fields they need from each line's
+    text (`bridge_row`, `head_row`) and build no `ClassifiedRow`."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config, ["ingest", "classify", "reconcile", "attribute", "aggregate"])
+    calls = counted_decodes(monkeypatch)
+    for stage in ("reconcile", "compare"):
+        pipeline.run(config, [stage])
+        assert calls == [], stage
+
+
 def test_attribute_and_aggregate_decode_each_record_once(tmp_path, monkeypatch):
-    """Reconcile and compare decode each classified line once; attribute
-    decodes only the countable hybrid OA lines, and aggregate only the
-    lines in hybrid journals."""
+    """Attribute decodes only the countable hybrid OA lines, and aggregate
+    only the lines in hybrid journals."""
     corpus, config = small_corpus(tmp_path)
     pipeline.run(config, ["ingest", "classify"])
     layout = Layout(config.out_dir)
@@ -1118,18 +1141,9 @@ def test_attribute_and_aggregate_decode_each_record_once(tmp_path, monkeypatch):
                 hybrid += obj["journal_is_hybrid"]
     assert 0 < attributable < hybrid < records
 
-    decode = pipeline.artifacts.classified_from_line
-    calls = []
-
-    def counting(line, source):
-        calls.append(source)
-        return decode(line, source)
-
-    monkeypatch.setattr(pipeline.artifacts, "classified_from_line", counting)
-    expected = {
-        "reconcile": records, "attribute": attributable, "aggregate": hybrid, "compare": records,
-    }
-    for stage, decodes in expected.items():
+    calls = counted_decodes(monkeypatch)
+    pipeline.run(config, ["reconcile"])
+    for stage, decodes in {"attribute": attributable, "aggregate": hybrid}.items():
         calls.clear()
         pipeline.run(config, [stage])
         assert len(calls) == decodes, stage

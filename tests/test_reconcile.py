@@ -6,6 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hybridoa.artifacts import bridge_row
 from hybridoa.errors import SampleTooLarge
 from hybridoa.model import Authorship
 from hybridoa.reconcile import (
@@ -16,7 +17,7 @@ from hybridoa.reconcile import (
     select_crosswalk,
     tally_pairs,
 )
-from oracles import ArticleRecord, oracle_crosswalk, record_row
+from oracles import ArticleRecord, bare_article, oracle_crosswalk, written_line
 
 
 def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
@@ -32,8 +33,10 @@ def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
 
 
 def projection(records, open_side):
-    """`first_author_ids` over the classified rows of the records."""
-    return first_author_ids(map(record_row, records), open_side)
+    """`first_author_ids` over the records' classified lines, read as
+    reconcile reads them (`bridge_row`)."""
+    lines = (written_line(bare_article(record)) for record in records)
+    return first_author_ids(map(bridge_row, lines), open_side)
 
 
 def bridge_of_corpora(open_corpus, prop_corpus):
