@@ -558,16 +558,31 @@ def _doi_at(line: str, start: int) -> tuple[str | None, int]:
     return _scan_string(line, at + 1)
 
 
-def bridge_row(line: str) -> tuple[str | None, list[str]]:
-    """(DOI, first-author org IDs) of a classified line, as reconcile reads
-    it: only the first object of the authors is decoded, and no
-    `ClassifiedRow` is built. No first author gives no org IDs."""
+_POSITION = ',"position":'
+
+
+def bridge_row(line: str) -> tuple[str | None, str]:
+    """(DOI, text of the first author object) of a classified line, as
+    reconcile reads it; the text is "" when the record has no authors.
+    Nothing is decoded but the DOI, and no `ClassifiedRow` is built.
+
+    An author's position is its last key and an integer, and inside a
+    string every `"` is escaped, so the first author object ends at the
+    first `}` after its first `,"position":`.
+    """
     at = line.index(_RECORD_AUTHORS) + len(_RECORD_AUTHORS)
-    first = None
+    end = at
     if line[at] != "]":
-        first, at = _decode_object(line, at)
-    author = _first_author(first)
-    return _doi_at(line, at)[0], author["org_ids"] if author is not None else []
+        end = line.index("}", line.index(_POSITION, at)) + 1
+    return _doi_at(line, end)[0], line[at:end]
+
+
+def first_author_org_ids(author: str) -> list[str]:
+    """The first author's org IDs, given the text of the first author
+    object as `bridge_row` hands it over; none when that object is not at
+    position 1 (`_first_author`) or there is none."""
+    found = _first_author(_decode_object(author)[0] if author else None)
+    return found["org_ids"] if found is not None else []
 
 
 class HeadRow(NamedTuple):

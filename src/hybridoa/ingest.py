@@ -168,6 +168,19 @@ def _checked_issn(raw: str) -> str:
 # Distinct texts one `TextChecks` memo holds; a full memo is emptied.
 MEMO_TEXTS = 1 << 16
 
+# Distinct authors the author memo holds; a full memo is emptied. Only an
+# author of at most MEMO_AUTHOR_IDS countries and org IDs, of at most
+# MEMO_AUTHOR_CHARS characters in all, whose text has at most
+# MEMO_AUTHOR_CHARS characters, is kept. An entry then takes at most about
+# 2.4 KB on 64-bit CPython (the key's strings at most 8 x 76 B of header
+# plus 4 B a character, the text at most 305 B, two tuples, a position of
+# at most 250 digits and the dict slot), so a full memo takes at most
+# about 80 MB. A fixture author (at most 4 IDs of 24 characters in all)
+# takes about 0.45 KB.
+MEMO_AUTHORS = 1 << 15
+MEMO_AUTHOR_IDS = 8
+MEMO_AUTHOR_CHARS = 256
+
 
 class _Rejected(NamedTuple):
     """A memoized check's failure, raised again as a SchemaViolation on each hit."""
@@ -177,14 +190,16 @@ class _Rejected(NamedTuple):
 
 
 class TextChecks:
-    """The checks that ingest repeats on the same texts, each distinct text
-    checked once: ISSN validation with ISSN-L resolution, date parsing and
-    the org-ID shape.
+    """The checks that ingest repeats on the same values, each distinct
+    value checked once: ISSN validation with ISSN-L resolution, date
+    parsing, the org-ID shape, and whole author objects.
 
     A text's verdict, its value or the reject it raises, is kept in a memo
-    of at most MEMO_TEXTS texts. One instance lives for one ingest stage,
-    with the ISSN link table it resolves through; a worker process gets
-    its own copy.
+    of at most MEMO_TEXTS texts. An author's verdict is kept only when the
+    author is accepted, in a memo of at most MEMO_AUTHORS authors, so a
+    rejected author is checked again each time and keeps its own reject
+    detail. One instance lives for one ingest stage, with the ISSN link
+    table it resolves through; a worker process gets its own copy.
     """
 
     def __init__(self, links: dict[str, str] | None = None):
@@ -192,6 +207,7 @@ class TextChecks:
         self._issns: dict[str, tuple[str, str] | _Rejected] = {}
         self._dates: dict[str, date | _Rejected] = {}
         self._orgs: dict[str, bool] = {}
+        self._authors: dict[tuple, tuple[int, str]] = {}
 
     def issn(self, raw: str) -> tuple[str, str]:
         """(ISSN, ISSN-L) of a raw ISSN text; raises its reject."""
@@ -210,6 +226,88 @@ class TextChecks:
     def org_id(self, text: str) -> bool:
         """`is_org_id(text)`."""
         return _memoized(self._orgs, is_org_id, text)
+
+    def author(self, author) -> tuple[int, str]:
+        """(position, canonical text) of an author object; raises its reject.
+
+        Only an author with a memo key (`_author_key`) is looked up, and
+        only an accepted one of at most MEMO_AUTHOR_IDS IDs and
+        MEMO_AUTHOR_CHARS characters is kept.
+        """
+        key = _author_key(author)
+        if key is None:
+            return self._check_author(author)
+        try:
+            return self._authors[key]
+        except KeyError:
+            pass
+        except TypeError:  # a country or org ID that is a list or object
+            return self._check_author(author)
+        entry = self._check_author(author)
+        ids = key[3:]  # an accepted author's countries and org IDs: strings
+        if (
+            len(ids) <= MEMO_AUTHOR_IDS
+            and len(entry[1]) <= MEMO_AUTHOR_CHARS
+            and sum(map(len, ids)) <= MEMO_AUTHOR_CHARS
+        ):
+            if len(self._authors) >= MEMO_AUTHORS:
+                self._authors.clear()
+            self._authors[key] = entry
+        return entry
+
+    def _check_author(self, author) -> tuple[int, str]:
+        """(position, canonical text) of an author object, checked in full."""
+        if not isinstance(author, dict):
+            raise SchemaViolation("bad_author", repr(author))
+        position = author.get("position")
+        if type(position) is not int or position < 1:
+            raise SchemaViolation("bad_author", f"position {position!r}")
+        org_ids = _list_field(author, "org_ids", "bad_org_id")
+        for org in org_ids:
+            if not isinstance(org, str) or not self.org_id(org):
+                raise SchemaViolation("bad_org_id", repr(org))
+        corresponding = author.get("corresponding")
+        if corresponding is not None and not isinstance(corresponding, bool):
+            raise SchemaViolation("bad_author", f"corresponding {corresponding!r}")
+        countries = _list_field(author, "countries", "bad_author")
+        try:
+            codes = {c.strip().upper() for c in countries if c.strip()}
+        except AttributeError:  # an element that is not a string
+            raise SchemaViolation("bad_author", f"countries {countries!r}") from None
+        return position, (
+            f'{{"corresponding":{_JSON[corresponding]}'
+            f',"countries":[{",".join(map(_string, sorted(codes)))}]'
+            f',"org_ids":[{",".join(map(_string, sorted(set(org_ids))))}]'
+            f',"position":{position}}}'
+        )
+
+
+def _author_key(author) -> tuple | None:
+    """The author memo's key, for an author whose parse the key fixes, else
+    None: its position, corresponding flag and number of countries, then
+    its countries and org IDs, in one flat tuple.
+
+    Values that compare equal but parse apart are kept out: the position
+    must be an `int` (`True` and `1.0` equal 1 but are rejected), the
+    corresponding flag a `bool` or absent (`1` equals `True`), and the
+    countries and org IDs lists (`_list_field` reads `false` or `""` as
+    none, and the tuple of `"AU"` equals that of `["A", "U"]`). Keys that
+    the parse ignores play no part.
+    """
+    if type(author) is not dict:
+        return None
+    position = author.get("position")
+    corresponding = author.get("corresponding")
+    countries = author.get("countries")
+    org_ids = author.get("org_ids")
+    if (
+        type(position) is int
+        and (corresponding is None or type(corresponding) is bool)
+        and type(countries) is list
+        and type(org_ids) is list
+    ):
+        return position, corresponding, len(countries), *countries, *org_ids
+    return None
 
 
 def _memoized(memo: dict, check: Callable, text: str):
@@ -524,8 +622,9 @@ def institution_index(institutions: Iterable[Institution]) -> dict[str, str]:
 
 
 def _list_field(obj: dict, name: str, code: str) -> list:
-    """`obj[name]` as a list; absent or empty is [], any other non-list
-    value raises SchemaViolation with `code`."""
+    """`obj[name]` as a list. Absent, or a false value such as null,
+    false, 0, "" or {}, is []; any other value that is not a list raises
+    SchemaViolation with `code`."""
     value = obj.get(name) or []
     if not isinstance(value, list):
         raise SchemaViolation(code, f"{name} {value!r}")
@@ -555,7 +654,8 @@ def parse_article_line(
     `artifacts.dump_canonical` would make of the record's dict.
 
     `links` is the ISSN link table, or a `TextChecks` over it, which keeps
-    its verdicts on ISSNs, dates and org IDs from one line to the next.
+    its verdicts on ISSNs, dates, org IDs and authors from one line to the
+    next.
 
     Raises SchemaViolation with a reason code on any deviation from the
     documented schema; callers turn that into a reject-log entry.
@@ -617,32 +717,7 @@ def parse_article_line(
             f',"url":{_string(lic["url"])}}}'
         )
 
-    authors = []
-    for author in _list_field(obj, "authors", "bad_author"):
-        if not isinstance(author, dict):
-            raise SchemaViolation("bad_author", repr(author))
-        position = author.get("position")
-        if type(position) is not int or position < 1:
-            raise SchemaViolation("bad_author", f"position {position!r}")
-        org_ids = _list_field(author, "org_ids", "bad_org_id")
-        for org in org_ids:
-            if not isinstance(org, str) or not checks.org_id(org):
-                raise SchemaViolation("bad_org_id", repr(org))
-        corresponding = author.get("corresponding")
-        if corresponding is not None and not isinstance(corresponding, bool):
-            raise SchemaViolation("bad_author", f"corresponding {corresponding!r}")
-        countries = _list_field(author, "countries", "bad_author")
-        try:
-            codes = {c.strip().upper() for c in countries if c.strip()}
-        except AttributeError:  # an element that is not a string
-            raise SchemaViolation("bad_author", f"countries {countries!r}") from None
-        authors.append((
-            position,
-            f'{{"corresponding":{_JSON[corresponding]}'
-            f',"countries":[{",".join(map(_string, sorted(codes)))}]'
-            f',"org_ids":[{",".join(map(_string, sorted(set(org_ids))))}]'
-            f',"position":{position}}}',
-        ))
+    authors = list(map(checks.author, _list_field(obj, "authors", "bad_author")))
     authors.sort(key=itemgetter(0))  # stable: authors sharing a position keep their order
 
     return native_id, (

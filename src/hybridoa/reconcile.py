@@ -2,11 +2,12 @@
 
 Each corpus is read once into a projection: DOI -> the sorted org IDs of
 its first author, ROR IDs on the open side and every other scheme on a
-proprietary side. DOIs present in both projections bridge; their first
-authors' identifier pairs are tallied, and per (open ID, scheme) the most
-frequent proprietary partner wins. Multiple affiliations of single
-authors are the main noise source, so a minimum-support threshold is the
-documented mitigation knob.
+proprietary side, worked out once per distinct first-author text. DOIs
+present in both projections bridge; their first authors' identifier
+pairs are tallied, and per (open ID, scheme) the most frequent
+proprietary partner wins. Multiple affiliations of single authors are
+the main noise source, so a minimum-support threshold is the documented
+mitigation knob.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import random
 from collections import Counter
 from typing import Iterable, Mapping
 
+from . import artifacts
 from .errors import SampleTooLarge
 from .identifiers import ROR_SCHEME, org_scheme
 from .model import CrosswalkEntry, majority_label
@@ -26,29 +28,34 @@ Projection = dict[str, tuple[str, ...]]
 Pair = tuple[str, str]
 
 
-def first_author_ids(
-    corpus: Iterable[tuple[str | None, Iterable[str]]], open_side: bool
-) -> Projection:
+def first_author_ids(corpus: Iterable[tuple[str | None, str]], open_side: bool) -> Projection:
     """DOI -> sorted first-author org IDs of one side, for unambiguous DOIs.
 
-    `corpus` holds each record's (DOI, first-author org IDs), as
-    `artifacts.bridge_row` reads them. Records without a DOI are skipped;
-    DOIs that repeat within the corpus are logged and dropped. A DOI whose
-    first author is missing or has no IDs of the side maps to an empty
-    tuple: it bridges but adds no pair.
+    `corpus` holds each record's (DOI, text of its first author object),
+    as `artifacts.bridge_row` reads them. Each distinct text is decoded
+    and filtered once (`artifacts.first_author_org_ids`), and its DOIs
+    share the one tuple; the memo holds at most one text per DOI read.
+    Records without a DOI are skipped; DOIs that repeat within the corpus
+    are logged and dropped. A DOI whose first author is missing or has no
+    IDs of the side maps to an empty tuple: it bridges but adds no pair.
     """
     projection: Projection = {}
     ambiguous: set[str] = set()
-    for doi, org_ids in corpus:
+    sides: dict[str, tuple[str, ...]] = {}  # author text -> its IDs of the side
+    for doi, author in corpus:
         if doi is None or doi in ambiguous:
             continue
         if doi in projection:
             ambiguous.add(doi)
             del projection[doi]
             continue
-        projection[doi] = tuple(
-            sorted(o for o in org_ids if (org_scheme(o) == ROR_SCHEME) == open_side)
-        )
+        ids = sides.get(author)
+        if ids is None:
+            ids = sides[author] = tuple(sorted(
+                o for o in artifacts.first_author_org_ids(author)
+                if (org_scheme(o) == ROR_SCHEME) == open_side
+            ))
+        projection[doi] = ids
     if ambiguous:
         log.info("%d multi-occurrence DOIs skipped while bridging", len(ambiguous))
     return projection

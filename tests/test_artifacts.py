@@ -13,6 +13,7 @@ from hybridoa.artifacts import (
     bridge_row,
     classified_from_line,
     dump_canonical,
+    first_author_org_ids,
     has_corresponding_data,
     head_row,
     in_hybrid_journal,
@@ -252,15 +253,17 @@ SPELLED = ',"doi":"10.1/x","issn":"x"' + '"position":1}'
     SPELLED, SPELLED, ["https://" + SPELLED], [False, True] * 3, 2019,
 ))
 def test_text_readers_equal_the_decoded_line(obj):
-    """`bridge_row` and `head_row` read from the text what
-    `classified_from_line` and a full decode of the line say."""
+    """`bridge_row` (with `first_author_org_ids`) and `head_row` read from
+    the text what `classified_from_line` and a full decode of the line say."""
     line = dump_canonical(obj)
     record = obj["record"]
     firsts = [a for a in record["authors"] if a["position"] == 1]
     first_ids = sorted(firsts[0]["org_ids"]) if firsts else []
     for text in (line, line + "\n"):
         row = classified_from_line(text, "srcA")
-        doi, org_ids = bridge_row(text)
+        doi, author = bridge_row(text)
+        assert author == (dump_canonical(record["authors"][0]) if record["authors"] else "")
+        org_ids = first_author_org_ids(author)
         assert (doi, sorted(org_ids)) == (record["doi"], first_ids)
         first = row.first_author()
         assert (row.doi, sorted(first.org_ids) if first else []) == (doi, first_ids)

@@ -640,6 +640,160 @@ def test_a_memoized_failure_rejects_every_line_that_carries_it(tmp_path, check_c
     ]
 
 
+# Author fields: values the parse accepts, then values that compare or
+# read alike but parse apart (`True == 1 == 1.0`, `tuple("AU") ==
+# ("A", "U")`, `false` reads as an empty list) or are rejected. ABSENT
+# leaves the key out.
+ABSENT = object()
+AUTHOR_FIELDS = {
+    "position": ([1, 2], [True, 1.0, "1", 0, ABSENT]),
+    "corresponding": ([ABSENT, None, True, False], [1, 0]),
+    "countries": (
+        [ABSENT, False, [], ["AU"], ["A", "U"], [" au ", "AU"]], ["AU", " au ", [["AU"]], [1]]
+    ),
+    "org_ids": (
+        [ABSENT, False, [], ["ror:x"], ["ror:x", "ror:x"], ["srcA:p", "ror:x"]],
+        ["ror:x", [["ror:x"]], [True], ["bad"]],
+    ),
+}
+
+
+def present(fields):
+    return {name: value for name, value in fields.items() if value is not ABSENT}
+
+
+@st.composite
+def author_streams(draw):
+    """Lines of up to three authors, each one of a few accepted base
+    authors with at most one field drawn again from every value: authors
+    recur, and near twins meet."""
+    base_author = st.fixed_dictionaries(
+        {name: st.sampled_from(accepted) for name, (accepted, _) in AUTHOR_FIELDS.items()},
+        optional={"name": st.just("Ada")},  # a key the parse ignores
+    )
+    bases = draw(st.lists(base_author, min_size=1, max_size=3))
+    fields = st.sampled_from([None, *AUTHOR_FIELDS])
+
+    def author():
+        base = draw(st.sampled_from(bases))
+        name = draw(fields)
+        if name is not None:
+            accepted, twins = AUTHOR_FIELDS[name]
+            base = {**base, name: draw(st.sampled_from(twins) | st.sampled_from(accepted))}
+        return present(base)
+
+    lines = draw(st.integers(1, 12))
+    return [[author() for _ in range(draw(st.integers(0, 3)))] for _ in range(lines)]
+
+
+def outcome(line, checks):
+    """The ingest line `parse_article_line` makes of `line`, or its
+    reject's (code, detail)."""
+    try:
+        return parse_article_line(line, "open", checks)
+    except SchemaViolation as exc:
+        return exc.code, exc.detail
+
+
+def author_stream(authors_per_line):
+    return [
+        article_line(native_id=f"W{i}", authors=authors)
+        for i, authors in enumerate(authors_per_line)
+    ]
+
+
+@settings(max_examples=300, deadline=None)
+@given(author_streams())
+@example([  # the same author at two positions, and an extra key
+    [{"position": 1, "countries": ["AU"], "org_ids": ["ror:x"]}],
+    [{"position": 2, "countries": ["AU"], "org_ids": ["ror:x"], "name": "Ada"}],
+])
+@example([  # an accepted author, then inputs its key would equal without types
+    [{"position": 1, "corresponding": True, "countries": ["A", "U"], "org_ids": []}],
+    [{"position": True, "corresponding": True, "countries": ["A", "U"], "org_ids": []}],
+    [{"position": 1.0, "corresponding": True, "countries": ["A", "U"], "org_ids": []}],
+    [{"position": 1, "corresponding": 1, "countries": ["A", "U"], "org_ids": []}],
+    [{"position": 1, "corresponding": True, "countries": "AU", "org_ids": []}],
+    [{"position": 1, "corresponding": True, "countries": ["A", "U"], "org_ids": False}],
+])
+@example([  # an accepted author after its rejected twins
+    [{"position": "1", "corresponding": 0, "countries": ["AU"], "org_ids": ["ror:x"]}],
+    [{"position": 1, "corresponding": 0, "countries": ["AU"], "org_ids": ["ror:x"]}],
+    [{"position": 1, "corresponding": False, "countries": [["AU"]], "org_ids": ["ror:x"]}],
+    [{"position": 1, "corresponding": False, "countries": ["AU"], "org_ids": "ror:x"}],
+    [{"position": 1, "corresponding": False, "countries": ["AU"], "org_ids": ["ror:x"]}],
+    [{"position": 1, "corresponding": False, "countries": ["AU"], "org_ids": ["ror:x"]}],
+])
+def test_the_author_memo_changes_no_outcome(authors_per_line):
+    """`parse_article_line` with one `TextChecks` over a stream gives, line
+    by line, what a fresh `TextChecks` gives: the same ingest line, or a
+    reject with the same code and detail."""
+    shared = TextChecks()
+    for line in author_stream(authors_per_line):
+        assert outcome(line, shared) == outcome(line, TextChecks())
+
+
+def test_each_distinct_accepted_author_is_checked_once(monkeypatch):
+    """An accepted author is checked once per `TextChecks`, however often it
+    recurs, at any position among a line's authors; a rejected one each time."""
+    checked = Counter()
+    check = TextChecks._check_author
+
+    def counted(self, author):
+        checked[json.dumps(author, sort_keys=True)] += 1
+        return check(self, author)
+
+    monkeypatch.setattr(TextChecks, "_check_author", counted)
+    first = {"position": 1, "countries": ["DE"], "org_ids": ["ror:r1", "srcA:p1"]}
+    second = {"position": 2, "countries": [], "org_ids": ["ror:r2"], "corresponding": True}
+    bad = {"position": 1, "countries": ["DE"], "org_ids": ["bad"]}
+    lines = author_stream([[first, second], [second, first], [first], [bad], [bad]] * 3)
+    outcomes = article_outcomes(lines, "open", TextChecks())
+    assert outcomes[4] == "bad_org_id"
+    assert dict(checked) == {
+        json.dumps(first, sort_keys=True): 1,
+        json.dumps(second, sort_keys=True): 1,
+        json.dumps(bad, sort_keys=True): 6,
+    }
+
+
+def test_the_author_memo_is_capped(monkeypatch):
+    """With the cap at 2 the memo never holds more than 2 authors, and the
+    outcomes are those of an uncapped memo."""
+    lines = author_stream(
+        [
+            [{"position": p, "countries": [], "org_ids": [f"ror:r{i % 4}"]}]
+            for i, p in enumerate([1, 2, 3] * 6)
+        ]
+    )
+    uncapped = [outcome(line, TextChecks()) for line in lines]
+    monkeypatch.setattr(ingest, "MEMO_AUTHORS", 2)
+    checks = TextChecks()
+    sizes = []
+    for line, expected in zip(lines, uncapped):
+        assert outcome(line, checks) == expected
+        sizes.append(len(checks._authors))
+    assert max(sizes) == 2
+
+
+def test_an_oversized_author_is_checked_but_not_kept():
+    """An author with more than MEMO_AUTHOR_IDS IDs, or more than
+    MEMO_AUTHOR_CHARS characters, is parsed alike and not kept."""
+    many = {
+        "position": 1, "countries": [],
+        "org_ids": [f"ror:r{i}" for i in range(ingest.MEMO_AUTHOR_IDS + 1)],
+    }
+    long = {"position": 1, "countries": [" " * ingest.MEMO_AUTHOR_CHARS + "DE"], "org_ids": []}
+    small = {"position": 1, "org_ids": ["ror:r1"], "countries": ["DE"]}
+    checks = TextChecks()
+    for author in (many, long, small):
+        line = article_line(authors=[author])
+        assert outcome(line, checks) == outcome(line, TextChecks())
+    assert list(checks._authors.values()) == [
+        (1, '{"corresponding":null,"countries":["DE"],"org_ids":["ror:r1"],"position":1}')
+    ]
+
+
 @pytest.mark.parametrize(
     "overrides, code",
     [

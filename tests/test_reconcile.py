@@ -1,12 +1,14 @@
 import random
 from collections import Counter
+from dataclasses import replace
 from datetime import date
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hybridoa.artifacts import bridge_row
+from hybridoa import artifacts
+from hybridoa.artifacts import bridge_row, classified_from_line
 from hybridoa.errors import SampleTooLarge
 from hybridoa.model import Authorship
 from hybridoa.reconcile import (
@@ -85,6 +87,99 @@ def test_bridge_triple_occurrence_still_skipped():
         [rec("srcA", "A1", "10.1/a")],
     )
     assert bridge == []
+
+
+# --- the text-keyed projection ------------------------------------------------------
+
+# Text spelling what `bridge_row` looks for, written inside org IDs and countries.
+SPELLED = ["}", ',"position":', '"', ',"position":1}', "é", "x"]
+spelled_text = st.lists(st.sampled_from(SPELLED), min_size=1, max_size=3).map("".join)
+bridge_authors = st.lists(
+    st.builds(
+        Authorship,
+        position=st.integers(1, 3),
+        org_ids=st.frozensets(
+            st.tuples(st.sampled_from(["ror", "srcA"]), spelled_text).map(":".join), max_size=3
+        ),
+        countries=st.frozensets(spelled_text, max_size=2),
+    ),
+    max_size=3,
+)
+
+
+def bridge_lines(articles):
+    """Classified lines of (DOI, authors, re-escaped) triples; a re-escaped
+    line writes `é` as `\\u00E9`, not `\\u00e9`, and decodes alike."""
+    lines = []
+    for i, (doi, authors, reescaped) in enumerate(articles):
+        record = rec("srcA", f"A{i}", doi)
+        line = written_line(bare_article(replace(record, authors=tuple(authors))))
+        lines.append(line.replace("\\u00e9", "\\u00E9") if reescaped else line)
+    return lines
+
+
+def decoded_projection(lines, open_side):
+    """The projection of fully decoded lines: each line's first author
+    (`ClassifiedRow.first_author`), its IDs of the side sorted, for the
+    DOIs that occur once."""
+    rows = [classified_from_line(line, "srcA") for line in lines]
+    occurrences = Counter(row.doi for row in rows)
+    projection = {}
+    for row in rows:
+        if row.doi is not None and occurrences[row.doi] == 1:
+            first = row.first_author()
+            ids = first.org_ids if first is not None else ()
+            projection[row.doi] = tuple(sorted(o for o in ids if o.startswith("ror:") == open_side))
+    return projection
+
+
+E_ACUTE = Authorship(position=1, org_ids=frozenset({"ror:é}", "srcA:é"}))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(
+    st.tuples(st.sampled_from([None, "10.1/a", "10.1/b", "10.1/c", "10.1/d"]), bridge_authors,
+              st.booleans()),
+    max_size=8,
+))
+@example([("10.1/a", [], False), ("10.1/b", [], True)])  # no authors
+@example([  # no first author: the first object is at position 2
+    ("10.1/a", [Authorship(position=2, org_ids=frozenset({"ror:r2", "srcA:p2"}))], False),
+    ("10.1/b", [Authorship(position=1, org_ids=frozenset({"ror:r2"}))], False),
+])
+@example([  # the reader's marks spelled inside org IDs and countries
+    ("10.1/a", [Authorship(
+        position=1, org_ids=frozenset({'ror:},"position":2}', 'srcA:"}'}),
+        countries=frozenset({',"position":1}', '"'}),
+    )], False),
+])
+@example([("10.1/a", [E_ACUTE], False), ("10.1/b", [E_ACUTE], True)])  # two escapings
+def test_the_text_keyed_projection_equals_the_decoded_lines(articles):
+    """`first_author_ids` over `bridge_row` texts, each distinct text decoded
+    once, gives the projection of the fully decoded lines, on either side."""
+    lines = bridge_lines(articles)
+    for open_side in (True, False):
+        assert first_author_ids(map(bridge_row, lines), open_side) == decoded_projection(
+            lines, open_side
+        )
+
+
+def test_each_distinct_first_author_text_is_decoded_once(monkeypatch):
+    decoded = Counter()
+    org_ids_of = artifacts.first_author_org_ids
+
+    def counted(author):
+        decoded[author] += 1
+        return org_ids_of(author)
+
+    monkeypatch.setattr(artifacts, "first_author_org_ids", counted)
+    lines = bridge_lines(
+        [(f"10.1/{i}", [E_ACUTE], i % 2 == 1) for i in range(6)] + [("10.1/x", [], False)]
+    )
+    projection = first_author_ids(map(bridge_row, lines), open_side=True)
+    assert set(projection.values()) == {("ror:é}",), ()}
+    # one text per escaping, and one for no authors
+    assert sorted(decoded.values()) == [1, 1, 1]
 
 
 # --- tallies ----------------------------------------------------------------------
