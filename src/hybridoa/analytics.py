@@ -16,8 +16,9 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Callable, Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping
 
+from . import artifacts
 from .artifacts import ClassifiedRow, HeadRow
 from .attribute import role_author
 from .errors import InsufficientPairs
@@ -229,33 +230,37 @@ def _group_keys(kind: str, article: ClassifiedRow, author: Authorship | None) ->
 
 def aggregate(
     source: str,
-    articles: Iterable[ClassifiedRow],
+    lines: Iterable[str],
     ta_keys: Mapping[str, Container[tuple[str, str]]],
     years: tuple[int, int],
-    has_corresponding_data: Callable[[], bool],
 ) -> SourceFold:
-    """Fold one source's classified articles into indicators and coverage.
+    """Fold one source's classified lines into indicators and coverage.
 
     `ta_keys` maps each role to the (source, native_id) keys attributed
-    to an agreement for it. Each article is read once and feeds every
-    (role, group kind) cell and the coverage tallies. Articles in
-    non-hybrid or unknown journals, or outside the window, are out of
-    scope, so `articles` may leave those in non-hybrid journals out.
-    COUNTRY cells count once per distinct country of the role author, so
-    one multi-country article adds a full count to several countries.
+    to an agreement for it. Articles in non-hybrid or unknown journals,
+    or outside the window, are out of scope; a line in a non-hybrid
+    journal is skipped before it is decoded (`artifacts.in_hybrid_journal`).
+    Each other line is decoded once and feeds every (role, group kind)
+    cell and the coverage tallies. COUNTRY cells count once per distinct
+    country of the role author, so one multi-country article adds a full
+    count to several countries.
 
     A role other than FIRST is skipped, with no rows, when no record of
     the source carries corresponding-author data: no silent substitution
-    of the first author. `has_corresponding_data()` says whether one does,
-    in or out of scope; it is called once `articles` is exhausted, so the
-    stream may answer it from the records it read and left out.
+    of the first author. Whether one does, in or out of scope, is told
+    from the text of every line (`artifacts.has_corresponding_data`).
     """
     counts: dict[tuple[str, str, int, str], list[int]] = defaultdict(lambda: [0, 0, 0, 0])
     journals = {measure: set() for measure in _JOURNAL_MEASURES}
     totals = dict.fromkeys(_ARTICLE_MEASURES, 0)
+    flagged = False
 
-    for article in articles:
-        if not article.journal_is_hybrid or not in_window(article.year, years):
+    for line in lines:
+        flagged = flagged or artifacts.has_corresponding_data(line)
+        if not artifacts.in_hybrid_journal(line):
+            continue
+        article = artifacts.classified_from_line(line, source)
+        if not in_window(article.year, years):
             continue
         authors = {role: role_author(article, role) for role in ROLES}
         _tally_coverage(article, authors, journals, totals)
@@ -274,7 +279,6 @@ def aggregate(
                             if ta_enabled:
                                 cell[3] += 1
 
-    flagged = has_corresponding_data()
     skipped = tuple(role for role in ta_keys if role != ROLE_FIRST and not flagged)
     rows = [
         IndicatorRow(

@@ -167,19 +167,15 @@ def is_original(
     record: IngestRow,
     policy: SourcePolicy,
     *,
-    paratext: bool | None = None,
-    regular_issue: bool | None = None,
-    patterns: tuple[re.Pattern, ...] = (),
+    paratext: bool,
+    regular_issue: bool,
 ) -> bool:
-    """Decide original-article status under the source's policy."""
+    """Decide original-article status under the source's policy, given the
+    record's `detect_paratext` and `in_regular_issue` verdicts."""
     doc_class = record.document_class.strip().casefold()
     if policy.mode == DOC_MODE_HEURISTIC:
         if doc_class not in policy.journal_article_classes:
             return False
-        if paratext is None:
-            paratext = detect_paratext(record.title, patterns)
-        if regular_issue is None:
-            regular_issue = in_regular_issue(record)
         return not paratext and regular_issue
     return doc_class in policy.allowlist
 

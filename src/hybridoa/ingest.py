@@ -29,7 +29,7 @@ import sqlite3
 import tempfile
 from collections import Counter, defaultdict
 from contextlib import ExitStack
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from datetime import date
 from functools import partial
 from operator import itemgetter
@@ -165,7 +165,9 @@ def _checked_issn(raw: str) -> str:
         raise SchemaViolation(REJECT_CHECKSUM, str(exc)) from None
 
 
-# Distinct texts one `TextChecks` memo holds; a full memo is emptied.
+# Distinct texts one `TextChecks` memo holds; a full memo is emptied. Only
+# a text of at most MEMO_AUTHOR_CHARS characters is kept, so a memo's
+# memory is bounded whatever the length of its input's lines.
 MEMO_TEXTS = 1 << 16
 
 # Distinct authors the author memo holds; a full memo is emptied. Only an
@@ -195,7 +197,9 @@ class TextChecks:
     parsing, the org-ID shape, and whole author objects.
 
     A text's verdict, its value or the reject it raises, is kept in a memo
-    of at most MEMO_TEXTS texts. An author's verdict is kept only when the
+    of at most MEMO_TEXTS texts, when the text has at most
+    MEMO_AUTHOR_CHARS characters; a longer one is checked again each
+    time, to the same verdict. An author's verdict is kept only when the
     author is accepted, in a memo of at most MEMO_AUTHORS authors, so a
     rejected author is checked again each time and keeps its own reject
     detail. One instance lives for one ingest stage, with the ISSN link
@@ -312,7 +316,8 @@ def _author_key(author) -> tuple | None:
 
 def _memoized(memo: dict, check: Callable, text: str):
     """check(text), looked up in `memo` first; a SchemaViolation it raises
-    is memoized too, and raised afresh on every hit."""
+    is memoized too, and raised afresh on every hit. A text of more than
+    MEMO_AUTHOR_CHARS characters is not kept."""
     try:
         verdict = memo[text]
     except KeyError:
@@ -320,9 +325,10 @@ def _memoized(memo: dict, check: Callable, text: str):
             verdict = check(text)
         except SchemaViolation as exc:
             verdict = _Rejected(exc.code, exc.detail)
-        if len(memo) >= MEMO_TEXTS:
-            memo.clear()
-        memo[text] = verdict
+        if len(text) <= MEMO_AUTHOR_CHARS:
+            if len(memo) >= MEMO_TEXTS:
+                memo.clear()
+            memo[text] = verdict
     if type(verdict) is _Rejected:
         raise SchemaViolation(verdict.code, verdict.detail)
     return verdict
@@ -553,16 +559,7 @@ def load_durations(
         if window is None:
             log.info("agreement %s has no duration row, dropped", agreement.agreement_id)
             continue
-        dated.add(
-            Agreement(
-                agreement_id=agreement.agreement_id,
-                publisher=agreement.publisher,
-                journal_issn_ls=agreement.journal_issn_ls,
-                institution_ids=agreement.institution_ids,
-                start_date=window[0],
-                end_date=window[1],
-            )
-        )
+        dated.add(replace(agreement, start_date=window[0], end_date=window[1]))
     return dated
 
 

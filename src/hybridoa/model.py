@@ -77,7 +77,6 @@ class Journal:
     issn_variants: frozenset[str] = frozenset()
     publisher: str = ""
     is_hybrid: bool = True
-    title: str = ""
 
 
 @dataclass(frozen=True, slots=True)

@@ -3,11 +3,16 @@ aggregate -> compare.
 
 Each stage reads the previous stage's artifacts, writes its own, and
 never mutates inputs; `run` checks a stage's declared inputs against the
-bytes the stage read, and publishes its outputs and manifest together. A stage has one of two shapes: ingest and
-classify map a pure function over chunks of every source's lines
-(`_source_chunks`), and reconcile, attribute and aggregate fold each
-source's classified file in a task of its own (`_source_folds`). Either
-way a worker pool changes wall time but never output bytes.
+bytes the stage read, and publishes its outputs and manifest together.
+
+A pooled stage function is `fn(ctx, task)`: `ctx` is what all of the
+stage's tasks share, and `_map_chunks` yields `(task, result)` pairs in
+task order, inline or on a worker pool. Ingest and classify map over
+`(source, line numbers, lines)` chunks of every source's file
+(`_source_chunks`); reconcile, attribute and aggregate fold each
+source's classified file in a `(path, label)` task of its own
+(`_source_folds`). Either way a worker pool changes wall time but never
+output bytes.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ import logging
 import os
 import pickle
 import re
-from collections import Counter, deque
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from typing import Callable, Iterable, Iterator
@@ -168,6 +173,7 @@ STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
 
 # --- chunked worker execution ----------------------------------------------
 
+# A pool worker's copy of its stage's ctx, set once by `_init_worker`.
 _WORKER_CTX = None
 
 
@@ -176,39 +182,35 @@ def _init_worker(ctx_bytes: bytes) -> None:
     _WORKER_CTX = pickle.loads(ctx_bytes)
 
 
-def _map_chunks(
-    fn: Callable,
-    chunks: Iterable,
-    ctx,
-    workers: int,
-) -> Iterator:
-    """Order-preserving chunk map with a bounded number of in-flight tasks.
+def _in_worker(fn: Callable, task):
+    """fn(this worker's context, task): what a pool worker runs."""
+    return fn(_WORKER_CTX, task)
 
-    workers <= 1 runs inline; more workers fan out to processes. Either
-    path applies the same function in the same order, so results are
-    worker-count-invariant.
+
+def _map_chunks(fn: Callable, tasks: Iterable, ctx, workers: int) -> Iterator[tuple]:
+    """(task, fn(ctx, task)) for each task, in task order, with a bounded
+    number of tasks in flight.
+
+    workers <= 1 runs inline; more workers fan out to processes, each of
+    which unpickles `ctx` once. Either path applies the same function in
+    the same order, so results are worker-count-invariant.
     """
-    global _WORKER_CTX
     if workers <= 1:
-        _WORKER_CTX = ctx
-        try:
-            for chunk in chunks:
-                yield fn(chunk)
-        finally:
-            _WORKER_CTX = None  # the context, memos included, ends with the map
+        for task in tasks:
+            yield task, fn(ctx, task)
         return
     ctx_bytes = pickle.dumps(ctx)
     with ProcessPoolExecutor(
         max_workers=workers, initializer=_init_worker, initargs=(ctx_bytes,)
     ) as pool:
         pending = []
-        iterator = iter(chunks)
-        for chunk in iterator:
-            pending.append(pool.submit(fn, chunk))
+        for task in tasks:
+            pending.append((task, pool.submit(_in_worker, fn, task)))
             if len(pending) >= workers * 2:
-                yield pending.pop(0).result()
-        for future in pending:
-            yield future.result()
+                task, future = pending.pop(0)
+                yield task, future.result()
+        for task, future in pending:
+            yield task, future.result()
 
 
 def _effective_workers(config: PipelineConfig) -> int:
@@ -219,46 +221,40 @@ def _effective_workers(config: PipelineConfig) -> int:
 
 def _source_chunks(
     config: PipelineConfig, path_of: Callable, fn: Callable, ctx
-) -> Iterator[tuple[str, list[int], list[str], object]]:
-    """The line map: (source label, line numbers, lines, fn's result) of
+) -> Iterator[tuple[tuple[str, list[int], list[str]], object]]:
+    """The line map: ((source label, line numbers, lines), fn's result) of
     every chunk of every source's file, in config order.
 
     `path_of(source)` is a source's file, read here through
-    `artifacts.line_chunks`; `fn` gets (source label, lines) on the pool.
-    This process keeps each chunk's line numbers and lines until its
-    result comes back.
+    `artifacts.line_chunks`; `fn` gets (ctx, chunk) on the pool.
     """
-    in_flight: deque = deque()
-
-    def chunks() -> Iterator[tuple[str, list[str]]]:
-        for source in config.sources:
-            for linenos, lines in artifacts.line_chunks(path_of(source)):
-                in_flight.append((source.label, linenos, lines))
-                yield source.label, lines
-
-    for result in _map_chunks(fn, chunks(), ctx, _effective_workers(config)):
-        yield *in_flight.popleft(), result
+    chunks = (
+        (source.label, linenos, lines)
+        for source in config.sources
+        for linenos, lines in artifacts.line_chunks(path_of(source))
+    )
+    return _map_chunks(fn, chunks, ctx, _effective_workers(config))
 
 
 def _source_folds(
     config: PipelineConfig, layout: Layout, fn: Callable, ctx, labels: Iterable[str] | None = None
 ) -> Iterator:
-    """The per-source fold: fn's result for each source's classified file,
-    one task of (path, label) per source, in `labels` order (default:
+    """The per-source fold: fn(ctx, (path, label)) for each source's
+    classified file, one task per source, in `labels` order (default:
     config order). The digests of the files each task read come back with
     its result and join this process's `artifacts.reading` record."""
     labels = labels or [s.label for s in config.sources]
     tasks = [(fn, layout.classified(label), label) for label in labels]
-    for result, read in _map_chunks(_fold_task, tasks, ctx, _effective_workers(config)):
+    for _, (result, read) in _map_chunks(_fold_task, tasks, ctx, _effective_workers(config)):
         artifacts.note_reads(read)
         yield result
 
 
-def _fold_task(task: tuple[Callable, str, str]) -> tuple[object, dict[str, str]]:
-    """fn((path, label)), and the digests of the files it read to the end."""
+def _fold_task(ctx, task: tuple[Callable, str, str]) -> tuple[object, dict[str, str]]:
+    """fn(ctx, (path, label)), and the digests of the files it read to the end."""
     fn, path, label = task
     with artifacts.reading() as read:
-        return fn((path, label)), read
+        return fn(ctx, (path, label)), read
 
 
 # --- ingest ------------------------------------------------------------------
@@ -315,7 +311,7 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
             ledgers[label] = stack.enter_context(
                 ingest.ArticleLedger(rejects, ingest.CorpusManifest())
             )
-        for label, linenos, lines, outcomes in _source_chunks(
+        for (label, linenos, lines), outcomes in _source_chunks(
             config, lambda s: s.articles, _ingest_chunk, checks
         ):
             admitted = ledgers[label].admit(linenos, lines, outcomes)
@@ -330,10 +326,12 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
     return outputs, counters
 
 
-def _ingest_chunk(item: tuple[str, list[str]]) -> list:
+def _ingest_chunk(
+    checks: ingest.TextChecks, chunk: tuple[str, list[int], list[str]]
+) -> list:
     """Each line of one chunk as (native_id, ingest line), or its reject code."""
-    source, lines = item
-    return ingest.article_outcomes(lines, source, _WORKER_CTX)
+    source, _, lines = chunk
+    return ingest.article_outcomes(lines, source, checks)
 
 
 # --- classify ----------------------------------------------------------------
@@ -366,11 +364,13 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     )
 
 
-def _classify_chunk(item: tuple[str, list[str]]) -> tuple[list[str], list[str | None], Counter]:
+def _classify_chunk(
+    ctx: tuple[classify.ClassifierConfig, dict], chunk: tuple[str, list[int], list[str]]
+) -> tuple[list[str], list[str | None], Counter]:
     """The chunk's classified lines, each line's DOI (or None), and its
     records per unknown document class."""
-    source, lines = item
-    cfg, journals = _WORKER_CTX
+    cfg, journals = ctx
+    source, _, lines = chunk
     policy = cfg.policies[source]
     out = []
     dois = []
@@ -408,7 +408,7 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
         chunks = _source_chunks(
             config, lambda s: layout.articles(s.label), _classify_chunk, (cfg, journals)
         )
-        for label, _, _, (lines, dois, classes) in chunks:
+        for (label, _, _), (lines, dois, classes) in chunks:
             files[label].write("".join(f"{line}\n" for line in lines))
             offsets[label] = artifacts.doi_index_entries(
                 label, lines, dois, offsets[label], entries
@@ -430,13 +430,12 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
 
 # --- reconcile ----------------------------------------------------------------
 
-def _project_source(item: tuple[str, str]) -> reconcile.Projection:
+def _project_source(open_label: str, source: tuple[str, str]) -> reconcile.Projection:
     """One source's first-author projection, read from the text of its
-    classified file (`artifacts.bridge_row`); the pool context is the open
-    source's label."""
-    path, label = item
+    classified file (`artifacts.bridge_row`)."""
+    path, label = source
     with artifacts.open_input_text(path) as fh:
-        return reconcile.first_author_ids(map(artifacts.bridge_row, fh), label == _WORKER_CTX)
+        return reconcile.first_author_ids(map(artifacts.bridge_row, fh), label == open_label)
 
 
 def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
@@ -481,12 +480,12 @@ def _attribution_indexes(layout: Layout) -> tuple:
     )
 
 
-def _attribute_source(item: tuple[str, str]) -> tuple[dict[str, list[tuple]], dict]:
+def _attribute_source(ctx: tuple, source: tuple[str, str]) -> tuple[dict[str, list[tuple]], dict]:
     """Role -> attribution rows of one source's classified file, and role ->
     `resolve_org` diagnostics. Lines that are not countable hybrid OA are
     skipped before they are decoded; the others are decoded once."""
-    path, label = item
-    roles, journal_agreements, crosswalk_inverse, inst_index = _WORKER_CTX
+    roles, journal_agreements, crosswalk_inverse, inst_index = ctx
+    path, label = source
     rows: dict[str, list[tuple]] = {role: [] for role in roles}
     diagnostics: dict[str, dict] = {role: {} for role in roles}
     with artifacts.open_input_text(path) as fh:
@@ -530,23 +529,12 @@ def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
 
 # --- aggregate ----------------------------------------------------------------
 
-def _aggregate_source(item: tuple[str, str]) -> analytics.SourceFold:
-    """One source's fold, read from its classified file. Only the lines in
-    hybrid journals are decoded; whether the source carries
-    corresponding-author data is told from the text of every line."""
-    path, label = item
-    ta_keys, years = _WORKER_CTX
-    flagged = False
-
-    def hybrid_rows() -> Iterator[artifacts.ClassifiedRow]:
-        nonlocal flagged
-        with artifacts.open_input_text(path) as fh:
-            for line in fh:
-                flagged = flagged or artifacts.has_corresponding_data(line)
-                if artifacts.in_hybrid_journal(line):
-                    yield artifacts.classified_from_line(line, label)
-
-    return analytics.aggregate(label, hybrid_rows(), ta_keys, years, lambda: flagged)
+def _aggregate_source(ctx: tuple, source: tuple[str, str]) -> analytics.SourceFold:
+    """One source's fold, read from its classified file."""
+    ta_keys, years = ctx
+    path, label = source
+    with artifacts.open_input_text(path) as fh:
+        return analytics.aggregate(label, fh, ta_keys, years)
 
 
 def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:

@@ -18,7 +18,7 @@ from hybridoa.analytics import (
     spearman,
     upset_sets,
 )
-from hybridoa.artifacts import classified_from_line, has_corresponding_data, head_row
+from hybridoa.artifacts import head_row
 from hybridoa.errors import InsufficientPairs
 from hybridoa.model import (
     Authorship,
@@ -55,13 +55,8 @@ def rows_of(corpora):
 
 
 def fold_of(source, articles, ta_keys):
-    """`aggregate` over the rows of the articles' classified lines, told
-    from the text of those lines whether any carries corresponding-author
-    data."""
-    lines = [written_line(a) for a in articles]
-    flagged = any(map(has_corresponding_data, lines))
-    rows = [classified_from_line(line, source) for line in lines]
-    return aggregate(source, rows, ta_keys, YEARS, lambda: flagged)
+    """`aggregate` over the articles' classified lines."""
+    return aggregate(source, [written_line(a) for a in articles], ta_keys, YEARS)
 
 
 def cls(

@@ -261,34 +261,39 @@ def test_regular_issue_digits_are_ascii(pagination, article_number, regular):
 
 # --- original decision ---------------------------------------------------------------
 
+def verdicts(rec):
+    """The paratext and regular-issue verdicts `classify_article` passes to `is_original`."""
+    return dict(paratext=detect_paratext(rec.title, PATTERNS), regular_issue=in_regular_issue(rec))
+
+
 def test_allowlist_accepts_review():
     rec = record(source="srcA", document_class="Review")
-    assert is_original(rec, SourcePolicy(mode=DOC_MODE_ALLOWLIST))
+    assert is_original(rec, SourcePolicy(mode=DOC_MODE_ALLOWLIST), **verdicts(rec))
 
 
 def test_allowlist_rejects_meeting_abstract():
     rec = record(source="srcA", document_class="Meeting Abstract")
-    assert not is_original(rec, SourcePolicy(mode=DOC_MODE_ALLOWLIST))
+    assert not is_original(rec, SourcePolicy(mode=DOC_MODE_ALLOWLIST), **verdicts(rec))
 
 
 def test_unknown_class_treated_as_not_original():
     rec = record(source="srcA", document_class="Dance Notation")
-    assert not is_original(rec, SourcePolicy(mode=DOC_MODE_ALLOWLIST))
+    assert not is_original(rec, SourcePolicy(mode=DOC_MODE_ALLOWLIST), **verdicts(rec))
 
 
 def test_heuristic_rejects_paratext_title():
     rec = record(title="Front Matter")
-    assert not is_original(rec, SourcePolicy(mode=DOC_MODE_HEURISTIC), patterns=PATTERNS)
+    assert not is_original(rec, SourcePolicy(mode=DOC_MODE_HEURISTIC), **verdicts(rec))
 
 
 def test_heuristic_rejects_non_journal_article_class():
     rec = record(document_class="posted-content")
-    assert not is_original(rec, SourcePolicy(mode=DOC_MODE_HEURISTIC), patterns=PATTERNS)
+    assert not is_original(rec, SourcePolicy(mode=DOC_MODE_HEURISTIC), **verdicts(rec))
 
 
 def test_heuristic_accepts_regular_article():
     rec = record()
-    assert is_original(rec, SourcePolicy(mode=DOC_MODE_HEURISTIC), patterns=PATTERNS)
+    assert is_original(rec, SourcePolicy(mode=DOC_MODE_HEURISTIC), **verdicts(rec))
 
 
 # --- OA status ------------------------------------------------------------------------

@@ -94,7 +94,8 @@ def test_config_is_loadable_and_valid(corpus_dir):
 def test_withheld_publisher_is_closed_in_open_source_only(tmp_path):
     params = FixtureParams(seed=5, n_articles=400, withhold_cc_publisher="Boreal")
     generate(params, str(tmp_path))
-    labels = list(csv.DictReader(open(tmp_path / "truth" / "labels.csv")))
+    with open(tmp_path / "truth" / "labels.csv") as fh:
+        labels = list(csv.DictReader(fh))
     boreal_open = [r for r in labels if r["publisher"] == "Boreal" and r["source"] == "open"]
     assert boreal_open and all(r["is_oa"] == "false" for r in boreal_open)
     boreal_prop = [r for r in labels if r["publisher"] == "Boreal" and r["source"] != "open"]

@@ -449,7 +449,7 @@ def test_stream_duplicate_native_id_rejected(tmp_path):
     rejects.close()
     assert len(records) == 1
     assert manifest.record_count == 1 and manifest.reject_count == 1
-    assert "duplicate_record" in open(tmp_path / "rej.csv").read()
+    assert "duplicate_record" in (tmp_path / "rej.csv").read_text()
 
 
 def test_stream_source_mismatch_rejected(tmp_path):
@@ -794,6 +794,27 @@ def test_an_oversized_author_is_checked_but_not_kept():
     ]
 
 
+def test_a_long_text_is_checked_but_not_kept(tmp_path):
+    """A text of more than MEMO_AUTHOR_CHARS characters gets the verdict
+    and the reject of a fresh check every time, and no memo keeps it: 100
+    distinct 100 KB dates are 100 bad_date rejects and leave the date memo
+    without them."""
+    lines = [
+        article_line(native_id=f"W{i}", pub_date=f"{i}-" + "9" * 100_000) for i in range(100)
+    ]
+    path = write_lines(tmp_path / "a.ndjson", lines)
+    checks = TextChecks()
+    with RejectLog(str(tmp_path / "rej.csv")) as rejects:
+        records, manifest = consume(path, "open", checks, rejects)
+    assert records == [] and manifest.reject_count == 100
+    with open(tmp_path / "rej.csv", encoding="utf-8", newline="") as fh:
+        assert [tuple(row) for row in csv.reader(fh)][1:] == [
+            (str(lineno), "bad_date", line) for lineno, line in enumerate(lines, 1)
+        ]
+    assert all(len(text) <= ingest.MEMO_AUTHOR_CHARS for text in checks._dates)
+    assert outcome(lines[0], checks) == outcome(lines[0], TextChecks())
+
+
 @pytest.mark.parametrize(
     "overrides, code",
     [
@@ -1068,8 +1089,8 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
         assert excinfo.value.code == exc.code
         return
     _, ingest_line = parse_article_line(text, source, ORACLE_LINKS)
-    chunk = (source, [ingest_line + "\n"])
-    ((classified,), (doi,), unknown), = pipeline._map_chunks(
+    chunk = (source, [1], [ingest_line + "\n"])
+    (_, ((classified,), (doi,), unknown)), = pipeline._map_chunks(
         pipeline._classify_chunk, [chunk], (ORACLE_CFG, ORACLE_JOURNALS), 1
     )
     assert (ingest_line, classified, bool(unknown)) == expected

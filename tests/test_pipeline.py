@@ -2,6 +2,7 @@ import csv
 import hashlib
 import io
 import json
+import operator
 import os
 import random
 import re
@@ -348,7 +349,7 @@ def test_ingest_checks_each_distinct_text_once_per_stage(tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline.ingest, name, counted)
     corpus, config = small_corpus(tmp_path)
     pipeline.run(config, ["ingest"])
-    assert pipeline._WORKER_CTX is None  # the memos ended with the stage
+    assert pipeline._WORKER_CTX is None  # the inline map keeps no context in a global
     once = Counter(calls)
     calls.clear()
     for path in [config.agreement_dump] + [s.articles for s in config.sources]:
@@ -917,6 +918,32 @@ def test_ingest_is_identical_at_every_worker_count_across_chunks(tmp_path):
     expected.append([str(len(lines)), "duplicate_record", lines[-1]])
     assert rows[1:] == expected
     assert counters["rejects_open"] == len(expected)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_map_chunks_pairs_each_task_with_its_result_in_task_order(workers):
+    """More tasks than the in-flight window (workers * 2) come back as
+    (task, fn(ctx, task)) pairs, in task order, inline or on the pool."""
+    tasks = [(k,) for k in range(workers * 2 * 3 + 1)]
+    pairs = list(pipeline._map_chunks(operator.add, iter(tasks), ("ctx",), workers))
+    assert pairs == [(task, ("ctx", *task)) for task in tasks]
+
+
+def test_map_chunks_inline_passes_ctx_and_sets_no_global(monkeypatch):
+    """At workers=1 `fn` gets the very `ctx` passed in, and the pool's
+    worker context is neither read nor set."""
+    ctx, sentinel = object(), object()
+    monkeypatch.setattr(pipeline, "_WORKER_CTX", sentinel)
+    seen = []
+
+    def fn(got, task):
+        seen.append((got, pipeline._WORKER_CTX))
+        return task * 10
+
+    pairs = list(pipeline._map_chunks(fn, range(5), ctx, 1))
+    assert pairs == [(k, k * 10) for k in range(5)]
+    assert seen == [(ctx, sentinel)] * 5
+    assert pipeline._WORKER_CTX is sentinel
 
 
 def line_count(path):
