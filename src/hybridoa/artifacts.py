@@ -224,8 +224,9 @@ def open_input_text(path: str, errors: str = "strict", newline: str | None = Non
     )
 
 
-# Non-blank lines per chunk of a line-mapped stage. The reader keeps the
-# raw lines of every chunk in flight until its result comes back.
+# Non-blank lines per chunk: ingest parses, and classify classifies and
+# writes, a source's lines this many at a time, in the process that reads
+# them.
 CHUNK_LINES = 500
 
 
@@ -251,36 +252,57 @@ def line_chunks(path: str) -> Iterator[tuple[list[int], list[str]]]:
         yield linenos, lines
 
 
-# Inside a `recording` block: absolute path -> (sha256, lines) of each file
-# `open_artifact` wrote, and target -> temp file of each file waiting to be
-# published. None outside one.
-_recorded: ContextVar[tuple[dict[str, tuple[str, int]], dict[str, str]] | None] = ContextVar(
-    "recorded", default=None
-)
+# Inside a `recording` or `holding` block: absolute path -> (sha256, lines)
+# of each file `open_artifact` wrote, and target -> temp file of each file
+# waiting to be published. None outside one.
+Held = tuple[dict[str, tuple[str, int]], dict[str, str]]
+_recorded: ContextVar[Held | None] = ContextVar("recorded", default=None)
+
+
+@contextmanager
+def holding() -> Iterator[Held]:
+    """(path -> (sha256, lines), target -> temp file) of each file written
+    in the block, which stays a temp file when the block exits cleanly,
+    for `note_writes` to hand on; an exception deletes every one."""
+    held: Held = ({}, {})
+    token = _recorded.set(held)
+    try:
+        yield held
+    except BaseException:
+        for tmp in held[1].values():
+            os.unlink(tmp)
+        raise
+    finally:
+        _recorded.reset(token)
 
 
 @contextmanager
 def recording() -> Iterator[dict[str, tuple[str, int]]]:
-    """Absolute path -> (sha256, lines) of each file written in the block.
+    """Absolute path -> (sha256, lines) of each file written in the block,
+    here or in a worker whose `holding` record `note_writes` added.
 
     The files stay temp files until the block exits: cleanly, and each
     replaces its target, in the order they were finished; by an
     exception, and every one is deleted, so the targets keep what they
     held before the block.
     """
-    written: dict[str, tuple[str, int]] = {}
-    pending: dict[str, str] = {}
-    token = _recorded.set((written, pending))
-    try:
+    with holding() as (written, pending):
         yield written
-    except BaseException:
-        for tmp in pending.values():
-            os.unlink(tmp)
-        raise
-    finally:
-        _recorded.reset(token)
     for path, tmp in pending.items():
         os.replace(tmp, path)
+
+
+def note_writes(held: Held) -> None:
+    """Hand the files of a `holding` block, here or in a worker, to the
+    enclosing `recording` or `holding` block, which publishes or deletes
+    them with its own; outside one they are published now."""
+    recorded = _recorded.get()
+    if recorded is None:
+        for path, tmp in held[1].items():
+            os.replace(tmp, path)
+        return
+    recorded[0].update(held[0])
+    recorded[1].update(held[1])
 
 
 @contextmanager
@@ -289,10 +311,11 @@ def open_artifact(path: str) -> Iterator[TextIO]:
 
     Creates the parent directory when it is missing. The text goes to a
     temp file beside `path` that replaces `path` when the block exits
-    cleanly, or inside a `recording` block when that block does; on an
-    exception the temp file is deleted and whatever was at `path` stays.
-    Inside a `recording` block the bytes are hashed and their lines
-    counted as they are written, for the stage manifest.
+    cleanly, or inside a `recording` block when that block does (inside a
+    `holding` block, when `note_writes` says); on an exception the temp
+    file is deleted and whatever was at `path` stays. Inside either block
+    the bytes are hashed and their lines counted as they are written, for
+    the stage manifest.
     """
     os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
     tmp = path + ".tmp"

@@ -11,12 +11,11 @@ artifact line (`parse_article_line`): each field is written as canonical
 JSON as it is checked, with no record dict built and no JSON encoder run.
 A list field (licenses, authors, an author's org IDs or countries) that
 holds anything but a list is rejected like any other mistyped field, and
-so is a line that is not UTF-8. Article streams are read in chunks of
-non-blank lines (`artifacts.line_chunks`); the lines of a chunk can be
-parsed anywhere (`article_outcomes`), and an `ArticleLedger` takes the
-outcomes back in input order. Memory stays constant in file length:
-exact duplicate detection over (source, native_id) uses a disk-backed
-index.
+so is a line that is not UTF-8. An article stream is read, parsed and
+written in one process, in chunks of non-blank lines
+(`artifacts.line_chunks`, `article_outcomes`), and its passing records
+are kept in input order. Memory stays constant in file length: exact
+duplicate detection over (source, native_id) uses a disk-backed index.
 """
 
 from __future__ import annotations
@@ -33,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from datetime import date
 from functools import partial
 from operator import itemgetter
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from . import artifacts
 from .errors import ChecksumFailure, MalformedIssn, MissingColumn, SchemaViolation
@@ -747,39 +746,45 @@ def article_outcomes(
     return out
 
 
-class ArticleLedger:
-    """The in-order half of reading one article stream.
+def _admitted(
+    path: str, source: str, checks: TextChecks, rejects: RejectLog, manifest: CorpusManifest
+) -> Iterator[list[str]]:
+    """The ingest lines of the passing records of each chunk of the
+    article file `path`, in input order.
 
-    It takes each chunk's `article_outcomes` back in input order. The
-    first record of each native ID passes and a later one is a duplicate.
-    Duplicates and failed lines go to the reject log with their line
-    number and raw text, and `manifest` counts both.
+    The first record of each native ID passes and a later one is a
+    duplicate. Duplicates and failed lines go to the reject log with
+    their line number and raw text, and `manifest` counts both.
     """
+    with DedupeIndex() as seen:
+        for linenos, lines in artifacts.line_chunks(path):
+            admitted = []
+            for lineno, line, outcome in zip(
+                linenos, lines, article_outcomes(lines, source, checks)
+            ):
+                if isinstance(outcome, str):
+                    code = outcome
+                elif seen.add(outcome[0]):
+                    manifest.record_count += 1
+                    admitted.append(outcome[1])
+                    continue
+                else:
+                    code = REJECT_DUPLICATE
+                manifest.reject_count += 1
+                rejects.reject(lineno, code, line)
+            yield admitted
 
-    def __init__(self, rejects: RejectLog, manifest: CorpusManifest):
-        self.rejects = rejects
-        self.manifest = manifest
-        self._seen = DedupeIndex()
 
-    def admit(self, linenos: list[int], lines: list[str], outcomes: list) -> Iterator[str]:
-        """The ingest line of each passing record, in input order."""
-        for lineno, line, outcome in zip(linenos, lines, outcomes):
-            if isinstance(outcome, str):
-                code = outcome
-            elif self._seen.add(outcome[0]):
-                self.manifest.record_count += 1
-                yield outcome[1]
-                continue
-            else:
-                code = REJECT_DUPLICATE
-            self.manifest.reject_count += 1
-            self.rejects.reject(lineno, code, line)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self._seen.close()
+def write_article_stream(
+    path: str, source: str, links: dict[str, str] | TextChecks | None, out: TextIO,
+    rejects: RejectLog,
+) -> CorpusManifest:
+    """Parse the article file `path` into `out`, one ingest line per
+    passing record in input order (see `_admitted`); returns the totals."""
+    manifest = CorpusManifest()
+    for lines in _admitted(path, source, _text_checks(links), rejects, manifest):
+        out.write("".join(f"{line}\n" for line in lines))
+    return manifest
 
 
 def load_article_stream(
@@ -800,9 +805,7 @@ def load_article_stream(
     checks = _text_checks(links)
 
     def generate() -> Iterator[dict]:
-        with ArticleLedger(rejects, manifest) as ledger:
-            for linenos, lines in artifacts.line_chunks(path):
-                outcomes = article_outcomes(lines, source, checks)
-                yield from map(json.loads, ledger.admit(linenos, lines, outcomes))
+        for lines in _admitted(path, source, checks, rejects, manifest):
+            yield from map(json.loads, lines)
 
     return generate(), manifest

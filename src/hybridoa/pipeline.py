@@ -5,25 +5,27 @@ Each stage reads the previous stage's artifacts, writes its own, and
 never mutates inputs; `run` checks a stage's declared inputs against the
 bytes the stage read, and publishes its outputs and manifest together.
 
-A pooled stage function is `fn(ctx, task)`: `ctx` is what all of the
-stage's tasks share, and `_map_chunks` yields `(task, result)` pairs in
-task order, inline or on a worker pool. Ingest and classify map over
-`(source, line numbers, lines)` chunks of every source's file
-(`_source_chunks`); reconcile, attribute and aggregate fold each
-source's classified file in a `(path, label)` task of its own
-(`_source_folds`). Either way a worker pool changes wall time but never
+Every pooled stage has one shape, the per-source fold (`_source_folds`):
+one task per source, which carries only paths. A stage function is
+`fn(ctx, task)`, where `ctx` is what all of the stage's tasks share, and
+it runs inline or on a worker pool (`_map_chunks`). The task reads its
+source's files and writes its own outputs where it runs, and only its
+result, the digests of what it read and its unpublished writes cross a
+pipe; no article line does. A worker pool changes wall time but never
 output bytes.
 """
 
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import os
 import pickle
 import re
+import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import ExitStack
+from functools import partial
 from typing import Callable, Iterable, Iterator
 
 from . import analytics, artifacts, attribute, classify, ingest, reconcile
@@ -171,7 +173,7 @@ STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
 }
 
 
-# --- chunked worker execution ----------------------------------------------
+# --- per-source folds --------------------------------------------------------
 
 # A pool worker's copy of its stage's ctx, set once by `_init_worker`.
 _WORKER_CTX = None
@@ -187,30 +189,23 @@ def _in_worker(fn: Callable, task):
     return fn(_WORKER_CTX, task)
 
 
-def _map_chunks(fn: Callable, tasks: Iterable, ctx, workers: int) -> Iterator[tuple]:
-    """(task, fn(ctx, task)) for each task, in task order, with a bounded
-    number of tasks in flight.
+def _map_chunks(fn: Callable, tasks: list, ctx, workers: int) -> Iterator[tuple]:
+    """(task, fn(ctx, task)) for each task, in task order.
 
-    workers <= 1 runs inline; more workers fan out to processes, each of
-    which unpickles `ctx` once. Either path applies the same function in
-    the same order, so results are worker-count-invariant.
+    The pool has min(workers, tasks) processes, each of which unpickles
+    `ctx` once; when that is at most one, the tasks run inline. Either
+    path applies the same function in the same order, so results are
+    worker-count-invariant.
     """
+    workers = min(workers, len(tasks))
     if workers <= 1:
         for task in tasks:
             yield task, fn(ctx, task)
         return
-    ctx_bytes = pickle.dumps(ctx)
     with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(ctx_bytes,)
+        max_workers=workers, initializer=_init_worker, initargs=(pickle.dumps(ctx),)
     ) as pool:
-        pending = []
-        for task in tasks:
-            pending.append((task, pool.submit(_in_worker, fn, task)))
-            if len(pending) >= workers * 2:
-                task, future = pending.pop(0)
-                yield task, future.result()
-        for task, future in pending:
-            yield task, future.result()
+        yield from zip(tasks, pool.map(partial(_in_worker, fn), tasks))
 
 
 def _effective_workers(config: PipelineConfig) -> int:
@@ -219,42 +214,51 @@ def _effective_workers(config: PipelineConfig) -> int:
     return os.cpu_count() or 1
 
 
-def _source_chunks(
-    config: PipelineConfig, path_of: Callable, fn: Callable, ctx
-) -> Iterator[tuple[tuple[str, list[int], list[str]], object]]:
-    """The line map: ((source label, line numbers, lines), fn's result) of
-    every chunk of every source's file, in config order.
+def _source_folds(config: PipelineConfig, fn: Callable, ctx, sources: list[tuple]) -> Iterator:
+    """fn(ctx, source) for each source's task of paths, in task order,
+    inline or one task per pool worker.
 
-    `path_of(source)` is a source's file, read here through
-    `artifacts.line_chunks`; `fn` gets (ctx, chunk) on the pool.
+    The digests of the files each task read, and the files it wrote
+    (`artifacts.holding`), come back with its result and join this
+    process's `artifacts.reading` and `artifacts.recording` records. A
+    task that raises does not stop its siblings: the exception is raised
+    once every task has run and handed back its writes, so the recording
+    block deletes them all.
     """
-    chunks = (
-        (source.label, linenos, lines)
-        for source in config.sources
-        for linenos, lines in artifacts.line_chunks(path_of(source))
-    )
-    return _map_chunks(fn, chunks, ctx, _effective_workers(config))
-
-
-def _source_folds(
-    config: PipelineConfig, layout: Layout, fn: Callable, ctx, labels: Iterable[str] | None = None
-) -> Iterator:
-    """The per-source fold: fn(ctx, (path, label)) for each source's
-    classified file, one task per source, in `labels` order (default:
-    config order). The digests of the files each task read come back with
-    its result and join this process's `artifacts.reading` record."""
-    labels = labels or [s.label for s in config.sources]
-    tasks = [(fn, layout.classified(label), label) for label in labels]
-    for _, (result, read) in _map_chunks(_fold_task, tasks, ctx, _effective_workers(config)):
+    tasks = [(fn, source) for source in sources]
+    failure = None
+    for _, (result, read, held) in _map_chunks(
+        _fold_task, tasks, ctx, _effective_workers(config)
+    ):
         artifacts.note_reads(read)
-        yield result
+        artifacts.note_writes(held)
+        if isinstance(result, Exception):
+            failure = failure or result
+        elif failure is None:
+            yield result
+    if failure is not None:
+        raise failure
 
 
-def _fold_task(ctx, task: tuple[Callable, str, str]) -> tuple[object, dict[str, str]]:
-    """fn(ctx, (path, label)), and the digests of the files it read to the end."""
-    fn, path, label = task
+def _fold_task(ctx, task: tuple[Callable, tuple]) -> tuple:
+    """(fn(ctx, source), the digests of the files it read to the end, the
+    files it wrote, held unpublished); the exception it raised in place of
+    its result, its own files deleted."""
+    fn, source = task
     with artifacts.reading() as read:
-        return fn(ctx, (path, label)), read
+        try:
+            with artifacts.holding() as held:
+                return fn(ctx, source), read, held
+        except Exception as exc:
+            if multiprocessing.parent_process() is not None:
+                # a traceback is not pickled; its text, as a note, is
+                exc.__notes__ = [*getattr(exc, "__notes__", ()), traceback.format_exc()]
+            return exc, read, ({}, {})
+
+
+def _classified_sources(layout: Layout, labels: Iterable[str]) -> list[tuple[str, str]]:
+    """The (path, label) task of each source's classified file."""
+    return [(layout.classified(label), label) for label in labels]
 
 
 # --- ingest ------------------------------------------------------------------
@@ -263,7 +267,9 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
     """Parse all inputs into normalized artifacts with reject sidecars.
 
     Appends the path of every external input it reads to `inputs`, with
-    the number of countable lines of each article file.
+    the number of countable lines of each article file. One per-source
+    fold parses each source's article file into its ingest file and
+    reject log.
     """
     counters: dict = {}
 
@@ -301,24 +307,13 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
     artifacts.write_institutions(layout.institutions, institutions)
     outputs = [layout.agreements, layout.journals, layout.institutions]
 
-    # the ledgers dedupe and write in input order
-    with ExitStack() as stack:
-        files, ledgers = {}, {}
-        for source in config.sources:
-            label = source.label
-            files[label] = stack.enter_context(artifacts.open_artifact(layout.articles(label)))
-            rejects = stack.enter_context(ingest.RejectLog(layout.reject_log(f"articles_{label}")))
-            ledgers[label] = stack.enter_context(
-                ingest.ArticleLedger(rejects, ingest.CorpusManifest())
-            )
-        for (label, linenos, lines), outcomes in _source_chunks(
-            config, lambda s: s.articles, _ingest_chunk, checks
-        ):
-            admitted = ledgers[label].admit(linenos, lines, outcomes)
-            files[label].write("".join(f"{line}\n" for line in admitted))
-
-    for source in config.sources:
-        manifest = ledgers[source.label].manifest
+    sources = [
+        (s.label, s.articles, layout.articles(s.label), layout.reject_log(f"articles_{s.label}"))
+        for s in config.sources
+    ]
+    for source, manifest in zip(
+        config.sources, _source_folds(config, _ingest_source, checks, sources), strict=True
+    ):
         inputs.append({"path": source.articles, "rows": manifest.total_lines})
         counters[f"records_{source.label}"] = manifest.record_count
         counters[f"rejects_{source.label}"] = manifest.reject_count
@@ -326,12 +321,13 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
     return outputs, counters
 
 
-def _ingest_chunk(
-    checks: ingest.TextChecks, chunk: tuple[str, list[int], list[str]]
-) -> list:
-    """Each line of one chunk as (native_id, ingest line), or its reject code."""
-    source, _, lines = chunk
-    return ingest.article_outcomes(lines, source, checks)
+def _ingest_source(
+    checks: ingest.TextChecks, source: tuple[str, str, str, str]
+) -> ingest.CorpusManifest:
+    """One source's article file, parsed into its ingest file and reject log."""
+    label, path, out_path, reject_path = source
+    with artifacts.open_artifact(out_path) as out, ingest.RejectLog(reject_path) as rejects:
+        return ingest.write_article_stream(path, label, checks, out, rejects)
 
 
 # --- classify ----------------------------------------------------------------
@@ -364,67 +360,60 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     )
 
 
-def _classify_chunk(
-    ctx: tuple[classify.ClassifierConfig, dict], chunk: tuple[str, list[int], list[str]]
-) -> tuple[list[str], list[str | None], Counter]:
-    """The chunk's classified lines, each line's DOI (or None), and its
-    records per unknown document class."""
+def _classify_source(
+    ctx: tuple[classify.ClassifierConfig, dict], source: tuple[str, str, str]
+) -> tuple[int, Counter, list[str]]:
+    """One source's ingest file, classified into its classified file: its
+    rows, its records per unknown document class and its DOI index entries."""
     cfg, journals = ctx
-    source, _, lines = chunk
-    policy = cfg.policies[source]
-    out = []
-    dois = []
+    label, path, out_path = source
+    policy = cfg.policies[label]
+    rows, offset = 0, 0
     unknown: Counter = Counter()
-    for line in lines:
-        record = artifacts.ingest_from_line(line, source)
-        article = classify.classify_article(record, journals.get(record.journal_issn_l), cfg)
-        if classify.is_unknown_class(record, policy):
-            unknown[record.document_class] += 1
-        out.append(artifacts.classified_to_line(article))
-        dois.append(record.doi)
-    return out, dois, unknown
+    entries: list[str] = []
+    with artifacts.open_artifact(out_path) as out:
+        for _, lines in artifacts.line_chunks(path):
+            classified, dois = [], []
+            for line in lines:
+                record = artifacts.ingest_from_line(line, label)
+                journal = journals.get(record.journal_issn_l)
+                article = classify.classify_article(record, journal, cfg)
+                if classify.is_unknown_class(record, policy):
+                    unknown[record.document_class] += 1
+                classified.append(artifacts.classified_to_line(article))
+                dois.append(record.doi)
+            out.write("".join(f"{line}\n" for line in classified))
+            offset = artifacts.doi_index_entries(label, classified, dois, offset, entries)
+            rows += len(classified)
+    return rows, unknown, entries
 
 
 def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
     """Apply all classification rules to every ingested record.
 
-    One line map covers every source; each result goes to its source's
-    file, and each record with a DOI gets an entry in the DOI index.
+    One per-source fold classifies each source's ingest file into its
+    classified file; the DOI index entries of every source come back and
+    are sorted into one index here.
     """
-    journals = artifacts.read_journals(layout.journals)
-    cfg = _classifier_config(config)
+    ctx = (_classifier_config(config), artifacts.read_journals(layout.journals))
     outputs = [layout.classified(s.label) for s in config.sources]
-    rows = {s.label: 0 for s in config.sources}
-    offsets = {s.label: 0 for s in config.sources}
-    unknown = {s.label: Counter() for s in config.sources}
-    entries: list[str] = []
-
-    with ExitStack() as stack:
-        files = {
-            source.label: stack.enter_context(artifacts.open_artifact(path))
-            for source, path in zip(config.sources, outputs)
-        }
-        index = stack.enter_context(artifacts.open_artifact(layout.doi_index))
-        chunks = _source_chunks(
-            config, lambda s: layout.articles(s.label), _classify_chunk, (cfg, journals)
-        )
-        for (label, _, _), (lines, dois, classes) in chunks:
-            files[label].write("".join(f"{line}\n" for line in lines))
-            offsets[label] = artifacts.doi_index_entries(
-                label, lines, dois, offsets[label], entries
-            )
-            rows[label] += len(lines)
-            unknown[label].update(classes)
-        artifacts.write_doi_index(index, entries)
-
+    sources = [
+        (s.label, layout.articles(s.label), path) for s, path in zip(config.sources, outputs)
+    ]
     counters = {}
-    for label, n in rows.items():
-        counters[f"classified_{label}"] = n
-        counters[f"unknown_doc_class_{label}"] = sum(unknown[label].values())
-        for doc_class, count in sorted(unknown[label].items()):
+    entries: list[str] = []
+    for (label, _, _), (rows, unknown, source_entries) in zip(
+        sources, _source_folds(config, _classify_source, ctx, sources), strict=True
+    ):
+        entries.extend(source_entries)
+        counters[f"classified_{label}"] = rows
+        counters[f"unknown_doc_class_{label}"] = sum(unknown.values())
+        for doc_class, count in sorted(unknown.items()):
             log.warning(
                 "unknown document class %r in source %s: %d records", doc_class, label, count
             )
+    with artifacts.open_artifact(layout.doi_index) as index:
+        artifacts.write_doi_index(index, entries)
     return outputs + [layout.doi_index], counters
 
 
@@ -448,9 +437,8 @@ def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
     """
     open_label = config.open_source
     proprietary = [s.label for s in config.sources if s.label != open_label]
-    projections = _source_folds(
-        config, layout, _project_source, open_label, [open_label] + proprietary
-    )
+    sources = _classified_sources(layout, [open_label] + proprietary)
+    projections = _source_folds(config, _project_source, open_label, sources)
     open_ids = next(projections)
     counters: dict = {}
     counts: Counter = Counter()
@@ -512,7 +500,8 @@ def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
     ctx = (tuple(config.roles), *_attribution_indexes(layout))
     rows: dict[str, list[tuple]] = {role: [] for role in config.roles}
     unresolved = dict.fromkeys(config.roles, 0)
-    for result, diagnostics in _source_folds(config, layout, _attribute_source, ctx):
+    sources = _classified_sources(layout, [s.label for s in config.sources])
+    for result, diagnostics in _source_folds(config, _attribute_source, ctx, sources):
         for role, role_rows in result.items():
             rows[role].extend(role_rows)
             unresolved[role] += diagnostics[role].get("unresolved_org_ids", 0)
@@ -546,7 +535,8 @@ def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
     config order.
     """
     ta_keys = {role: artifacts.read_ta_keys(layout.attributions(role)) for role in config.roles}
-    folds = list(_source_folds(config, layout, _aggregate_source, (ta_keys, config.years)))
+    sources = _classified_sources(layout, [s.label for s in config.sources])
+    folds = list(_source_folds(config, _aggregate_source, (ta_keys, config.years), sources))
     counters: dict = {}
     for fold in folds:
         for role in fold.skipped_roles:

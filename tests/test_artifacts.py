@@ -16,9 +16,11 @@ from hybridoa.artifacts import (
     first_author_org_ids,
     has_corresponding_data,
     head_row,
+    holding,
     in_hybrid_journal,
     ingest_from_line,
     is_attributable,
+    note_writes,
     open_artifact,
     open_input_text,
     read_manifest,
@@ -349,3 +351,36 @@ def test_recording_publishes_every_file_only_when_the_block_succeeds(tmp_path):
     assert sorted(written) == [str(first), str(second)]
     assert sorted(os.listdir(tmp_path)) == ["first.csv", "second.csv"]
     assert {p.read_text(encoding="utf-8") for p in (first, second)} == {"new\n"}
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_held_writes_are_published_or_deleted_with_the_recording_block(tmp_path, fails):
+    """Files written in a `holding` block stay temp files when it exits
+    cleanly, and it deletes them when it raises. Handed to a `recording`
+    block (`note_writes`), they join its record and are published with
+    its own files, or deleted with them when it raises."""
+    held, own = tmp_path / "held.csv", tmp_path / "own.csv"
+    with pytest.raises(RuntimeError):
+        with holding():
+            with open_artifact(str(held)) as fh:
+                fh.write("lost\n")
+            raise RuntimeError("the task failed after its first file")
+    assert os.listdir(tmp_path) == []
+    with holding() as files:
+        with open_artifact(str(held)) as fh:
+            fh.write("held\n")
+    assert os.listdir(tmp_path) == ["held.csv.tmp"]
+    try:
+        with recording() as written:
+            with open_artifact(str(own)) as fh:
+                fh.write("own\n")
+            note_writes(files)
+            if fails:
+                raise RuntimeError("the stage failed after its task")
+    except RuntimeError:
+        assert fails
+        assert os.listdir(tmp_path) == []
+        return
+    assert sorted(written) == [str(held), str(own)]
+    assert written[str(held)] == (sha256_file(str(held)), 1)
+    assert sorted(os.listdir(tmp_path)) == ["held.csv", "own.csv"]

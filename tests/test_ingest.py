@@ -1,6 +1,8 @@
 import csv
 import json
+import os
 import random
+import tempfile
 from collections import Counter
 from datetime import date
 
@@ -1089,11 +1091,17 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
         assert excinfo.value.code == exc.code
         return
     _, ingest_line = parse_article_line(text, source, ORACLE_LINKS)
-    chunk = (source, [1], [ingest_line + "\n"])
-    (_, ((classified,), (doi,), unknown)), = pipeline._map_chunks(
-        pipeline._classify_chunk, [chunk], (ORACLE_CFG, ORACLE_JOURNALS), 1
-    )
+    with tempfile.TemporaryDirectory() as tmp:
+        path, out = os.path.join(tmp, "ingest.ndjson"), os.path.join(tmp, "classified.ndjson")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(ingest_line + "\n")
+        (_, (_, unknown, entries)), = pipeline._map_chunks(
+            pipeline._classify_source, [(source, path, out)], (ORACLE_CFG, ORACLE_JOURNALS), 1
+        )
+        with open(out, encoding="utf-8", newline="") as fh:
+            (classified,) = fh.read().splitlines()
     assert (ingest_line, classified, bool(unknown)) == expected
+    doi = json.loads(entries[0])[0] if entries else None
     assert doi == json.loads(classified)["record"]["doi"]
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import operator
 import os
+import pickle
 import random
 import re
 import shutil
@@ -922,10 +923,10 @@ def test_ingest_is_identical_at_every_worker_count_across_chunks(tmp_path):
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_map_chunks_pairs_each_task_with_its_result_in_task_order(workers):
-    """More tasks than the in-flight window (workers * 2) come back as
+    """More tasks than the pool has processes come back as
     (task, fn(ctx, task)) pairs, in task order, inline or on the pool."""
     tasks = [(k,) for k in range(workers * 2 * 3 + 1)]
-    pairs = list(pipeline._map_chunks(operator.add, iter(tasks), ("ctx",), workers))
+    pairs = list(pipeline._map_chunks(operator.add, tasks, ("ctx",), workers))
     assert pairs == [(task, ("ctx", *task)) for task in tasks]
 
 
@@ -944,6 +945,80 @@ def test_map_chunks_inline_passes_ctx_and_sets_no_global(monkeypatch):
     assert pairs == [(k, k * 10) for k in range(5)]
     assert seen == [(ctx, sentinel)] * 5
     assert pipeline._WORKER_CTX is sentinel
+
+
+def test_a_pool_starts_no_more_processes_than_tasks(tmp_path, monkeypatch):
+    """At workers=8 each of the five pooled stages, which have one task per
+    source, asks for one process per source and no more."""
+    corpus, config = small_corpus(tmp_path)
+    asked = []
+
+    class SpyPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SpyPool)
+    pipeline.run(replace(config, workers=8))
+    assert asked == [len(config.sources)] * 5
+
+
+def test_no_article_line_crosses_a_pipe(tmp_path, monkeypatch):
+    """Every task that ingest and classify hand to `_map_chunks` carries
+    paths, not lines: each pickles to under 1 KiB."""
+    corpus, config = small_corpus(tmp_path)
+    sizes = {}
+    mapped = pipeline._map_chunks
+
+    def spy(fn, tasks, ctx, workers):
+        tasks = list(tasks)
+        sizes[stage].extend(len(pickle.dumps(task)) for task in tasks)
+        return mapped(fn, tasks, ctx, workers)
+
+    monkeypatch.setattr(pipeline, "_map_chunks", spy)
+    for stage in ("ingest", "classify"):
+        sizes[stage] = []
+        pipeline.run(config, [stage])
+        assert len(sizes[stage]) == len(config.sources), stage
+        assert max(sizes[stage]) < 1024, stage
+
+
+def drop_open_policy(monkeypatch, config):
+    """Make classify's task for the open source raise KeyError: the
+    classifier config that every task gets has no policy for it."""
+    classifier_config = pipeline._classifier_config
+
+    def without_open(config):
+        cfg = classifier_config(config)
+        policies = {k: v for k, v in cfg.policies.items() if k != config.open_source}
+        return replace(cfg, policies=policies)
+
+    monkeypatch.setattr(pipeline, "_classifier_config", without_open)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("stage", ["ingest", "classify"])
+def test_a_failed_source_task_publishes_nothing(tmp_path, monkeypatch, stage, workers):
+    """When the first source's task raises, in ingest (its article file is
+    gone) or classify (its policy is), the stage publishes nothing, the
+    previous tree stays as it was, and no temp file is left: neither the
+    failed task's nor those of its sibling tasks, which still ran."""
+    corpus, config = small_corpus(tmp_path)
+    config = replace(config, workers=workers)
+    pipeline.run(config)
+    before = files_under(config.out_dir)
+    assert config.sources[0].label == config.open_source
+    if stage == "ingest":
+        os.remove(config.sources[0].articles)
+        raised = FileNotFoundError
+    else:
+        drop_open_policy(monkeypatch, config)
+        raised = KeyError
+    with pytest.raises(raised):
+        pipeline.run(config, [stage])
+    after = files_under(config.out_dir)
+    assert [p for p in after if p.endswith(".tmp")] == []
+    assert after == before
 
 
 def line_count(path):
