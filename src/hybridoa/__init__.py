@@ -16,7 +16,6 @@ from .classify import (
 from .identifiers import normalize_doi, validate_issn
 from .ingest import (
     load_agreement_dump,
-    load_article_stream,
     load_durations,
     load_fully_oa_lists,
     load_institutions,
@@ -36,7 +35,6 @@ __all__ = [
     "is_original",
     "journal_index",
     "load_agreement_dump",
-    "load_article_stream",
     "load_durations",
     "load_fully_oa_lists",
     "load_institutions",

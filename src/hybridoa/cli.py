@@ -113,7 +113,9 @@ def main(argv: list[str] | None = None) -> int:
             print(pipeline.explain_doi(config, args.doi))
             return 0
         if args.command == "run":
-            stages = [s.strip() for s in args.stages.split(",") if s.strip()] if args.stages else None
+            stages = None
+            if args.stages is not None:
+                stages = [s.strip() for s in args.stages.split(",") if s.strip()]
             executed = pipeline.run(config, stages)
             print(json.dumps({"stages": executed, "out_dir": config.out_dir}))
             return 0

@@ -785,27 +785,3 @@ def write_article_stream(
     for lines in _admitted(path, source, _text_checks(links), rejects, manifest):
         out.write("".join(f"{line}\n" for line in lines))
     return manifest
-
-
-def load_article_stream(
-    path: str,
-    source: str,
-    links: dict[str, str] | None = None,
-    rejects: RejectLog | None = None,
-) -> tuple[Iterator[dict], CorpusManifest]:
-    """Stream parsed records from a newline-delimited interchange file,
-    each the decoded object of its ingest line (see `parse_article_line`).
-
-    Malformed lines and duplicate (source, native_id) keys are rejected
-    and the stream continues. Memory stays constant in file length; the
-    returned manifest is complete once the iterator is exhausted.
-    """
-    rejects = rejects or RejectLog(None)
-    manifest = CorpusManifest()
-    checks = _text_checks(links)
-
-    def generate() -> Iterator[dict]:
-        for lines in _admitted(path, source, checks, rejects, manifest):
-            yield from map(json.loads, lines)
-
-    return generate(), manifest

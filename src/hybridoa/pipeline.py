@@ -7,8 +7,9 @@ bytes the stage read, and publishes its outputs and manifest together.
 
 Every pooled stage has one shape, the per-source fold (`_source_folds`):
 one task per source, which carries only paths. A stage function is
-`fn(ctx, task)`, where `ctx` is what all of the stage's tasks share, and
-it runs inline or on a worker pool (`_map_chunks`). The task reads its
+`fn(ctx, task)`, where `ctx` is what all of the stage's tasks share and
+travels with each task. `run` opens one worker pool for all its stages,
+or none, and the folds map over it or inline. The task reads its
 source's files and writes its own outputs where it runs, and only its
 result, the digests of what it read and its unpublished writes cross a
 pipe; no article line does. A worker pool changes wall time but never
@@ -17,10 +18,10 @@ output bytes.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import multiprocessing
 import os
-import pickle
 import re
 import traceback
 from collections import Counter
@@ -53,35 +54,44 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
     producer's manifest recorded (`_check_producers`). Only then are the
     stage's outputs, and after them its manifest, published together
     (`artifacts.recording`); a mismatch or an exception publishes none.
+
+    `stages=None` runs every stage; a list that names none is an error.
+    One pool of min(workers, sources) processes serves every stage; at
+    one process there is none, and the folds run inline.
     """
-    wanted = set(stages) if stages else set(artifacts.STAGES)
+    wanted = set(artifacts.STAGES) if stages is None else set(stages)
+    if not wanted:
+        raise DependencyError(f"no stage named; choose from: {', '.join(artifacts.STAGES)}")
     unknown = wanted - set(artifacts.STAGES)
     if unknown:
         raise DependencyError(f"unknown stage(s): {', '.join(sorted(unknown))}")
     layout = Layout(config.out_dir)
     digest = config.digest()
+    workers = (os.cpu_count() or 1) if config.workers is None else config.workers
+    size = min(workers, len(config.sources))
     executed = []
-    for stage in artifacts.STAGES:
-        if stage not in wanted:
-            continue
-        log.info("stage %s", stage)
-        needed = STAGE_INPUTS[stage](layout, config)
-        _require(needed, stage)
-        recorded = _producer_records(layout, digest, needed, stage)
-        inputs = [{"path": p} for p in needed]
-        with artifacts.reading() as read, artifacts.recording() as written:
-            try:
-                outputs, counters = STAGE_FUNCTIONS[stage](config, layout, inputs)
-            except Exception:
-                # an input that is not what its producer recorded may be
-                # what broke the body: name it
+    with ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext() as pool:
+        for stage in artifacts.STAGES:
+            if stage not in wanted:
+                continue
+            log.info("stage %s", stage)
+            needed = STAGE_INPUTS[stage](layout, config)
+            _require(needed, stage)
+            recorded = _producer_records(layout, digest, needed, stage)
+            inputs = [{"path": p} for p in needed]
+            with artifacts.reading() as read, artifacts.recording() as written:
+                try:
+                    outputs, counters = STAGE_FUNCTIONS[stage](config, layout, inputs, pool)
+                except Exception:
+                    # an input that is not what its producer recorded may
+                    # be what broke the body: name it
+                    _check_producers(layout, recorded, read, stage)
+                    raise
                 _check_producers(layout, recorded, read, stage)
-                raise
-            _check_producers(layout, recorded, read, stage)
-            for entry in inputs:
-                entry["sha256"] = _digest(entry["path"], read)
-            artifacts.write_manifest(layout, stage, digest, inputs, outputs, counters, written)
-        executed.append(stage)
+                for entry in inputs:
+                    entry["sha256"] = _digest(entry["path"], read)
+                artifacts.write_manifest(layout, stage, digest, inputs, outputs, counters, written)
+            executed.append(stage)
     return executed
 
 
@@ -175,48 +185,12 @@ STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
 
 # --- per-source folds --------------------------------------------------------
 
-# A pool worker's copy of its stage's ctx, set once by `_init_worker`.
-_WORKER_CTX = None
-
-
-def _init_worker(ctx_bytes: bytes) -> None:
-    global _WORKER_CTX
-    _WORKER_CTX = pickle.loads(ctx_bytes)
-
-
-def _in_worker(fn: Callable, task):
-    """fn(this worker's context, task): what a pool worker runs."""
-    return fn(_WORKER_CTX, task)
-
-
-def _map_chunks(fn: Callable, tasks: list, ctx, workers: int) -> Iterator[tuple]:
-    """(task, fn(ctx, task)) for each task, in task order.
-
-    The pool has min(workers, tasks) processes, each of which unpickles
-    `ctx` once; when that is at most one, the tasks run inline. Either
-    path applies the same function in the same order, so results are
-    worker-count-invariant.
-    """
-    workers = min(workers, len(tasks))
-    if workers <= 1:
-        for task in tasks:
-            yield task, fn(ctx, task)
-        return
-    with ProcessPoolExecutor(
-        max_workers=workers, initializer=_init_worker, initargs=(pickle.dumps(ctx),)
-    ) as pool:
-        yield from zip(tasks, pool.map(partial(_in_worker, fn), tasks))
-
-
-def _effective_workers(config: PipelineConfig) -> int:
-    if config.workers is not None:
-        return max(1, int(config.workers))
-    return os.cpu_count() or 1
-
-
-def _source_folds(config: PipelineConfig, fn: Callable, ctx, sources: list[tuple]) -> Iterator:
-    """fn(ctx, source) for each source's task of paths, in task order,
-    inline or one task per pool worker.
+def _source_folds(
+    pool: ProcessPoolExecutor | None, fn: Callable, ctx, sources: list[tuple]
+) -> Iterator:
+    """fn(ctx, source) for each source's task of paths, in task order:
+    inline when `pool` is None, else on the pool, each task with its own
+    pickled copy of `ctx`.
 
     The digests of the files each task read, and the files it wrote
     (`artifacts.holding`), come back with its result and join this
@@ -225,11 +199,9 @@ def _source_folds(config: PipelineConfig, fn: Callable, ctx, sources: list[tuple
     once every task has run and handed back its writes, so the recording
     block deletes them all.
     """
-    tasks = [(fn, source) for source in sources]
     failure = None
-    for _, (result, read, held) in _map_chunks(
-        _fold_task, tasks, ctx, _effective_workers(config)
-    ):
+    mapped = map if pool is None else pool.map
+    for result, read, held in mapped(partial(_fold_task, fn, ctx), sources):
         artifacts.note_reads(read)
         artifacts.note_writes(held)
         if isinstance(result, Exception):
@@ -240,11 +212,10 @@ def _source_folds(config: PipelineConfig, fn: Callable, ctx, sources: list[tuple
         raise failure
 
 
-def _fold_task(ctx, task: tuple[Callable, tuple]) -> tuple:
+def _fold_task(fn: Callable, ctx, source: tuple) -> tuple:
     """(fn(ctx, source), the digests of the files it read to the end, the
     files it wrote, held unpublished); the exception it raised in place of
     its result, its own files deleted."""
-    fn, source = task
     with artifacts.reading() as read:
         try:
             with artifacts.holding() as held:
@@ -263,7 +234,9 @@ def _classified_sources(layout: Layout, labels: Iterable[str]) -> list[tuple[str
 
 # --- ingest ------------------------------------------------------------------
 
-def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
+def run_ingest(
+    config: PipelineConfig, layout: Layout, inputs: list[dict], pool: ProcessPoolExecutor | None
+) -> StageResult:
     """Parse all inputs into normalized artifacts with reject sidecars.
 
     Appends the path of every external input it reads to `inputs`, with
@@ -312,7 +285,7 @@ def run_ingest(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> St
         for s in config.sources
     ]
     for source, manifest in zip(
-        config.sources, _source_folds(config, _ingest_source, checks, sources), strict=True
+        config.sources, _source_folds(pool, _ingest_source, checks, sources), strict=True
     ):
         inputs.append({"path": source.articles, "rows": manifest.total_lines})
         counters[f"records_{source.label}"] = manifest.record_count
@@ -388,7 +361,9 @@ def _classify_source(
     return rows, unknown, entries
 
 
-def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
+def run_classify(
+    config: PipelineConfig, layout: Layout, inputs: list[dict], pool: ProcessPoolExecutor | None
+) -> StageResult:
     """Apply all classification rules to every ingested record.
 
     One per-source fold classifies each source's ingest file into its
@@ -403,7 +378,7 @@ def run_classify(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> 
     counters = {}
     entries: list[str] = []
     for (label, _, _), (rows, unknown, source_entries) in zip(
-        sources, _source_folds(config, _classify_source, ctx, sources), strict=True
+        sources, _source_folds(pool, _classify_source, ctx, sources), strict=True
     ):
         entries.extend(source_entries)
         counters[f"classified_{label}"] = rows
@@ -427,7 +402,9 @@ def _project_source(open_label: str, source: tuple[str, str]) -> reconcile.Proje
         return reconcile.first_author_ids(map(artifacts.bridge_row, fh), label == open_label)
 
 
-def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
+def run_reconcile(
+    config: PipelineConfig, layout: Layout, inputs: list[dict], pool: ProcessPoolExecutor | None
+) -> StageResult:
     """Build the open/proprietary crosswalk by DOI bridging, plus an audit sample.
 
     One per-source fold projects every source, the open source first.
@@ -438,7 +415,7 @@ def run_reconcile(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
     open_label = config.open_source
     proprietary = [s.label for s in config.sources if s.label != open_label]
     sources = _classified_sources(layout, [open_label] + proprietary)
-    projections = _source_folds(config, _project_source, open_label, sources)
+    projections = _source_folds(pool, _project_source, open_label, sources)
     open_ids = next(projections)
     counters: dict = {}
     counts: Counter = Counter()
@@ -492,7 +469,9 @@ def _attribute_source(ctx: tuple, source: tuple[str, str]) -> tuple[dict[str, li
     return rows, diagnostics
 
 
-def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
+def run_attribute(
+    config: PipelineConfig, layout: Layout, inputs: list[dict], pool: ProcessPoolExecutor | None
+) -> StageResult:
     """Evaluate every eligible OA article against the agreement registry.
 
     One per-source fold evaluates every role on each eligible record.
@@ -501,7 +480,7 @@ def run_attribute(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
     rows: dict[str, list[tuple]] = {role: [] for role in config.roles}
     unresolved = dict.fromkeys(config.roles, 0)
     sources = _classified_sources(layout, [s.label for s in config.sources])
-    for result, diagnostics in _source_folds(config, _attribute_source, ctx, sources):
+    for result, diagnostics in _source_folds(pool, _attribute_source, ctx, sources):
         for role, role_rows in result.items():
             rows[role].extend(role_rows)
             unresolved[role] += diagnostics[role].get("unresolved_org_ids", 0)
@@ -526,7 +505,9 @@ def _aggregate_source(ctx: tuple, source: tuple[str, str]) -> analytics.SourceFo
         return analytics.aggregate(label, fh, ta_keys, years)
 
 
-def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
+def run_aggregate(
+    config: PipelineConfig, layout: Layout, inputs: list[dict], pool: ProcessPoolExecutor | None
+) -> StageResult:
     """Turn classified and attributed articles into indicator tables.
 
     One per-source fold: each classified record in a hybrid journal is
@@ -536,7 +517,7 @@ def run_aggregate(config: PipelineConfig, layout: Layout, inputs: list[dict]) ->
     """
     ta_keys = {role: artifacts.read_ta_keys(layout.attributions(role)) for role in config.roles}
     sources = _classified_sources(layout, [s.label for s in config.sources])
-    folds = list(_source_folds(config, _aggregate_source, (ta_keys, config.years), sources))
+    folds = list(_source_folds(pool, _aggregate_source, (ta_keys, config.years), sources))
     counters: dict = {}
     for fold in folds:
         for role in fold.skipped_roles:
@@ -556,7 +537,9 @@ def _head_rows(path: str) -> Iterator[artifacts.HeadRow]:
         yield from map(artifacts.head_row, fh)
 
 
-def run_compare(config: PipelineConfig, layout: Layout, inputs: list[dict]) -> StageResult:
+def run_compare(
+    config: PipelineConfig, layout: Layout, inputs: list[dict], pool: ProcessPoolExecutor | None
+) -> StageResult:
     """Coverage intersections, per-figure plot series, and rank correlations.
 
     Each classified file is read once, as a stream of `artifacts.head_row`

@@ -342,16 +342,16 @@ def test_criterion_6a_worker_count_invariance(tmp_path):
 
 
 _CONSUMER = """
-import json, resource, sys, time
-from hybridoa.ingest import load_article_stream
+import json, os, resource, sys, time
+from hybridoa.ingest import RejectLog, write_article_stream
 
 path = sys.argv[1]
 start = time.perf_counter()
-stream, manifest = load_article_stream(path, "open")
-count = sum(1 for _ in stream)
+with open(os.devnull, "w", encoding="utf-8") as out:
+    manifest = write_article_stream(path, "open", None, out, RejectLog(None))
 elapsed = time.perf_counter() - start
 peak_kb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-print(json.dumps({"records": count, "rejects": manifest.reject_count,
+print(json.dumps({"records": manifest.record_count, "rejects": manifest.reject_count,
                   "seconds": elapsed, "peak_kb": peak_kb}))
 """
 

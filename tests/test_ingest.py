@@ -1,4 +1,5 @@
 import csv
+import io
 import json
 import os
 import random
@@ -11,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridoa import ingest, pipeline
-from hybridoa.artifacts import classified_to_line, dump_canonical, ingest_from_line
+from hybridoa.artifacts import classified_to_line, ingest_from_line
 from hybridoa.classify import (
     DOC_MODE_HEURISTIC,
     ClassifierConfig,
@@ -26,13 +27,13 @@ from hybridoa.ingest import (
     article_outcomes,
     institution_index,
     load_agreement_dump,
-    load_article_stream,
     load_durations,
     load_fully_oa_lists,
     load_institutions,
     load_issn_link_table,
     load_publisher_aliases,
     parse_article_line,
+    write_article_stream,
 )
 from hybridoa.model import Agreement, Journal, LicenseStatement
 
@@ -411,8 +412,9 @@ def test_tabular_loaders_equal_the_dictreader_oracle(tmp_path, monkeypatch, name
 # --- article stream ----------------------------------------------------------------
 
 def consume(path, source, links=None, rejects=None):
-    stream, manifest = load_article_stream(str(path), source, links, rejects)
-    return list(stream), manifest
+    out = io.StringIO()
+    manifest = write_article_stream(str(path), source, links, out, rejects or RejectLog(None))
+    return [json.loads(line) for line in out.getvalue().splitlines()], manifest
 
 
 def test_stream_well_formed_lines(tmp_path):
@@ -887,8 +889,9 @@ def test_ingestion_deterministic_bytes(tmp_path, corpus_dir):
     source_path = corpus_dir / "articles_srcB.ndjson"
 
     def one_pass():
-        stream, _ = load_article_stream(str(source_path), "srcB")
-        return "\n".join(map(dump_canonical, stream))
+        out = io.StringIO()
+        write_article_stream(str(source_path), "srcB", None, out, RejectLog(None))
+        return out.getvalue()
 
     assert one_pass() == one_pass()
 
@@ -1095,8 +1098,8 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
         path, out = os.path.join(tmp, "ingest.ndjson"), os.path.join(tmp, "classified.ndjson")
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(ingest_line + "\n")
-        (_, (_, unknown, entries)), = pipeline._map_chunks(
-            pipeline._classify_source, [(source, path, out)], (ORACLE_CFG, ORACLE_JOURNALS), 1
+        _, unknown, entries = pipeline._classify_source(
+            (ORACLE_CFG, ORACLE_JOURNALS), (source, path, out)
         )
         with open(out, encoding="utf-8", newline="") as fh:
             (classified,) = fh.read().splitlines()

@@ -84,6 +84,15 @@ def test_unknown_stage_rejected(tmp_path):
         pipeline.run(config, ["reticulate"])
 
 
+def test_a_stage_list_that_names_no_stage_is_rejected(tmp_path):
+    """An empty stage list is an error and writes nothing; only None means
+    every stage."""
+    corpus, config = small_corpus(tmp_path)
+    with pytest.raises(DependencyError, match="no stage named"):
+        pipeline.run(config, [])
+    assert not os.path.exists(config.out_dir)
+
+
 @pytest.fixture(scope="module")
 def full_tree(tmp_path_factory):
     """A complete small output tree, for tests that move its files aside."""
@@ -350,7 +359,6 @@ def test_ingest_checks_each_distinct_text_once_per_stage(tmp_path, monkeypatch):
         monkeypatch.setattr(pipeline.ingest, name, counted)
     corpus, config = small_corpus(tmp_path)
     pipeline.run(config, ["ingest"])
-    assert pipeline._WORKER_CTX is None  # the inline map keeps no context in a global
     once = Counter(calls)
     calls.clear()
     for path in [config.agreement_dump] + [s.articles for s in config.sources]:
@@ -922,34 +930,23 @@ def test_ingest_is_identical_at_every_worker_count_across_chunks(tmp_path):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_map_chunks_pairs_each_task_with_its_result_in_task_order(workers):
-    """More tasks than the pool has processes come back as
-    (task, fn(ctx, task)) pairs, in task order, inline or on the pool."""
+def test_source_folds_yield_each_result_in_task_order(workers):
+    """More tasks than the pool has processes come back as fn(ctx, task),
+    in task order, inline or on a pool."""
     tasks = [(k,) for k in range(workers * 2 * 3 + 1)]
-    pairs = list(pipeline._map_chunks(operator.add, tasks, ("ctx",), workers))
-    assert pairs == [(task, ("ctx", *task)) for task in tasks]
-
-
-def test_map_chunks_inline_passes_ctx_and_sets_no_global(monkeypatch):
-    """At workers=1 `fn` gets the very `ctx` passed in, and the pool's
-    worker context is neither read nor set."""
-    ctx, sentinel = object(), object()
-    monkeypatch.setattr(pipeline, "_WORKER_CTX", sentinel)
-    seen = []
-
-    def fn(got, task):
-        seen.append((got, pipeline._WORKER_CTX))
-        return task * 10
-
-    pairs = list(pipeline._map_chunks(fn, range(5), ctx, 1))
-    assert pairs == [(k, k * 10) for k in range(5)]
-    assert seen == [(ctx, sentinel)] * 5
-    assert pipeline._WORKER_CTX is sentinel
+    pool = pipeline.ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    try:
+        results = list(pipeline._source_folds(pool, operator.add, ("ctx",), tasks))
+    finally:
+        if pool is not None:
+            pool.shutdown()
+    assert results == [("ctx", *task) for task in tasks]
 
 
 def test_a_pool_starts_no_more_processes_than_tasks(tmp_path, monkeypatch):
-    """At workers=8 each of the five pooled stages, which have one task per
-    source, asks for one process per source and no more."""
+    """At workers=8 a run constructs one pool, which asks for one process
+    per source and no more, for all its stages; at workers=1 it
+    constructs none."""
     corpus, config = small_corpus(tmp_path)
     asked = []
 
@@ -960,22 +957,24 @@ def test_a_pool_starts_no_more_processes_than_tasks(tmp_path, monkeypatch):
 
     monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SpyPool)
     pipeline.run(replace(config, workers=8))
-    assert asked == [len(config.sources)] * 5
+    assert asked == [len(config.sources)]
+    asked.clear()
+    pipeline.run(replace(config, workers=1))
+    assert asked == []
 
 
 def test_no_article_line_crosses_a_pipe(tmp_path, monkeypatch):
-    """Every task that ingest and classify hand to `_map_chunks` carries
+    """Every task that ingest and classify hand to `_source_folds` carries
     paths, not lines: each pickles to under 1 KiB."""
     corpus, config = small_corpus(tmp_path)
     sizes = {}
-    mapped = pipeline._map_chunks
+    folded = pipeline._source_folds
 
-    def spy(fn, tasks, ctx, workers):
-        tasks = list(tasks)
-        sizes[stage].extend(len(pickle.dumps(task)) for task in tasks)
-        return mapped(fn, tasks, ctx, workers)
+    def spy(pool, fn, ctx, sources):
+        sizes[stage].extend(len(pickle.dumps(source)) for source in sources)
+        return folded(pool, fn, ctx, sources)
 
-    monkeypatch.setattr(pipeline, "_map_chunks", spy)
+    monkeypatch.setattr(pipeline, "_source_folds", spy)
     for stage in ("ingest", "classify"):
         sizes[stage] = []
         pipeline.run(config, [stage])
@@ -1309,7 +1308,7 @@ def test_aggregate_equals_the_full_decode_oracle(tmp_path, seed):
         rows = [(*key, "", 2021, role, "true", "ag", "ror:r1") for key in sorted(enabled)]
         artifacts.write_csv(layout.attributions(role), artifacts.ATTRIBUTION_HEADER, rows)
 
-    _, counters = pipeline.run_aggregate(config, layout, [])
+    _, counters = pipeline.run_aggregate(config, layout, [], None)
 
     rows, skipped = oracle_indicators(corpora, ta_keys, config.years)
     assert {k for k in counters if k.startswith("skipped_")} == {
@@ -1753,6 +1752,38 @@ def test_cli_single_stage_and_dependency_error(tmp_path, capsys):
     assert report["error"] == "DependencyError"
     rc = main(["ingest", "--config", str(corpus / "config.json"), "--workers", "1"])
     assert rc == 0
+
+
+@pytest.mark.parametrize("stages", ["", ","])
+def test_cli_stages_that_name_no_stage_exit_2_and_write_nothing(tmp_path, capsys, stages):
+    from hybridoa.cli import main
+
+    corpus = tmp_path / "c"
+    main(["gen-fixture", "--out", str(corpus), "--seed", "3", "--articles", "50"])
+    capsys.readouterr()
+    rc = main(["run", "--config", str(corpus / "config.json"), "--stages", stages])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == "DependencyError"
+    assert not os.path.exists(corpus / "out")
+
+
+@pytest.mark.parametrize("workers", ["two", True, 2.5])
+def test_cli_workers_that_is_not_an_integer_exits_2(tmp_path, capsys, workers):
+    """`workers` in a config file is an integer or null: a string, a
+    boolean or a float is a ConfigError, reported as JSON with exit 2."""
+    from hybridoa.cli import main
+
+    corpus = tmp_path / "c"
+    main(["gen-fixture", "--out", str(corpus), "--seed", "3", "--articles", "50"])
+    capsys.readouterr()
+    raw = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
+    (corpus / "config.json").write_text(json.dumps({**raw, "workers": workers}), encoding="utf-8")
+    rc = main(["run", "--config", str(corpus / "config.json")])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == "ConfigError" and "workers" in report["detail"]
+    assert not os.path.exists(corpus / "out")
 
 
 def test_cli_explain(tmp_path, capsys):
