@@ -9,6 +9,12 @@ Counting rules:
     agreement for the requested role.
   * GLOBAL and PUBLISHER groupings count each article once; COUNTRY uses
     full counting over the role author's distinct country codes.
+
+Compare reads no classified line. The journal universe and publishers
+come from classify's per-source journal summaries (`journal_index`), and
+each journal's shared and surplus DOI counts from one merge over its
+DOI-sorted streams (`journal_overlaps`), so its memory grows with the
+journals, not with the records.
 """
 
 from __future__ import annotations
@@ -16,10 +22,10 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping
+from typing import Container, Iterable, Mapping, Sequence
 
 from . import artifacts
-from .artifacts import ClassifiedRow, HeadRow
+from .artifacts import ClassifiedRow, DoiEntry
 from .attribute import role_author
 from .errors import InsufficientPairs
 from .model import (
@@ -44,67 +50,62 @@ def in_window(year: int, years: tuple[int, int]) -> bool:
 
 @dataclass
 class JournalIndex:
-    """What compare needs of the classified corpora.
+    """What compare needs of the journals, read from classify's journal
+    summaries.
 
     `universe` maps each journal ISSN-L to the sources with at least one
-    hybrid OA article in the window; `doi_sets` maps (source, ISSN-L) to
-    the DOIs of countable articles in the window; `publishers` maps every
-    journal to the publisher of its first article seen, sources in
-    mapping order.
+    hybrid OA article in the window; `publishers` maps every journal to
+    the publisher of its first article seen, sources in mapping order.
     """
 
     universe: dict[str, frozenset[str]]
-    doi_sets: dict[tuple[str, str], set[str]]
     publishers: dict[str, str]
 
 
-def journal_index(
-    corpora: Mapping[str, Iterable[HeadRow]],
-    years: tuple[int, int],
-) -> JournalIndex:
-    """Build the journal index in one pass over each source's articles,
-    read as `artifacts.head_row` reads them."""
+def journal_index(summaries: Mapping[str, Iterable[list]]) -> JournalIndex:
+    """Build the journal index from each source's journal summary rows,
+    [ISSN-L, publisher, hybrid OA in the window]: O(journals)."""
     membership: dict[str, set[str]] = defaultdict(set)
-    doi_sets: dict[tuple[str, str], set[str]] = defaultdict(set)
     publishers: dict[str, str] = {}
-    for source, articles in corpora.items():
-        for article in articles:
-            issn_l = article.journal_issn_l
-            publishers.setdefault(issn_l, article.publisher)
-            if not in_window(article.year, years):
-                continue
-            if article.is_hybrid_oa:
+    for source, journals in summaries.items():
+        for issn_l, publisher, hybrid_oa in journals:
+            publishers.setdefault(issn_l, publisher)
+            if hybrid_oa:
                 membership[issn_l].add(source)
-            if article.countable and article.doi:
-                doi_sets[(source, issn_l)].add(article.doi)
     return JournalIndex(
         universe={issn_l: frozenset(sources) for issn_l, sources in membership.items()},
-        doi_sets=dict(doi_sets),
         publishers=publishers,
     )
 
 
 def journal_overlaps(
     universe: Mapping[str, frozenset[str]],
-    doi_sets: Mapping[tuple[str, str], set[str]],
+    groups: Iterable[tuple[str, list[DoiEntry]]],
+    sources: Sequence[str],
     open_source: str,
 ) -> dict[str, tuple[int, int]]:
-    """Journal ISSN-L -> (shared DOIs, open-source surplus DOIs).
+    """Journal ISSN-L -> (shared DOIs, open-source surplus DOIs), counted
+    in one merge over the DOI streams (`artifacts.doi_groups`), whose
+    ranks index `sources`.
 
-    Shared DOIs are present in every member source of the journal; the
-    surplus are the open source's DOIs present in no other member, and
-    is 0 when the open source is not a member.
+    A source holds a DOI in a journal when one of its countable records in
+    the window has the DOI and the journal. Shared DOIs are held by every
+    member source of the journal; the surplus are held by the open source
+    and by no other member, and is 0 when the open source is not a member.
+    Memory grows with the journals, not the DOIs.
     """
-    out: dict[str, tuple[int, int]] = {}
-    for issn_l, membership in universe.items():
-        per_source = {s: doi_sets.get((s, issn_l), set()) for s in membership}
-        shared = len(set.intersection(*per_source.values()))
-        surplus = 0
-        if open_source in membership:
-            others = [dois for s, dois in per_source.items() if s != open_source]
-            surplus = len(per_source[open_source].difference(*others))
-        out[issn_l] = (shared, surplus)
-    return out
+    cells = {issn_l: [0, 0] for issn_l in universe}
+    for _, entries in groups:
+        holders: dict[str, set[str]] = {}
+        for rank, issn_l, countable, _ in entries:
+            if countable and issn_l in cells:
+                holders.setdefault(issn_l, set()).add(sources[rank])
+        for issn_l, held in holders.items():
+            membership = universe[issn_l]
+            cell = cells[issn_l]
+            cell[0] += membership <= held
+            cell[1] += open_source in membership and held & membership == {open_source}
+    return {issn_l: (shared, surplus) for issn_l, (shared, surplus) in cells.items()}
 
 
 def upset_sets(

@@ -11,16 +11,18 @@ from __future__ import annotations
 
 import csv
 import hashlib
+import heapq
 import io
 import itertools
 import json
 import mmap
 import os
 import re
-from contextlib import contextmanager
+import tempfile
+from contextlib import ExitStack, contextmanager
 from contextvars import ContextVar
 from datetime import date
-from typing import Iterable, Iterator, NamedTuple, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .errors import DependencyError
 from .identifiers import ROR_SCHEME, make_org_id, org_value
@@ -72,6 +74,12 @@ class Layout:
 
     def classified(self, source: str) -> str:
         return os.path.join(self.out_dir, "classify", f"articles_{source}.ndjson")
+
+    def doi_stream(self, source: str) -> str:
+        return os.path.join(self.out_dir, "classify", f"dois_{source}.ndjson")
+
+    def journal_summary(self, source: str) -> str:
+        return os.path.join(self.out_dir, "classify", f"journals_{source}.ndjson")
 
     @property
     def doi_index(self) -> str:
@@ -560,94 +568,6 @@ def _first_author(first: dict | None) -> dict | None:
     return first if first is not None and first["position"] == 1 else None
 
 
-# Readers of the few fields a stage reads of a classified line, read from
-# its text: the record's keys come in canonical order (authors, doi, issn,
-# licenses, native_id, pub_date), and `,"` followed by a key's name and `":`
-# starts only that key, since no author or license has a doi or issn key.
-# A string is decoded by `JSONDecoder`'s own routine, so its escapes read
-# as `classified_from_line` reads them.
-_scan_string = json.decoder.scanstring
-_RECORD_AUTHORS = ',"record":{"authors":['
-_DOI = ',"doi":'
-_ISSN = ',"issn":"'
-_YEAR = ',"year":'
-
-
-def _doi_at(line: str, start: int) -> tuple[str | None, int]:
-    """The record's DOI, searched for from `start`, and the index after it."""
-    at = line.index(_DOI, start) + len(_DOI)
-    if line.startswith("null", at):
-        return None, at + 4
-    return _scan_string(line, at + 1)
-
-
-_POSITION = ',"position":'
-
-
-def bridge_row(line: str) -> tuple[str | None, str]:
-    """(DOI, text of the first author object) of a classified line, as
-    reconcile reads it; the text is "" when the record has no authors.
-    Nothing is decoded but the DOI, and no `ClassifiedRow` is built.
-
-    An author's position is its last key and an integer, and inside a
-    string every `"` is escaped, so the first author object ends at the
-    first `}` after its first `,"position":`.
-    """
-    at = line.index(_RECORD_AUTHORS) + len(_RECORD_AUTHORS)
-    end = at
-    if line[at] != "]":
-        end = line.index("}", line.index(_POSITION, at)) + 1
-    return _doi_at(line, end)[0], line[at:end]
-
-
-def first_author_org_ids(author: str) -> list[str]:
-    """The first author's org IDs, given the text of the first author
-    object as `bridge_row` hands it over; none when that object is not at
-    position 1 (`_first_author`) or there is none."""
-    found = _first_author(_decode_object(author)[0] if author else None)
-    return found["org_ids"] if found is not None else []
-
-
-class HeadRow(NamedTuple):
-    """The head of a classified line, as compare reads it: the flags,
-    publisher, DOI, ISSN-L and year, named as `ClassifiedRow` names them."""
-
-    countable: bool
-    in_regular_issue: bool
-    is_hybrid_oa: bool
-    is_original: bool
-    is_paratext: bool
-    journal_is_hybrid: bool
-    publisher: str
-    doi: str | None
-    journal_issn_l: str
-    year: int
-
-
-# Canonical key order puts the six flags first, then the publisher, and
-# the record's issn right after its doi. The text up to the publisher's
-# value is one of 64, each mapped to its flags.
-_PUBLISHER = ',"publisher":"'
-_HEADS = {
-    "{"
-    + ",".join(f'"{key}":{JSON_LITERAL[flag]}' for key, flag in zip(HeadRow._fields, flags))
-    + _PUBLISHER: flags
-    for flags in itertools.product((False, True), repeat=6)
-}
-
-
-def head_row(line: str) -> HeadRow:
-    """A classified line's `HeadRow`, read from its text: no authors and
-    no licenses are built."""
-    at = line.index(_PUBLISHER) + len(_PUBLISHER)
-    flags = _HEADS[line[:at]]
-    publisher, end = _scan_string(line, at)
-    doi, end = _doi_at(line, end)
-    issn_l = _scan_string(line, end + len(_ISSN))[0]
-    year = line.rindex(_YEAR) + len(_YEAR)
-    return HeadRow(*flags, publisher, doi, issn_l, int(line[year:line.index("}", year)]))
-
-
 class ClassifiedRow:
     """One decoded classified line, as the stages after classify read it.
 
@@ -709,39 +629,212 @@ def classified_from_line(line: str, source: str) -> ClassifiedRow:
     return ClassifiedRow(_decode_object(line)[0], source)
 
 
+# --- external sort --------------------------------------------------------------
+
+# Memory one sorted run may take before it spills to a temp file: each
+# line counted as CPython holds it, its characters plus LINE_OVERHEAD
+# bytes of str header and list slot. A classify task sorts its DOI stream
+# and its DOI index entries, so its sorting holds about twice this, plus a
+# chunk of lines, whatever the size of the corpus. At 10k works a source
+# has about 1 MB of each, and nothing spills.
+SORT_RUN_BYTES = 2 << 20
+LINE_OVERHEAD = 57
+
+
+class SortedRuns:
+    """Lines sorted as text in bounded memory: an external merge sort
+    (Knuth, TAOCP vol. 3, section 5.4).
+
+    Each line is added with its "\n", a chunk of lines at a time. Lines
+    gather in one run in memory; a run that reaches SORT_RUN_BYTES is
+    sorted and spills to a temp file in `spill_dir` (the system's temp
+    directory when None). `merged()` yields every line in text order,
+    merging the spilled runs with the one in memory. A line here is
+    printable ASCII, so its "\n" sorts it as the line alone would sort.
+    """
+
+    def __init__(self, spill_dir: str | None = None):
+        self.spill_dir = spill_dir
+        self.files: list[str] = []
+        self._run: list[str] = []
+        self._size = 0
+
+    def extend(self, lines: list[str]) -> None:
+        """Add the lines; a run that reached SORT_RUN_BYTES spills after them."""
+        self._run.extend(lines)
+        self._size += sum(map(len, lines)) + LINE_OVERHEAD * len(lines)
+        if self._size >= SORT_RUN_BYTES:
+            self.spill()
+
+    def spill(self) -> None:
+        """Sort the run in memory and write it to a temp file of its own."""
+        self._run.sort()
+        fd, path = tempfile.mkstemp(suffix=".run", dir=self.spill_dir)
+        with open(fd, "w", encoding="ascii", newline="") as fh:
+            fh.writelines(self._run)
+        self.files.append(path)
+        self._run, self._size = [], 0
+
+    def settle(self) -> None:
+        """Spill the run in memory when an earlier one spilled: handed to
+        another process, runs that spilled then carry their paths only."""
+        if self.files and self._run:
+            self.spill()
+
+    def merged(self) -> Iterable[str]:
+        return merge_runs([self])
+
+    def close(self) -> None:
+        """Delete the spilled runs."""
+        for path in self.files:
+            os.unlink(path)
+        self.files = []
+
+
+def merge_runs(runs: Sequence[SortedRuns]) -> Iterable[str]:
+    """Every line of the runs, in text order: the runs in memory sorted
+    together, merged with the spilled ones when there are any."""
+    in_memory = sorted(itertools.chain.from_iterable(r._run for r in runs))
+    paths = [path for r in runs for path in r.files]
+    return _merge_files(paths, in_memory) if paths else in_memory
+
+
+def _merge_files(paths: list[str], in_memory: list[str]) -> Iterator[str]:
+    with ExitStack() as stack:
+        files = [stack.enter_context(open(path, encoding="ascii", newline="")) for path in paths]
+        yield from heapq.merge(*files, in_memory)
+
+
+# --- DOI streams and journal summaries --------------------------------------------
+# Besides its classified file, classify writes two small files per source,
+# which are what reconcile and compare read:
+#   * `classify/dois_<source>.ndjson`: one canonical JSON array per record
+#     that has a DOI, [doi, ISSN-L, countable in the year window, the first
+#     author's org IDs], its lines sorted as text, so the lines of one DOI
+#     are adjacent, and every stream's lines come in the same DOI order
+#     (a DOI's JSON string is never a prefix of another's);
+#   * `classify/journals_<source>.ndjson`: one array per journal seen,
+#     [ISSN-L, the publisher of its first article in file order, whether
+#     it has a hybrid OA article in the window], in ISSN-L order.
+
+# Distinct first-author texts one `SourceStreams` memo holds, each of at
+# most FIRST_AUTHOR_CHARS characters; a full memo is emptied.
+FIRST_AUTHOR_TEXTS = 1 << 15
+FIRST_AUTHOR_CHARS = 256
+_AUTHORS = ',"authors":['
+_POSITION = ',"position":'
+
+
+def author_org_ids(author: str) -> str:
+    """The canonical JSON array of the first author's org IDs, given the
+    text of a record's first author object; `[]` when that object is not
+    at position 1 (`_first_author`) or there is none."""
+    found = _first_author(_decode_object(author)[0] if author else None)
+    return dump_canonical(found["org_ids"] if found is not None else [])
+
+
+class SourceStreams:
+    """What classify writes of one source besides its classified file,
+    gathered as it classifies the source's records in file order: the DOI
+    stream and the DOI index entries, each as sorted runs, and the journal
+    summary.
+
+    The first author is read from the record's ingest line: an author's
+    position is its last key and an integer, and inside a string every
+    `"` is escaped, so the first author object ends at the first `}` after
+    its first `,"position":`. Each distinct text of that object is decoded
+    once (`author_org_ids`).
+    """
+
+    def __init__(self, source: str, years: tuple[int, int], spill_dir: str | None = None):
+        self.label = json_string(source)
+        self.years = years
+        self.dois = SortedRuns(spill_dir)
+        self.index = SortedRuns(spill_dir)
+        self.journals: dict[str, list] = {}
+        self._offset = 0  # of the next classified line in its file
+        self._org_ids: dict[str, str] = {}
+
+    def add(self, articles: Sequence[ClassifiedArticle], lines: Sequence[str]) -> None:
+        """Add a chunk of the source's articles, in file order, with their
+        classified lines. A classified line is ASCII, so its bytes are its
+        characters, and one more for its "\n"."""
+        lo, hi = self.years
+        journals, org_ids, label = self.journals, self._org_ids, self.label
+        dois, index = [], []
+        for article, classified in zip(articles, lines):
+            offset = self._offset
+            self._offset += len(classified) + 1
+            record = article.record
+            issn_l = record.journal_issn_l
+            in_window = lo <= article.year <= hi
+            journal = journals.get(issn_l)
+            if journal is None:
+                journal = journals[issn_l] = [article.publisher, False]
+            if article.is_hybrid_oa and in_window:
+                journal[1] = True
+            doi = record.doi
+            if not doi:
+                continue
+            line = record.line
+            at = line.index(_AUTHORS) + len(_AUTHORS)
+            end = at if line[at] == "]" else line.index("}", line.index(_POSITION, at)) + 1
+            author = line[at:end]
+            ids = org_ids.get(author)
+            if ids is None:
+                ids = author_org_ids(author)
+                if len(author) <= FIRST_AUTHOR_CHARS:
+                    if len(org_ids) >= FIRST_AUTHOR_TEXTS:
+                        org_ids.clear()
+                    org_ids[author] = ids
+            doi = json_string(doi)
+            index.append(f"[{doi},{label},{offset}]\n")
+            dois.append(
+                f"[{doi},{json_string(issn_l)},{JSON_LITERAL[article.countable and in_window]}"
+                f",{ids}]\n"
+            )
+        self.dois.extend(dois)
+        self.index.extend(index)
+
+    def journal_lines(self) -> list[str]:
+        return [
+            f"[{json_string(issn_l)},{json_string(publisher)},{JSON_LITERAL[hybrid_oa]}]\n"
+            for issn_l, (publisher, hybrid_oa) in sorted(self.journals.items())
+        ]
+
+
+def json_rows(lines: Iterable[str]) -> Iterator:
+    """The JSON value of each line of a DOI stream or journal summary."""
+    for line in lines:
+        yield _decode_object(line)[0]
+
+
+DoiEntry = tuple[int, str, bool, list]
+
+
+def doi_groups(streams: Sequence[Iterable[str]]) -> Iterator[tuple[str, list[DoiEntry]]]:
+    """(DOI, its entries) of every DOI in the DOI streams, one merge over
+    them all, in their line order.
+
+    An entry is (the index of its stream in `streams`, ISSN-L, countable in
+    the window, first author's org IDs); a DOI's entries come in line
+    order, and equal lines in stream order. One line of each stream is
+    held at a time.
+    """
+    ranked = [zip(stream, itertools.repeat(rank)) for rank, stream in enumerate(streams)]
+    entries = ((_decode_object(line)[0], rank) for line, rank in heapq.merge(*ranked))
+    for doi, group in itertools.groupby(entries, key=lambda entry: entry[0][0]):
+        yield doi, [(rank, *entry[1:]) for entry, rank in group]
+
+
 # --- DOI index ----------------------------------------------------------------
 # `classify/doi_index.ndjson` holds one canonical JSON array per classified
 # record that has a DOI: [doi, source, byte offset of the record's line in
 # its classified file]. Its lines are sorted as text, so the entries of one
 # DOI are adjacent and all start with `[`, the DOI's JSON string and `,`;
 # a DOI that is a prefix of another stops short of the other's closing
-# quote.
-
-def doi_index_entries(
-    source: str, lines: list[str], dois: list[str | None], offset: int, entries: list[str]
-) -> int:
-    """Append `dump_canonical([doi, source, offset])` to `entries` for each
-    of `source`'s classified lines that has a DOI, the first line starting
-    at byte `offset`; returns the offset after the last line.
-
-    Classified lines are ASCII, so a line's bytes are its characters.
-    """
-    label = json_string(source)
-    for line, doi in zip(lines, dois):
-        if doi:
-            entries.append(f"[{json_string(doi)},{label},{offset}]")
-        offset += len(line) + 1
-    return offset
-
-
-def write_doi_index(fh: TextIO, entries: list[str]) -> None:
-    """Sort `doi_index_entries` lines as text, in place, and write them to
-    `fh`; no entries write nothing."""
-    entries.sort()
-    if entries:
-        fh.write("\n".join(entries))
-        fh.write("\n")
-
+# quote. Classify makes each source's entries (`SourceStreams.index`) and
+# merges them into the index (`merge_runs`).
 
 def doi_index_hits(path: str, doi: str) -> list[tuple[str, int]]:
     """(source, offset) of every index entry of `doi`, in index order.

@@ -23,7 +23,10 @@ def _add_config_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--years", help="closed year window, e.g. 2019:2023")
     parser.add_argument("--role", choices=("first", "corresponding"), help="restrict to one role")
     parser.add_argument("--seed", type=int, help="override the configured seed")
-    parser.add_argument("--workers", type=int, help="worker processes (default: all cores)")
+    parser.add_argument(
+        "--workers", type=int,
+        help="worker processes, at least 1 (default: the CPUs this process may run on)",
+    )
     parser.add_argument("--out", help="override the output directory")
 
 

@@ -95,8 +95,8 @@ class PipelineConfig:
             raise ConfigError("exactly one source must be the open baseline")
         if self.years[0] > self.years[1]:
             raise ConfigError(f"empty year window {self.years}")
-        if self.workers is not None and type(self.workers) is not int:
-            raise ConfigError(f"workers must be an integer or null, got {self.workers!r}")
+        if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
+            raise ConfigError(f"workers must be a positive integer or null, got {self.workers!r}")
         for role in self.roles:
             if role not in ROLES:
                 raise ConfigError(f"unknown role {role!r}")

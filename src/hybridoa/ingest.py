@@ -169,7 +169,8 @@ def _checked_issn(raw: str) -> str:
 # memory is bounded whatever the length of its input's lines.
 MEMO_TEXTS = 1 << 16
 
-# Distinct authors the author memo holds; a full memo is emptied. Only an
+# Distinct authors the author memo holds; a full memo is emptied, or kept
+# as it is when it had fewer hits than entries. Only an
 # author of at most MEMO_AUTHOR_IDS countries and org IDs, of at most
 # MEMO_AUTHOR_CHARS characters in all, whose text has at most
 # MEMO_AUTHOR_CHARS characters, is kept. An entry then takes at most about
@@ -201,8 +202,11 @@ class TextChecks:
     time, to the same verdict. An author's verdict is kept only when the
     author is accepted, in a memo of at most MEMO_AUTHORS authors, so a
     rejected author is checked again each time and keeps its own reject
-    detail. One instance lives for one ingest stage, with the ISSN link
-    table it resolves through; a worker process gets its own copy.
+    detail. A full author memo that had fewer hits than entries takes no
+    more authors, so authors that do not repeat are checked afresh without
+    filling and emptying it again and again. One instance lives for one
+    ingest stage, with the ISSN link table it resolves through; a worker
+    process gets its own copy.
     """
 
     def __init__(self, links: dict[str, str] | None = None):
@@ -211,6 +215,10 @@ class TextChecks:
         self._dates: dict[str, date | _Rejected] = {}
         self._orgs: dict[str, bool] = {}
         self._authors: dict[tuple, tuple[int, str]] = {}
+        # hits on the author memo since it was last emptied, and whether
+        # it takes new authors
+        self._author_hits = 0
+        self._keep_authors = True
 
     def issn(self, raw: str) -> tuple[str, str]:
         """(ISSN, ISSN-L) of a raw ISSN text; raises its reject."""
@@ -241,20 +249,29 @@ class TextChecks:
         if key is None:
             return self._check_author(author)
         try:
-            return self._authors[key]
+            entry = self._authors[key]
         except KeyError:
             pass
         except TypeError:  # a country or org ID that is a list or object
             return self._check_author(author)
+        else:
+            self._author_hits += 1
+            return entry
         entry = self._check_author(author)
         ids = key[3:]  # an accepted author's countries and org IDs: strings
         if (
-            len(ids) <= MEMO_AUTHOR_IDS
+            self._keep_authors
+            and len(ids) <= MEMO_AUTHOR_IDS
             and len(entry[1]) <= MEMO_AUTHOR_CHARS
             and sum(map(len, ids)) <= MEMO_AUTHOR_CHARS
         ):
             if len(self._authors) >= MEMO_AUTHORS:
+                if self._author_hits < len(self._authors):
+                    # authors that do not repeat: keep the memo as it is
+                    self._keep_authors = False
+                    return entry
                 self._authors.clear()
+                self._author_hits = 0
             self._authors[key] = entry
         return entry
 

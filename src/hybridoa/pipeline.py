@@ -3,26 +3,35 @@ aggregate -> compare.
 
 Each stage reads the previous stage's artifacts, writes its own, and
 never mutates inputs; `run` checks a stage's declared inputs against the
-bytes the stage read, and publishes its outputs and manifest together.
+bytes the stage read, and the manifests upstream of them against each
+other, and publishes its outputs and manifest together.
 
-Every pooled stage has one shape, the per-source fold (`_source_folds`):
-one task per source, which carries only paths. A stage function is
-`fn(ctx, task)`, where `ctx` is what all of the stage's tasks share and
-travels with each task. `run` opens one worker pool for all its stages,
-or none, and the folds map over it or inline. The task reads its
-source's files and writes its own outputs where it runs, and only its
-result, the digests of what it read and its unpublished writes cross a
-pipe; no article line does. A worker pool changes wall time but never
-output bytes.
+Ingest, classify, attribute and aggregate are per-source folds
+(`_source_folds`): one task per source, which carries only paths. A
+stage function is `fn(ctx, task)`, where `ctx` is what all of the
+stage's tasks share and travels with each task. `run` opens one worker
+pool for all its stages, or none, and the folds map over it or inline.
+The task reads its source's files and writes its own outputs where it
+runs, and only its result, the digests of what it read and its
+unpublished writes cross a pipe; no article line does. A worker pool
+changes wall time but never output bytes.
+
+Besides each source's classified file, classify writes its DOI-sorted
+stream and its journal summary (`artifacts.SourceStreams`), sorted in
+bounded memory (`artifacts.SortedRuns`). Reconcile and compare read only
+those, in this process: reconcile as one merge join, compare as one
+merge count, so neither holds anything per record.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import logging
 import multiprocessing
 import os
 import re
+import tempfile
 import traceback
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -47,17 +56,21 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
 
     This is the one stage boundary. Before a stage's body runs, its
     declared inputs must exist, and the manifest of each input's producer
-    must exist and carry this config's digest. The body returns (outputs,
-    counters). Each input is hashed from the bytes the body read
-    (`artifacts.reading`); only one it did not read to the end is hashed
-    here. Then each input under out_dir must have the sha256 its
-    producer's manifest recorded (`_check_producers`). Only then are the
-    stage's outputs, and after them its manifest, published together
-    (`artifacts.recording`); a mismatch or an exception publishes none.
+    must exist and carry this config's digest; so must every manifest
+    upstream, each recording inputs that their producers' manifests still
+    record (`_check_upstream`), so a tree that a rerun of an earlier stage
+    left stale is refused. The body returns (outputs, counters). Each
+    input is hashed from the bytes the body read (`artifacts.reading`);
+    only one it did not read to the end is hashed here. Then each input
+    under out_dir must have the sha256 its producer's manifest recorded
+    (`_check_producers`). Only then are the stage's outputs, and after
+    them its manifest, published together (`artifacts.recording`); a
+    mismatch or an exception publishes none.
 
     `stages=None` runs every stage; a list that names none is an error.
     One pool of min(workers, sources) processes serves every stage; at
-    one process there is none, and the folds run inline.
+    one process there is none, and the folds run inline. An unset
+    `workers` is the number of CPUs this process may run on.
     """
     wanted = set(artifacts.STAGES) if stages is None else set(stages)
     if not wanted:
@@ -67,7 +80,7 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
         raise DependencyError(f"unknown stage(s): {', '.join(sorted(unknown))}")
     layout = Layout(config.out_dir)
     digest = config.digest()
-    workers = (os.cpu_count() or 1) if config.workers is None else config.workers
+    workers = _usable_cpus() if config.workers is None else config.workers
     size = min(workers, len(config.sources))
     executed = []
     with ProcessPoolExecutor(max_workers=size) if size > 1 else contextlib.nullcontext() as pool:
@@ -77,7 +90,9 @@ def run(config: PipelineConfig, stages: Iterable[str] | None = None) -> list[str
             log.info("stage %s", stage)
             needed = STAGE_INPUTS[stage](layout, config)
             _require(needed, stage)
-            recorded = _producer_records(layout, digest, needed, stage)
+            manifest = _manifest_reader(layout, digest, stage)
+            recorded = _producer_records(layout, manifest, needed)
+            _check_upstream(manifest, stage, {producer for producer, _ in recorded.values()})
             inputs = [{"path": p} for p in needed]
             with artifacts.reading() as read, artifacts.recording() as written:
                 try:
@@ -103,40 +118,89 @@ def _require(paths: Iterable[str], stage: str) -> None:
         )
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on, where the platform tells them."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _manifest_reader(layout: Layout, digest: str, stage: str) -> Callable:
+    """producer -> (its manifest's output path -> sha256, its inputs), each
+    manifest read once. Raises DependencyError when the manifest is
+    missing or has another config digest than `digest`."""
+
+    @functools.cache
+    def manifest(producer: str) -> tuple[dict[str, str], list[dict]]:
+        path = layout.manifest(producer)
+        try:
+            found = artifacts.read_manifest(layout, producer)
+        except FileNotFoundError:
+            raise DependencyError(
+                f"stage {stage!r} needs the manifest of stage {producer!r}, which does"
+                f" not exist: {path}"
+            ) from None
+        if found["config_digest"] != digest:
+            raise DependencyError(
+                f"stage {stage!r}: {path} was written under another"
+                f" config; run stage {producer!r} again"
+            )
+        return {e["path"]: e["sha256"] for e in found["outputs"]}, found["inputs"]
+
+    return manifest
+
+
+def _producer(relative: str) -> str | None:
+    """The stage that produces an out_dir-relative path, None for an
+    external input."""
+    producer = relative.split(os.sep, 1)[0]
+    return producer if producer in artifacts.STAGES else None
+
+
 def _producer_records(
-    layout: Layout, digest: str, paths: Iterable[str], stage: str
+    layout: Layout, manifest: Callable, paths: Iterable[str]
 ) -> dict[str, tuple[str, str | None]]:
     """Path -> (producer, the sha256 its manifest records for the path) of
     each of `paths` under `layout`'s stage directories.
 
     The producer of `<out_dir>/<stage>/...` is that stage; an input
-    elsewhere is external and has no record. Raises DependencyError when
-    a producer's manifest is missing or has another config digest than
-    `digest`.
+    elsewhere is external and has no record.
     """
-    manifests: dict[str, dict] = {}
     recorded = {}
     for path in paths:
         relative = os.path.relpath(path, layout.out_dir)
-        producer = relative.split(os.sep, 1)[0]
-        if producer not in artifacts.STAGES:
-            continue
-        if producer not in manifests:
-            try:
-                manifest = artifacts.read_manifest(layout, producer)
-            except FileNotFoundError:
-                raise DependencyError(
-                    f"stage {stage!r} needs the manifest of stage {producer!r}, which does"
-                    f" not exist: {layout.manifest(producer)}"
-                ) from None
-            if manifest["config_digest"] != digest:
-                raise DependencyError(
-                    f"stage {stage!r}: {layout.manifest(producer)} was written under another"
-                    f" config; run stage {producer!r} again"
-                )
-            manifests[producer] = {e["path"]: e["sha256"] for e in manifest["outputs"]}
-        recorded[path] = (producer, manifests[producer].get(relative))
+        producer = _producer(relative)
+        if producer is not None:
+            recorded[path] = (producer, manifest(producer)[0].get(relative))
     return recorded
+
+
+def _check_upstream(manifest: Callable, stage: str, producers: Iterable[str]) -> None:
+    """Walk the manifests upstream from `producers`: each input under
+    out_dir that a manifest on the walk records must have the sha256 its
+    own producer's manifest records now, and every manifest on the walk
+    this run's config digest. Only manifests are read. Raises
+    DependencyError naming the first stale link.
+    """
+    todo = sorted(producers)
+    seen = set(todo)
+    while todo:
+        consumer = todo.pop(0)
+        for entry in manifest(consumer)[1]:
+            producer = _producer(entry["path"])
+            if producer is None:
+                continue
+            now = manifest(producer)[0].get(entry["path"])
+            if now != entry["sha256"]:
+                raise DependencyError(
+                    f"stage {stage!r}: stage {consumer!r} was built from"
+                    f" {entry['path']} sha256 {entry['sha256'][:12]}..., but stage"
+                    f" {producer!r} now records {now[:12] + '...' if now else 'no such output'};"
+                    f" run stage {consumer!r} and the stages after it again"
+                )
+            if producer not in seen:
+                seen.add(producer)
+                todo.append(producer)
 
 
 def _digest(path: str, read: dict[str, str]) -> str:
@@ -165,6 +229,10 @@ def _classified(layout: Layout, config: PipelineConfig) -> list[str]:
     return [layout.classified(s.label) for s in config.sources]
 
 
+def _doi_streams(layout: Layout, config: PipelineConfig) -> list[str]:
+    return [layout.doi_stream(s.label) for s in config.sources]
+
+
 # Each stage's inputs under out_dir; ingest reads only the config's files.
 STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
     "ingest": lambda layout, config: [],
@@ -172,14 +240,17 @@ STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
         [layout.journals] + [layout.articles(s.label) for s in config.sources]
         + ([config.paratext_patterns] if config.paratext_patterns else [])
     ),
-    "reconcile": _classified,
+    "reconcile": _doi_streams,
     "attribute": lambda layout, config: (
         [layout.agreements, layout.institutions, layout.crosswalk] + _classified(layout, config)
     ),
     "aggregate": lambda layout, config: (
         _classified(layout, config) + [layout.attributions(role) for role in config.roles]
     ),
-    "compare": lambda layout, config: _classified(layout, config) + [layout.indicators],
+    "compare": lambda layout, config: (
+        [layout.journal_summary(s.label) for s in config.sources] + _doi_streams(layout, config)
+        + [layout.indicators]
+    ),
 }
 
 
@@ -334,31 +405,39 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
 
 
 def _classify_source(
-    ctx: tuple[classify.ClassifierConfig, dict], source: tuple[str, str, str]
-) -> tuple[int, Counter, list[str]]:
-    """One source's ingest file, classified into its classified file: its
-    rows, its records per unknown document class and its DOI index entries."""
-    cfg, journals = ctx
-    label, path, out_path = source
+    ctx: tuple, source: tuple[str, ...]
+) -> tuple[int, Counter, artifacts.SortedRuns]:
+    """One source's ingest file, classified into its classified file, its
+    DOI stream and its journal summary: its rows, its records per unknown
+    document class and its DOI index entries, as sorted runs that carry
+    only their paths in `spill_dir` when they spilled."""
+    cfg, journals, years, spill_dir = ctx
+    label, path, out_path, stream_path, summary_path = source
     policy = cfg.policies[label]
-    rows, offset = 0, 0
+    rows = 0
     unknown: Counter = Counter()
-    entries: list[str] = []
+    streams = artifacts.SourceStreams(label, years, spill_dir)
     with artifacts.open_artifact(out_path) as out:
         for _, lines in artifacts.line_chunks(path):
-            classified, dois = [], []
+            articles, classified = [], []
             for line in lines:
                 record = artifacts.ingest_from_line(line, label)
                 journal = journals.get(record.journal_issn_l)
                 article = classify.classify_article(record, journal, cfg)
                 if classify.is_unknown_class(record, policy):
                     unknown[record.document_class] += 1
+                articles.append(article)
                 classified.append(artifacts.classified_to_line(article))
-                dois.append(record.doi)
             out.write("".join(f"{line}\n" for line in classified))
-            offset = artifacts.doi_index_entries(label, classified, dois, offset, entries)
+            streams.add(articles, classified)
             rows += len(classified)
-    return rows, unknown, entries
+    with artifacts.open_artifact(stream_path) as out:
+        out.writelines(streams.dois.merged())
+    streams.dois.close()
+    with artifacts.open_artifact(summary_path) as out:
+        out.writelines(streams.journal_lines())
+    streams.index.settle()
+    return rows, unknown, streams.index
 
 
 def run_classify(
@@ -367,39 +446,49 @@ def run_classify(
     """Apply all classification rules to every ingested record.
 
     One per-source fold classifies each source's ingest file into its
-    classified file; the DOI index entries of every source come back and
-    are sorted into one index here.
+    classified file, DOI stream and journal summary. The DOI index
+    entries of every source come back as sorted runs, which are merged
+    into one index here; the runs that spilled are deleted with the
+    stage's spill directory.
     """
-    ctx = (_classifier_config(config), artifacts.read_journals(layout.journals))
-    outputs = [layout.classified(s.label) for s in config.sources]
+    labels = [s.label for s in config.sources]
+    outputs = [layout.classified(label) for label in labels]
+    streams = [layout.doi_stream(label) for label in labels]
+    summaries = [layout.journal_summary(label) for label in labels]
     sources = [
-        (s.label, layout.articles(s.label), path) for s, path in zip(config.sources, outputs)
+        (label, layout.articles(label), *paths)
+        for label, *paths in zip(labels, outputs, streams, summaries)
     ]
     counters = {}
-    entries: list[str] = []
-    for (label, _, _), (rows, unknown, source_entries) in zip(
-        sources, _source_folds(pool, _classify_source, ctx, sources), strict=True
-    ):
-        entries.extend(source_entries)
-        counters[f"classified_{label}"] = rows
-        counters[f"unknown_doc_class_{label}"] = sum(unknown.values())
-        for doc_class, count in sorted(unknown.items()):
-            log.warning(
-                "unknown document class %r in source %s: %d records", doc_class, label, count
-            )
-    with artifacts.open_artifact(layout.doi_index) as index:
-        artifacts.write_doi_index(index, entries)
-    return outputs + [layout.doi_index], counters
+    runs: list[artifacts.SortedRuns] = []
+    with tempfile.TemporaryDirectory(prefix="hybridoa-sort-") as spill_dir:
+        ctx = (
+            _classifier_config(config), artifacts.read_journals(layout.journals), config.years,
+            spill_dir,
+        )
+        for label, (rows, unknown, entries) in zip(
+            labels, _source_folds(pool, _classify_source, ctx, sources), strict=True
+        ):
+            runs.append(entries)
+            counters[f"classified_{label}"] = rows
+            counters[f"unknown_doc_class_{label}"] = sum(unknown.values())
+            for doc_class, count in sorted(unknown.items()):
+                log.warning(
+                    "unknown document class %r in source %s: %d records", doc_class, label, count
+                )
+        with artifacts.open_artifact(layout.doi_index) as index:
+            index.writelines(artifacts.merge_runs(runs))
+    return outputs + streams + summaries + [layout.doi_index], counters
 
 
 # --- reconcile ----------------------------------------------------------------
 
-def _project_source(open_label: str, source: tuple[str, str]) -> reconcile.Projection:
-    """One source's first-author projection, read from the text of its
-    classified file (`artifacts.bridge_row`)."""
-    path, label = source
-    with artifacts.open_input_text(path) as fh:
-        return reconcile.first_author_ids(map(artifacts.bridge_row, fh), label == open_label)
+def _doi_groups(paths: list[str]) -> Iterator[tuple[str, list[artifacts.DoiEntry]]]:
+    """`artifacts.doi_groups` over the DOI streams at `paths`."""
+    with contextlib.ExitStack() as stack:
+        yield from artifacts.doi_groups(
+            [stack.enter_context(artifacts.open_input_text(path)) for path in paths]
+        )
 
 
 def run_reconcile(
@@ -407,23 +496,20 @@ def run_reconcile(
 ) -> StageResult:
     """Build the open/proprietary crosswalk by DOI bridging, plus an audit sample.
 
-    One per-source fold projects every source, the open source first.
-    Each proprietary projection is bridged with the open one and tallied
-    as it arrives, in config order, so every source's pairs and example
-    DOIs add to one tally in that order.
+    One merge join over every source's DOI stream, the open source's
+    first, in this process: `reconcile.build_bridge` yields the bridged
+    DOIs as the merge reaches them, and `reconcile.tally_pairs` adds each
+    source's pairs and example DOIs to one tally, as if the sources were
+    tallied in config order.
     """
     open_label = config.open_source
-    proprietary = [s.label for s in config.sources if s.label != open_label]
-    sources = _classified_sources(layout, [open_label] + proprietary)
-    projections = _source_folds(pool, _project_source, open_label, sources)
-    open_ids = next(projections)
-    counters: dict = {}
+    labels = [open_label] + [s.label for s in config.sources if s.label != open_label]
+    groups = _doi_groups([layout.doi_stream(label) for label in labels])
+    bridged: Counter = Counter()
     counts: Counter = Counter()
     examples: dict = {}
-    for label, prop_ids in zip(proprietary, projections, strict=True):
-        bridge = reconcile.build_bridge(open_ids, prop_ids)
-        counters[f"bridged_{label}"] = len(bridge)
-        reconcile.tally_pairs(bridge, open_ids, prop_ids, counts, examples)
+    reconcile.tally_pairs(reconcile.build_bridge(groups, bridged), counts, examples)
+    counters = {f"bridged_{label}": bridged[rank] for rank, label in enumerate(labels) if rank}
 
     crosswalk = reconcile.select_crosswalk(counts, config.min_support)
     counters["pairs"] = len(counts)
@@ -531,24 +617,24 @@ def run_aggregate(
 
 # --- compare ------------------------------------------------------------------
 
-def _head_rows(path: str) -> Iterator[artifacts.HeadRow]:
-    """The `artifacts.head_row` of each line of a classified file."""
-    with artifacts.open_input_text(path) as fh:
-        yield from map(artifacts.head_row, fh)
-
-
 def run_compare(
     config: PipelineConfig, layout: Layout, inputs: list[dict], pool: ProcessPoolExecutor | None
 ) -> StageResult:
     """Coverage intersections, per-figure plot series, and rank correlations.
 
-    Each classified file is read once, as a stream of `artifacts.head_row`
-    rows, into the journal index.
+    The journal summaries give the journal index; one merge over the DOI
+    streams gives each journal's shared and surplus DOIs. No classified
+    line is read.
     """
     open_label = config.open_source
-    corpora = {s.label: _head_rows(layout.classified(s.label)) for s in config.sources}
-    index = analytics.journal_index(corpora, config.years)
-    overlaps = analytics.journal_overlaps(index.universe, index.doi_sets, open_label)
+    labels = [s.label for s in config.sources]
+    summaries = {}
+    for label in labels:
+        with artifacts.open_input_text(layout.journal_summary(label)) as fh:
+            summaries[label] = list(artifacts.json_rows(fh))
+    index = analytics.journal_index(summaries)
+    groups = _doi_groups([layout.doi_stream(label) for label in labels])
+    overlaps = analytics.journal_overlaps(index.universe, groups, labels, open_label)
     sets = analytics.upset_sets(index.universe, overlaps)
     artifacts.write_intersections(layout.intersections, sets)
     per_journal, per_publisher = analytics.journal_volumes(index, overlaps)

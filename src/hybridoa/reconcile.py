@@ -1,75 +1,71 @@
 """Crosswalk construction between open and proprietary organization IDs.
 
-Each corpus is read once into a projection: DOI -> the sorted org IDs of
-its first author, ROR IDs on the open side and every other scheme on a
-proprietary side, worked out once per distinct first-author text. DOIs
-present in both projections bridge; their first authors' identifier
-pairs are tallied, and per (open ID, scheme) the most frequent
-proprietary partner wins. Multiple affiliations of single authors are
-the main noise source, so a minimum-support threshold is the documented
+Reconcile is one merge join over classify's DOI-sorted streams
+(`artifacts.doi_groups`), the open source's stream first: the lines of
+one DOI are adjacent in every stream. A DOI held once by the open source
+and once by a proprietary source bridges the two; its first authors'
+identifier pairs, ROR IDs on the open side and every other scheme on the
+proprietary side, are tallied, and per (open ID, scheme) the most
+frequent proprietary partner wins. Memory grows with the number of
+pairs, not of records. Multiple affiliations of single authors are the
+main noise source, so a minimum-support threshold is the documented
 mitigation knob.
 """
 
 from __future__ import annotations
 
+import bisect
 import logging
 import random
 from collections import Counter
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
-from . import artifacts
+from .artifacts import DoiEntry
 from .errors import SampleTooLarge
 from .identifiers import ROR_SCHEME, org_scheme
 from .model import CrosswalkEntry, majority_label
 
 log = logging.getLogger(__name__)
 
-Projection = dict[str, tuple[str, ...]]
 Pair = tuple[str, str]
+# (DOI, rank of the proprietary source, the open first author's ROR IDs,
+# the proprietary first author's other IDs)
+Bridged = tuple[str, int, tuple[str, ...], tuple[str, ...]]
 
 
-def first_author_ids(corpus: Iterable[tuple[str | None, str]], open_side: bool) -> Projection:
-    """DOI -> sorted first-author org IDs of one side, for unambiguous DOIs.
+def build_bridge(
+    groups: Iterable[tuple[str, list[DoiEntry]]], bridged: Counter
+) -> Iterator[Bridged]:
+    """The bridged DOIs of the merged streams, in stream order, the open
+    source's stream at rank 0: each DOI held once by the open source and
+    once by the proprietary source of a rank, once per such source.
 
-    `corpus` holds each record's (DOI, text of its first author object),
-    as `artifacts.bridge_row` reads them. Each distinct text is decoded
-    and filtered once (`artifacts.first_author_org_ids`), and its DOIs
-    share the one tuple; the memo holds at most one text per DOI read.
-    Records without a DOI are skipped; DOIs that repeat within the corpus
-    are logged and dropped. A DOI whose first author is missing or has no
-    IDs of the side maps to an empty tuple: it bridges but adds no pair.
+    A DOI that a source holds more than once is ambiguous there and
+    dropped, for every source when that is the open one; such DOIs are
+    logged. A DOI whose first author is missing or has no IDs of the side
+    bridges with no IDs: it adds no pair. `bridged` counts each rank's
+    bridged DOIs.
     """
-    projection: Projection = {}
-    ambiguous: set[str] = set()
-    sides: dict[str, tuple[str, ...]] = {}  # author text -> its IDs of the side
-    for doi, author in corpus:
-        if doi is None or doi in ambiguous:
+    ambiguous = 0
+    for doi, entries in groups:
+        held: dict[int, list | None] = {}
+        for rank, _, _, org_ids in entries:
+            held[rank] = None if rank in held else org_ids
+        ambiguous += sum(ids is None for ids in held.values())
+        open_ids = held.pop(0, None)
+        if open_ids is None:
             continue
-        if doi in projection:
-            ambiguous.add(doi)
-            del projection[doi]
-            continue
-        ids = sides.get(author)
-        if ids is None:
-            ids = sides[author] = tuple(sorted(
-                o for o in artifacts.first_author_org_ids(author)
-                if (org_scheme(o) == ROR_SCHEME) == open_side
-            ))
-        projection[doi] = ids
+        open_ror = tuple(o for o in open_ids if org_scheme(o) == ROR_SCHEME)
+        for rank, prop_ids in held.items():
+            if prop_ids is not None:
+                bridged[rank] += 1
+                yield doi, rank, open_ror, tuple(p for p in prop_ids if org_scheme(p) != ROR_SCHEME)
     if ambiguous:
-        log.info("%d multi-occurrence DOIs skipped while bridging", len(ambiguous))
-    return projection
-
-
-def build_bridge(open_ids: Projection, proprietary_ids: Projection) -> list[str]:
-    """The DOIs present in both projections, sorted."""
-    return sorted(open_ids.keys() & proprietary_ids.keys())
+        log.info("%d multi-occurrence DOIs skipped while bridging", ambiguous)
 
 
 def tally_pairs(
-    bridge: Iterable[str],
-    open_ids: Projection,
-    proprietary_ids: Projection,
+    bridge: Iterable[Bridged],
     counts: Counter,
     examples: dict[Pair, list[str]],
     examples_per_pair: int = 3,
@@ -77,16 +73,31 @@ def tally_pairs(
     """Add the bridge's (open ID, proprietary ID) pairs to `counts`.
 
     Every combination on a bridged article counts once per article. Each
-    pair's list in `examples` keeps its first `examples_per_pair` distinct
-    supporting DOIs for audits; called once per source, in config order,
-    the two accumulators cover every source alike.
+    pair's list in `examples` gets its first `examples_per_pair` distinct
+    supporting DOIs for audits: sources by rank, each source's DOIs in
+    sorted order, as if each source's bridge were tallied in turn. The
+    bridge comes in line order, which is not sorted order for every DOI,
+    so each (pair, rank) keeps its `examples_per_pair` smallest DOIs until
+    the bridge ends. That is enough: a rank's list is needed only while
+    fewer than `examples_per_pair` DOIs came from the ranks before it,
+    and each of those can repeat one of its own.
     """
-    for doi in bridge:
-        for open_id in open_ids[doi]:
-            for prop_id in proprietary_ids[doi]:
+    smallest: dict[Pair, dict[int, list[str]]] = {}
+    for doi, rank, open_ids, prop_ids in bridge:
+        for open_id in open_ids:
+            for prop_id in prop_ids:
                 pair = (open_id, prop_id)
                 counts[pair] += 1
-                bucket = examples.setdefault(pair, [])
+                kept = smallest.setdefault(pair, {}).setdefault(rank, [])
+                if len(kept) < examples_per_pair:
+                    bisect.insort(kept, doi)
+                elif kept and doi < kept[-1]:
+                    bisect.insort(kept, doi)
+                    kept.pop()
+    for pair, by_rank in smallest.items():
+        bucket = examples.setdefault(pair, [])
+        for rank in sorted(by_rank):
+            for doi in by_rank[rank]:
                 if len(bucket) < examples_per_pair and doi not in bucket:
                     bucket.append(doi)
 

@@ -17,6 +17,7 @@ from datetime import date, timedelta
 
 from hybridoa.artifacts import (
     IngestRow,
+    SourceStreams,
     classified_from_line,
     classified_to_line,
     dump_canonical,
@@ -935,3 +936,109 @@ def oracle_detect_paratext(title, patterns):
     """Whether any one fragment's pattern matches the whole normalized title."""
     normalized = " ".join(title.split())
     return bool(normalized) and any(p.match(normalized) for p in patterns)
+
+
+# --- classify's DOI streams and journal summaries ---------------------------------
+
+def ingested(article):
+    """`article` with its record tree replaced by the row of the ingest
+    line that ingest's writer makes of it: the article as classify holds it."""
+    line = dump_canonical(record_to_dict(article.record))
+    return replace(article, record=IngestRow(line, article.record.source))
+
+
+def filled_streams(source, articles, years, spill_dir=None):
+    """The `SourceStreams` classify fills from articles as it holds them
+    (`ingested`), one article at a time."""
+    streams = SourceStreams(source, years, spill_dir)
+    for article in articles:
+        streams.add([article], [classified_to_line(article)])
+    return streams
+
+
+def _compact(value):
+    return json.dumps(value, separators=(",", ":")) + "\n"
+
+
+def oracle_doi_stream(lines, source, years):
+    """A source's DOI stream recounted from its classified lines, each
+    decoded whole: [doi, ISSN-L, countable in the window, the first
+    author's org IDs] per record with a DOI, sorted as text."""
+    out = []
+    for line in lines:
+        row = classified_from_line(line, source)
+        if row.doi:
+            first = row.first_author()
+            countable = row.countable and _in_window(row.year, years)
+            ids = sorted(first.org_ids) if first is not None else []
+            out.append(_compact([row.doi, row.journal_issn_l, countable, ids]))
+    return sorted(out)
+
+
+def oracle_journal_summary(lines, source, years):
+    """A source's journal summary recounted from its classified lines:
+    [ISSN-L, publisher of its first line, any hybrid OA line in the window]
+    per journal, in ISSN-L order."""
+    journals = {}
+    for line in lines:
+        row = classified_from_line(line, source)
+        publisher, hybrid_oa = journals.get(row.journal_issn_l, (row.publisher, False))
+        hybrid_oa = hybrid_oa or (row.is_hybrid_oa and _in_window(row.year, years))
+        journals[row.journal_issn_l] = (publisher, hybrid_oa)
+    return [_compact([issn_l, *summary]) for issn_l, summary in sorted(journals.items())]
+
+
+# --- the dict-based reconcile and compare the streams replaced ---------------------
+
+def dict_projection(rows, open_side):
+    """DOI -> sorted first-author org IDs of one side, for the DOIs that
+    occur once among the rows: reconcile's projection before the streams."""
+    projection, ambiguous = {}, set()
+    for row in rows:
+        doi = row.doi
+        if not doi or doi in ambiguous:
+            continue
+        if doi in projection:
+            ambiguous.add(doi)
+            del projection[doi]
+            continue
+        first = row.first_author()
+        ids = first.org_ids if first is not None else ()
+        projection[doi] = tuple(sorted(o for o in ids if o.startswith("ror:") == open_side))
+    return projection
+
+
+def dict_reconcile(open_rows, proprietary, examples_per_pair=3):
+    """Reconcile over projections: each proprietary source, in mapping
+    order, bridged with the open one and its sorted bridge tallied in turn.
+    Returns (bridged DOIs per label, pair counts, pair examples)."""
+    open_ids = dict_projection(open_rows, True)
+    bridged, counts, examples = {}, defaultdict(int), {}
+    for label, rows in proprietary.items():
+        prop_ids = dict_projection(rows, False)
+        bridge = sorted(open_ids.keys() & prop_ids.keys())
+        bridged[label] = len(bridge)
+        for doi in bridge:
+            for open_id in open_ids[doi]:
+                for prop_id in prop_ids[doi]:
+                    pair = (open_id, prop_id)
+                    counts[pair] += 1
+                    bucket = examples.setdefault(pair, [])
+                    if len(bucket) < examples_per_pair and doi not in bucket:
+                        bucket.append(doi)
+    return bridged, dict(counts), examples
+
+
+def dict_journal_overlaps(universe, doi_sets, open_source):
+    """Journal -> (shared DOIs, open surplus DOIs) by set algebra over
+    (source, ISSN-L) -> DOI sets: compare's count before the streams."""
+    out = {}
+    for issn_l, membership in universe.items():
+        per_source = {s: doi_sets.get((s, issn_l), set()) for s in membership}
+        shared = len(set.intersection(*per_source.values()))
+        surplus = 0
+        if open_source in membership:
+            others = [dois for s, dois in per_source.items() if s != open_source]
+            surplus = len(per_source[open_source].difference(*others))
+        out[issn_l] = (shared, surplus)
+    return out

@@ -394,3 +394,84 @@ def test_criterion_6b_streaming_scale(tmp_path):
         f"peak {small_run['peak_kb'] / 1024:.0f}MB -> {large_run['peak_kb'] / 1024:.0f}MB "
         f"(x{ratio:.2f})",
     )
+
+
+# --- criterion 6c: classify, reconcile and compare in flat memory ---------------------
+
+# A child's ru_maxrss counts the parent it was forked from, so the peak is
+# the high-water mark of the child's own address space.
+_STAGE_PEAK = """
+import json, sys
+from dataclasses import replace
+from hybridoa import artifacts, pipeline
+from hybridoa.config import load_config
+
+spills = []
+spill = artifacts.SortedRuns.spill
+
+def counted(self):
+    spills.append(1)
+    spill(self)
+
+artifacts.SortedRuns.spill = counted
+pipeline.run(replace(load_config(sys.argv[1]), workers=1), [sys.argv[2]])
+with open("/proc/self/status", encoding="ascii") as fh:
+    peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+print(json.dumps({"peak_kb": peak_kb, "spills": len(spills)}))
+"""
+
+SORTED_STAGES = ("classify", "reconcile", "compare")
+
+
+def stage_peaks(corpus) -> dict[str, dict]:
+    """Run every stage over `corpus` at workers=1: classify, reconcile and
+    compare each in a process of its own, which reports its peak RSS and
+    the runs its sorts spilled."""
+    package_root = os.path.dirname(os.path.dirname(fixture.__file__))
+    pythonpath = os.pathsep.join(filter(None, (package_root, os.environ.get("PYTHONPATH"))))
+    config_path = str(corpus / "config.json")
+    config = replace(load_config(config_path), workers=1)
+    peaks = {}
+    for stage in pipeline.artifacts.STAGES:
+        if stage not in SORTED_STAGES:
+            pipeline.run(config, [stage])
+            continue
+        proc = subprocess.run(
+            [sys.executable, "-c", _STAGE_PEAK, config_path, stage],
+            capture_output=True, text=True, check=True,
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+        )
+        peaks[stage] = json.loads(proc.stdout)
+    return peaks
+
+
+# Peak RSS a stage may gain from 1x to 4x the corpus. At 10k -> 40k works
+# the dict-based reconcile and compare gained 9.6 and 4.4 MB, and classify,
+# sorting its DOI index in memory, 15.5 MB.
+FLAT_MARGIN_KB = 4 << 10
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs /proc/self/status")
+def test_criterion_6c_sorted_streams_flat_memory(tmp_path):
+    """At 4x the corpus (10k -> 40k works, the larger one large enough that
+    classify's sorts spill) classify, reconcile and compare each peak within
+    FLAT_MARGIN_KB of their peak at 1x."""
+    start = time.perf_counter()
+    runs = {}
+    for works in (10_000, 40_000):
+        corpus = tmp_path / f"works_{works}"
+        fixture.generate(fixture.FixtureParams(seed=11, n_articles=works), str(corpus))
+        runs[works] = stage_peaks(corpus)
+    small, large = runs[10_000], runs[40_000]
+    growth = {s: large[s]["peak_kb"] - small[s]["peak_kb"] for s in SORTED_STAGES}
+    ok = large["classify"]["spills"] > 0 and max(growth.values()) <= FLAT_MARGIN_KB
+    report(
+        "criterion 6c (DOI-sorted streams, flat memory at 4x the corpus)",
+        ok,
+        ", ".join(
+            f"{s} {small[s]['peak_kb'] / 1024:.1f}MB -> {large[s]['peak_kb'] / 1024:.1f}MB"
+            for s in SORTED_STAGES
+        )
+        + f"; {large['classify']['spills']} runs spilled"
+        + f"; {time.perf_counter() - start:.1f}s",
+    )

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from dataclasses import replace
@@ -18,7 +19,7 @@ from hybridoa.analytics import (
     spearman,
     upset_sets,
 )
-from hybridoa.artifacts import head_row
+from hybridoa.artifacts import doi_groups, json_rows
 from hybridoa.errors import InsufficientPairs
 from hybridoa.model import (
     Authorship,
@@ -33,6 +34,9 @@ from hybridoa.model import (
 
 from oracles import (
     ArticleRecord,
+    dict_journal_overlaps,
+    filled_streams,
+    ingested,
     oracle_country_correlations,
     oracle_coverage_summary,
     oracle_indicators,
@@ -45,13 +49,35 @@ from oracles import (
 YEARS = (2019, 2023)
 
 
-def rows_of(corpora):
-    """Source -> the rows of its articles' classified lines, as compare
-    reads them (`head_row`)."""
+SOURCES = ("open", "srcA", "srcB")
+
+
+def streams_of(corpora):
+    """Source -> the `SourceStreams` classify fills from its articles."""
     return {
-        source: [head_row(written_line(a)) for a in articles]
+        source: filled_streams(source, map(ingested, articles), YEARS)
         for source, articles in corpora.items()
     }
+
+
+def summaries_of(corpora):
+    """Source -> the rows of its journal summary, as compare reads them."""
+    return {
+        source: list(json_rows(streams.journal_lines()))
+        for source, streams in streams_of(corpora).items()
+    }
+
+
+def overlaps_of(universe, doi_sets):
+    """`journal_overlaps` over DOI streams that hold `doi_sets`, (source,
+    ISSN-L) -> DOIs of countable articles in the window."""
+    streams = {source: [] for source in SOURCES}
+    for (source, issn_l), dois in doi_sets.items():
+        streams[source].extend(
+            json.dumps([doi, issn_l, True, []], separators=(",", ":")) + "\n" for doi in dois
+        )
+    groups = doi_groups([sorted(streams[source]) for source in SOURCES])
+    return journal_overlaps(universe, groups, SOURCES, "open")
 
 
 def fold_of(source, articles, ta_keys):
@@ -103,18 +129,18 @@ def test_universe_membership_is_oa_activity():
         "srcA": [cls(source="srcA", native_id="A1", oa=True)],
         "srcB": [cls(source="srcB", native_id="B1", oa=False)],
     }
-    universe = journal_index(rows_of(corpora), YEARS).universe
+    universe = journal_index(summaries_of(corpora)).universe
     assert universe == {"0378-5955": frozenset({"open", "srcA"})}
 
 
 def test_universe_ignores_articles_outside_window():
     corpora = {"open": [cls(oa=True, year=2018)]}
-    assert journal_index(rows_of(corpora), YEARS).universe == {}
+    assert journal_index(summaries_of(corpora)).universe == {}
 
 
 def test_universe_empty_when_no_oa():
     corpora = {"open": [cls(oa=False)]}
-    assert journal_index(rows_of(corpora), YEARS).universe == {}
+    assert journal_index(summaries_of(corpora)).universe == {}
 
 
 # --- upset sets --------------------------------------------------------------------
@@ -125,7 +151,7 @@ def test_upset_partition_of_membership_combinations():
         "j2": frozenset({"open", "srcA"}),
         "j3": frozenset({"open"}),
     }
-    sets = upset_sets(universe, journal_overlaps(universe, {}, "open"))
+    sets = upset_sets(universe, overlaps_of(universe, {}))
     got = {frozenset(s.membership): s.n_journals for s in sets}
     assert got == {
         frozenset({"open", "srcA", "srcB"}): 1,
@@ -144,12 +170,12 @@ def test_upset_shared_and_surplus_fixture():
     }
     expected = oracle_upset(universe, doi_sets, "open")
     assert expected[frozenset({"open", "srcA", "srcB"})] == (1, 1, 1)
-    (result,) = upset_sets(universe, journal_overlaps(universe, doi_sets, "open"))
+    (result,) = upset_sets(universe, overlaps_of(universe, doi_sets))
     assert (result.n_journals, result.n_articles_shared, result.n_articles_surplus_open) == (1, 1, 1)
 
 
 def test_upset_empty_universe():
-    assert upset_sets({}, journal_overlaps({}, {}, "open")) == []
+    assert upset_sets({}, overlaps_of({}, {})) == []
 
 
 @settings(max_examples=100, deadline=None)
@@ -167,7 +193,7 @@ def test_upset_equals_oracle_on_random_universes(seed):
                 f"d{j}.{d}" for d in range(rng.randint(0, 6))
                 if rng.random() < 0.7
             }
-    results = upset_sets(universe, journal_overlaps(universe, doi_sets, "open"))
+    results = upset_sets(universe, overlaps_of(universe, doi_sets))
     got = {
         s.membership: (s.n_journals, s.n_articles_shared, s.n_articles_surplus_open)
         for s in results
@@ -504,11 +530,16 @@ def random_indicator_rows(rng):
 def test_compare_equals_oracle_on_random_corpora(seed):
     rng = random.Random(seed)
     corpora = random_corpora(rng)
-    index = journal_index({s: OneShot(a) for s, a in rows_of(corpora).items()}, YEARS)
+    streams = streams_of(corpora)
+    index = journal_index(
+        {s: OneShot(json_rows(stream.journal_lines())) for s, stream in streams.items()}
+    )
     universe, doi_sets, publishers = oracle_journal_index(corpora, YEARS)
-    assert (index.universe, index.doi_sets, index.publishers) == (universe, doi_sets, publishers)
+    assert (index.universe, index.publishers) == (universe, publishers)
 
-    overlaps = journal_overlaps(index.universe, index.doi_sets, "open")
+    groups = doi_groups([OneShot(streams[s].dois.merged()) for s in SOURCES])
+    overlaps = journal_overlaps(index.universe, groups, SOURCES, "open")
+    assert overlaps == dict_journal_overlaps(universe, doi_sets, "open")
     got = {
         s.membership: (s.n_journals, s.n_articles_shared, s.n_articles_surplus_open)
         for s in upset_sets(index.universe, overlaps)

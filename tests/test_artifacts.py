@@ -8,14 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridoa.artifacts import (
-    HeadRow,
+    IngestRow,
     Layout,
-    bridge_row,
-    classified_from_line,
+    classified_to_line,
     dump_canonical,
-    first_author_org_ids,
     has_corresponding_data,
-    head_row,
     holding,
     in_hybrid_journal,
     ingest_from_line,
@@ -40,8 +37,11 @@ from hybridoa.model import (
 from oracles import (
     ArticleRecord,
     as_row,
+    filled_streams,
+    oracle_doi_stream,
     oracle_first_author,
     oracle_has_corresponding_data,
+    oracle_journal_summary,
     oracle_role_author,
     written_line,
 )
@@ -255,27 +255,26 @@ SPELLED = ',"doi":"10.1/x","issn":"x"' + '"position":1}'
     SPELLED, SPELLED, ["https://" + SPELLED], [False, True] * 3, 2019,
 ))
 def test_text_readers_equal_the_decoded_line(obj):
-    """`bridge_row` (with `first_author_org_ids`) and `head_row` read from
-    the text what `classified_from_line` and a full decode of the line say."""
-    line = dump_canonical(obj)
-    record = obj["record"]
-    firsts = [a for a in record["authors"] if a["position"] == 1]
-    first_ids = sorted(firsts[0]["org_ids"]) if firsts else []
-    for text in (line, line + "\n"):
-        row = classified_from_line(text, "srcA")
-        doi, author = bridge_row(text)
-        assert author == (dump_canonical(record["authors"][0]) if record["authors"] else "")
-        org_ids = first_author_org_ids(author)
-        assert (doi, sorted(org_ids)) == (record["doi"], first_ids)
-        first = row.first_author()
-        assert (row.doi, sorted(first.org_ids) if first else []) == (doi, first_ids)
-        head = head_row(text)
-        assert head == tuple(getattr(row, field) for field in HeadRow._fields)
-        assert head == (
-            obj["countable"], obj["in_regular_issue"], obj["is_hybrid_oa"], obj["is_original"],
-            obj["is_paratext"], obj["journal_is_hybrid"], obj["publisher"], record["doi"],
-            record["issn"], obj["year"],
+    """The DOI stream line and journal summary line that classify reads
+    from the text of the ingest line (`SourceStreams`) equal those recounted
+    from a full decode of the classified line."""
+    years = (2000, 2050)
+    record = {
+        **obj["record"], "article_number": None, "document_class": "Article",
+        "pagination": None, "source": "srcA", "title": "",
+    }
+    for text in (dump_canonical(record), dump_canonical(record) + "\n"):
+        article = ClassifiedArticle(
+            record=IngestRow(text, "srcA"), year=obj["year"], countable=obj["countable"],
+            in_regular_issue=obj["in_regular_issue"], is_hybrid_oa=obj["is_hybrid_oa"],
+            is_original=obj["is_original"], is_paratext=obj["is_paratext"],
+            journal_is_hybrid=obj["journal_is_hybrid"], publisher=obj["publisher"],
         )
+        line = classified_to_line(article)
+        assert json.loads(line) == obj
+        streams = filled_streams("srcA", [article], years)
+        assert list(streams.dois.merged()) == oracle_doi_stream([line], "srcA", years)
+        assert streams.journal_lines() == oracle_journal_summary([line], "srcA", years)
 
 
 @pytest.mark.parametrize(

@@ -38,7 +38,13 @@ from hybridoa.ingest import (
 from hybridoa.model import Agreement, Journal, LicenseStatement
 
 from conftest import article_line, write_lines
-from oracles import dictreader_csv_rows, encoded_classified_line, oracle_ingest_and_classify
+from oracles import (
+    dictreader_csv_rows,
+    encoded_classified_line,
+    oracle_doi_stream,
+    oracle_ingest_and_classify,
+    oracle_journal_summary,
+)
 
 ISSN_A = "0378-5955"
 ISSN_B = "0024-9319"  # valid: 0*8+0*7+2*6+4*5+9*4+3*3+1*2 = 79, 11-(79%11)=9
@@ -780,6 +786,35 @@ def test_the_author_memo_is_capped(monkeypatch):
     assert max(sizes) == 2
 
 
+class MemolessChecks(TextChecks):
+    """`TextChecks` that checks every author afresh."""
+
+    def author(self, author):
+        return self._check_author(author)
+
+
+def test_a_memo_of_authors_that_do_not_repeat_stops_growing(tmp_path):
+    """62,000 distinct authors: once the memo is full, having had fewer
+    hits than entries, it takes no more authors and is not emptied; the
+    ingest file is byte for byte that of a parse without the memo."""
+    people = [
+        [{"position": 1, "countries": ["DE"], "org_ids": [f"ror:u{i:05d}"]},
+         {"position": 2, "countries": [], "org_ids": [f"srcA:v{i:05d}"]}]
+        for i in range(31_000)
+    ]
+    path = write_lines(tmp_path / "a.ndjson", author_stream(people))
+    checks = TextChecks()
+    written = {}
+    for name, text_checks in (("memo", checks), ("none", MemolessChecks())):
+        out = io.StringIO()
+        write_article_stream(str(path), "open", text_checks, out, RejectLog(None))
+        written[name] = out.getvalue()
+    assert written["memo"] == written["none"]
+    assert written["memo"].count("\n") == len(people)
+    assert len(checks._authors) == ingest.MEMO_AUTHORS
+    assert checks._author_hits == 0 and not checks._keep_authors
+
+
 def test_an_oversized_author_is_checked_but_not_kept():
     """An author with more than MEMO_AUTHOR_IDS IDs, or more than
     MEMO_AUTHOR_CHARS characters, is parsed alike and not kept."""
@@ -1094,18 +1129,29 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
         assert excinfo.value.code == exc.code
         return
     _, ingest_line = parse_article_line(text, source, ORACLE_LINKS)
+    years = (2019, 2023)
     with tempfile.TemporaryDirectory() as tmp:
-        path, out = os.path.join(tmp, "ingest.ndjson"), os.path.join(tmp, "classified.ndjson")
+        path, out, stream, summary = (
+            os.path.join(tmp, name)
+            for name in ("ingest.ndjson", "classified.ndjson", "dois.ndjson", "journals.ndjson")
+        )
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(ingest_line + "\n")
         _, unknown, entries = pipeline._classify_source(
-            (ORACLE_CFG, ORACLE_JOURNALS), (source, path, out)
+            (ORACLE_CFG, ORACLE_JOURNALS, years, tmp), (source, path, out, stream, summary)
         )
-        with open(out, encoding="utf-8", newline="") as fh:
-            (classified,) = fh.read().splitlines()
+        written = {}
+        for name in (out, stream, summary):
+            with open(name, encoding="utf-8", newline="") as fh:
+                written[name] = fh.read().splitlines(keepends=True)
+    (classified,) = (line.rstrip("\n") for line in written[out])
     assert (ingest_line, classified, bool(unknown)) == expected
+    entries = list(entries.merged())
     doi = json.loads(entries[0])[0] if entries else None
     assert doi == json.loads(classified)["record"]["doi"]
+    # the DOI stream and journal summary recount from the classified line
+    assert written[stream] == oracle_doi_stream([classified], source, years)
+    assert written[summary] == oracle_journal_summary([classified], source, years)
 
 
 # Pieces of text that look like the ingest line's structure once encoded:

@@ -112,6 +112,18 @@ def raises_naming_each_missing(declared, action):
             os.rename(path + ".aside", path)
 
 
+def upstream(layout, config, stage):
+    """The stages whose outputs `stage` reads, and theirs, and so on."""
+    found, todo = set(), [stage]
+    while todo:
+        for path in pipeline.STAGE_INPUTS[todo.pop()](layout, config):
+            producer = os.path.relpath(path, config.out_dir).split(os.sep)[0]
+            if producer in pipeline.artifacts.STAGES and producer not in found:
+                found.add(producer)
+                todo.append(producer)
+    return found
+
+
 def test_stage_boundary_checks_and_records_declared_inputs(full_tree):
     config = full_tree
     layout = Layout(config.out_dir)
@@ -126,16 +138,14 @@ def test_stage_boundary_checks_and_records_declared_inputs(full_tree):
         recorded = [e["path"] for e in read_manifest(layout, stage)["inputs"]]
         assert recorded == sorted(os.path.relpath(p, config.out_dir) for p in declared), stage
         raises_naming_each_missing(declared, lambda: pipeline.run(config, [stage]))
-    # the declared inputs suffice: a tree holding only them and their
-    # producers' manifests reproduces the stage's outputs and manifest; it
-    # sits beside out_dir, so the external inputs keep their out_dir-relative
-    # paths
+    # the declared inputs suffice: a tree holding only them and the
+    # manifests upstream, which the stage boundary walks, reproduces the
+    # stage's outputs and manifest; it sits beside out_dir, so the external
+    # inputs keep their out_dir-relative paths
     for stage in pipeline.artifacts.STAGES:
         alone = replace(config, out_dir=os.path.join(os.path.dirname(config.out_dir), stage))
         declared = pipeline.STAGE_INPUTS[stage](layout, config)
-        producers = {os.path.relpath(p, config.out_dir).split(os.sep)[0] for p in declared}
-        producers &= set(pipeline.artifacts.STAGES)
-        for path in declared + [layout.manifest(p) for p in producers]:
+        for path in declared + [layout.manifest(p) for p in upstream(layout, config, stage)]:
             copy = os.path.join(alone.out_dir, os.path.relpath(path, config.out_dir))
             os.makedirs(os.path.dirname(copy), exist_ok=True)
             shutil.copyfile(path, copy)
@@ -238,7 +248,7 @@ def cut_last_line_in_half(path):
 
 @pytest.mark.parametrize("edit", [append_first_line, cut_last_line_in_half])
 def test_an_input_rewritten_while_read_is_refused(tmp_path, monkeypatch, edit):
-    """An ingest or classified file that changes after its stage began
+    """An ingest or classify output that changes after its stage began
     reading it raises DependencyError naming it, whether the stage then
     completes (a line appended) or breaks on it (a line cut in half), and
     the stage publishes nothing."""
@@ -249,10 +259,10 @@ def test_an_input_rewritten_while_read_is_refused(tmp_path, monkeypatch, edit):
     monkeypatch.setattr(artifacts, "CHUNK_LINES", 20)  # classify's reads span chunks
     reads = {
         "classify": layout.articles("open"),
-        "reconcile": layout.classified("srcA"),
+        "reconcile": layout.doi_stream("srcA"),
         "attribute": layout.classified("open"),
         "aggregate": layout.classified("srcB"),
-        "compare": layout.classified("open"),
+        "compare": layout.doi_stream("open"),
     }
     for stage, target in reads.items():
         def open_input(path, target=target):
@@ -436,6 +446,12 @@ d3907fee02f445d04c49d90b1a2620c7523da26eda039d5f17b170121a20ab9d  aggregate/indi
 e6dbad361943d1e7481d9ca8c825d12268bda9f874b766691f4e3611b4feacef  classify/articles_srcA.ndjson
 8c919221d105204aee40311cc6f0d9b4a616da1457053a619493fdde8afe2471  classify/articles_srcB.ndjson
 0de0128c11f24144e38b39535b48b92383e59bd5202aa15864e73d58f27a02b5  classify/doi_index.ndjson
+e78f8b978a2e5d4bc7c6c90961da7a31a6f4f9bb8972f4b1a29a1296ebab542b  classify/dois_open.ndjson
+8d7da146b3fc69eb29189024592dd90695d4842b280d6b4c43bdbc42d772aa30  classify/dois_srcA.ndjson
+61e2689eeb6215240cb764a7e2d7f4f45fed0c3d8013b95b1200df8d5ca07d02  classify/dois_srcB.ndjson
+3bf010fbbacc6745deb04f7db0ce0e0cd6597586e5dd31535d9131ec92fd19b7  classify/journals_open.ndjson
+c79c066799b3866aee23dffd5bb53cdd7d0a286d24c8a0a021ce704c65906395  classify/journals_srcA.ndjson
+ec44481b7742e9fb633882490cd6df1680a0dbf21ed1f931c920155498bdbac1  classify/journals_srcB.ndjson
 cdc042361c6fcf1160869f209e272230cd6579c958252aa546581924c0a1450e  compare/correlations.csv
 f09bdd7ea1ea2172837bacc2159bb182201c6080edd3816a26ad77e023254b9d  compare/country_scatter.csv
 bdc38b82175099c5f3fc8ee8d96690f4c68d3da63b1c9663f2a1433bc832c5aa  compare/intersections.csv
@@ -451,10 +467,10 @@ f2621e6528275080ee5a31652741fbddb8bb5246d30150d84ac7ac518631e1fa  ingest/article
 2a18cdd87cff43c5b65c884abaa92bb2d8b2e8b273c1d247615b82ad4e8dbd52  ingest/journals.csv
 ab89d20508a1d5ae11fc545d9ac2da996457ae02da5180cc9079f4ff1ec1b1c6  manifests/aggregate.json
 f34b6e35e4c8380910e1932d6668ca45132564290222f40abf212196599fb924  manifests/attribute.json
-9c685a401640b8639d7f6c0f5d58827fe96a351dbd2bc792f0b33ef2da38d92b  manifests/classify.json
-07a4155af2c5ee4dcf70a519b3878648938d0abdd29ad3a5dee47f6f1f819060  manifests/compare.json
+b239491c849c2ad9b4df30854e1298bb9bed6de53169f3bf82f0235c786653ba  manifests/classify.json
+0fb67b493069ef478fef3e3f231b9ebe74f2381a18b29abdeab5039f765cd41b  manifests/compare.json
 aefa9914b8d54a477655c873c174a14505125dff25b0fcb4003a3a0af12d9821  manifests/ingest.json
-b5c9ba7166b8181268d54aa7d3cf790e61327964a2b45749adca906fbf2e681f  manifests/reconcile.json
+cbf1579b681a207aa7309e4a36cef26e4f8716402787b99ca5f63ac5ce495a8f  manifests/reconcile.json
 89fabf40e1d03bfa0bc2e6f014b2d3488954757d2673cd887d9f115e09a2412c  reconcile/audit_sample.csv
 cef32a996a3e1dd7617240935522f3aa6106734c3d71fe1cdfd4d0a3d3748a64  reconcile/crosswalk.csv
 aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/agreement_dump.csv
@@ -963,6 +979,62 @@ def test_a_pool_starts_no_more_processes_than_tasks(tmp_path, monkeypatch):
     assert asked == []
 
 
+def test_unset_workers_are_the_cpus_this_process_may_run_on(tmp_path, monkeypatch):
+    """With `workers` unset, a process allowed one CPU starts no pool,
+    whatever the host's CPU count; one allowed five asks for a process
+    per source."""
+    corpus, config = small_corpus(tmp_path)
+    config = replace(config, workers=None)
+    asked = []
+
+    class SpyPool(pipeline.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            asked.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(pipeline, "ProcessPoolExecutor", SpyPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    pipeline.run(config)
+    assert asked == []
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(5)), raising=False)
+    pipeline.run(config, ["ingest"])
+    assert asked == [len(config.sources)]
+
+
+def test_a_stale_tree_is_refused_until_its_stages_run_again(tmp_path):
+    """The open source's input cut to 300 lines and ingest run again:
+    classify's manifest still records the old ingest file, so reconcile,
+    attribute, aggregate and compare each refuse, name that link and leave
+    the tree as it is. Running classify and the stages after it again gives
+    the tree of a clean run."""
+    corpus = tmp_path / "corpus"
+    fixture.generate(fixture.FixtureParams(seed=5, n_articles=500), str(corpus))
+    config = replace(load_config(str(corpus / "config.json")), workers=1)
+    pipeline.run(config)
+    articles = config.sources[0].articles
+    with open(articles, encoding="utf-8") as fh:
+        lines = fh.readlines()
+    assert len(lines) > 300
+    with open(articles, "w", encoding="utf-8") as fh:
+        fh.writelines(lines[:300])
+    pipeline.run(config, ["ingest"])
+    before = files_under(config.out_dir)
+    stale = (
+        r"stage 'classify' was built from ingest/articles_open\.ndjson sha256"
+        r" [0-9a-f]{12}\.\.\., but stage 'ingest' now records [0-9a-f]{12}\.\.\.;"
+        r" run stage 'classify'"
+    )
+    for stage in ("reconcile", "attribute", "aggregate", "compare"):
+        with pytest.raises(DependencyError, match=f"^stage '{stage}': {stale}"):
+            pipeline.run(config, [stage])
+        assert files_under(config.out_dir) == before, stage
+    pipeline.run(config, list(pipeline.artifacts.STAGES[1:]))
+    clean = replace(config, out_dir=str(corpus / "clean"))
+    pipeline.run(clean)
+    assert files_under(config.out_dir) == files_under(clean.out_dir)
+
+
 def test_no_article_line_crosses_a_pipe(tmp_path, monkeypatch):
     """Every task that ingest and classify hand to `_source_folds` carries
     paths, not lines: each pickles to under 1 KiB."""
@@ -1216,8 +1288,8 @@ def counted_decodes(monkeypatch) -> list:
 
 
 def test_reconcile_and_compare_decode_no_classified_line(tmp_path, monkeypatch):
-    """Reconcile and compare read the fields they need from each line's
-    text (`bridge_row`, `head_row`) and build no `ClassifiedRow`."""
+    """Reconcile and compare read classify's DOI streams and journal
+    summaries, not its classified lines, and build no `ClassifiedRow`."""
     corpus, config = small_corpus(tmp_path)
     pipeline.run(config, ["ingest", "classify", "reconcile", "attribute", "aggregate"])
     calls = counted_decodes(monkeypatch)
@@ -1780,6 +1852,31 @@ def test_cli_workers_that_is_not_an_integer_exits_2(tmp_path, capsys, workers):
     raw = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
     (corpus / "config.json").write_text(json.dumps({**raw, "workers": workers}), encoding="utf-8")
     rc = main(["run", "--config", str(corpus / "config.json")])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == "ConfigError" and "workers" in report["detail"]
+    assert not os.path.exists(corpus / "out")
+
+
+@pytest.mark.parametrize(
+    "flag, in_config",
+    [(["--workers", "0"], None), (["--workers", "-3"], None), ([], 0)],
+    ids=["flag-0", "flag-minus-3", "config-0"],
+)
+def test_cli_workers_below_one_exits_2(tmp_path, capsys, flag, in_config):
+    """A worker count below 1, from the flag or the config file, is a
+    ConfigError, reported as JSON with exit 2, and nothing is written."""
+    from hybridoa.cli import main
+
+    corpus = tmp_path / "c"
+    main(["gen-fixture", "--out", str(corpus), "--seed", "3", "--articles", "50"])
+    capsys.readouterr()
+    if in_config is not None:
+        raw = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
+        (corpus / "config.json").write_text(
+            json.dumps({**raw, "workers": in_config}), encoding="utf-8"
+        )
+    rc = main(["run", "--config", str(corpus / "config.json"), *flag])
     assert rc == 2
     report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert report["error"] == "ConfigError" and "workers" in report["detail"]

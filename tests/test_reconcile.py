@@ -8,18 +8,25 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridoa import artifacts
-from hybridoa.artifacts import bridge_row, classified_from_line
+from hybridoa.artifacts import IngestRow, classified_from_line, doi_groups, dump_canonical
 from hybridoa.errors import SampleTooLarge
 from hybridoa.model import Authorship
 from hybridoa.reconcile import (
     audit_sample,
     build_bridge,
-    first_author_ids,
     invert_crosswalk,
     select_crosswalk,
     tally_pairs,
 )
-from oracles import ArticleRecord, bare_article, oracle_crosswalk, written_line
+from oracles import (
+    ArticleRecord,
+    bare_article,
+    filled_streams,
+    ingested,
+    oracle_crosswalk,
+    record_to_dict,
+    written_line,
+)
 
 
 def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
@@ -34,18 +41,22 @@ def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
     )
 
 
-def projection(records, open_side):
-    """`first_author_ids` over the records' classified lines, read as
-    reconcile reads them (`bridge_row`)."""
-    lines = (written_line(bare_article(record)) for record in records)
-    return first_author_ids(map(bridge_row, lines), open_side)
+def stream_of(records):
+    """The DOI stream classify writes of the records (`bare_article`)."""
+    articles = [ingested(bare_article(record)) for record in records]
+    return list(filled_streams("srcA", articles, (2019, 2023)).dois.merged())
+
+
+def bridge_of(*corpora):
+    """`build_bridge` over the corpora's streams, the open one first:
+    (DOI, rank) of each bridged DOI, and the bridged DOIs per rank."""
+    bridged = Counter()
+    bridge = build_bridge(doi_groups([stream_of(corpus) for corpus in corpora]), bridged)
+    return [(doi, rank) for doi, rank, _, _ in bridge], bridged
 
 
 def bridge_of_corpora(open_corpus, prop_corpus):
-    return build_bridge(
-        projection(open_corpus, open_side=True),
-        projection(prop_corpus, open_side=False),
-    )
+    return [doi for doi, _ in bridge_of(open_corpus, prop_corpus)[0]]
 
 
 # --- bridging -------------------------------------------------------------------
@@ -62,13 +73,13 @@ def test_bridge_skips_doi_repeated_in_one_corpus():
     )
     assert bridge == []
     # repeated inside one proprietary source: it still bridges for the other
-    open_ids = projection([rec("open", "W1", "10.1/a")], open_side=True)
-    src_a = projection(
-        [rec("srcA", "A1", "10.1/a"), rec("srcA", "A2", "10.1/a")], open_side=False
+    bridge, bridged = bridge_of(
+        [rec("open", "W1", "10.1/a")],
+        [rec("srcA", "A1", "10.1/a"), rec("srcA", "A2", "10.1/a")],
+        [rec("srcB", "B1", "10.1/a")],
     )
-    src_b = projection([rec("srcB", "B1", "10.1/a")], open_side=False)
-    assert build_bridge(open_ids, src_a) == []
-    assert build_bridge(open_ids, src_b) == ["10.1/a"]
+    assert bridge == [("10.1/a", 2)]
+    assert bridged == {2: 1}
 
 
 def test_bridge_requires_presence_on_both_sides():
@@ -89,9 +100,10 @@ def test_bridge_triple_occurrence_still_skipped():
     assert bridge == []
 
 
-# --- the text-keyed projection ------------------------------------------------------
+# --- the first author, read from the text of the ingest line ------------------------------
 
-# Text spelling what `bridge_row` looks for, written inside org IDs and countries.
+# Text spelling what classify looks for in an ingest line, written inside
+# org IDs and countries.
 SPELLED = ["}", ',"position":', '"', ',"position":1}', "é", "x"]
 spelled_text = st.lists(st.sampled_from(SPELLED), min_size=1, max_size=3).map("".join)
 bridge_authors = st.lists(
@@ -107,21 +119,34 @@ bridge_authors = st.lists(
 )
 
 
-def bridge_lines(articles):
-    """Classified lines of (DOI, authors, re-escaped) triples; a re-escaped
-    line writes `é` as `\\u00E9`, not `\\u00e9`, and decodes alike."""
-    lines = []
+def bridge_articles(articles):
+    """Bare articles of (DOI, authors, re-escaped) triples, each as
+    classify holds it, with its ingest line; a re-escaped line writes `é`
+    as `\\u00E9`, not `\\u00e9`, and decodes alike."""
+    out = []
     for i, (doi, authors, reescaped) in enumerate(articles):
-        record = rec("srcA", f"A{i}", doi)
-        line = written_line(bare_article(replace(record, authors=tuple(authors))))
-        lines.append(line.replace("\\u00e9", "\\u00E9") if reescaped else line)
-    return lines
+        record = replace(rec("srcA", f"A{i}", doi), authors=tuple(authors))
+        line = dump_canonical(record_to_dict(record))
+        if reescaped:
+            line = line.replace("\\u00e9", "\\u00E9")
+        out.append(replace(bare_article(record), record=IngestRow(line, "srcA")))
+    return out
+
+
+def stream_projection(stream, open_side):
+    """DOI -> the stream's first-author IDs of one side, for the DOIs the
+    stream holds once."""
+    return {
+        doi: tuple(o for o in entries[0][3] if o.startswith("ror:") == open_side)
+        for doi, entries in doi_groups([stream])
+        if len(entries) == 1
+    }
 
 
 def decoded_projection(lines, open_side):
-    """The projection of fully decoded lines: each line's first author
-    (`ClassifiedRow.first_author`), its IDs of the side sorted, for the
-    DOIs that occur once."""
+    """The projection of fully decoded classified lines: each line's first
+    author (`ClassifiedRow.first_author`), its IDs of the side sorted, for
+    the DOIs that occur once."""
     rows = [classified_from_line(line, "srcA") for line in lines]
     occurrences = Counter(row.doi for row in rows)
     projection = {}
@@ -155,28 +180,31 @@ E_ACUTE = Authorship(position=1, org_ids=frozenset({"ror:é}", "srcA:é"}))
 ])
 @example([("10.1/a", [E_ACUTE], False), ("10.1/b", [E_ACUTE], True)])  # two escapings
 def test_the_text_keyed_projection_equals_the_decoded_lines(articles):
-    """`first_author_ids` over `bridge_row` texts, each distinct text decoded
-    once, gives the projection of the fully decoded lines, on either side."""
-    lines = bridge_lines(articles)
+    """The DOI stream's first-author IDs, read from the text of each ingest
+    line with each distinct text decoded once, give the projection of the
+    fully decoded classified lines, on either side."""
+    held = bridge_articles(articles)
+    stream = list(filled_streams("srcA", held, (2019, 2023)).dois.merged())
+    lines = [written_line(bare_article(replace(rec("srcA", "A", doi), authors=tuple(authors))))
+             for doi, authors, _ in articles]
     for open_side in (True, False):
-        assert first_author_ids(map(bridge_row, lines), open_side) == decoded_projection(
-            lines, open_side
-        )
+        assert stream_projection(stream, open_side) == decoded_projection(lines, open_side)
 
 
 def test_each_distinct_first_author_text_is_decoded_once(monkeypatch):
     decoded = Counter()
-    org_ids_of = artifacts.first_author_org_ids
+    org_ids_of = artifacts.author_org_ids
 
     def counted(author):
         decoded[author] += 1
         return org_ids_of(author)
 
-    monkeypatch.setattr(artifacts, "first_author_org_ids", counted)
-    lines = bridge_lines(
+    monkeypatch.setattr(artifacts, "author_org_ids", counted)
+    held = bridge_articles(
         [(f"10.1/{i}", [E_ACUTE], i % 2 == 1) for i in range(6)] + [("10.1/x", [], False)]
     )
-    projection = first_author_ids(map(bridge_row, lines), open_side=True)
+    stream = filled_streams("srcA", held, (2019, 2023)).dois.merged()
+    projection = stream_projection(list(stream), open_side=True)
     assert set(projection.values()) == {("ror:é}",), ()}
     # one text per escaping, and one for no authors
     assert sorted(decoded.values()) == [1, 1, 1]
@@ -189,19 +217,15 @@ def tally_of(articles, examples_per_pair=3):
 
     Returns (bridged DOIs, pair counts, pair examples).
     """
-    open_ids = projection(
-        (rec("open", f"W{doi}", doi, org_ids) for doi, org_ids, *_ in articles),
-        open_side=True,
-    )
-    prop_ids = projection(
-        (rec("srcA", f"A{doi}", doi, org_ids, *pos) for doi, _, org_ids, *pos in articles),
-        open_side=False,
-    )
-    bridge = build_bridge(open_ids, prop_ids)
+    streams = [
+        stream_of(rec("open", f"W{doi}", doi, org_ids) for doi, org_ids, *_ in articles),
+        stream_of(rec("srcA", f"A{doi}", doi, org_ids, *pos) for doi, _, org_ids, *pos in articles),
+    ]
+    bridge = list(build_bridge(doi_groups(streams), Counter()))
     counts: Counter = Counter()
     examples: dict = {}
-    tally_pairs(bridge, open_ids, prop_ids, counts, examples, examples_per_pair)
-    return bridge, counts, examples
+    tally_pairs(iter(bridge), counts, examples, examples_per_pair)
+    return [doi for doi, *_ in bridge], counts, examples
 
 
 def test_tally_counts_articles():
@@ -228,6 +252,26 @@ def test_tally_examples_capped():
         [(f"10.1/{i}", ("ror:r1",), ("srcA:p9",)) for i in range(9)], examples_per_pair=3
     )
     assert examples[("ror:r1", "srcA:p9")] == ["10.1/0", "10.1/1", "10.1/2"]
+
+
+def test_tally_examples_follow_sorted_order_not_stream_order():
+    """In a DOI stream `10.1/a!!!` comes first and `10.1/a` fourth, since
+    `!` sorts below the closing quote of a DOI's JSON string. The examples
+    keep sorted order, source by source, as the bridges of the sources
+    tallied in turn would: srcB's smallest DOI, not its first in the
+    stream, follows srcA's two."""
+    dois = ["10.1/a", "10.1/a!", "10.1/a!!", "10.1/a!!!", "10.1/a\u00e9", "10.1/b"]
+    streams = [
+        stream_of(rec("open", f"W{i}", doi, ("ror:r1",)) for i, doi in enumerate(dois)),
+        stream_of(rec("srcA", f"A{i}", doi, ("srcA:p9",)) for i, doi in enumerate(dois[4:])),
+        stream_of(rec("srcB", f"B{i}", doi, ("srcA:p9",)) for i, doi in enumerate(dois)),
+    ]
+    texts = [line.split('"')[1] for line in streams[0]]
+    assert texts == ["10.1/a!!!", "10.1/a!!", "10.1/a!", "10.1/a", "10.1/a\\u00e9", "10.1/b"]
+    counts, examples = Counter(), {}
+    tally_pairs(build_bridge(doi_groups(streams), Counter()), counts, examples)
+    assert examples == {("ror:r1", "srcA:p9"): ["10.1/a\u00e9", "10.1/b", "10.1/a"]}
+    assert counts == {("ror:r1", "srcA:p9"): 8}
 
 
 # --- selection -------------------------------------------------------------------
@@ -322,16 +366,15 @@ def corpus_of(source, raw):
 
 
 def engine_crosswalk(open_corpus, proprietary_corpora, min_support):
-    """The reconcile stage's composition, over one-shot iterables."""
-    open_ids = projection(open_corpus, open_side=True)
+    """The reconcile stage's composition: one merge join over the streams."""
+    labels = list(proprietary_corpora)
+    streams = [stream_of(open_corpus)] + [stream_of(proprietary_corpora[l]) for l in labels]
+    bridged: Counter = Counter()
     counts: Counter = Counter()
-    bridged, examples = {}, {}
-    for label, corpus in proprietary_corpora.items():
-        prop_ids = projection(corpus, open_side=False)
-        bridge = build_bridge(open_ids, prop_ids)
-        bridged[label] = len(bridge)
-        tally_pairs(bridge, open_ids, prop_ids, counts, examples)
-    return select_crosswalk(counts, min_support), len(counts), bridged, examples
+    examples: dict = {}
+    tally_pairs(build_bridge(doi_groups(streams), bridged), counts, examples)
+    by_label = {label: bridged[rank] for rank, label in enumerate(labels, 1)}
+    return select_crosswalk(counts, min_support), len(counts), by_label, examples
 
 
 SHARED_SCHEME_CASE = (
@@ -415,10 +458,9 @@ def test_planted_mapping_recovery_with_noise():
         doi = f"10.1/{article}"
         open_corpus.append(rec("open", f"W{article}", doi, open_ids))
         prop_corpus.append(rec("srcA", f"A{article}", doi, prop_ids))
-    open_ids = projection(open_corpus, open_side=True)
-    prop_ids = projection(prop_corpus, open_side=False)
+    streams = [stream_of(open_corpus), stream_of(prop_corpus)]
     counts: Counter = Counter()
-    tally_pairs(build_bridge(open_ids, prop_ids), open_ids, prop_ids, counts, {})
+    tally_pairs(build_bridge(doi_groups(streams), Counter()), counts, {})
     entries = select_crosswalk(counts, min_support=2)
     correct = sum(1 for e in entries if truth.get(e.open_id) == e.proprietary_id)
     assert len(entries) >= 0.95 * n_inst
