@@ -75,6 +75,9 @@ class Layout:
     def classified(self, source: str) -> str:
         return os.path.join(self.out_dir, "classify", f"articles_{source}.ndjson")
 
+    def attributable(self, source: str) -> str:
+        return os.path.join(self.out_dir, "classify", f"attributable_{source}.ndjson")
+
     def doi_stream(self, source: str) -> str:
         return os.path.join(self.out_dir, "classify", f"dois_{source}.ndjson")
 

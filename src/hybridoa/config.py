@@ -93,10 +93,18 @@ class PipelineConfig:
             raise ConfigError("source labels must be unique")
         if sum(1 for s in self.sources if s.open_baseline) != 1:
             raise ConfigError("exactly one source must be the open baseline")
+        if len(self.years) != 2 or any(type(year) is not int for year in self.years):
+            raise ConfigError(f"years must be two integers, first and last, got {self.years!r}")
         if self.years[0] > self.years[1]:
             raise ConfigError(f"empty year window {self.years}")
         if self.workers is not None and (type(self.workers) is not int or self.workers < 1):
             raise ConfigError(f"workers must be a positive integer or null, got {self.workers!r}")
+        if self.audit_sample_size < 0:
+            raise ConfigError(
+                f"audit_sample_size must not be negative, got {self.audit_sample_size!r}"
+            )
+        if not self.roles:
+            raise ConfigError("roles must name at least one role")
         for role in self.roles:
             if role not in ROLES:
                 raise ConfigError(f"unknown role {role!r}")

@@ -16,10 +16,12 @@ runs, and only its result, the digests of what it read and its
 unpublished writes cross a pipe; no article line does. A worker pool
 changes wall time but never output bytes.
 
-Besides each source's classified file, classify writes its DOI-sorted
-stream and its journal summary (`artifacts.SourceStreams`), sorted in
-bounded memory (`artifacts.SortedRuns`). Reconcile and compare read only
-those, in this process: reconcile as one merge join, compare as one
+Besides each source's classified file, classify writes its attributable
+lines apart (the countable hybrid OA ones, `artifacts.is_attributable`),
+its DOI-sorted stream and its journal summary (`artifacts.SourceStreams`),
+sorted in bounded memory (`artifacts.SortedRuns`). Attribute reads only
+the attributable files. Reconcile and compare read only the streams and
+summaries, in this process: reconcile as one merge join, compare as one
 merge count, so neither holds anything per record.
 """
 
@@ -229,6 +231,11 @@ def _classified(layout: Layout, config: PipelineConfig) -> list[str]:
     return [layout.classified(s.label) for s in config.sources]
 
 
+def _registry(layout: Layout) -> list[str]:
+    """The files the attribution indexes are built from (`_attribution_indexes`)."""
+    return [layout.agreements, layout.crosswalk, layout.institutions]
+
+
 def _doi_streams(layout: Layout, config: PipelineConfig) -> list[str]:
     return [layout.doi_stream(s.label) for s in config.sources]
 
@@ -242,7 +249,7 @@ STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
     ),
     "reconcile": _doi_streams,
     "attribute": lambda layout, config: (
-        [layout.agreements, layout.institutions, layout.crosswalk] + _classified(layout, config)
+        _registry(layout) + [layout.attributable(s.label) for s in config.sources]
     ),
     "aggregate": lambda layout, config: (
         _classified(layout, config) + [layout.attributions(role) for role in config.roles]
@@ -408,16 +415,19 @@ def _classify_source(
     ctx: tuple, source: tuple[str, ...]
 ) -> tuple[int, Counter, artifacts.SortedRuns]:
     """One source's ingest file, classified into its classified file, its
-    DOI stream and its journal summary: its rows, its records per unknown
-    document class and its DOI index entries, as sorted runs that carry
-    only their paths in `spill_dir` when they spilled."""
+    attributable file (the classified lines that `artifacts.is_attributable`
+    accepts, in file order), its DOI stream and its journal summary: its
+    rows, its records per unknown document class and its DOI index
+    entries, as sorted runs that carry only their paths in `spill_dir` when
+    they spilled."""
     cfg, journals, years, spill_dir = ctx
-    label, path, out_path, stream_path, summary_path = source
+    label, path, out_path, attributable_path, stream_path, summary_path = source
     policy = cfg.policies[label]
     rows = 0
     unknown: Counter = Counter()
     streams = artifacts.SourceStreams(label, years, spill_dir)
-    with artifacts.open_artifact(out_path) as out:
+    with artifacts.open_artifact(out_path) as out, \
+            artifacts.open_artifact(attributable_path) as attributable:
         for _, lines in artifacts.line_chunks(path):
             articles, classified = [], []
             for line in lines:
@@ -429,6 +439,9 @@ def _classify_source(
                 articles.append(article)
                 classified.append(artifacts.classified_to_line(article))
             out.write("".join(f"{line}\n" for line in classified))
+            attributable.write(
+                "".join(f"{line}\n" for line in classified if artifacts.is_attributable(line))
+            )
             streams.add(articles, classified)
             rows += len(classified)
     with artifacts.open_artifact(stream_path) as out:
@@ -446,18 +459,19 @@ def run_classify(
     """Apply all classification rules to every ingested record.
 
     One per-source fold classifies each source's ingest file into its
-    classified file, DOI stream and journal summary. The DOI index
-    entries of every source come back as sorted runs, which are merged
-    into one index here; the runs that spilled are deleted with the
-    stage's spill directory.
+    classified file, attributable file, DOI stream and journal summary.
+    The DOI index entries of every source come back as sorted runs, which
+    are merged into one index here; the runs that spilled are deleted
+    with the stage's spill directory.
     """
     labels = [s.label for s in config.sources]
     outputs = [layout.classified(label) for label in labels]
+    attributable = [layout.attributable(label) for label in labels]
     streams = [layout.doi_stream(label) for label in labels]
     summaries = [layout.journal_summary(label) for label in labels]
     sources = [
         (label, layout.articles(label), *paths)
-        for label, *paths in zip(labels, outputs, streams, summaries)
+        for label, *paths in zip(labels, outputs, attributable, streams, summaries)
     ]
     counters = {}
     runs: list[artifacts.SortedRuns] = []
@@ -478,7 +492,7 @@ def run_classify(
                 )
         with artifacts.open_artifact(layout.doi_index) as index:
             index.writelines(artifacts.merge_runs(runs))
-    return outputs + streams + summaries + [layout.doi_index], counters
+    return outputs + attributable + streams + summaries + [layout.doi_index], counters
 
 
 # --- reconcile ----------------------------------------------------------------
@@ -532,17 +546,15 @@ def _attribution_indexes(layout: Layout) -> tuple:
 
 
 def _attribute_source(ctx: tuple, source: tuple[str, str]) -> tuple[dict[str, list[tuple]], dict]:
-    """Role -> attribution rows of one source's classified file, and role ->
-    `resolve_org` diagnostics. Lines that are not countable hybrid OA are
-    skipped before they are decoded; the others are decoded once."""
+    """Role -> attribution rows of one source's attributable file, and role
+    -> `resolve_org` diagnostics. Every line in the file is countable
+    hybrid OA, and each is decoded once."""
     roles, journal_agreements, crosswalk_inverse, inst_index = ctx
     path, label = source
     rows: dict[str, list[tuple]] = {role: [] for role in roles}
     diagnostics: dict[str, dict] = {role: {} for role in roles}
     with artifacts.open_input_text(path) as fh:
         for line in fh:
-            if not artifacts.is_attributable(line):
-                continue
             article = artifacts.classified_from_line(line, label)
             for role in roles:
                 if attribute.role_author(article, role) is None:
@@ -560,12 +572,14 @@ def run_attribute(
 ) -> StageResult:
     """Evaluate every eligible OA article against the agreement registry.
 
-    One per-source fold evaluates every role on each eligible record.
+    One per-source fold evaluates every role on each record of the
+    source's attributable file, which classify wrote; no classified file
+    is read.
     """
     ctx = (tuple(config.roles), *_attribution_indexes(layout))
     rows: dict[str, list[tuple]] = {role: [] for role in config.roles}
     unresolved = dict.fromkeys(config.roles, 0)
-    sources = _classified_sources(layout, [s.label for s in config.sources])
+    sources = [(layout.attributable(s.label), s.label) for s in config.sources]
     for result, diagnostics in _source_folds(pool, _attribute_source, ctx, sources):
         for role, role_rows in result.items():
             rows[role].extend(role_rows)
@@ -685,7 +699,7 @@ def _registry_indexes(layout: Layout) -> tuple:
     bytes changed since the last call in this process."""
     global _explain_registry
     key = []
-    for path in (layout.agreements, layout.crosswalk, layout.institutions):
+    for path in _registry(layout):
         with open(path, "rb") as fh:
             key.append(fh.read())
     if _explain_registry is None or _explain_registry[0] != key:
@@ -700,7 +714,7 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
     their lines, in config source order, then file order.
     """
     layout = Layout(config.out_dir)
-    _require(STAGE_INPUTS["attribute"](layout, config) + [layout.doi_index], "explain")
+    _require(_registry(layout) + [layout.doi_index] + _classified(layout, config), "explain")
     doi = normalize_doi(raw_doi)
     if doi is None:
         raise UnknownDoi(f"not a DOI: {raw_doi!r}")

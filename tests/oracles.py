@@ -975,6 +975,18 @@ def oracle_doi_stream(lines, source, years):
     return sorted(out)
 
 
+def oracle_attributable(lines):
+    """A source's attributable file recounted from its classified lines,
+    each decoded whole: the lines whose countable, in_regular_issue and
+    is_hybrid_oa are all true, in file order."""
+    out = []
+    for line in lines:
+        obj = json.loads(line)
+        if obj["countable"] and obj["in_regular_issue"] and obj["is_hybrid_oa"]:
+            out.append(line)
+    return out
+
+
 def oracle_journal_summary(lines, source, years):
     """A source's journal summary recounted from its classified lines:
     [ISSN-L, publisher of its first line, any hybrid OA line in the window]

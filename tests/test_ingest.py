@@ -1131,14 +1131,18 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
     _, ingest_line = parse_article_line(text, source, ORACLE_LINKS)
     years = (2019, 2023)
     with tempfile.TemporaryDirectory() as tmp:
-        path, out, stream, summary = (
+        path, out, attributable, stream, summary = (
             os.path.join(tmp, name)
-            for name in ("ingest.ndjson", "classified.ndjson", "dois.ndjson", "journals.ndjson")
+            for name in (
+                "ingest.ndjson", "classified.ndjson", "attributable.ndjson", "dois.ndjson",
+                "journals.ndjson",
+            )
         )
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(ingest_line + "\n")
         _, unknown, entries = pipeline._classify_source(
-            (ORACLE_CFG, ORACLE_JOURNALS, years, tmp), (source, path, out, stream, summary)
+            (ORACLE_CFG, ORACLE_JOURNALS, years, tmp),
+            (source, path, out, attributable, stream, summary),
         )
         written = {}
         for name in (out, stream, summary):

@@ -260,7 +260,7 @@ def test_an_input_rewritten_while_read_is_refused(tmp_path, monkeypatch, edit):
     reads = {
         "classify": layout.articles("open"),
         "reconcile": layout.doi_stream("srcA"),
-        "attribute": layout.classified("open"),
+        "attribute": layout.attributable("open"),
         "aggregate": layout.classified("srcB"),
         "compare": layout.doi_stream("open"),
     }
@@ -388,12 +388,26 @@ def test_ingest_checks_each_distinct_text_once_per_stage(tmp_path, monkeypatch):
 
 
 def test_explain_checks_attribute_inputs_and_hashes_nothing(full_tree, monkeypatch):
+    """Explain needs the registry attribute builds its indexes from, the
+    DOI index and the classified files it seeks into, and names each that
+    is missing; it reads no attributable file."""
     config = full_tree
     layout = Layout(config.out_dir)
     with open(layout.classified(config.open_source), encoding="utf-8") as fh:
         doi = json.loads(fh.readline())["record"]["doi"]
-    declared = pipeline.STAGE_INPUTS["attribute"](layout, config)
-    raises_naming_each_missing(declared, lambda: pipeline.explain_doi(config, doi))
+    needed = [layout.agreements, layout.crosswalk, layout.institutions, layout.doi_index]
+    needed += [layout.classified(s.label) for s in config.sources]
+    raises_naming_each_missing(needed, lambda: pipeline.explain_doi(config, doi))
+    trace = pipeline.explain_doi(config, doi)
+    for source in config.sources:
+        path = layout.attributable(source.label)
+        os.rename(path, path + ".aside")
+    try:
+        assert pipeline.explain_doi(config, doi) == trace
+    finally:
+        for source in config.sources:
+            path = layout.attributable(source.label)
+            os.rename(path + ".aside", path)
 
     def no_hash(path):
         raise AssertionError(f"explain hashed {path}")
@@ -445,6 +459,9 @@ d3907fee02f445d04c49d90b1a2620c7523da26eda039d5f17b170121a20ab9d  aggregate/indi
 800bfd756a9442378f9600a8e8ab129bd964ce11a479d4f1a131d9b7b4cfe31d  classify/articles_open.ndjson
 e6dbad361943d1e7481d9ca8c825d12268bda9f874b766691f4e3611b4feacef  classify/articles_srcA.ndjson
 8c919221d105204aee40311cc6f0d9b4a616da1457053a619493fdde8afe2471  classify/articles_srcB.ndjson
+164b50163467e0c618a4a75de3a5a303d7b20e168464d6a0129c211326d00452  classify/attributable_open.ndjson
+e87037545ae3924ac0b28ad389a49964b8c816b618191983f487674639d4bb42  classify/attributable_srcA.ndjson
+14c338ba7d9df9775bf548fd55451ed4faddd3d92831df27d510a9b0eaeaf93e  classify/attributable_srcB.ndjson
 0de0128c11f24144e38b39535b48b92383e59bd5202aa15864e73d58f27a02b5  classify/doi_index.ndjson
 e78f8b978a2e5d4bc7c6c90961da7a31a6f4f9bb8972f4b1a29a1296ebab542b  classify/dois_open.ndjson
 8d7da146b3fc69eb29189024592dd90695d4842b280d6b4c43bdbc42d772aa30  classify/dois_srcA.ndjson
@@ -466,8 +483,8 @@ f2621e6528275080ee5a31652741fbddb8bb5246d30150d84ac7ac518631e1fa  ingest/article
 51ce0017f7b7cbb86c07641f33928d2344b4961f85e9d663895029afa09881b0  ingest/institutions.csv
 2a18cdd87cff43c5b65c884abaa92bb2d8b2e8b273c1d247615b82ad4e8dbd52  ingest/journals.csv
 ab89d20508a1d5ae11fc545d9ac2da996457ae02da5180cc9079f4ff1ec1b1c6  manifests/aggregate.json
-f34b6e35e4c8380910e1932d6668ca45132564290222f40abf212196599fb924  manifests/attribute.json
-b239491c849c2ad9b4df30854e1298bb9bed6de53169f3bf82f0235c786653ba  manifests/classify.json
+c57c36ce5a3502670ad0e8d3f7400b8047545dc36b7f9100c8812f37a093cc48  manifests/attribute.json
+6bc7888df44287e7b6062ea795f6bcd6f4adcc03c569a75157064f2c8bfee95c  manifests/classify.json
 0fb67b493069ef478fef3e3f231b9ebe74f2381a18b29abdeab5039f765cd41b  manifests/compare.json
 aefa9914b8d54a477655c873c174a14505125dff25b0fcb4003a3a0af12d9821  manifests/ingest.json
 cbf1579b681a207aa7309e4a36cef26e4f8716402787b99ca5f63ac5ce495a8f  manifests/reconcile.json
@@ -1033,6 +1050,38 @@ def test_a_stale_tree_is_refused_until_its_stages_run_again(tmp_path):
     clean = replace(config, out_dir=str(corpus / "clean"))
     pipeline.run(clean)
     assert files_under(config.out_dir) == files_under(clean.out_dir)
+
+
+def test_an_edited_attributable_file_is_refused(tmp_path):
+    """An attributable file edited after classify wrote it is refused by
+    attribute's producer check; once classify's manifest records the
+    edited bytes too, the upstream walk of a later stage refuses the
+    attribute outputs built from the old ones. Neither publishes anything."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config)
+    layout = Layout(config.out_dir)
+    path = layout.attributable(config.open_source)
+    relative = os.path.relpath(path, config.out_dir)
+    append_first_line(path)
+    before = files_under(config.out_dir)
+    with pytest.raises(
+        DependencyError,
+        match=f"^stage 'attribute': {re.escape(path)} is not what stage 'classify' recorded",
+    ):
+        pipeline.run(config, ["attribute"])
+    assert files_under(config.out_dir) == before
+
+    manifest = read_manifest(layout, "classify")
+    (entry,) = [e for e in manifest["outputs"] if e["path"] == relative]
+    entry["sha256"] = hashlib.sha256(before[relative]).hexdigest()
+    artifacts.write_ndjson(layout.manifest("classify"), [manifest])
+    before = files_under(config.out_dir)
+    with pytest.raises(
+        DependencyError,
+        match=f"^stage 'aggregate': stage 'attribute' was built from {re.escape(relative)}",
+    ):
+        pipeline.run(config, ["aggregate"])
+    assert files_under(config.out_dir) == before
 
 
 def test_no_article_line_crosses_a_pipe(tmp_path, monkeypatch):
@@ -1880,6 +1929,29 @@ def test_cli_workers_below_one_exits_2(tmp_path, capsys, flag, in_config):
     assert rc == 2
     report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert report["error"] == "ConfigError" and "workers" in report["detail"]
+    assert not os.path.exists(corpus / "out")
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("years", [2019]), ("years", [2019, 2020, 2021]), ("roles", []), ("audit_sample_size", -5)],
+    ids=["years-one", "years-three", "roles-empty", "audit-negative"],
+)
+def test_cli_config_shapes_a_run_cannot_use_exit_2(tmp_path, capsys, key, value):
+    """A year window that is not two years, an empty role list and a
+    negative audit sample size are ConfigErrors, reported as JSON with
+    exit 2 before any stage runs: nothing is written."""
+    from hybridoa.cli import main
+
+    corpus = tmp_path / "c"
+    main(["gen-fixture", "--out", str(corpus), "--seed", "3", "--articles", "100"])
+    capsys.readouterr()
+    raw = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
+    (corpus / "config.json").write_text(json.dumps({**raw, key: value}), encoding="utf-8")
+    rc = main(["run", "--config", str(corpus / "config.json"), "--workers", "1"])
+    assert rc == 2
+    report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert report["error"] == "ConfigError" and key in report["detail"]
     assert not os.path.exists(corpus / "out")
 
 

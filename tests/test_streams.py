@@ -1,16 +1,18 @@
-"""Classify's DOI-sorted streams and journal summaries, and the merge join
-and merge count that reconcile and compare make over them.
+"""Classify's attributable files, DOI-sorted streams and journal
+summaries, and the merge join and merge count that reconcile and compare
+make over the streams.
 
-The streams are recounted from the classified files (`oracle_doi_stream`,
-`oracle_journal_summary`), and the merges are checked against the
-dict-based reconcile and compare they replaced (`dict_reconcile`,
-`dict_journal_overlaps`).
+The files are recounted from the classified files (`oracle_attributable`,
+`oracle_doi_stream`, `oracle_journal_summary`), and the merges are checked
+against the dict-based reconcile and compare they replaced
+(`dict_reconcile`, `dict_journal_overlaps`).
 """
 
 import os
 import pickle
 import tempfile
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import date
 from unittest import mock
@@ -22,8 +24,14 @@ from hypothesis import strategies as st
 from hybridoa import artifacts, fixture, pipeline
 from hybridoa.analytics import journal_index, journal_overlaps
 from hybridoa.artifacts import Layout, SortedRuns, doi_groups, json_rows
+from hybridoa.classify import (
+    DOC_MODE_HEURISTIC,
+    ClassifierConfig,
+    SourcePolicy,
+    load_paratext_patterns,
+)
 from hybridoa.config import load_config
-from hybridoa.model import Authorship, ClassifiedArticle
+from hybridoa.model import Authorship, ClassifiedArticle, Journal, LicenseStatement
 from hybridoa.reconcile import build_bridge, tally_pairs
 from oracles import (
     ArticleRecord,
@@ -32,9 +40,11 @@ from oracles import (
     dict_reconcile,
     filled_streams,
     ingested,
+    oracle_attributable,
     oracle_doi_stream,
     oracle_journal_index,
     oracle_journal_summary,
+    record_to_dict,
     written_line,
 )
 
@@ -200,6 +210,109 @@ def test_streams_and_summaries_recount_from_the_classified_files(tmp_path, worke
         assert read_lines(layout.journal_summary(source.label)) == oracle_journal_summary(
             classified, source.label, config.years
         )
+
+
+# Each flag that classify's verdict of countable hybrid OA depends on, drawn
+# both ways: the journal (hybrid, fully OA, in no journal table), the
+# document class, a paratext title, the pagination and the licenses.
+CC_BY = "https://creativecommons.org/licenses/by/4.0/"
+CLASSIFY_JOURNALS = {
+    "1111-1111": Journal(issn_l="1111-1111", publisher="P1", is_hybrid=True),
+    "2222-2222": Journal(issn_l="2222-2222", publisher="P2", is_hybrid=False),
+}
+CLASSIFY_CFG = ClassifierConfig(
+    policies={
+        "open": SourcePolicy(mode=DOC_MODE_HEURISTIC), "srcA": SourcePolicy(), "srcB": SourcePolicy(),
+    },
+    paratext_patterns=load_paratext_patterns(),
+    lenient_oa_sources=frozenset({"srcB"}),
+)
+LICENSES = (
+    (),
+    (LicenseStatement(CC_BY, True, None),),
+    (LicenseStatement(CC_BY, False, None),),
+    (LicenseStatement(CC_BY, True, date(2024, 1, 1)),),  # delayed
+    (LicenseStatement("https://publisher.example/user-license", True, None),),
+)
+records = st.tuples(
+    st.sampled_from(["1111-1111", "2222-2222", "3333-3333"]),
+    st.sampled_from(["journal-article", "Article", "editorial"]),
+    st.sampled_from(["A study", "Editorial Board"]),
+    st.sampled_from(["10-19", "S1", None]),
+    st.sampled_from(LICENSES),
+    st.sampled_from([2018, 2020, 2024]),
+)
+
+
+def ingest_lines(source, drawn, closed):
+    """Ingest's lines of the drawn records of `source`; every license
+    dropped when `closed`, so that no record is OA."""
+    lines = []
+    for i, (issn_l, doc_class, title, pagination, licenses, year) in enumerate(drawn):
+        record = ArticleRecord(
+            source=source, native_id=f"{source}{i}", journal_issn_l=issn_l,
+            pub_date=date(year, 3, 1), document_class=doc_class, doi=f"10.1/{source}{i}",
+            pagination=pagination, title=title, licenses=() if closed else licenses,
+        )
+        lines.append(artifacts.dump_canonical(record_to_dict(record)) + "\n")
+    return lines
+
+
+@pytest.fixture(scope="module")
+def two_workers():
+    with ProcessPoolExecutor(max_workers=2) as pool:
+        yield pool
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.tuples(*(st.lists(records, max_size=10) for _ in SOURCES)), st.sampled_from(SOURCES))
+@example(([], [], []), "open")
+@example(([("1111-1111", "journal-article", "A study", "10-19", LICENSES[1], 2020)],) * 3, "srcB")
+def test_each_attributable_file_equals_its_oracle(two_workers, drawn, closed):
+    """Classify's attributable file of each source holds the lines of its
+    classified file that are countable, in a regular issue and hybrid OA,
+    in file order, inline and on a two-process pool alike; the source whose
+    records carry no license has an empty one."""
+    written = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for pool in (None, two_workers):
+            layout = Layout(os.path.join(tmp, "inline" if pool is None else "pool"))
+            tasks = []
+            for source, raw in zip(SOURCES, drawn):
+                path = os.path.join(tmp, f"ingest_{source}.ndjson")
+                with open(path, "w", encoding="utf-8", newline="") as fh:
+                    fh.writelines(ingest_lines(source, raw, source == closed))
+                tasks.append((
+                    source, path, layout.classified(source), layout.attributable(source),
+                    layout.doi_stream(source), layout.journal_summary(source),
+                ))
+            ctx = (CLASSIFY_CFG, CLASSIFY_JOURNALS, YEARS, tmp)
+            for *_, runs in pipeline._source_folds(pool, pipeline._classify_source, ctx, tasks):
+                runs.close()
+            files = {}
+            for source in SOURCES:
+                classified = read_lines(layout.classified(source))
+                attributable = read_lines(layout.attributable(source))
+                assert attributable == oracle_attributable(classified), source
+                files[source] = (classified, attributable)
+            assert files[closed][1] == []
+            written.append(files)
+    assert written[0] == written[1]
+
+
+def test_attribute_reads_no_classified_file(tmp_path):
+    """Attribute's manifest records the registry and the attributable
+    files as its inputs, and no classified file."""
+    config = small_config(tmp_path)
+    pipeline.run(config, ["ingest", "classify", "reconcile", "attribute"])
+    layout = Layout(config.out_dir)
+    inputs = [e["path"] for e in artifacts.read_manifest(layout, "attribute")["inputs"]]
+    assert not [path for path in inputs if path.startswith(os.path.join("classify", "articles_"))]
+    assert sorted(inputs) == sorted(
+        os.path.relpath(path, config.out_dir)
+        for path in [layout.agreements, layout.crosswalk, layout.institutions]
+        + [layout.attributable(s.label) for s in config.sources]
+    )
 
 
 def tree_bytes(root):
