@@ -12,9 +12,9 @@ Counting rules:
 
 Compare reads no classified line. The journal universe and publishers
 come from classify's per-source journal summaries (`journal_index`), and
-each journal's shared and surplus DOI counts from one merge over its
-DOI-sorted streams (`journal_overlaps`), so its memory grows with the
-journals, not with the records.
+each journal's shared and surplus DOI counts from one pass over its DOI
+file (`journal_overlaps`), so its memory grows with the journals, not
+with the records.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Container, Iterable, Mapping, Sequence
+from typing import Container, Iterable, Mapping
 
 from . import artifacts
 from .artifacts import ClassifiedRow, DoiEntry
@@ -81,12 +81,10 @@ def journal_index(summaries: Mapping[str, Iterable[list]]) -> JournalIndex:
 def journal_overlaps(
     universe: Mapping[str, frozenset[str]],
     groups: Iterable[tuple[str, list[DoiEntry]]],
-    sources: Sequence[str],
     open_source: str,
 ) -> dict[str, tuple[int, int]]:
     """Journal ISSN-L -> (shared DOIs, open-source surplus DOIs), counted
-    in one merge over the DOI streams (`artifacts.doi_groups`), whose
-    ranks index `sources`.
+    in one pass over the DOI file's groups (`artifacts.doi_groups`).
 
     A source holds a DOI in a journal when one of its countable records in
     the window has the DOI and the journal. Shared DOIs are held by every
@@ -97,9 +95,9 @@ def journal_overlaps(
     cells = {issn_l: [0, 0] for issn_l in universe}
     for _, entries in groups:
         holders: dict[str, set[str]] = {}
-        for rank, issn_l, countable, _ in entries:
+        for source, _, issn_l, countable, _ in entries:
             if countable and issn_l in cells:
-                holders.setdefault(issn_l, set()).add(sources[rank])
+                holders.setdefault(issn_l, set()).add(source)
         for issn_l, held in holders.items():
             membership = universe[issn_l]
             cell = cells[issn_l]

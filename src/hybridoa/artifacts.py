@@ -16,6 +16,7 @@ import io
 import itertools
 import json
 import mmap
+import operator
 import os
 import re
 import tempfile
@@ -78,15 +79,12 @@ class Layout:
     def attributable(self, source: str) -> str:
         return os.path.join(self.out_dir, "classify", f"attributable_{source}.ndjson")
 
-    def doi_stream(self, source: str) -> str:
-        return os.path.join(self.out_dir, "classify", f"dois_{source}.ndjson")
-
     def journal_summary(self, source: str) -> str:
         return os.path.join(self.out_dir, "classify", f"journals_{source}.ndjson")
 
     @property
-    def doi_index(self) -> str:
-        return os.path.join(self.out_dir, "classify", "doi_index.ndjson")
+    def dois(self) -> str:
+        return os.path.join(self.out_dir, "classify", "dois.ndjson")
 
     @property
     def crosswalk(self) -> str:
@@ -295,12 +293,14 @@ def recording() -> Iterator[dict[str, tuple[str, int]]]:
     The files stay temp files until the block exits: cleanly, and each
     replaces its target, in the order they were finished; by an
     exception, and every one is deleted, so the targets keep what they
-    held before the block.
+    held before the block. A replace that fails deletes the temp files
+    not yet published, its own included.
     """
     with holding() as (written, pending):
         yield written
-    for path, tmp in pending.items():
-        os.replace(tmp, path)
+        for path in list(pending):
+            os.replace(pending[path], path)
+            del pending[path]
 
 
 def note_writes(held: Held) -> None:
@@ -498,7 +498,7 @@ class IngestRow:
 
 # A JSON string, and null, false or true, as `dump_canonical` writes them,
 # without the encoder's per-call set-up: ingest writes one line, and
-# classify one classified line and one DOI index entry, per record.
+# classify one classified line and one DOI line, per record.
 json_string = json.encoder.encode_basestring_ascii
 JSON_LITERAL = {None: "null", False: "false", True: "true"}
 
@@ -636,10 +636,10 @@ def classified_from_line(line: str, source: str) -> ClassifiedRow:
 
 # Memory one sorted run may take before it spills to a temp file: each
 # line counted as CPython holds it, its characters plus LINE_OVERHEAD
-# bytes of str header and list slot. A classify task sorts its DOI stream
-# and its DOI index entries, so its sorting holds about twice this, plus a
-# chunk of lines, whatever the size of the corpus. At 10k works a source
-# has about 1 MB of each, and nothing spills.
+# bytes of str header and list slot. A classify task sorts its DOI lines,
+# so its sorting holds about this, plus a chunk of lines, whatever the
+# size of the corpus. At 10k works a source has about 1 MB of them, and
+# nothing spills.
 SORT_RUN_BYTES = 2 << 20
 LINE_OVERHEAD = 57
 
@@ -651,7 +651,7 @@ class SortedRuns:
     Each line is added with its "\n", a chunk of lines at a time. Lines
     gather in one run in memory; a run that reaches SORT_RUN_BYTES is
     sorted and spills to a temp file in `spill_dir` (the system's temp
-    directory when None). `merged()` yields every line in text order,
+    directory when None). `merge_runs` yields every line in text order,
     merging the spilled runs with the one in memory. A line here is
     printable ASCII, so its "\n" sorts it as the line alone would sort.
     """
@@ -684,15 +684,6 @@ class SortedRuns:
         if self.files and self._run:
             self.spill()
 
-    def merged(self) -> Iterable[str]:
-        return merge_runs([self])
-
-    def close(self) -> None:
-        """Delete the spilled runs."""
-        for path in self.files:
-            os.unlink(path)
-        self.files = []
-
 
 def merge_runs(runs: Sequence[SortedRuns]) -> Iterable[str]:
     """Every line of the runs, in text order: the runs in memory sorted
@@ -708,14 +699,18 @@ def _merge_files(paths: list[str], in_memory: list[str]) -> Iterator[str]:
         yield from heapq.merge(*files, in_memory)
 
 
-# --- DOI streams and journal summaries --------------------------------------------
-# Besides its classified file, classify writes two small files per source,
-# which are what reconcile and compare read:
-#   * `classify/dois_<source>.ndjson`: one canonical JSON array per record
-#     that has a DOI, [doi, ISSN-L, countable in the year window, the first
-#     author's org IDs], its lines sorted as text, so the lines of one DOI
-#     are adjacent, and every stream's lines come in the same DOI order
-#     (a DOI's JSON string is never a prefix of another's);
+# --- the DOI file and journal summaries ---------------------------------------------
+# Besides its classified and attributable files, classify writes the files
+# that reconcile, compare and explain read:
+#   * `classify/dois.ndjson`: one canonical JSON array per classified record
+#     that has a DOI, [doi, source, byte offset of the record's line in its
+#     classified file, ISSN-L, countable in the year window, the first
+#     author's org IDs], every source's lines sorted together as text. So
+#     the lines of one DOI are adjacent and all start with `[`, the DOI's
+#     JSON string and `,`; a DOI that is a prefix of another stops short
+#     of the other's closing quote. Each classify task sorts its source's
+#     lines (`SourceStreams.dois`), and the stage merges them into the
+#     file (`merge_runs`).
 #   * `classify/journals_<source>.ndjson`: one array per journal seen,
 #     [ISSN-L, the publisher of its first article in file order, whether
 #     it has a hybrid OA article in the window], in ISSN-L order.
@@ -737,9 +732,9 @@ def author_org_ids(author: str) -> str:
 
 
 class SourceStreams:
-    """What classify writes of one source besides its classified file,
-    gathered as it classifies the source's records in file order: the DOI
-    stream and the DOI index entries, each as sorted runs, and the journal
+    """What classify writes of one source besides its classified and
+    attributable files, gathered as it classifies the source's records in
+    file order: its lines of the DOI file, as sorted runs, and the journal
     summary.
 
     The first author is read from the record's ingest line: an author's
@@ -753,7 +748,6 @@ class SourceStreams:
         self.label = json_string(source)
         self.years = years
         self.dois = SortedRuns(spill_dir)
-        self.index = SortedRuns(spill_dir)
         self.journals: dict[str, list] = {}
         self._offset = 0  # of the next classified line in its file
         self._org_ids: dict[str, str] = {}
@@ -764,7 +758,7 @@ class SourceStreams:
         characters, and one more for its "\n"."""
         lo, hi = self.years
         journals, org_ids, label = self.journals, self._org_ids, self.label
-        dois, index = [], []
+        dois = []
         for article, classified in zip(articles, lines):
             offset = self._offset
             self._offset += len(classified) + 1
@@ -790,14 +784,11 @@ class SourceStreams:
                     if len(org_ids) >= FIRST_AUTHOR_TEXTS:
                         org_ids.clear()
                     org_ids[author] = ids
-            doi = json_string(doi)
-            index.append(f"[{doi},{label},{offset}]\n")
             dois.append(
-                f"[{doi},{json_string(issn_l)},{JSON_LITERAL[article.countable and in_window]}"
-                f",{ids}]\n"
+                f"[{json_string(doi)},{label},{offset},{json_string(issn_l)}"
+                f",{JSON_LITERAL[article.countable and in_window]},{ids}]\n"
             )
         self.dois.extend(dois)
-        self.index.extend(index)
 
     def journal_lines(self) -> list[str]:
         return [
@@ -807,42 +798,28 @@ class SourceStreams:
 
 
 def json_rows(lines: Iterable[str]) -> Iterator:
-    """The JSON value of each line of a DOI stream or journal summary."""
+    """The JSON value of each line of the DOI file or a journal summary."""
     for line in lines:
         yield _decode_object(line)[0]
 
 
-DoiEntry = tuple[int, str, bool, list]
+# A line of the DOI file after its DOI: [source, byte offset, ISSN-L,
+# countable in the window, first author's org IDs].
+DoiEntry = list
 
 
-def doi_groups(streams: Sequence[Iterable[str]]) -> Iterator[tuple[str, list[DoiEntry]]]:
-    """(DOI, its entries) of every DOI in the DOI streams, one merge over
-    them all, in their line order.
+def doi_groups(lines: Iterable[str]) -> Iterator[tuple[str, list[DoiEntry]]]:
+    """(DOI, its entries) of every DOI in the DOI file's lines, in line
+    order, each entry its line after the DOI. The lines of one DOI are
+    adjacent, so one pass groups them, holding one DOI's lines at a time."""
+    for doi, rows in itertools.groupby(json_rows(lines), key=operator.itemgetter(0)):
+        yield doi, [row[1:] for row in rows]
 
-    An entry is (the index of its stream in `streams`, ISSN-L, countable in
-    the window, first author's org IDs); a DOI's entries come in line
-    order, and equal lines in stream order. One line of each stream is
-    held at a time.
-    """
-    ranked = [zip(stream, itertools.repeat(rank)) for rank, stream in enumerate(streams)]
-    entries = ((_decode_object(line)[0], rank) for line, rank in heapq.merge(*ranked))
-    for doi, group in itertools.groupby(entries, key=lambda entry: entry[0][0]):
-        yield doi, [(rank, *entry[1:]) for entry, rank in group]
-
-
-# --- DOI index ----------------------------------------------------------------
-# `classify/doi_index.ndjson` holds one canonical JSON array per classified
-# record that has a DOI: [doi, source, byte offset of the record's line in
-# its classified file]. Its lines are sorted as text, so the entries of one
-# DOI are adjacent and all start with `[`, the DOI's JSON string and `,`;
-# a DOI that is a prefix of another stops short of the other's closing
-# quote. Classify makes each source's entries (`SourceStreams.index`) and
-# merges them into the index (`merge_runs`).
 
 def doi_index_hits(path: str, doi: str) -> list[tuple[str, int]]:
-    """(source, offset) of every index entry of `doi`, in index order.
+    """(source, offset) of every line of `doi` in the DOI file, in line order.
 
-    Bisects the index for its first line not below the DOI's prefix, then
+    Bisects the file for its first line not below the DOI's prefix, then
     reads on while lines hold that prefix: O(log n) lines read, not n.
     """
     prefix = f"[{json_string(doi)},".encode("ascii")
@@ -867,7 +844,7 @@ def doi_index_hits(path: str, doi: str) -> list[tuple[str, int]]:
             hits = []
             while index[lo:lo + len(prefix)] == prefix:
                 end = index.find(b"\n", lo) % (size + 1)
-                _, source, offset = json.loads(index[lo:end])
+                _, source, offset, *_ = json.loads(index[lo:end])
                 hits.append((source, offset))
                 lo = end + 1
     finally:

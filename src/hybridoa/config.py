@@ -89,6 +89,12 @@ class PipelineConfig:
         if not self.sources:
             raise ConfigError("at least one source required")
         labels = [s.label for s in self.sources]
+        for label in labels:
+            # a label is part of file names in every stage's directory
+            if type(label) is not str or label in ("", ".", "..") or any(
+                c and c in label for c in (os.sep, os.altsep, "\0")
+            ):
+                raise ConfigError(f"source label {label!r} must be a plain file-name part")
         if len(set(labels)) != len(labels):
             raise ConfigError("source labels must be unique")
         if sum(1 for s in self.sources if s.open_baseline) != 1:

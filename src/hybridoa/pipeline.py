@@ -17,12 +17,14 @@ unpublished writes cross a pipe; no article line does. A worker pool
 changes wall time but never output bytes.
 
 Besides each source's classified file, classify writes its attributable
-lines apart (the countable hybrid OA ones, `artifacts.is_attributable`),
-its DOI-sorted stream and its journal summary (`artifacts.SourceStreams`),
-sorted in bounded memory (`artifacts.SortedRuns`). Attribute reads only
-the attributable files. Reconcile and compare read only the streams and
-summaries, in this process: reconcile as one merge join, compare as one
-merge count, so neither holds anything per record.
+lines apart (the countable hybrid OA ones, `artifacts.is_attributable`)
+and its journal summary, and one DOI file for every source together,
+`classify/dois.ndjson` (`artifacts.SourceStreams`), sorted in bounded
+memory (`artifacts.SortedRuns`). Attribute reads only the attributable
+files. Reconcile and compare read only the DOI file and the summaries,
+in this process, each in one pass over the DOI file's groups of lines
+(`artifacts.doi_groups`), so neither holds anything per record. Explain
+bisects the DOI file for the classified lines of one DOI.
 """
 
 from __future__ import annotations
@@ -236,10 +238,6 @@ def _registry(layout: Layout) -> list[str]:
     return [layout.agreements, layout.crosswalk, layout.institutions]
 
 
-def _doi_streams(layout: Layout, config: PipelineConfig) -> list[str]:
-    return [layout.doi_stream(s.label) for s in config.sources]
-
-
 # Each stage's inputs under out_dir; ingest reads only the config's files.
 STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
     "ingest": lambda layout, config: [],
@@ -247,7 +245,7 @@ STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
         [layout.journals] + [layout.articles(s.label) for s in config.sources]
         + ([config.paratext_patterns] if config.paratext_patterns else [])
     ),
-    "reconcile": _doi_streams,
+    "reconcile": lambda layout, config: [layout.dois],
     "attribute": lambda layout, config: (
         _registry(layout) + [layout.attributable(s.label) for s in config.sources]
     ),
@@ -255,8 +253,8 @@ STAGE_INPUTS: dict[str, Callable[[Layout, PipelineConfig], list[str]]] = {
         _classified(layout, config) + [layout.attributions(role) for role in config.roles]
     ),
     "compare": lambda layout, config: (
-        [layout.journal_summary(s.label) for s in config.sources] + _doi_streams(layout, config)
-        + [layout.indicators]
+        [layout.journal_summary(s.label) for s in config.sources]
+        + [layout.dois, layout.indicators]
     ),
 }
 
@@ -416,12 +414,11 @@ def _classify_source(
 ) -> tuple[int, Counter, artifacts.SortedRuns]:
     """One source's ingest file, classified into its classified file, its
     attributable file (the classified lines that `artifacts.is_attributable`
-    accepts, in file order), its DOI stream and its journal summary: its
-    rows, its records per unknown document class and its DOI index
-    entries, as sorted runs that carry only their paths in `spill_dir` when
-    they spilled."""
+    accepts, in file order) and its journal summary: its rows, its records
+    per unknown document class and its lines of the DOI file, as sorted
+    runs that carry only their paths in `spill_dir` when they spilled."""
     cfg, journals, years, spill_dir = ctx
-    label, path, out_path, attributable_path, stream_path, summary_path = source
+    label, path, out_path, attributable_path, summary_path = source
     policy = cfg.policies[label]
     rows = 0
     unknown: Counter = Counter()
@@ -444,13 +441,10 @@ def _classify_source(
             )
             streams.add(articles, classified)
             rows += len(classified)
-    with artifacts.open_artifact(stream_path) as out:
-        out.writelines(streams.dois.merged())
-    streams.dois.close()
     with artifacts.open_artifact(summary_path) as out:
         out.writelines(streams.journal_lines())
-    streams.index.settle()
-    return rows, unknown, streams.index
+    streams.dois.settle()
+    return rows, unknown, streams.dois
 
 
 def run_classify(
@@ -459,19 +453,18 @@ def run_classify(
     """Apply all classification rules to every ingested record.
 
     One per-source fold classifies each source's ingest file into its
-    classified file, attributable file, DOI stream and journal summary.
-    The DOI index entries of every source come back as sorted runs, which
-    are merged into one index here; the runs that spilled are deleted
-    with the stage's spill directory.
+    classified file, attributable file and journal summary. The DOI lines
+    of every source come back as sorted runs, which are merged into the
+    DOI file here; the runs that spilled are deleted with the stage's
+    spill directory.
     """
     labels = [s.label for s in config.sources]
     outputs = [layout.classified(label) for label in labels]
     attributable = [layout.attributable(label) for label in labels]
-    streams = [layout.doi_stream(label) for label in labels]
     summaries = [layout.journal_summary(label) for label in labels]
     sources = [
         (label, layout.articles(label), *paths)
-        for label, *paths in zip(labels, outputs, attributable, streams, summaries)
+        for label, *paths in zip(labels, outputs, attributable, summaries)
     ]
     counters = {}
     runs: list[artifacts.SortedRuns] = []
@@ -480,49 +473,43 @@ def run_classify(
             _classifier_config(config), artifacts.read_journals(layout.journals), config.years,
             spill_dir,
         )
-        for label, (rows, unknown, entries) in zip(
+        for label, (rows, unknown, dois) in zip(
             labels, _source_folds(pool, _classify_source, ctx, sources), strict=True
         ):
-            runs.append(entries)
+            runs.append(dois)
             counters[f"classified_{label}"] = rows
             counters[f"unknown_doc_class_{label}"] = sum(unknown.values())
             for doc_class, count in sorted(unknown.items()):
                 log.warning(
                     "unknown document class %r in source %s: %d records", doc_class, label, count
                 )
-        with artifacts.open_artifact(layout.doi_index) as index:
-            index.writelines(artifacts.merge_runs(runs))
-    return outputs + attributable + streams + summaries + [layout.doi_index], counters
+        with artifacts.open_artifact(layout.dois) as out:
+            out.writelines(artifacts.merge_runs(runs))
+    return outputs + attributable + summaries + [layout.dois], counters
 
 
 # --- reconcile ----------------------------------------------------------------
-
-def _doi_groups(paths: list[str]) -> Iterator[tuple[str, list[artifacts.DoiEntry]]]:
-    """`artifacts.doi_groups` over the DOI streams at `paths`."""
-    with contextlib.ExitStack() as stack:
-        yield from artifacts.doi_groups(
-            [stack.enter_context(artifacts.open_input_text(path)) for path in paths]
-        )
-
 
 def run_reconcile(
     config: PipelineConfig, layout: Layout, inputs: list[dict], pool: ProcessPoolExecutor | None
 ) -> StageResult:
     """Build the open/proprietary crosswalk by DOI bridging, plus an audit sample.
 
-    One merge join over every source's DOI stream, the open source's
-    first, in this process: `reconcile.build_bridge` yields the bridged
-    DOIs as the merge reaches them, and `reconcile.tally_pairs` adds each
-    source's pairs and example DOIs to one tally, as if the sources were
-    tallied in config order.
+    One pass over the DOI file, in this process: `reconcile.build_bridge`
+    yields the bridged DOIs as the pass reaches them, each source ranked,
+    the open source first and the others in config order, and
+    `reconcile.tally_pairs` adds each source's pairs and example DOIs to
+    one tally, as if the sources were tallied in rank order.
     """
     open_label = config.open_source
     labels = [open_label] + [s.label for s in config.sources if s.label != open_label]
-    groups = _doi_groups([layout.doi_stream(label) for label in labels])
+    ranks = {label: rank for rank, label in enumerate(labels)}
     bridged: Counter = Counter()
     counts: Counter = Counter()
     examples: dict = {}
-    reconcile.tally_pairs(reconcile.build_bridge(groups, bridged), counts, examples)
+    with artifacts.open_input_text(layout.dois) as fh:
+        bridge = reconcile.build_bridge(artifacts.doi_groups(fh), ranks, bridged)
+        reconcile.tally_pairs(bridge, counts, examples)
     counters = {f"bridged_{label}": bridged[rank] for rank, label in enumerate(labels) if rank}
 
     crosswalk = reconcile.select_crosswalk(counts, config.min_support)
@@ -636,19 +623,18 @@ def run_compare(
 ) -> StageResult:
     """Coverage intersections, per-figure plot series, and rank correlations.
 
-    The journal summaries give the journal index; one merge over the DOI
-    streams gives each journal's shared and surplus DOIs. No classified
-    line is read.
+    The journal summaries give the journal index; one pass over the DOI
+    file gives each journal's shared and surplus DOIs. No classified line
+    is read.
     """
     open_label = config.open_source
-    labels = [s.label for s in config.sources]
     summaries = {}
-    for label in labels:
-        with artifacts.open_input_text(layout.journal_summary(label)) as fh:
-            summaries[label] = list(artifacts.json_rows(fh))
+    for source in config.sources:
+        with artifacts.open_input_text(layout.journal_summary(source.label)) as fh:
+            summaries[source.label] = list(artifacts.json_rows(fh))
     index = analytics.journal_index(summaries)
-    groups = _doi_groups([layout.doi_stream(label) for label in labels])
-    overlaps = analytics.journal_overlaps(index.universe, groups, labels, open_label)
+    with artifacts.open_input_text(layout.dois) as fh:
+        overlaps = analytics.journal_overlaps(index.universe, artifacts.doi_groups(fh), open_label)
     sets = analytics.upset_sets(index.universe, overlaps)
     artifacts.write_intersections(layout.intersections, sets)
     per_journal, per_publisher = analytics.journal_volumes(index, overlaps)
@@ -710,11 +696,11 @@ def _registry_indexes(layout: Layout) -> tuple:
 def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
     """Human-readable attribution trace for one DOI across all sources.
 
-    Finds the DOI's records through classify's DOI index and decodes only
+    Finds the DOI's records through classify's DOI file and decodes only
     their lines, in config source order, then file order.
     """
     layout = Layout(config.out_dir)
-    _require(_registry(layout) + [layout.doi_index] + _classified(layout, config), "explain")
+    _require(_registry(layout) + [layout.dois] + _classified(layout, config), "explain")
     doi = normalize_doi(raw_doi)
     if doi is None:
         raise UnknownDoi(f"not a DOI: {raw_doi!r}")
@@ -722,7 +708,7 @@ def explain_doi(config: PipelineConfig, raw_doi: str) -> str:
     order = {s.label: k for k, s in enumerate(config.sources)}
     located = sorted(
         (order[label], offset, label)
-        for label, offset in artifacts.doi_index_hits(layout.doi_index, doi)
+        for label, offset in artifacts.doi_index_hits(layout.dois, doi)
         if label in order
     )
     hits = []

@@ -1,15 +1,14 @@
 """Crosswalk construction between open and proprietary organization IDs.
 
-Reconcile is one merge join over classify's DOI-sorted streams
-(`artifacts.doi_groups`), the open source's stream first: the lines of
-one DOI are adjacent in every stream. A DOI held once by the open source
-and once by a proprietary source bridges the two; its first authors'
-identifier pairs, ROR IDs on the open side and every other scheme on the
-proprietary side, are tallied, and per (open ID, scheme) the most
-frequent proprietary partner wins. Memory grows with the number of
-pairs, not of records. Multiple affiliations of single authors are the
-main noise source, so a minimum-support threshold is the documented
-mitigation knob.
+Reconcile is one pass over classify's DOI file (`artifacts.doi_groups`),
+where the lines of one DOI, from every source, are adjacent. A DOI held
+once by the open source and once by a proprietary source bridges the
+two; its first authors' identifier pairs, ROR IDs on the open side and
+every other scheme on the proprietary side, are tallied, and per (open
+ID, scheme) the most frequent proprietary partner wins. Memory grows
+with the number of pairs, not of records. Multiple affiliations of
+single authors are the main noise source, so a minimum-support threshold
+is the documented mitigation knob.
 """
 
 from __future__ import annotations
@@ -34,11 +33,12 @@ Bridged = tuple[str, int, tuple[str, ...], tuple[str, ...]]
 
 
 def build_bridge(
-    groups: Iterable[tuple[str, list[DoiEntry]]], bridged: Counter
+    groups: Iterable[tuple[str, list[DoiEntry]]], ranks: Mapping[str, int], bridged: Counter
 ) -> Iterator[Bridged]:
-    """The bridged DOIs of the merged streams, in stream order, the open
-    source's stream at rank 0: each DOI held once by the open source and
-    once by the proprietary source of a rank, once per such source.
+    """The bridged DOIs of the DOI file's groups, in line order, each
+    source at its rank in `ranks`, the open source's 0: each DOI held once
+    by the open source and once by the proprietary source of a rank, once
+    per such source.
 
     A DOI that a source holds more than once is ambiguous there and
     dropped, for every source when that is the open one; such DOIs are
@@ -49,7 +49,8 @@ def build_bridge(
     ambiguous = 0
     for doi, entries in groups:
         held: dict[int, list | None] = {}
-        for rank, _, _, org_ids in entries:
+        for source, _, _, _, org_ids in entries:
+            rank = ranks[source]
             held[rank] = None if rank in held else org_ids
         ambiguous += sum(ids is None for ids in held.values())
         open_ids = held.pop(0, None)

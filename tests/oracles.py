@@ -21,6 +21,7 @@ from hybridoa.artifacts import (
     classified_from_line,
     classified_to_line,
     dump_canonical,
+    merge_runs,
 )
 from hybridoa.classify import (
     DEFAULT_ALLOWLIST,
@@ -938,7 +939,7 @@ def oracle_detect_paratext(title, patterns):
     return bool(normalized) and any(p.match(normalized) for p in patterns)
 
 
-# --- classify's DOI streams and journal summaries ---------------------------------
+# --- classify's DOI file and journal summaries ---------------------------------
 
 def ingested(article):
     """`article` with its record tree replaced by the row of the ingest
@@ -956,22 +957,33 @@ def filled_streams(source, articles, years, spill_dir=None):
     return streams
 
 
+def doi_lines(streams):
+    """The DOI file's lines of the sources' `SourceStreams`, merged."""
+    return list(merge_runs([s.dois for s in streams]))
+
+
 def _compact(value):
     return json.dumps(value, separators=(",", ":")) + "\n"
 
 
-def oracle_doi_stream(lines, source, years):
-    """A source's DOI stream recounted from its classified lines, each
-    decoded whole: [doi, ISSN-L, countable in the window, the first
-    author's org IDs] per record with a DOI, sorted as text."""
+def oracle_dois(classified, years):
+    """The DOI file recounted from each source's classified lines, given
+    as source -> lines, each line decoded whole: [doi, source, byte offset
+    of its line, ISSN-L, countable in the window, the first author's org
+    IDs] per record with a DOI, every source's lines sorted together as
+    text."""
     out = []
-    for line in lines:
-        row = classified_from_line(line, source)
-        if row.doi:
-            first = row.first_author()
-            countable = row.countable and _in_window(row.year, years)
-            ids = sorted(first.org_ids) if first is not None else []
-            out.append(_compact([row.doi, row.journal_issn_l, countable, ids]))
+    for source, lines in classified.items():
+        offset = 0
+        for line in lines:
+            line = line.rstrip("\n")
+            row = classified_from_line(line, source)
+            if row.doi:
+                first = row.first_author()
+                countable = row.countable and _in_window(row.year, years)
+                ids = sorted(first.org_ids) if first is not None else []
+                out.append(_compact([row.doi, source, offset, row.journal_issn_l, countable, ids]))
+            offset += len(line.encode("utf-8")) + 1
     return sorted(out)
 
 
@@ -1000,11 +1012,11 @@ def oracle_journal_summary(lines, source, years):
     return [_compact([issn_l, *summary]) for issn_l, summary in sorted(journals.items())]
 
 
-# --- the dict-based reconcile and compare the streams replaced ---------------------
+# --- the dict-based reconcile and compare the DOI file replaced --------------------
 
 def dict_projection(rows, open_side):
     """DOI -> sorted first-author org IDs of one side, for the DOIs that
-    occur once among the rows: reconcile's projection before the streams."""
+    occur once among the rows: reconcile's projection before the DOI file."""
     projection, ambiguous = {}, set()
     for row in rows:
         doi = row.doi
@@ -1043,7 +1055,7 @@ def dict_reconcile(open_rows, proprietary, examples_per_pair=3):
 
 def dict_journal_overlaps(universe, doi_sets, open_source):
     """Journal -> (shared DOIs, open surplus DOIs) by set algebra over
-    (source, ISSN-L) -> DOI sets: compare's count before the streams."""
+    (source, ISSN-L) -> DOI sets: compare's count before the DOI file."""
     out = {}
     for issn_l, membership in universe.items():
         per_source = {s: doi_sets.get((s, issn_l), set()) for s in membership}

@@ -35,6 +35,7 @@ from hybridoa.model import (
 from oracles import (
     ArticleRecord,
     dict_journal_overlaps,
+    doi_lines,
     filled_streams,
     ingested,
     oracle_country_correlations,
@@ -69,15 +70,14 @@ def summaries_of(corpora):
 
 
 def overlaps_of(universe, doi_sets):
-    """`journal_overlaps` over DOI streams that hold `doi_sets`, (source,
+    """`journal_overlaps` over a DOI file that holds `doi_sets`, (source,
     ISSN-L) -> DOIs of countable articles in the window."""
-    streams = {source: [] for source in SOURCES}
-    for (source, issn_l), dois in doi_sets.items():
-        streams[source].extend(
-            json.dumps([doi, issn_l, True, []], separators=(",", ":")) + "\n" for doi in dois
-        )
-    groups = doi_groups([sorted(streams[source]) for source in SOURCES])
-    return journal_overlaps(universe, groups, SOURCES, "open")
+    lines = [
+        json.dumps([doi, source, 0, issn_l, True, []], separators=(",", ":")) + "\n"
+        for (source, issn_l), dois in doi_sets.items()
+        for doi in dois
+    ]
+    return journal_overlaps(universe, doi_groups(sorted(lines)), "open")
 
 
 def fold_of(source, articles, ta_keys):
@@ -537,8 +537,8 @@ def test_compare_equals_oracle_on_random_corpora(seed):
     universe, doi_sets, publishers = oracle_journal_index(corpora, YEARS)
     assert (index.universe, index.publishers) == (universe, publishers)
 
-    groups = doi_groups([OneShot(streams[s].dois.merged()) for s in SOURCES])
-    overlaps = journal_overlaps(index.universe, groups, SOURCES, "open")
+    groups = doi_groups(OneShot(doi_lines(streams[s] for s in SOURCES)))
+    overlaps = journal_overlaps(index.universe, groups, "open")
     assert overlaps == dict_journal_overlaps(universe, doi_sets, "open")
     got = {
         s.membership: (s.n_journals, s.n_articles_shared, s.n_articles_surplus_open)

@@ -37,8 +37,9 @@ from hybridoa.model import (
 from oracles import (
     ArticleRecord,
     as_row,
+    doi_lines,
     filled_streams,
-    oracle_doi_stream,
+    oracle_dois,
     oracle_first_author,
     oracle_has_corresponding_data,
     oracle_journal_summary,
@@ -255,7 +256,7 @@ SPELLED = ',"doi":"10.1/x","issn":"x"' + '"position":1}'
     SPELLED, SPELLED, ["https://" + SPELLED], [False, True] * 3, 2019,
 ))
 def test_text_readers_equal_the_decoded_line(obj):
-    """The DOI stream line and journal summary line that classify reads
+    """The DOI line and journal summary line that classify reads
     from the text of the ingest line (`SourceStreams`) equal those recounted
     from a full decode of the classified line."""
     years = (2000, 2050)
@@ -273,7 +274,7 @@ def test_text_readers_equal_the_decoded_line(obj):
         line = classified_to_line(article)
         assert json.loads(line) == obj
         streams = filled_streams("srcA", [article], years)
-        assert list(streams.dois.merged()) == oracle_doi_stream([line], "srcA", years)
+        assert doi_lines([streams]) == oracle_dois({"srcA": [line]}, years)
         assert streams.journal_lines() == oracle_journal_summary([line], "srcA", years)
 
 

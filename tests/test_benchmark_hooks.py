@@ -67,7 +67,7 @@ def test_the_engine_calls_every_function_the_tracer_wraps(tmp_path, monkeypatch)
     fixture.generate(fixture.FixtureParams(seed=7, n_articles=300), str(corpus))
     config = replace(load_config(str(corpus / "config.json")), workers=1)
     pipeline.run(config)
-    with open(Layout(config.out_dir).doi_index, encoding="utf-8") as fh:
+    with open(Layout(config.out_dir).dois, encoding="utf-8") as fh:
         doi = json.loads(fh.readline())[0]
     pipeline.explain_doi(config, doi)
 

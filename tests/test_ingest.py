@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hybridoa import ingest, pipeline
-from hybridoa.artifacts import classified_to_line, ingest_from_line
+from hybridoa.artifacts import classified_to_line, ingest_from_line, merge_runs
 from hybridoa.classify import (
     DOC_MODE_HEURISTIC,
     ClassifierConfig,
@@ -41,7 +41,7 @@ from conftest import article_line, write_lines
 from oracles import (
     dictreader_csv_rows,
     encoded_classified_line,
-    oracle_doi_stream,
+    oracle_dois,
     oracle_ingest_and_classify,
     oracle_journal_summary,
 )
@@ -1131,30 +1131,29 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
     _, ingest_line = parse_article_line(text, source, ORACLE_LINKS)
     years = (2019, 2023)
     with tempfile.TemporaryDirectory() as tmp:
-        path, out, attributable, stream, summary = (
+        path, out, attributable, summary = (
             os.path.join(tmp, name)
             for name in (
-                "ingest.ndjson", "classified.ndjson", "attributable.ndjson", "dois.ndjson",
-                "journals.ndjson",
+                "ingest.ndjson", "classified.ndjson", "attributable.ndjson", "journals.ndjson",
             )
         )
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(ingest_line + "\n")
-        _, unknown, entries = pipeline._classify_source(
+        _, unknown, dois = pipeline._classify_source(
             (ORACLE_CFG, ORACLE_JOURNALS, years, tmp),
-            (source, path, out, attributable, stream, summary),
+            (source, path, out, attributable, summary),
         )
         written = {}
-        for name in (out, stream, summary):
+        for name in (out, summary):
             with open(name, encoding="utf-8", newline="") as fh:
                 written[name] = fh.read().splitlines(keepends=True)
     (classified,) = (line.rstrip("\n") for line in written[out])
     assert (ingest_line, classified, bool(unknown)) == expected
-    entries = list(entries.merged())
+    entries = list(merge_runs([dois]))
     doi = json.loads(entries[0])[0] if entries else None
     assert doi == json.loads(classified)["record"]["doi"]
-    # the DOI stream and journal summary recount from the classified line
-    assert written[stream] == oracle_doi_stream([classified], source, years)
+    # the DOI lines and journal summary recount from the classified line
+    assert entries == oracle_dois({source: [classified]}, years)
     assert written[summary] == oracle_journal_summary([classified], source, years)
 
 

@@ -22,7 +22,13 @@ from hybridoa.classify import KNOWN_NOT_ORIGINAL
 from hybridoa.config import apply_overrides, load_config
 from hybridoa.errors import ConfigError, DependencyError, UnknownDoi
 from hybridoa.model import Authorship, ClassifiedArticle
-from oracles import ArticleRecord, oracle_coverage_summary, oracle_indicators, written_line
+from oracles import (
+    ArticleRecord,
+    oracle_coverage_summary,
+    oracle_dois,
+    oracle_indicators,
+    written_line,
+)
 
 
 def tree_digest(root):
@@ -259,10 +265,10 @@ def test_an_input_rewritten_while_read_is_refused(tmp_path, monkeypatch, edit):
     monkeypatch.setattr(artifacts, "CHUNK_LINES", 20)  # classify's reads span chunks
     reads = {
         "classify": layout.articles("open"),
-        "reconcile": layout.doi_stream("srcA"),
+        "reconcile": layout.dois,
         "attribute": layout.attributable("open"),
         "aggregate": layout.classified("srcB"),
-        "compare": layout.doi_stream("open"),
+        "compare": layout.dois,
     }
     for stage, target in reads.items():
         def open_input(path, target=target):
@@ -300,6 +306,22 @@ def test_a_failed_stage_publishes_none_of_its_outputs(tmp_path, monkeypatch):
         pipeline.run(config, ["attribute"])
     assert len(written) == 2
     assert files_under(config.out_dir) == before
+
+
+def test_a_failed_publish_leaves_no_temp_file_and_no_manifest(tmp_path):
+    """An output target that is a directory fails the stage as it
+    publishes, after some outputs replaced theirs: every temp file not yet
+    published is deleted, and the stage has no manifest, so it counts as
+    not run."""
+    corpus, config = small_corpus(tmp_path)
+    pipeline.run(config, ["ingest"])
+    layout = Layout(config.out_dir)
+    os.makedirs(layout.attributable("srcA"))
+    with pytest.raises(IsADirectoryError):
+        pipeline.run(config, ["classify"])
+    assert os.path.exists(layout.classified("open"))
+    assert [path for path in files_under(config.out_dir) if path.endswith(".tmp")] == []
+    assert not os.path.exists(layout.manifest("classify"))
 
 
 def test_an_input_not_read_to_its_end_is_hashed_whole(tmp_path, monkeypatch):
@@ -389,13 +411,13 @@ def test_ingest_checks_each_distinct_text_once_per_stage(tmp_path, monkeypatch):
 
 def test_explain_checks_attribute_inputs_and_hashes_nothing(full_tree, monkeypatch):
     """Explain needs the registry attribute builds its indexes from, the
-    DOI index and the classified files it seeks into, and names each that
+    DOI file and the classified files it seeks into, and names each that
     is missing; it reads no attributable file."""
     config = full_tree
     layout = Layout(config.out_dir)
     with open(layout.classified(config.open_source), encoding="utf-8") as fh:
         doi = json.loads(fh.readline())["record"]["doi"]
-    needed = [layout.agreements, layout.crosswalk, layout.institutions, layout.doi_index]
+    needed = [layout.agreements, layout.crosswalk, layout.institutions, layout.dois]
     needed += [layout.classified(s.label) for s in config.sources]
     raises_naming_each_missing(needed, lambda: pipeline.explain_doi(config, doi))
     trace = pipeline.explain_doi(config, doi)
@@ -462,10 +484,7 @@ e6dbad361943d1e7481d9ca8c825d12268bda9f874b766691f4e3611b4feacef  classify/artic
 164b50163467e0c618a4a75de3a5a303d7b20e168464d6a0129c211326d00452  classify/attributable_open.ndjson
 e87037545ae3924ac0b28ad389a49964b8c816b618191983f487674639d4bb42  classify/attributable_srcA.ndjson
 14c338ba7d9df9775bf548fd55451ed4faddd3d92831df27d510a9b0eaeaf93e  classify/attributable_srcB.ndjson
-0de0128c11f24144e38b39535b48b92383e59bd5202aa15864e73d58f27a02b5  classify/doi_index.ndjson
-e78f8b978a2e5d4bc7c6c90961da7a31a6f4f9bb8972f4b1a29a1296ebab542b  classify/dois_open.ndjson
-8d7da146b3fc69eb29189024592dd90695d4842b280d6b4c43bdbc42d772aa30  classify/dois_srcA.ndjson
-61e2689eeb6215240cb764a7e2d7f4f45fed0c3d8013b95b1200df8d5ca07d02  classify/dois_srcB.ndjson
+af943725ff99d7366294c6a1ca217dcaea639234467a98e1191d84c29866041f  classify/dois.ndjson
 3bf010fbbacc6745deb04f7db0ce0e0cd6597586e5dd31535d9131ec92fd19b7  classify/journals_open.ndjson
 c79c066799b3866aee23dffd5bb53cdd7d0a286d24c8a0a021ce704c65906395  classify/journals_srcA.ndjson
 ec44481b7742e9fb633882490cd6df1680a0dbf21ed1f931c920155498bdbac1  classify/journals_srcB.ndjson
@@ -484,10 +503,10 @@ f2621e6528275080ee5a31652741fbddb8bb5246d30150d84ac7ac518631e1fa  ingest/article
 2a18cdd87cff43c5b65c884abaa92bb2d8b2e8b273c1d247615b82ad4e8dbd52  ingest/journals.csv
 ab89d20508a1d5ae11fc545d9ac2da996457ae02da5180cc9079f4ff1ec1b1c6  manifests/aggregate.json
 c57c36ce5a3502670ad0e8d3f7400b8047545dc36b7f9100c8812f37a093cc48  manifests/attribute.json
-6bc7888df44287e7b6062ea795f6bcd6f4adcc03c569a75157064f2c8bfee95c  manifests/classify.json
-0fb67b493069ef478fef3e3f231b9ebe74f2381a18b29abdeab5039f765cd41b  manifests/compare.json
+da80e0939601975394d19dc37c97d65252420c8d05f478bd10dc8f3986e0ab6e  manifests/classify.json
+1ed96c79115d4e994222a13f22ac7baf08dff109285e10a2b7b2ec8bbcc406a4  manifests/compare.json
 aefa9914b8d54a477655c873c174a14505125dff25b0fcb4003a3a0af12d9821  manifests/ingest.json
-cbf1579b681a207aa7309e4a36cef26e4f8716402787b99ca5f63ac5ce495a8f  manifests/reconcile.json
+30fc3699998ef3460616aefd5a1c6f26cc4bcd91d3ec6e18fe8c897ec3a0daa0  manifests/reconcile.json
 89fabf40e1d03bfa0bc2e6f014b2d3488954757d2673cd887d9f115e09a2412c  reconcile/audit_sample.csv
 cef32a996a3e1dd7617240935522f3aa6106734c3d71fe1cdfd4d0a3d3748a64  reconcile/crosswalk.csv
 aae92b401d6782ade65d2a98d64b1dcb0ea6b3368b70c939d0b52a01515b080b  rejects/agreement_dump.csv
@@ -1337,7 +1356,7 @@ def counted_decodes(monkeypatch) -> list:
 
 
 def test_reconcile_and_compare_decode_no_classified_line(tmp_path, monkeypatch):
-    """Reconcile and compare read classify's DOI streams and journal
+    """Reconcile and compare read classify's DOI file and journal
     summaries, not its classified lines, and build no `ClassifiedRow`."""
     corpus, config = small_corpus(tmp_path)
     pipeline.run(config, ["ingest", "classify", "reconcile", "attribute", "aggregate"])
@@ -1659,10 +1678,12 @@ def test_explain_finds_escaped_prefix_and_repeated_dois(tmp_path, monkeypatch):
     layout = Layout(config.out_dir)
     holders = classified_holders(layout, config)
     assert [label for label, _ in holders["10.5555/twice"]].count("srcA") == 2
-    with open(layout.doi_index, encoding="ascii") as fh:
-        index = fh.read().splitlines()
-    assert index == sorted(index)
-    assert index == [artifacts.dump_canonical(json.loads(line)) for line in index]
+    classified = {}
+    for source in config.sources:
+        with open(layout.classified(source.label), encoding="utf-8") as fh:
+            classified[source.label] = fh.readlines()
+    with open(layout.dois, encoding="ascii") as fh:
+        assert fh.readlines() == oracle_dois(classified, config.years)
 
     calls = counting_decodes(monkeypatch)
     for doi in wanted:
@@ -1676,7 +1697,7 @@ def test_explain_finds_escaped_prefix_and_repeated_dois(tmp_path, monkeypatch):
 
 
 def test_explain_without_any_doi_in_the_corpus(tmp_path, monkeypatch):
-    """No record has a DOI, so the index is empty: every lookup is an
+    """No record has a DOI, so the DOI file is empty: every lookup is an
     UnknownDoi, and nothing is decoded."""
     corpus, config = small_corpus(tmp_path)
     for label in ("open", "srcA", "srcB"):
@@ -1686,7 +1707,7 @@ def test_explain_without_any_doi_in_the_corpus(tmp_path, monkeypatch):
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     pipeline.run(config)
     layout = Layout(config.out_dir)
-    assert os.path.getsize(layout.doi_index) == 0
+    assert os.path.getsize(layout.dois) == 0
     calls = counting_decodes(monkeypatch)
     for doi in ("10.5555/j00.000000", "10.9999/not-in-corpus"):
         with pytest.raises(UnknownDoi):
@@ -1698,7 +1719,7 @@ def test_explain_refuses_a_tree_without_its_doi_index(full_tree):
     config = full_tree
     layout = Layout(config.out_dir)
     doi, _ = attributed_doi(layout)
-    raises_naming_each_missing([layout.doi_index], lambda: pipeline.explain_doi(config, doi))
+    raises_naming_each_missing([layout.dois], lambda: pipeline.explain_doi(config, doi))
 
 
 def traced_verdicts(trace):
@@ -1934,25 +1955,39 @@ def test_cli_workers_below_one_exits_2(tmp_path, capsys, flag, in_config):
 
 @pytest.mark.parametrize(
     "key, value",
-    [("years", [2019]), ("years", [2019, 2020, 2021]), ("roles", []), ("audit_sample_size", -5)],
-    ids=["years-one", "years-three", "roles-empty", "audit-negative"],
+    [
+        ("years", [2019]), ("years", [2019, 2020, 2021]), ("roles", []), ("audit_sample_size", -5),
+        ("label", ""), ("label", "."), ("label", ".."), ("label", "../../escaped"),
+        ("label", "nul\0"), ("label", 5),
+    ],
+    ids=[
+        "years-one", "years-three", "roles-empty", "audit-negative", "label-empty", "label-dot",
+        "label-dotdot", "label-separator", "label-nul", "label-number",
+    ],
 )
 def test_cli_config_shapes_a_run_cannot_use_exit_2(tmp_path, capsys, key, value):
-    """A year window that is not two years, an empty role list and a
-    negative audit sample size are ConfigErrors, reported as JSON with
-    exit 2 before any stage runs: nothing is written."""
+    """A year window that is not two years, an empty role list, a negative
+    audit sample size and a source label that is not a plain file-name
+    part (a label names files in every stage's directory) are
+    ConfigErrors, reported as JSON with exit 2 before any stage runs:
+    nothing is written, inside the corpus or beside it."""
     from hybridoa.cli import main
 
     corpus = tmp_path / "c"
     main(["gen-fixture", "--out", str(corpus), "--seed", "3", "--articles", "100"])
     capsys.readouterr()
     raw = json.loads((corpus / "config.json").read_text(encoding="utf-8"))
-    (corpus / "config.json").write_text(json.dumps({**raw, key: value}), encoding="utf-8")
+    if key == "label":
+        raw["sources"][-1]["label"] = value  # a proprietary source
+    else:
+        raw[key] = value
+    (corpus / "config.json").write_text(json.dumps(raw), encoding="utf-8")
     rc = main(["run", "--config", str(corpus / "config.json"), "--workers", "1"])
     assert rc == 2
     report = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert report["error"] == "ConfigError" and key in report["detail"]
     assert not os.path.exists(corpus / "out")
+    assert os.listdir(tmp_path) == ["c"]
 
 
 def test_cli_explain(tmp_path, capsys):

@@ -21,6 +21,7 @@ from hybridoa.reconcile import (
 from oracles import (
     ArticleRecord,
     bare_article,
+    doi_lines,
     filled_streams,
     ingested,
     oracle_crosswalk,
@@ -41,17 +42,26 @@ def rec(source, native_id, doi, org_ids=("ror:r1",), position=1):
     )
 
 
-def stream_of(records):
-    """The DOI stream classify writes of the records (`bare_article`)."""
-    articles = [ingested(bare_article(record)) for record in records]
-    return list(filled_streams("srcA", articles, (2019, 2023)).dois.merged())
+# The rank of each source's label, as reconcile gives them.
+RANKS = {"open": 0, "srcA": 1, "srcB": 2}
+
+
+def dois_of(*corpora):
+    """The DOI file classify writes of the corpora (`bare_article`), each
+    corpus under the source label of its records."""
+    streams = []
+    for corpus in corpora:
+        articles = [ingested(bare_article(record)) for record in corpus]
+        if articles:
+            streams.append(filled_streams(articles[0].record.source, articles, (2019, 2023)))
+    return doi_lines(streams)
 
 
 def bridge_of(*corpora):
-    """`build_bridge` over the corpora's streams, the open one first:
+    """`build_bridge` over the DOI file of the corpora, the open one first:
     (DOI, rank) of each bridged DOI, and the bridged DOIs per rank."""
     bridged = Counter()
-    bridge = build_bridge(doi_groups([stream_of(corpus) for corpus in corpora]), bridged)
+    bridge = build_bridge(doi_groups(dois_of(*corpora)), RANKS, bridged)
     return [(doi, rank) for doi, rank, _, _ in bridge], bridged
 
 
@@ -133,12 +143,12 @@ def bridge_articles(articles):
     return out
 
 
-def stream_projection(stream, open_side):
-    """DOI -> the stream's first-author IDs of one side, for the DOIs the
-    stream holds once."""
+def stream_projection(lines, open_side):
+    """DOI -> the DOI lines' first-author IDs of one side, for the DOIs the
+    lines hold once."""
     return {
-        doi: tuple(o for o in entries[0][3] if o.startswith("ror:") == open_side)
-        for doi, entries in doi_groups([stream])
+        doi: tuple(o for o in entries[0][4] if o.startswith("ror:") == open_side)
+        for doi, entries in doi_groups(lines)
         if len(entries) == 1
     }
 
@@ -180,11 +190,11 @@ E_ACUTE = Authorship(position=1, org_ids=frozenset({"ror:é}", "srcA:é"}))
 ])
 @example([("10.1/a", [E_ACUTE], False), ("10.1/b", [E_ACUTE], True)])  # two escapings
 def test_the_text_keyed_projection_equals_the_decoded_lines(articles):
-    """The DOI stream's first-author IDs, read from the text of each ingest
+    """The DOI file's first-author IDs, read from the text of each ingest
     line with each distinct text decoded once, give the projection of the
     fully decoded classified lines, on either side."""
     held = bridge_articles(articles)
-    stream = list(filled_streams("srcA", held, (2019, 2023)).dois.merged())
+    stream = doi_lines([filled_streams("srcA", held, (2019, 2023))])
     lines = [written_line(bare_article(replace(rec("srcA", "A", doi), authors=tuple(authors))))
              for doi, authors, _ in articles]
     for open_side in (True, False):
@@ -203,8 +213,8 @@ def test_each_distinct_first_author_text_is_decoded_once(monkeypatch):
     held = bridge_articles(
         [(f"10.1/{i}", [E_ACUTE], i % 2 == 1) for i in range(6)] + [("10.1/x", [], False)]
     )
-    stream = filled_streams("srcA", held, (2019, 2023)).dois.merged()
-    projection = stream_projection(list(stream), open_side=True)
+    stream = doi_lines([filled_streams("srcA", held, (2019, 2023))])
+    projection = stream_projection(stream, open_side=True)
     assert set(projection.values()) == {("ror:é}",), ()}
     # one text per escaping, and one for no authors
     assert sorted(decoded.values()) == [1, 1, 1]
@@ -217,11 +227,11 @@ def tally_of(articles, examples_per_pair=3):
 
     Returns (bridged DOIs, pair counts, pair examples).
     """
-    streams = [
-        stream_of(rec("open", f"W{doi}", doi, org_ids) for doi, org_ids, *_ in articles),
-        stream_of(rec("srcA", f"A{doi}", doi, org_ids, *pos) for doi, _, org_ids, *pos in articles),
-    ]
-    bridge = list(build_bridge(doi_groups(streams), Counter()))
+    lines = dois_of(
+        [rec("open", f"W{doi}", doi, org_ids) for doi, org_ids, *_ in articles],
+        [rec("srcA", f"A{doi}", doi, org_ids, *pos) for doi, _, org_ids, *pos in articles],
+    )
+    bridge = list(build_bridge(doi_groups(lines), RANKS, Counter()))
     counts: Counter = Counter()
     examples: dict = {}
     tally_pairs(iter(bridge), counts, examples, examples_per_pair)
@@ -255,21 +265,21 @@ def test_tally_examples_capped():
 
 
 def test_tally_examples_follow_sorted_order_not_stream_order():
-    """In a DOI stream `10.1/a!!!` comes first and `10.1/a` fourth, since
+    """In the DOI file `10.1/a!!!` comes first and `10.1/a` fourth, since
     `!` sorts below the closing quote of a DOI's JSON string. The examples
     keep sorted order, source by source, as the bridges of the sources
     tallied in turn would: srcB's smallest DOI, not its first in the
-    stream, follows srcA's two."""
+    file, follows srcA's two."""
     dois = ["10.1/a", "10.1/a!", "10.1/a!!", "10.1/a!!!", "10.1/a\u00e9", "10.1/b"]
-    streams = [
-        stream_of(rec("open", f"W{i}", doi, ("ror:r1",)) for i, doi in enumerate(dois)),
-        stream_of(rec("srcA", f"A{i}", doi, ("srcA:p9",)) for i, doi in enumerate(dois[4:])),
-        stream_of(rec("srcB", f"B{i}", doi, ("srcA:p9",)) for i, doi in enumerate(dois)),
-    ]
-    texts = [line.split('"')[1] for line in streams[0]]
+    lines = dois_of(
+        [rec("open", f"W{i}", doi, ("ror:r1",)) for i, doi in enumerate(dois)],
+        [rec("srcA", f"A{i}", doi, ("srcA:p9",)) for i, doi in enumerate(dois[4:])],
+        [rec("srcB", f"B{i}", doi, ("srcA:p9",)) for i, doi in enumerate(dois)],
+    )
+    texts = [line.split('"')[1] for line in lines if '"open"' in line]
     assert texts == ["10.1/a!!!", "10.1/a!!", "10.1/a!", "10.1/a", "10.1/a\\u00e9", "10.1/b"]
     counts, examples = Counter(), {}
-    tally_pairs(build_bridge(doi_groups(streams), Counter()), counts, examples)
+    tally_pairs(build_bridge(doi_groups(lines), RANKS, Counter()), counts, examples)
     assert examples == {("ror:r1", "srcA:p9"): ["10.1/a\u00e9", "10.1/b", "10.1/a"]}
     assert counts == {("ror:r1", "srcA:p9"): 8}
 
@@ -366,13 +376,14 @@ def corpus_of(source, raw):
 
 
 def engine_crosswalk(open_corpus, proprietary_corpora, min_support):
-    """The reconcile stage's composition: one merge join over the streams."""
+    """The reconcile stage's composition: one pass over the DOI file."""
     labels = list(proprietary_corpora)
-    streams = [stream_of(open_corpus)] + [stream_of(proprietary_corpora[l]) for l in labels]
+    lines = dois_of(open_corpus, *(proprietary_corpora[l] for l in labels))
+    ranks = {"open": 0, **{label: rank for rank, label in enumerate(labels, 1)}}
     bridged: Counter = Counter()
     counts: Counter = Counter()
     examples: dict = {}
-    tally_pairs(build_bridge(doi_groups(streams), bridged), counts, examples)
+    tally_pairs(build_bridge(doi_groups(lines), ranks, bridged), counts, examples)
     by_label = {label: bridged[rank] for rank, label in enumerate(labels, 1)}
     return select_crosswalk(counts, min_support), len(counts), by_label, examples
 
@@ -458,9 +469,9 @@ def test_planted_mapping_recovery_with_noise():
         doi = f"10.1/{article}"
         open_corpus.append(rec("open", f"W{article}", doi, open_ids))
         prop_corpus.append(rec("srcA", f"A{article}", doi, prop_ids))
-    streams = [stream_of(open_corpus), stream_of(prop_corpus)]
+    lines = dois_of(open_corpus, prop_corpus)
     counts: Counter = Counter()
-    tally_pairs(build_bridge(doi_groups(streams), Counter()), counts, {})
+    tally_pairs(build_bridge(doi_groups(lines), RANKS, Counter()), counts, {})
     entries = select_crosswalk(counts, min_support=2)
     correct = sum(1 for e in entries if truth.get(e.open_id) == e.proprietary_id)
     assert len(entries) >= 0.95 * n_inst

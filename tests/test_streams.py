@@ -1,17 +1,18 @@
-"""Classify's attributable files, DOI-sorted streams and journal
-summaries, and the merge join and merge count that reconcile and compare
-make over the streams.
+"""Classify's attributable files, DOI file and journal summaries, and the
+passes that reconcile and compare make over the DOI file.
 
 The files are recounted from the classified files (`oracle_attributable`,
-`oracle_doi_stream`, `oracle_journal_summary`), and the merges are checked
+`oracle_dois`, `oracle_journal_summary`), and the passes are checked
 against the dict-based reconcile and compare they replaced
 (`dict_reconcile`, `dict_journal_overlaps`).
 """
 
+import json
 import os
 import pickle
 import tempfile
 from collections import Counter
+from contextlib import nullcontext
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from datetime import date
@@ -23,14 +24,14 @@ from hypothesis import strategies as st
 
 from hybridoa import artifacts, fixture, pipeline
 from hybridoa.analytics import journal_index, journal_overlaps
-from hybridoa.artifacts import Layout, SortedRuns, doi_groups, json_rows
+from hybridoa.artifacts import Layout, SortedRuns, doi_groups, json_rows, merge_runs
 from hybridoa.classify import (
     DOC_MODE_HEURISTIC,
     ClassifierConfig,
     SourcePolicy,
     load_paratext_patterns,
 )
-from hybridoa.config import load_config
+from hybridoa.config import PipelineConfig, SourceConfig, load_config
 from hybridoa.model import Authorship, ClassifiedArticle, Journal, LicenseStatement
 from hybridoa.reconcile import build_bridge, tally_pairs
 from oracles import (
@@ -38,10 +39,11 @@ from oracles import (
     as_row,
     dict_journal_overlaps,
     dict_reconcile,
+    doi_lines,
     filled_streams,
     ingested,
     oracle_attributable,
-    oracle_doi_stream,
+    oracle_dois,
     oracle_journal_index,
     oracle_journal_summary,
     record_to_dict,
@@ -56,8 +58,7 @@ SOURCES = ("open", "srcA", "srcB")
 
 def test_sorted_runs_spill_and_merge_into_text_order(tmp_path, monkeypatch):
     """Runs that reach SORT_RUN_BYTES spill to files of their own; the merge
-    of them and the run in memory is the text order of every line, and
-    `close` deletes the files."""
+    of them and the run in memory is the text order of every line."""
     monkeypatch.setattr(artifacts, "SORT_RUN_BYTES", 3 * (artifacts.LINE_OVERHEAD + 4))
     lines = [f"{n:03d}\n" for n in (5, 3, 9, 1, 7, 3, 0, 8)]
     runs = SortedRuns(str(tmp_path))
@@ -66,9 +67,7 @@ def test_sorted_runs_spill_and_merge_into_text_order(tmp_path, monkeypatch):
     assert len(runs.files) == 2 and sorted(os.listdir(tmp_path)) == sorted(
         os.path.basename(path) for path in runs.files
     )
-    assert list(runs.merged()) == sorted(lines)
-    runs.close()
-    assert os.listdir(tmp_path) == []
+    assert list(merge_runs([runs])) == sorted(lines)
 
 
 def test_settled_runs_cross_a_pipe_as_paths(tmp_path, monkeypatch):
@@ -81,18 +80,18 @@ def test_settled_runs_cross_a_pipe_as_paths(tmp_path, monkeypatch):
     small.extend(['["10.1/x","open",0]\n'])
     spilled.settle()
     small.settle()
-    assert small.files == [] and list(small.merged()) == ['["10.1/x","open",0]\n']
+    assert small.files == [] and list(merge_runs([small])) == ['["10.1/x","open",0]\n']
     assert len(pickle.dumps(spilled)) < 1024
-    assert list(pickle.loads(pickle.dumps(spilled)).merged()) == sorted(
+    assert list(merge_runs([pickle.loads(pickle.dumps(spilled))])) == sorted(
         f'["10.1/{n:04d}","open",{n}]\n' for n in range(200)
     )
 
 
-# --- merge join and merge count against the dict-based stages -------------------------
+# --- reconcile's and compare's passes against the dict-based stages -------------------
 
 # DOIs that are text prefixes of one another, and characters that sort
-# below or above the closing quote of a DOI's JSON string, so a stream's
-# line order is not the DOIs' sorted order.
+# below or above the closing quote of a DOI's JSON string, so the DOI
+# file's line order is not the DOIs' sorted order.
 DOIS = (None, "10.1/a", "10.1/ab", "10.1/a b", "10.1/a!", "10.1/aé", '10.1/a"', "10.1/b")
 ORGS = ("ror:r0", "ror:r1", "srcA:p0", "srcA:p1", "srcB:q0")
 
@@ -141,10 +140,10 @@ REPEATS_AND_PREFIXES = (
 @example(REPEATS_AND_PREFIXES, False)
 @example(REPEATS_AND_PREFIXES, True)
 def test_merge_join_and_merge_count_equal_the_dict_based_stages(drawn, spill):
-    """Reconcile's merge join gives the bridged counts, pair counts and
-    example DOIs of the projections it replaced, and compare's merge count
+    """Reconcile's pass over the DOI file gives the bridged counts, pair
+    counts and example DOIs of the projections it replaced, and compare's
     the journal index and overlaps of the per-journal DOI sets, whether the
-    streams were sorted in memory or spilled in runs of a line or two."""
+    DOI lines were sorted in memory or spilled in runs of a line or two."""
     corpora = {
         source: [article(source, i, a) for i, a in enumerate(raw)]
         for source, raw in zip(SOURCES, drawn)
@@ -157,16 +156,16 @@ def test_merge_join_and_merge_count_equal_the_dict_based_stages(drawn, spill):
             for source in SOURCES
         }
         for source in SOURCES:
-            # a stream line takes at least 89 bytes, so three spill a run
-            if not spill or sum(bool(a.record.doi) for a in corpora[source]) >= 3:
+            # a DOI line takes at least 98 bytes, so two spill a run
+            if not spill or sum(bool(a.record.doi) for a in corpora[source]) >= 2:
                 assert bool(streams[source].dois.files) == spill
-        lines = {source: list(streams[source].dois.merged()) for source in SOURCES}
-    for source in SOURCES:
-        classified = [written_line(a) for a in corpora[source]]
-        assert lines[source] == oracle_doi_stream(classified, source, YEARS)
+        lines = doi_lines(streams[source] for source in SOURCES)
+    classified = {source: [written_line(a) for a in corpora[source]] for source in SOURCES}
+    assert lines == oracle_dois(classified, YEARS)
 
     bridged, counts, examples = Counter(), Counter(), {}
-    tally_pairs(build_bridge(doi_groups([lines[s] for s in SOURCES]), bridged), counts, examples)
+    ranks = {source: rank for rank, source in enumerate(SOURCES)}
+    tally_pairs(build_bridge(doi_groups(lines), ranks, bridged), counts, examples)
     rows = {source: [as_row(a) for a in corpora[source]] for source in SOURCES}
     want_bridged, want_counts, want_examples = dict_reconcile(
         rows["open"], {label: rows[label] for label in SOURCES[1:]}
@@ -179,8 +178,7 @@ def test_merge_join_and_merge_count_equal_the_dict_based_stages(drawn, spill):
     )
     universe, doi_sets, publishers = oracle_journal_index(corpora, YEARS)
     assert (index.universe, index.publishers) == (universe, publishers)
-    groups = doi_groups([lines[s] for s in SOURCES])
-    assert journal_overlaps(index.universe, groups, SOURCES, "open") == dict_journal_overlaps(
+    assert journal_overlaps(index.universe, doi_groups(lines), "open") == dict_journal_overlaps(
         universe, doi_sets, "open"
     )
 
@@ -198,17 +196,30 @@ def read_lines(path):
         return fh.readlines()
 
 
+def assert_offsets_seek(layout, lines):
+    """Each DOI line's offset is the start of a line of its source's
+    classified file that holds its DOI."""
+    for line in lines:
+        doi, source, offset, *_ = json.loads(line)
+        with open(layout.classified(source), "rb") as fh:
+            if offset:
+                fh.seek(offset - 1)
+                assert fh.read(1) == b"\n", line
+            assert json.loads(fh.readline())["record"]["doi"] == doi, line
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 def test_streams_and_summaries_recount_from_the_classified_files(tmp_path, workers):
     config = replace(small_config(tmp_path), workers=workers)
     pipeline.run(config, ["ingest", "classify"])
     layout = Layout(config.out_dir)
+    classified = {s.label: read_lines(layout.classified(s.label)) for s in config.sources}
+    dois = read_lines(layout.dois)
+    assert dois and dois == oracle_dois(classified, config.years)
+    assert_offsets_seek(layout, dois)
     for source in config.sources:
-        classified = read_lines(layout.classified(source.label))
-        stream = read_lines(layout.doi_stream(source.label))
-        assert stream and stream == oracle_doi_stream(classified, source.label, config.years)
         assert read_lines(layout.journal_summary(source.label)) == oracle_journal_summary(
-            classified, source.label, config.years
+            classified[source.label], source.label, config.years
         )
 
 
@@ -264,6 +275,22 @@ def two_workers():
         yield pool
 
 
+# Runs of a line or two, and chunks of two lines, so that every sort with
+# more than a line or two spills.
+SMALL_RUNS = {"SORT_RUN_BYTES": 2 * (artifacts.LINE_OVERHEAD + 40), "CHUNK_LINES": 2}
+
+
+def use_small_runs():
+    for name, value in SMALL_RUNS.items():
+        setattr(artifacts, name, value)
+
+
+@pytest.fixture(scope="module")
+def two_spilling_workers():
+    with ProcessPoolExecutor(max_workers=2, initializer=use_small_runs) as pool:
+        yield pool
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.tuples(*(st.lists(records, max_size=10) for _ in SOURCES)), st.sampled_from(SOURCES))
 @example(([], [], []), "open")
@@ -284,11 +311,10 @@ def test_each_attributable_file_equals_its_oracle(two_workers, drawn, closed):
                     fh.writelines(ingest_lines(source, raw, source == closed))
                 tasks.append((
                     source, path, layout.classified(source), layout.attributable(source),
-                    layout.doi_stream(source), layout.journal_summary(source),
+                    layout.journal_summary(source),
                 ))
             ctx = (CLASSIFY_CFG, CLASSIFY_JOURNALS, YEARS, tmp)
-            for *_, runs in pipeline._source_folds(pool, pipeline._classify_source, ctx, tasks):
-                runs.close()
+            list(pipeline._source_folds(pool, pipeline._classify_source, ctx, tasks))
             files = {}
             for source in SOURCES:
                 classified = read_lines(layout.classified(source))
@@ -298,6 +324,79 @@ def test_each_attributable_file_equals_its_oracle(two_workers, drawn, closed):
             assert files[closed][1] == []
             written.append(files)
     assert written[0] == written[1]
+
+
+doi_records = st.tuples(
+    st.sampled_from(DOIS),
+    st.sampled_from(["1111-1111", "2222-2222", "3333-3333"]),
+    st.sampled_from(["journal-article", "Article", "editorial"]),
+    st.sampled_from(LICENSES),
+    st.sampled_from([2018, 2020, 2024]),
+    authors,
+)
+
+
+def doi_ingest_lines(source, drawn):
+    """Ingest's lines of the drawn records of `source`."""
+    lines = []
+    for i, (doi, issn_l, doc_class, licenses, year, people) in enumerate(drawn):
+        record = ArticleRecord(
+            source=source, native_id=f"{source}{i}", journal_issn_l=issn_l,
+            pub_date=date(year, 3, 1), document_class=doc_class, doi=doi, pagination="10-19",
+            title="A study", licenses=licenses, authors=people,
+        )
+        lines.append(artifacts.dump_canonical(record_to_dict(record)) + "\n")
+    return lines
+
+
+def classify_config(out_dir):
+    """The config of `CLASSIFY_CFG`'s sources; classify reads no input path of it."""
+    return PipelineConfig(
+        sources=(
+            SourceConfig("open", "", "ror", open_baseline=True, doc_class_mode=DOC_MODE_HEURISTIC),
+            SourceConfig("srcA", "", "srcA"),
+            SourceConfig("srcB", "", "srcB", lenient_oa=True),
+        ),
+        agreement_dump="", durations="", issn_links="", institutions="", years=YEARS,
+        out_dir=out_dir,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.tuples(*(st.lists(doi_records, max_size=8) for _ in SOURCES)))
+@example(([], [], []))
+@example((  # a DOI held twice by one source, and DOIs that are prefixes of one another
+    [("10.1/a", "1111-1111", "Article", LICENSES[1], 2020, ())] * 2,
+    [("10.1/ab", "1111-1111", "Article", LICENSES[1], 2020, ())],
+    [("10.1/a!", "2222-2222", "Article", (), 2020, ()),
+     ("10.1/a", "1111-1111", "Article", (), 2024, ())],
+))
+def test_the_doi_file_equals_its_oracle(two_workers, two_spilling_workers, drawn):
+    """Classify's DOI file is the recount of the classified files, and each
+    line's offset seeks to a classified line of its source with its DOI:
+    inline and on a two-process pool, with runs that spill and without,
+    in the same bytes."""
+    written = set()
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, pool, small in (
+            ("inline", None, False), ("pool", two_workers, False),
+            ("inline-spilled", None, True), ("pool-spilled", two_spilling_workers, True),
+        ):
+            config = classify_config(os.path.join(tmp, name))
+            layout = Layout(config.out_dir)
+            artifacts.write_journals(layout.journals, CLASSIFY_JOURNALS.values())
+            for source, raw in zip(SOURCES, drawn):
+                with artifacts.open_artifact(layout.articles(source)) as fh:
+                    fh.writelines(doi_ingest_lines(source, raw))
+            runs = mock.patch.multiple(artifacts, **SMALL_RUNS) if small else nullcontext()
+            with runs:
+                pipeline.run_classify(config, layout, [], pool)
+            dois = read_lines(layout.dois)
+            classified = {source: read_lines(layout.classified(source)) for source in SOURCES}
+            assert dois == oracle_dois(classified, YEARS), name
+            assert_offsets_seek(layout, dois)
+            written.add("".join(dois))
+    assert len(written) == 1
 
 
 def test_attribute_reads_no_classified_file(tmp_path):
