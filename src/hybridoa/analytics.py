@@ -40,12 +40,9 @@ from .model import (
     ROLE_CORRESPONDING,
     ROLE_FIRST,
     ROLES,
+    in_window,
     membership_key,
 )
-
-
-def in_window(year: int, years: tuple[int, int]) -> bool:
-    return years[0] <= year <= years[1]
 
 
 @dataclass

@@ -40,6 +40,7 @@ from .model import (
     IntersectionSet,
     Journal,
     LicenseStatement,
+    in_window,
     membership_key,
 )
 
@@ -639,7 +640,7 @@ def classified_from_line(line: str, source: str) -> ClassifiedRow:
 # bytes of str header and list slot. A classify task sorts its DOI lines,
 # so its sorting holds about this, plus a chunk of lines, whatever the
 # size of the corpus. At 10k works a source has about 1 MB of them, and
-# nothing spills.
+# each sort writes one run, when its task ends.
 SORT_RUN_BYTES = 2 << 20
 LINE_OVERHEAD = 57
 
@@ -650,13 +651,14 @@ class SortedRuns:
 
     Each line is added with its "\n", a chunk of lines at a time. Lines
     gather in one run in memory; a run that reaches SORT_RUN_BYTES is
-    sorted and spills to a temp file in `spill_dir` (the system's temp
-    directory when None). `merge_runs` yields every line in text order,
-    merging the spilled runs with the one in memory. A line here is
-    printable ASCII, so its "\n" sorts it as the line alone would sort.
+    sorted and spills to a temp file in `spill_dir`. The last `spill`
+    writes what is left and hands back every run file, so the sorted
+    lines leave the sort only as files, which `merge_runs` merges. A line
+    here is printable ASCII, so its "\n" sorts it as the line alone would
+    sort.
     """
 
-    def __init__(self, spill_dir: str | None = None):
+    def __init__(self, spill_dir: str):
         self.spill_dir = spill_dir
         self.files: list[str] = []
         self._run: list[str] = []
@@ -669,34 +671,24 @@ class SortedRuns:
         if self._size >= SORT_RUN_BYTES:
             self.spill()
 
-    def spill(self) -> None:
-        """Sort the run in memory and write it to a temp file of its own."""
-        self._run.sort()
-        fd, path = tempfile.mkstemp(suffix=".run", dir=self.spill_dir)
-        with open(fd, "w", encoding="ascii", newline="") as fh:
-            fh.writelines(self._run)
-        self.files.append(path)
-        self._run, self._size = [], 0
-
-    def settle(self) -> None:
-        """Spill the run in memory when an earlier one spilled: handed to
-        another process, runs that spilled then carry their paths only."""
-        if self.files and self._run:
-            self.spill()
+    def spill(self) -> list[str]:
+        """Sort the run in memory, when it holds a line, into a temp file
+        of its own; the paths of every run file so far."""
+        if self._run:
+            self._run.sort()
+            fd, path = tempfile.mkstemp(suffix=".run", dir=self.spill_dir)
+            with open(fd, "w", encoding="ascii", newline="") as fh:
+                fh.writelines(self._run)
+            self.files.append(path)
+            self._run, self._size = [], 0
+        return self.files
 
 
-def merge_runs(runs: Sequence[SortedRuns]) -> Iterable[str]:
-    """Every line of the runs, in text order: the runs in memory sorted
-    together, merged with the spilled ones when there are any."""
-    in_memory = sorted(itertools.chain.from_iterable(r._run for r in runs))
-    paths = [path for r in runs for path in r.files]
-    return _merge_files(paths, in_memory) if paths else in_memory
-
-
-def _merge_files(paths: list[str], in_memory: list[str]) -> Iterator[str]:
+def merge_runs(paths: Sequence[str]) -> Iterator[str]:
+    """Every line of the run files, in text order."""
     with ExitStack() as stack:
         files = [stack.enter_context(open(path, encoding="ascii", newline="")) for path in paths]
-        yield from heapq.merge(*files, in_memory)
+        yield from heapq.merge(*files)
 
 
 # --- the DOI file and journal summaries ---------------------------------------------
@@ -709,8 +701,9 @@ def _merge_files(paths: list[str], in_memory: list[str]) -> Iterator[str]:
 #     the lines of one DOI are adjacent and all start with `[`, the DOI's
 #     JSON string and `,`; a DOI that is a prefix of another stops short
 #     of the other's closing quote. Each classify task sorts its source's
-#     lines (`SourceStreams.dois`), and the stage merges them into the
-#     file (`merge_runs`).
+#     lines (`SourceStreams.dois`) into run files and hands back their
+#     paths, and the stage merges every task's run files into the file
+#     (`merge_runs`).
 #   * `classify/journals_<source>.ndjson`: one array per journal seen,
 #     [ISSN-L, the publisher of its first article in file order, whether
 #     it has a hybrid OA article in the window], in ISSN-L order.
@@ -744,7 +737,7 @@ class SourceStreams:
     once (`author_org_ids`).
     """
 
-    def __init__(self, source: str, years: tuple[int, int], spill_dir: str | None = None):
+    def __init__(self, source: str, years: tuple[int, int], spill_dir: str):
         self.label = json_string(source)
         self.years = years
         self.dois = SortedRuns(spill_dir)
@@ -756,19 +749,18 @@ class SourceStreams:
         """Add a chunk of the source's articles, in file order, with their
         classified lines. A classified line is ASCII, so its bytes are its
         characters, and one more for its "\n"."""
-        lo, hi = self.years
-        journals, org_ids, label = self.journals, self._org_ids, self.label
+        years, journals, org_ids, label = self.years, self.journals, self._org_ids, self.label
         dois = []
         for article, classified in zip(articles, lines):
             offset = self._offset
             self._offset += len(classified) + 1
             record = article.record
             issn_l = record.journal_issn_l
-            in_window = lo <= article.year <= hi
+            window = in_window(article.year, years)
             journal = journals.get(issn_l)
             if journal is None:
                 journal = journals[issn_l] = [article.publisher, False]
-            if article.is_hybrid_oa and in_window:
+            if article.is_hybrid_oa and window:
                 journal[1] = True
             doi = record.doi
             if not doi:
@@ -786,7 +778,7 @@ class SourceStreams:
                     org_ids[author] = ids
             dois.append(
                 f"[{json_string(doi)},{label},{offset},{json_string(issn_l)}"
-                f",{JSON_LITERAL[article.countable and in_window]},{ids}]\n"
+                f",{JSON_LITERAL[article.countable and window]},{ids}]\n"
             )
         self.dois.extend(dois)
 

@@ -114,6 +114,8 @@ class PipelineConfig:
         for role in self.roles:
             if role not in ROLES:
                 raise ConfigError(f"unknown role {role!r}")
+        if len(set(self.roles)) != len(self.roles):
+            raise ConfigError(f"roles must not repeat a role, got {list(self.roles)!r}")
         for source in self.sources:
             if source.doc_class_mode not in (DOC_MODE_ALLOWLIST, DOC_MODE_HEURISTIC):
                 raise ConfigError(f"unknown doc_class_mode {source.doc_class_mode!r}")

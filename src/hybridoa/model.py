@@ -69,6 +69,11 @@ def majority_label(votes: Mapping[str, int]) -> str:
     return min(k for k, v in votes.items() if v == top)
 
 
+def in_window(year: int, years: tuple[int, int]) -> bool:
+    """Whether `year` lies in the year window, both ends included."""
+    return years[0] <= year <= years[1]
+
+
 @dataclass(frozen=True, slots=True)
 class Journal:
     """A venue keyed by its linking ISSN."""

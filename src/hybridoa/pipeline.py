@@ -20,11 +20,12 @@ Besides each source's classified file, classify writes its attributable
 lines apart (the countable hybrid OA ones, `artifacts.is_attributable`)
 and its journal summary, and one DOI file for every source together,
 `classify/dois.ndjson` (`artifacts.SourceStreams`), sorted in bounded
-memory (`artifacts.SortedRuns`). Attribute reads only the attributable
-files. Reconcile and compare read only the DOI file and the summaries,
-in this process, each in one pass over the DOI file's groups of lines
-(`artifacts.doi_groups`), so neither holds anything per record. Explain
-bisects the DOI file for the classified lines of one DOI.
+memory into run files (`artifacts.SortedRuns`) that each task hands back
+by path. Attribute reads only the attributable files. Reconcile and
+compare read only the DOI file and the summaries, in this process, each
+in one pass over the DOI file's groups of lines (`artifacts.doi_groups`),
+so neither holds anything per record. Explain bisects the DOI file for
+the classified lines of one DOI.
 """
 
 from __future__ import annotations
@@ -409,14 +410,12 @@ def _classifier_config(config: PipelineConfig) -> classify.ClassifierConfig:
     )
 
 
-def _classify_source(
-    ctx: tuple, source: tuple[str, ...]
-) -> tuple[int, Counter, artifacts.SortedRuns]:
+def _classify_source(ctx: tuple, source: tuple[str, ...]) -> tuple[int, Counter, list[str]]:
     """One source's ingest file, classified into its classified file, its
     attributable file (the classified lines that `artifacts.is_attributable`
     accepts, in file order) and its journal summary: its rows, its records
-    per unknown document class and its lines of the DOI file, as sorted
-    runs that carry only their paths in `spill_dir` when they spilled."""
+    per unknown document class and the paths of the run files in
+    `spill_dir` that hold its lines of the DOI file, each run sorted."""
     cfg, journals, years, spill_dir = ctx
     label, path, out_path, attributable_path, summary_path = source
     policy = cfg.policies[label]
@@ -443,8 +442,7 @@ def _classify_source(
             rows += len(classified)
     with artifacts.open_artifact(summary_path) as out:
         out.writelines(streams.journal_lines())
-    streams.dois.settle()
-    return rows, unknown, streams.dois
+    return rows, unknown, streams.dois.spill()
 
 
 def run_classify(
@@ -453,10 +451,10 @@ def run_classify(
     """Apply all classification rules to every ingested record.
 
     One per-source fold classifies each source's ingest file into its
-    classified file, attributable file and journal summary. The DOI lines
-    of every source come back as sorted runs, which are merged into the
-    DOI file here; the runs that spilled are deleted with the stage's
-    spill directory.
+    classified file, attributable file and journal summary. Each fold
+    writes its source's DOI lines to sorted run files in the stage's spill
+    directory and hands back their paths; every source's run files are
+    merged into the DOI file here, and deleted with the spill directory.
     """
     labels = [s.label for s in config.sources]
     outputs = [layout.classified(label) for label in labels]
@@ -467,24 +465,25 @@ def run_classify(
         for label, *paths in zip(labels, outputs, attributable, summaries)
     ]
     counters = {}
-    runs: list[artifacts.SortedRuns] = []
+    runs: list[str] = []
     with tempfile.TemporaryDirectory(prefix="hybridoa-sort-") as spill_dir:
         ctx = (
             _classifier_config(config), artifacts.read_journals(layout.journals), config.years,
             spill_dir,
         )
-        for label, (rows, unknown, dois) in zip(
+        for label, (rows, unknown, paths) in zip(
             labels, _source_folds(pool, _classify_source, ctx, sources), strict=True
         ):
-            runs.append(dois)
+            runs.extend(paths)
             counters[f"classified_{label}"] = rows
             counters[f"unknown_doc_class_{label}"] = sum(unknown.values())
             for doc_class, count in sorted(unknown.items()):
                 log.warning(
                     "unknown document class %r in source %s: %d records", doc_class, label, count
                 )
-        with artifacts.open_artifact(layout.dois) as out:
-            out.writelines(artifacts.merge_runs(runs))
+        with artifacts.open_artifact(layout.dois) as out, \
+                contextlib.closing(artifacts.merge_runs(runs)) as lines:
+            out.writelines(lines)
     return outputs + attributable + summaries + [layout.dois], counters
 
 

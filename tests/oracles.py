@@ -11,6 +11,9 @@ import math
 import os
 import random
 import re
+import shutil
+import tempfile
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, replace
 from datetime import date, timedelta
@@ -948,18 +951,22 @@ def ingested(article):
     return replace(article, record=IngestRow(line, article.record.source))
 
 
-def filled_streams(source, articles, years, spill_dir=None):
+def filled_streams(source, articles, years):
     """The `SourceStreams` classify fills from articles as it holds them
-    (`ingested`), one article at a time."""
+    (`ingested`), one article at a time. Its runs spill into a temporary
+    directory of its own, deleted with it."""
+    spill_dir = tempfile.mkdtemp(prefix="hybridoa-runs-")
     streams = SourceStreams(source, years, spill_dir)
+    weakref.finalize(streams, shutil.rmtree, spill_dir)
     for article in articles:
         streams.add([article], [classified_to_line(article)])
     return streams
 
 
 def doi_lines(streams):
-    """The DOI file's lines of the sources' `SourceStreams`, merged."""
-    return list(merge_runs([s.dois for s in streams]))
+    """The DOI file's lines of the sources' `SourceStreams`: each one's
+    run files, the last one spilled, merged as `run_classify` merges them."""
+    return list(merge_runs([path for s in streams for path in s.dois.spill()]))
 
 
 def _compact(value):

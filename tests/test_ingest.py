@@ -1139,7 +1139,7 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
         )
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(ingest_line + "\n")
-        _, unknown, dois = pipeline._classify_source(
+        _, unknown, runs = pipeline._classify_source(
             (ORACLE_CFG, ORACLE_JOURNALS, years, tmp),
             (source, path, out, attributable, summary),
         )
@@ -1147,9 +1147,9 @@ def test_ingest_and_classify_equal_the_record_tree_oracle(case):
         for name in (out, summary):
             with open(name, encoding="utf-8", newline="") as fh:
                 written[name] = fh.read().splitlines(keepends=True)
+        entries = list(merge_runs(runs))
     (classified,) = (line.rstrip("\n") for line in written[out])
     assert (ingest_line, classified, bool(unknown)) == expected
-    entries = list(merge_runs([dois]))
     doi = json.loads(entries[0])[0] if entries else None
     assert doi == json.loads(classified)["record"]["doi"]
     # the DOI lines and journal summary recount from the classified line

@@ -1956,21 +1956,24 @@ def test_cli_workers_below_one_exits_2(tmp_path, capsys, flag, in_config):
 @pytest.mark.parametrize(
     "key, value",
     [
-        ("years", [2019]), ("years", [2019, 2020, 2021]), ("roles", []), ("audit_sample_size", -5),
-        ("label", ""), ("label", "."), ("label", ".."), ("label", "../../escaped"),
-        ("label", "nul\0"), ("label", 5),
+        ("years", [2019]), ("years", [2019, 2020, 2021]), ("roles", []),
+        ("roles", ["first", "first"]), ("audit_sample_size", -5), ("label", ""), ("label", "."),
+        ("label", ".."), ("label", "../../escaped"), ("label", "nul\0"), ("label", 5),
     ],
     ids=[
-        "years-one", "years-three", "roles-empty", "audit-negative", "label-empty", "label-dot",
-        "label-dotdot", "label-separator", "label-nul", "label-number",
+        "years-one", "years-three", "roles-empty", "roles-repeated", "audit-negative",
+        "label-empty", "label-dot", "label-dotdot", "label-separator", "label-nul",
+        "label-number",
     ],
 )
 def test_cli_config_shapes_a_run_cannot_use_exit_2(tmp_path, capsys, key, value):
-    """A year window that is not two years, an empty role list, a negative
-    audit sample size and a source label that is not a plain file-name
-    part (a label names files in every stage's directory) are
-    ConfigErrors, reported as JSON with exit 2 before any stage runs:
-    nothing is written, inside the corpus or beside it."""
+    """A year window that is not two years, an empty role list or one that
+    repeats a role (each listed role would append its rows to the same
+    attribution file), a negative audit sample size and a source label
+    that is not a plain file-name part (a label names files in every
+    stage's directory) are ConfigErrors, reported as JSON with exit 2
+    before any stage runs: nothing is written, inside the corpus or
+    beside it."""
     from hybridoa.cli import main
 
     corpus = tmp_path / "c"

@@ -57,8 +57,9 @@ SOURCES = ("open", "srcA", "srcB")
 # --- the external sort ---------------------------------------------------------------
 
 def test_sorted_runs_spill_and_merge_into_text_order(tmp_path, monkeypatch):
-    """Runs that reach SORT_RUN_BYTES spill to files of their own; the merge
-    of them and the run in memory is the text order of every line."""
+    """Runs that reach SORT_RUN_BYTES spill to files of their own; the
+    merge of them and the rest of the lines, spilled last, is the text
+    order of every line."""
     monkeypatch.setattr(artifacts, "SORT_RUN_BYTES", 3 * (artifacts.LINE_OVERHEAD + 4))
     lines = [f"{n:03d}\n" for n in (5, 3, 9, 1, 7, 3, 0, 8)]
     runs = SortedRuns(str(tmp_path))
@@ -67,24 +68,36 @@ def test_sorted_runs_spill_and_merge_into_text_order(tmp_path, monkeypatch):
     assert len(runs.files) == 2 and sorted(os.listdir(tmp_path)) == sorted(
         os.path.basename(path) for path in runs.files
     )
-    assert list(merge_runs([runs])) == sorted(lines)
+    assert list(merge_runs(runs.spill())) == sorted(lines)
 
 
-def test_settled_runs_cross_a_pipe_as_paths(tmp_path, monkeypatch):
-    """Runs that spilled pickle, once settled, as their paths only; runs
-    that never spilled keep their lines in memory."""
-    monkeypatch.setattr(artifacts, "SORT_RUN_BYTES", 4 << 10)
-    spilled, small = SortedRuns(str(tmp_path)), SortedRuns(str(tmp_path))
-    for n in range(200):
-        spilled.extend([f'["10.1/{n:04d}","open",{n}]\n'])
-    small.extend(['["10.1/x","open",0]\n'])
-    spilled.settle()
-    small.settle()
-    assert small.files == [] and list(merge_runs([small])) == ['["10.1/x","open",0]\n']
-    assert len(pickle.dumps(spilled)) < 1024
-    assert list(merge_runs([pickle.loads(pickle.dumps(spilled))])) == sorted(
-        f'["10.1/{n:04d}","open",{n}]\n' for n in range(200)
-    )
+@pytest.mark.parametrize("works", [10, 1000])
+def test_classify_tasks_hand_back_their_runs_as_paths(tmp_path, two_workers, works):
+    """A classify task on a pool hands back its DOI lines as the paths of
+    run files in the spill directory, so its pickled result stays under
+    1 KB whatever the size of its source; the run files merge into the
+    recount of the classified files."""
+    spill_dir = tmp_path / "spill"
+    spill_dir.mkdir()
+    layout = Layout(str(tmp_path / "out"))
+    drawn = [("1111-1111", "Article", "A study", "10-19", LICENSES[1], 2020)] * works
+    tasks = []
+    for source in SOURCES:
+        path = str(tmp_path / f"ingest_{source}.ndjson")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.writelines(ingest_lines(source, drawn, False))
+        tasks.append((
+            source, path, layout.classified(source), layout.attributable(source),
+            layout.journal_summary(source),
+        ))
+    ctx = (CLASSIFY_CFG, CLASSIFY_JOURNALS, YEARS, str(spill_dir))
+    results = list(pipeline._source_folds(two_workers, pipeline._classify_source, ctx, tasks))
+    paths = [path for _, _, runs in results for path in runs]
+    assert len(paths) == len(SOURCES)
+    assert all(os.path.dirname(path) == str(spill_dir) for path in paths)
+    assert all(len(pickle.dumps(result)) < 1024 for result in results)
+    classified = {source: read_lines(layout.classified(source)) for source in SOURCES}
+    assert list(merge_runs(paths)) == oracle_dois(classified, YEARS)
 
 
 # --- reconcile's and compare's passes against the dict-based stages -------------------
@@ -149,10 +162,9 @@ def test_merge_join_and_merge_count_equal_the_dict_based_stages(drawn, spill):
         for source, raw in zip(SOURCES, drawn)
     }
     run_bytes = 2 * (artifacts.LINE_OVERHEAD + 40) if spill else artifacts.SORT_RUN_BYTES
-    with mock.patch.object(artifacts, "SORT_RUN_BYTES", run_bytes), \
-            tempfile.TemporaryDirectory() as spill_dir:
+    with mock.patch.object(artifacts, "SORT_RUN_BYTES", run_bytes):
         streams = {
-            source: filled_streams(source, map(ingested, corpora[source]), YEARS, spill_dir)
+            source: filled_streams(source, map(ingested, corpora[source]), YEARS)
             for source in SOURCES
         }
         for source in SOURCES:
@@ -424,25 +436,30 @@ def tree_bytes(root):
 
 
 def test_a_spilling_sort_writes_the_same_tree_and_leaves_no_run(tmp_path, monkeypatch):
-    """With runs of a few KB every sort of classify spills several runs;
-    the tree keeps every byte, manifests included, and no run file or
-    spill directory is left behind."""
+    """At the default SORT_RUN_BYTES each sort of classify writes one run,
+    when its task ends; with runs of a few KB every sort spills several.
+    The tree keeps every byte, manifests included, and neither leaves a
+    run file or spill directory behind."""
     config = small_config(tmp_path)
-    pipeline.run(config)
-    before = tree_bytes(config.out_dir)
     spills = tmp_path / "spills"
     spills.mkdir()
     monkeypatch.setattr(tempfile, "tempdir", str(spills))
-    monkeypatch.setattr(artifacts, "SORT_RUN_BYTES", 4 << 10)
-    monkeypatch.setattr(artifacts, "CHUNK_LINES", 20)  # a run spills after a chunk
-    made = []
+    made = set()
     spill = SortedRuns.spill
 
     def counted(self):
-        made.append(self)
-        spill(self)
+        files = spill(self)
+        made.update(files)
+        return files
 
     monkeypatch.setattr(SortedRuns, "spill", counted)
+    pipeline.run(config)
+    assert len(made) == len(config.sources)
+    assert os.listdir(spills) == []
+    before = tree_bytes(config.out_dir)
+    made.clear()
+    monkeypatch.setattr(artifacts, "SORT_RUN_BYTES", 4 << 10)
+    monkeypatch.setattr(artifacts, "CHUNK_LINES", 20)  # a run spills after a chunk
     pipeline.run(config, ["classify", "reconcile", "compare"])
     assert len(made) > 2 * len(config.sources)
     assert tree_bytes(config.out_dir) == before
